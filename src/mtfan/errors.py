@@ -15,3 +15,7 @@ class ResourceLimitError(RuntimeError):
 
 class InputFormatError(ValueError):
     """Malformed input document (bad JSON, missing or ill-typed fields)."""
+
+
+class InvariantError(RuntimeError):
+    """A self-check of a computed result failed (a bug, not bad input)."""

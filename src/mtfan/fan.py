@@ -2,17 +2,23 @@
 polytope decorated with torsion-theoretic class data.
 
 Functionals are equivalent relative to M exactly when they lie in the
-relative interior of the same cone; each cone gets the canonical filtration
-(t, tbar, w, f, fbar), the stable support factors of w, and the t-set, all
-computed at an interior witness and cross-checked at random interior points.
+relative interior of the same cone.  Each cone's class data is read off the
+indexed submodule lattice at an interior witness theta: the t-set is the set
+of submodules on which theta is largest, t and tbar are its least and
+greatest members, w, f and fbar are the differences of dimension vectors,
+and the stable support of w = tbar/t is the list of steps of a maximal chain
+in the t-set.  The data is re-read at random interior points and checked
+against the Newton face.  The definition routes (torsion scans, subquotient
+modules) live in stability.py; the oracle compares them with this data at
+every sample.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from .errors import ModuleDefinitionError
-from .exact import rank
+from .errors import InvariantError, ModuleDefinitionError
+from .exact import primitive, rank
 from .polyhedra import (
     Cone,
     GeneralizedFan,
@@ -25,15 +31,9 @@ from .polyhedra import (
     normal_fan,
     vertex_order,
 )
-from .quiver import Module, dim_vector
-from .sublattice import newton_polytope
-from .stability import (
-    as_theta,
-    canonical_sequences,
-    evaluate,
-    supp_factors,
-    t_set,
-)
+from .quiver import Module, Submodule, submodule_contains
+from .stability import as_theta
+from .sublattice import enumerate_submodules, newton_polytope
 
 _SAMPLE_SEED = 0x5EED
 _EXTRA_SAMPLES = 3
@@ -45,6 +45,8 @@ class TFClassData:
 
     cone_index: int
     newton_face_id: int
+    t: Submodule  # least member of the t-set
+    tbar: Submodule  # greatest member of the t-set
     t_dims: tuple[int, ...]
     tbar_dims: tuple[int, ...]
     w_dims: tuple[int, ...]
@@ -52,9 +54,7 @@ class TFClassData:
     fbar_dims: tuple[int, ...]
     supp_dims: tuple[tuple[int, ...], ...]  # sorted multiset
     witness: tuple[int, ...]
-    filtration: object  # CanonicalSequenceData at the witness
-    supp: tuple  # (factor module, dim vector) pairs
-    t_set: frozenset
+    t_set: frozenset  # submodules on which the witness is largest
 
 
 @dataclass(frozen=True)
@@ -88,20 +88,51 @@ class MTFFan:
         return self.fan.maximal_indices()
 
 
-def _class_at(module, theta):
-    cs = canonical_sequences(theta, module)
-    supp = supp_factors(theta, cs.w)
-    ts = t_set(theta, module)
-    return cs, supp, ts
+def _lattice_class(subs, theta):
+    """(t, tbar, supp_dims, t-set) at theta, read off the indexed lattice.
+
+    The t-set is the set of submodules on which theta is largest; it is
+    closed under sum and intersection, so its member of least total
+    dimension is t and its member of greatest total dimension is tbar.  The
+    steps of a maximal chain from t to tbar inside the t-set are the stable
+    factors of tbar/t (Jordan-Hoelder for semistable modules).
+    """
+    theta = primitive(theta)  # a positive rescaling keeps the class
+    vals = [sum(a * b for a, b in zip(theta, s.dims)) for s in subs]
+    top = max(vals)
+    members = [s for s, v in zip(subs, vals) if v == top]
+    t = min(members, key=lambda s: s.total_dim)
+    tbar = max(members, key=lambda s: s.total_dim)
+    steps = []
+    cur = t
+    while cur != tbar:
+        nxt = min(
+            (
+                s
+                for s in members
+                if s.total_dim > cur.total_dim and submodule_contains(s, cur)
+            ),
+            key=lambda s: s.total_dim,
+        )
+        steps.append(tuple(a - b for a, b in zip(nxt.dims, cur.dims)))
+        cur = nxt
+    return t, tbar, tuple(sorted(steps)), frozenset(members)
+
+
+def _require(ok, what):
+    if not ok:
+        raise InvariantError(what)
 
 
 def build_mtf_fan(module):
     """Fan of equivalence classes of stability vectors relative to a module.
 
-    Class data per cone is computed at the deterministic interior witness
-    and re-derived at a few random interior points; any disagreement would
-    mean the cone decomposition is wrong, so it is asserted.
+    Class data per cone is read off the submodule lattice at the
+    deterministic interior witness and again at a few random interior
+    points; any disagreement would mean the cone decomposition is wrong,
+    so it raises InvariantError.
     """
+    subs = enumerate_submodules(module).submodules
     P = newton_polytope(module)
     nfan = normal_fan(P)
     n = module.algebra.n
@@ -109,38 +140,42 @@ def build_mtf_fan(module):
     rng = random.Random(_SAMPLE_SEED)
     for idx, cone in enumerate(nfan.cones):
         witness = cone.relint_point()
-        theta = as_theta(witness, n)
-        cs, supp, ts = _class_at(module, theta)
-        supp_dims = tuple(sorted(d for _, d in supp))
+        data = _lattice_class(subs, witness)
         for _ in range(_EXTRA_SAMPLES):
-            eta = as_theta(cone.random_relint_point(rng), n)
-            cs2, supp2, ts2 = _class_at(module, eta)
-            assert cs2.t == cs.t and cs2.tbar == cs.tbar
-            assert tuple(sorted(d for _, d in supp2)) == supp_dims
-            assert ts2 == ts
+            _require(
+                _lattice_class(subs, cone.random_relint_point(rng)) == data,
+                f"cone {idx}: class data differs inside the cone",
+            )
+        t, tbar, supp_dims, ts = data
         face = P.faces[idx]
         # the min and max of the Newton face are the classes of t and tbar
         face_vecs = [tuple(map(int, P.vertices[v])) for v in face.vertex_ids]
-        t_vec, tbar_vec = tuple(cs.t.dims), tuple(cs.tbar.dims)
-        assert t_vec in face_vecs and tbar_vec in face_vecs
-        assert all(vertex_order(t_vec, v) in (Order.LESS, Order.EQUAL) for v in face_vecs)
-        assert all(vertex_order(tbar_vec, v) in (Order.GREATER, Order.EQUAL) for v in face_vecs)
+        t_vec, tbar_vec = t.dims, tbar.dims
+        _require(
+            t_vec in face_vecs
+            and tbar_vec in face_vecs
+            and all(vertex_order(t_vec, v) in (Order.LESS, Order.EQUAL) for v in face_vecs)
+            and all(vertex_order(tbar_vec, v) in (Order.GREATER, Order.EQUAL) for v in face_vecs),
+            f"cone {idx}: t/tbar are not the min/max of the Newton face",
+        )
         # duality of dimensions, and the span of the support cuts the cone
-        assert cone.dim == n - face.dim
-        assert cone.dim == n - rank(supp_dims)
+        _require(
+            cone.dim == n - face.dim == n - rank(supp_dims),
+            f"cone {idx}: dim {cone.dim} breaks dim + face dim = dim + rank(supp) = n",
+        )
         classes.append(
             TFClassData(
                 cone_index=idx,
                 newton_face_id=idx,
+                t=t,
+                tbar=tbar,
                 t_dims=t_vec,
                 tbar_dims=tbar_vec,
-                w_dims=dim_vector(cs.w),
-                f_dims=dim_vector(cs.f),
-                fbar_dims=dim_vector(cs.fbar),
+                w_dims=tuple(b - a for a, b in zip(t_vec, tbar_vec)),
+                f_dims=tuple(m - b for m, b in zip(module.dims, tbar_vec)),
+                fbar_dims=tuple(m - a for m, a in zip(module.dims, t_vec)),
                 supp_dims=supp_dims,
                 witness=witness,
-                filtration=cs,
-                supp=supp,
                 t_set=ts,
             )
         )
@@ -180,14 +215,16 @@ def wall_cone(mtf):
     ]
     smallest = frozenset(set.intersection(*carrier))
     assert wall == mtf.cones[P.face_id(smallest)]
-    from .stability import wall_membership
+    subs = enumerate_submodules(module).submodules
 
-    probe = wall.relint_point()
-    assert wall_membership(as_theta(probe, mtf.n), module)
+    def semistable(theta):  # 0 and M are both in the t-set
+        t, tbar, _, _ = _lattice_class(subs, theta)
+        return t.total_dim == 0 and tbar.dims == module.dims
+
+    assert semistable(wall.relint_point())
     for i in mtf.maximal_indices():
         if not wall.contains_cone(mtf.cones[i]):
-            off = mtf.cones[i].relint_point()
-            assert not wall_membership(as_theta(off, mtf.n), module)
+            assert not semistable(mtf.cones[i].relint_point())
     _wall_cache[id(mtf)] = (mtf, wall)
     return wall
 
@@ -238,8 +275,8 @@ def facet_partition(mtf, cone):
 
     Returns (plus, minus): facets across which the Newton vertex drops,
     respectively rises.  Each facet falls in exactly one part; the split is
-    cross-checked torsion-theoretically at a facet witness (the vertex drops
-    iff t stops being torsion there, rises iff f stops being free).
+    cross-checked against the facet cone's class data (the vertex drops iff
+    t changes on the facet, rises iff tbar does).
     """
     idx = mtf.cone_index(cone)
     if cone.dim != mtf.n:
@@ -248,22 +285,34 @@ def facet_partition(mtf, cone):
     data = mtf.classes[idx]
     plus, minus = [], []
     pairs = _edge_neighbors(mtf, idx)
-    assert len(pairs) == len(cone.ineqs)
+    _require(
+        len(pairs) == len(cone.ineqs),
+        f"cone {idx}: {len(pairs)} Newton edges for {len(cone.ineqs)} facets",
+    )
     for eid, nid in pairs:
         tau = mtf.cones[eid]
         v2 = _newton_vertex_of_maximal(mtf, nid)
         order = vertex_order(v, v2)
-        assert order in (Order.LESS, Order.GREATER)
-        theta = as_theta(tau.relint_point(), mtf.n)
-        cs_tau = canonical_sequences(theta, mtf.module)
-        t_stays_torsion = tuple(cs_tau.t.dims) == data.t_dims
-        f_stays_free = tuple(cs_tau.tbar.dims) == data.tbar_dims
+        _require(
+            order in (Order.LESS, Order.GREATER),
+            f"Newton edge {eid} joins incomparable vertices",
+        )
+        # the facet's class data was read off at its witness
+        facet = mtf.classes[eid]
+        t_stays_torsion = facet.t_dims == data.t_dims
+        f_stays_free = facet.tbar_dims == data.tbar_dims
         if order is Order.GREATER:
             plus.append(tau)
-            assert not t_stays_torsion and f_stays_free
+            _require(
+                not t_stays_torsion and f_stays_free,
+                f"facet {eid}: the vertex drops, yet t stays or tbar moves",
+            )
         else:
             minus.append(tau)
-            assert t_stays_torsion and not f_stays_free
+            _require(
+                t_stays_torsion and not f_stays_free,
+                f"facet {eid}: the vertex rises, yet tbar stays or t moves",
+            )
     return tuple(plus), tuple(minus)
 
 

@@ -7,9 +7,7 @@ check the equivalence and closure predicates against the cone combinatorics.
 """
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,7 +98,7 @@ def verify_point(mtf, theta):
     fails = []
 
     cs = canonical_sequences(theta, module)
-    if cs.t != data.filtration.t or cs.tbar != data.filtration.tbar:
+    if cs.t != data.t or cs.tbar != data.tbar:
         fails.append("canonical filtration differs from the cone's")
     supp = tuple(sorted(d for _, d in supp_factors(theta, cs.w)))
     if supp != data.supp_dims:
@@ -134,17 +132,6 @@ def verify_point(mtf, theta):
     return PointReport(theta, idx, tuple(fails))
 
 
-def _thread_count():
-    raw = os.environ.get("MTFAN_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"MTFAN_THREADS must be an integer, got {raw!r}") from exc
-    if k < 1:
-        raise ValueError("MTFAN_THREADS must be >= 1")
-    return k
-
-
 def verify_fan(mtf, samples=None, reps_per_cone=3):
     """Run verify_point over a sample set and check pairwise predicates.
 
@@ -159,14 +146,9 @@ def verify_fan(mtf, samples=None, reps_per_cone=3):
     failures = []
     checks = 0
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda t: verify_point(mtf, t), samples.thetas))
-    else:
-        reports = [verify_point(mtf, t) for t in samples.thetas]
     by_cone = {}
-    for rep in reports:
+    for theta in samples.thetas:
+        rep = verify_point(mtf, theta)
         checks += 1
         failures.extend(f"theta {rep.theta}: {m}" for m in rep.failures)
         by_cone.setdefault(rep.cone_index, []).append(rep.theta)

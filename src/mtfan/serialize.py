@@ -39,18 +39,67 @@ def module_from_doc(doc):
          "relations": [[{"coeff": int, "path": [...]}, ...], ...],
          "module": {"dims": {vertex: int}, "maps": {arrow: [[int]]}}}
     """
-    if not isinstance(doc, dict):
-        raise InputFormatError("input document must be a JSON object")
+    _check_doc(doc)
+    algebra = build_algebra(doc)
+    mod = doc["module"]
+    dims = {str(k): v for k, v in mod["dims"].items()}
+    maps = {str(k): v for k, v in mod.get("maps", {}).items()}
+    return algebra, build_module(algebra, dims, maps)
+
+
+def _object(value, what, keys=()):
+    if not isinstance(value, dict) or any(k not in value for k in keys):
+        fields = ", ".join(f'"{k}"' for k in keys)
+        raise InputFormatError(
+            f"{what} must be an object" + (f" with {fields}" if keys else "")
+        )
+    return value
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise InputFormatError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _int(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFormatError(f"{what} must be an integer, got {value!r}")
+
+
+def _label(value, what):
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise InputFormatError(f"{what} must be a string or an integer, got {value!r}")
+
+
+def _check_doc(doc):
+    """Raise InputFormatError unless the document has the documented
+    shape and field types (the algebra and module checks come later)."""
+    _object(doc, "input document")
     for key in ("p", "vertices", "arrows", "module"):
         if key not in doc:
             raise InputFormatError(f"input document is missing {key!r}")
-    algebra = build_algebra(doc)
-    mod = doc["module"]
-    if not isinstance(mod, dict) or "dims" not in mod:
-        raise InputFormatError('"module" must be an object with "dims"')
-    dims = {str(k): int(v) for k, v in mod["dims"].items()}
-    maps = {str(k): v for k, v in mod.get("maps", {}).items()}
-    return algebra, build_module(algebra, dims, maps)
+    for v in _list(doc["vertices"], '"vertices"'):
+        _label(v, "a vertex label")
+    for i, a in enumerate(_list(doc["arrows"], '"arrows"')):
+        _object(a, f"arrow {i}", ("name", "from", "to"))
+        for key in ("name", "from", "to"):
+            _label(a[key], f'"{key}" of arrow {i}')
+    for i, rel in enumerate(_list(doc.get("relations", []), '"relations"')):
+        for term in _list(rel, f"relation {i}"):
+            _object(term, f"a term of relation {i}", ("coeff", "path"))
+            _int(term["coeff"], f"a coefficient of relation {i}")
+            for name in _list(term["path"], f"a path of relation {i}"):
+                _label(name, f"an arrow in relation {i}")
+    mod = _object(doc["module"], '"module"', ("dims",))
+    for v, d in _object(mod["dims"], '"dims"').items():
+        _int(d, f"the dimension at vertex {v!r}")
+    for name, rows in _object(mod.get("maps", {}), '"maps"').items():
+        if rows is None:
+            continue
+        for row in _list(rows, f"the matrix of arrow {name!r}"):
+            for x in _list(row, f"a row of the matrix of arrow {name!r}"):
+                _int(x, f"an entry of the matrix of arrow {name!r}")
 
 
 def algebra_doc(algebra):

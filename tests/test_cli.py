@@ -166,6 +166,34 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
     assert main(["svg", "--preset", "a2-P1", "--p", "3"]) == 2
 
 
+def _exit_code_on(tmp_path, capsys, spec):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code = main(["fan", "--input", str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_exit_code_2_on_ill_typed_dims(tmp_path, capsys):
+    spec = dict(A2_SPEC, module={"dims": {"1": [1]}, "maps": {}})
+    code, err = _exit_code_on(tmp_path, capsys, spec)
+    assert code == 2
+    assert "dimension at vertex '1'" in err
+
+
+def test_exit_code_2_on_arrow_without_name(tmp_path, capsys):
+    spec = dict(A2_SPEC, arrows=[{"from": "1", "to": "2"}])
+    code, err = _exit_code_on(tmp_path, capsys, spec)
+    assert code == 2
+    assert "arrow 0" in err and '"name"' in err
+
+
+def test_exit_code_2_on_ill_typed_map(tmp_path, capsys):
+    spec = dict(A2_SPEC, module={"dims": {"1": 1, "2": 1}, "maps": {"a": 5}})
+    code, err = _exit_code_on(tmp_path, capsys, spec)
+    assert code == 2
+    assert "matrix of arrow 'a'" in err
+
+
 def test_run_config_direct():
     cfg = RunConfig(command="wall", preset="a2-P1", output="/dev/null")
     assert run(cfg) == 0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from mtfan.errors import ModuleDefinitionError
+import mtfan.fan
+from mtfan.errors import InvariantError, ModuleDefinitionError
 from mtfan.fan import (
     boundary_regions,
     build_mtf_fan,
@@ -20,8 +21,16 @@ from mtfan.polyhedra import (
     minkowski_sum,
     validate_generalized_fan,
 )
-from mtfan.presets import preset_module
-from mtfan.quiver import direct_sum, simple_module, zero_module
+from mtfan.presets import preset_module, preset_names
+from mtfan.quiver import (
+    dim_vector,
+    direct_sum,
+    simple_module,
+    submodule_full,
+    submodule_zero,
+    zero_module,
+)
+from mtfan.stability import canonical_sequences, supp_factors, t_set
 
 
 def fan_of(name):
@@ -233,3 +242,45 @@ def test_direct_sum_with_nakayama():
     for cone in fb.cones:
         assert any(c.contains_cone(cone) for c in fm.cones)
         assert any(c.contains_cone(cone) for c in fs.cones)
+
+
+def _sq_plus_s1():
+    m = preset_module("square-lambda")
+    return direct_sum(m, simple_module(m.algebra, 1))
+
+
+@pytest.mark.parametrize("name", [*preset_names(), "sq+S1"])
+def test_lattice_class_data_matches_the_definitions(name):
+    """The build reads class data off the lattice; the definition routes
+    (torsion scans, subquotient semistability) must give the same data at
+    every cone's witness."""
+    module = _sq_plus_s1() if name == "sq+S1" else preset_module(name)
+    mtf = build_mtf_fan(module)
+    for data in mtf.classes:
+        theta = data.witness
+        cs = canonical_sequences(theta, module)
+        assert (cs.t, cs.tbar) == (data.t, data.tbar)
+        assert (data.t_dims, data.tbar_dims) == (cs.t.dims, cs.tbar.dims)
+        assert data.w_dims == dim_vector(cs.w)
+        assert data.f_dims == dim_vector(cs.f)
+        assert data.fbar_dims == dim_vector(cs.fbar)
+        supp = tuple(sorted(d for _, d in supp_factors(theta, cs.w)))
+        assert data.supp_dims == supp
+        assert data.t_set == t_set(theta, module)
+
+
+def test_build_raises_when_random_points_disagree(monkeypatch):
+    real = mtfan.fan._lattice_class
+    calls = []
+
+    def wrong_t_after_the_witness(subs, theta):
+        t, tbar, supp, ts = real(subs, theta)
+        calls.append(theta)
+        if len(calls) > 1:  # the random interior points of the first cone
+            M = t.module
+            t = submodule_zero(M) if t.total_dim else submodule_full(M)
+        return t, tbar, supp, ts
+
+    monkeypatch.setattr(mtfan.fan, "_lattice_class", wrong_t_after_the_witness)
+    with pytest.raises(InvariantError, match="differs inside the cone"):
+        build_mtf_fan(preset_module("a2-P1"))

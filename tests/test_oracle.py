@@ -1,7 +1,5 @@
 """Brute-force oracle agreement with the decorated fan."""
 
-import os
-
 import pytest
 
 from mtfan.fan import build_mtf_fan
@@ -52,19 +50,3 @@ def test_sample_set_is_deterministic_and_covers_all_cones():
     assert a.thetas == b.thetas
     located = {verify_point(mtf, t).cone_index for t in a.thetas}
     assert located == set(range(len(mtf.cones)))
-
-
-def test_thread_env_var(monkeypatch):
-    mtf = build_mtf_fan(preset_module("a2-P1"))
-    samples = build_sample_set(mtf, bound=1, seed=3)
-    base = verify_fan(mtf, samples=samples)
-    monkeypatch.setenv("MTFAN_THREADS", "2")
-    threaded = verify_fan(mtf, samples=samples)
-    assert threaded.ok == base.ok
-    assert threaded.checks == base.checks
-    monkeypatch.setenv("MTFAN_THREADS", "zero")
-    with pytest.raises(ValueError):
-        verify_fan(mtf, samples=samples)
-    monkeypatch.setenv("MTFAN_THREADS", "0")
-    with pytest.raises(ValueError):
-        verify_fan(mtf, samples=samples)
