@@ -1,9 +1,10 @@
 """Command line interface.
 
 Subcommands operate on a module given either by preset name or by a JSON
-input file, build its stability fan, and emit a JSON document (an SVG for
-the svg subcommand).  Exit codes: 0 success, 1 verification found
-violations, 2 bad input or usage.
+input file and emit a JSON document (an SVG for the svg subcommand).
+`newton` needs only the Newton polytope; every other subcommand builds the
+stability fan.  Exit codes: 0 success, 1 verification found violations,
+2 bad input or usage.
 """
 from __future__ import annotations
 
@@ -18,7 +19,12 @@ from .fan import build_mtf_fan, class_of, fan_paths, wall_cone
 from .oracle import build_sample_set, verify_dim_formula, verify_fan
 from .polyhedra import validate_generalized_fan
 from .presets import preset_module, preset_names
+from .sublattice import newton_polytope
 from .svg import render_svg
+
+# `verify` checks every point of the grid [-B, B]^n against the whole fan
+MAX_GRID_POINTS = 100_000
+MAX_SVG_SIZE = 4096
 
 
 @dataclass
@@ -83,13 +89,32 @@ def _emit_json(config, doc):
     _emit(config, json.dumps(doc, indent=2))
 
 
+def _check_sizes(config, n):
+    """Reject a --grid-bound or --size outside its documented range."""
+    if config.command == "verify":
+        bound = config.grid_bound
+        if bound < 0:
+            raise InputFormatError(f"--grid-bound must be >= 0, got {bound}")
+        if (2 * bound + 1) ** n > MAX_GRID_POINTS:
+            raise InputFormatError(
+                f"--grid-bound {bound} gives (2B+1)^{n} grid points, more than "
+                f"the cap of {MAX_GRID_POINTS}"
+            )
+    if config.command == "svg" and not 0 < config.size <= MAX_SVG_SIZE:
+        raise InputFormatError(
+            f"--size must be between 1 and {MAX_SVG_SIZE} pixels, "
+            f"got {config.size}"
+        )
+
+
 def run(config):
     module = _load_module(config)
+    _check_sizes(config, module.algebra.n)
+    if config.command == "newton":
+        _emit_json(config, serialize.polytope_doc(newton_polytope(module)))
+        return 0
     mtf = build_mtf_fan(module)
 
-    if config.command == "newton":
-        _emit_json(config, serialize.polytope_doc(mtf.newton))
-        return 0
     if config.command == "fan":
         _emit_json(config, serialize.fan_doc(mtf))
         return 0
@@ -183,7 +208,10 @@ def build_parser():
         "--grid-bound",
         type=int,
         default=3,
-        help="check every integer vector with entries in [-B, B]",
+        help=(
+            "check every integer vector with entries in [-B, B]; B >= 0 and "
+            f"(2B+1)^n at most {MAX_GRID_POINTS}"
+        ),
     )
     verify.add_argument(
         "--seed", type=int, default=2024, help="seed for extra random samples"
@@ -192,7 +220,10 @@ def build_parser():
     svg = sub.add_parser("svg", help="render a rank-two fan")
     _add_source_args(svg)
     svg.add_argument(
-        "--size", type=int, default=440, help="canvas size in pixels"
+        "--size",
+        type=int,
+        default=440,
+        help=f"canvas size in pixels, 1 to {MAX_SVG_SIZE}",
     )
     return parser
 

@@ -214,17 +214,26 @@ def wall_cone(mtf):
         set(f.vertex_ids) for f in P.faces if {v0, vM} <= set(f.vertex_ids)
     ]
     smallest = frozenset(set.intersection(*carrier))
-    assert wall == mtf.cones[P.face_id(smallest)]
+    _require(
+        wall == mtf.cones[P.face_id(smallest)],
+        "the wall is not the cone of the smallest face through 0 and [M]",
+    )
     subs = enumerate_submodules(module).submodules
 
     def semistable(theta):  # 0 and M are both in the t-set
         t, tbar, _, _ = _lattice_class(subs, theta)
         return t.total_dim == 0 and tbar.dims == module.dims
 
-    assert semistable(wall.relint_point())
+    _require(
+        semistable(wall.relint_point()),
+        "the module is not semistable inside the wall",
+    )
     for i in mtf.maximal_indices():
         if not wall.contains_cone(mtf.cones[i]):
-            assert not semistable(mtf.cones[i].relint_point())
+            _require(
+                not semistable(mtf.cones[i].relint_point()),
+                f"the module is semistable in cone {i}, off the wall",
+            )
     _wall_cache[id(mtf)] = (mtf, wall)
     return wall
 
@@ -240,11 +249,11 @@ def smallest_cone(mtf):
     ]
     cone = cone_from_generators(mtf.n, (), gens)
     at_zero = mtf.cones[locate_index(mtf.normal, (0,) * mtf.n)]
-    assert cone == at_zero
+    _require(cone == at_zero, "the smallest cone is not the cone at 0")
     meet = mtf.cones[0]
     for c in mtf.cones[1:]:
         meet = cone_intersection(meet, c)
-    assert cone == meet
+    _require(cone == meet, "the smallest cone is not the meet of all cones")
     return cone
 
 
@@ -329,7 +338,10 @@ def boundary_regions(mtf, cone):
         if face == cone:
             continue
         probe = face.relint_point()
-        assert any(c.contains(probe) for c in both) or not both
+        _require(
+            any(c.contains(probe) for c in both) or not both,
+            f"a face of dim {face.dim} lies in no listed facet",
+        )
     return plus, minus
 
 
@@ -371,7 +383,10 @@ def fan_paths(mtf):
         a, b = P.faces[eid].vertex_ids
         va, vb = vertices[vid_to_node[a]], vertices[vid_to_node[b]]
         order = vertex_order(va, vb)
-        assert order in (Order.LESS, Order.GREATER)
+        _require(
+            order in (Order.LESS, Order.GREATER),
+            f"Newton edge {eid} joins incomparable vertices",
+        )
         if order is Order.LESS:
             edges.append((vid_to_node[a], vid_to_node[b]))
         else:

@@ -53,10 +53,6 @@ def span_fp(rows, p):
     return rref_fp(rows, p)[0]
 
 
-def sum_spaces(a_rows, b_rows, p):
-    return span_fp(tuple(a_rows) + tuple(b_rows), p)
-
-
 def intersect_spaces(a_rows, b_rows, ncols, p):
     """Basis of rowspace(a) intersect rowspace(b) by the Zassenhaus trick."""
     block = [tuple(r) + tuple(r) for r in a_rows]
@@ -110,3 +106,16 @@ def all_vectors(dim, p):
         return ((),)
     smaller = all_vectors(dim - 1, p)
     return tuple((x,) + v for x in range(p) for v in smaller)
+
+
+def projective_points(dim, p):
+    """One vector per line of F_p^dim, in lexicographic order.
+
+    These are the vectors whose first nonzero entry is 1; there are
+    (p^dim - 1)/(p - 1) of them.
+    """
+    return tuple(
+        (0,) * lead + (1,) + tail
+        for lead in reversed(range(dim))
+        for tail in all_vectors(dim - lead - 1, p)
+    )

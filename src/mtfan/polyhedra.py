@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import InvariantError
 from .exact import (
     dot,
     hnf,
@@ -202,7 +203,8 @@ class Cone:
             pt = tuple(sum(r[c] for r in self.lineality) for c in range(self.n))
         else:
             pt = (0,) * self.n
-        assert self.contains_relint(pt)
+        if not self.contains_relint(pt):
+            raise InvariantError(f"ray sum {pt} is not in the relative interior")
         return pt
 
     def random_relint_point(self, rng):
@@ -215,7 +217,8 @@ class Cone:
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
             pt = [a + c * x for a, x in zip(pt, l)]
         pt = tuple(pt)
-        assert self.contains_relint(pt)
+        if not self.contains_relint(pt):
+            raise InvariantError("random ray combination left the relative interior")
         return pt
 
     def face_at(self, tight):
@@ -256,8 +259,10 @@ def cone_from_hrep(n, eqs, ineqs):
     dim = n - len(eqs_c)
     cone = Cone(n, dim, eqs_c, tuple(sorted(facets)), lineality, rays)
     for g in list(rays) + list(lineality):
-        assert all(dot(e, g) == 0 for e in eqs_c)
-    assert rank(list(lineality) + list(rays)) == dim
+        if not all(dot(e, g) == 0 for e in eqs_c):
+            raise InvariantError(f"generator {g} violates an equation of its cone")
+    if not rank(list(lineality) + list(rays)) == dim:
+        raise InvariantError(f"generators do not span the cone's dimension {dim}")
     return cone
 
 
@@ -409,8 +414,8 @@ def convex_hull(points, n):
         i for i, f in enumerate(faces) if f.dim == top_dim - 1
     )
     for f in faces:
-        if f.dim == 1:
-            assert len(f.vertex_ids) == 2
+        if f.dim == 1 and not len(f.vertex_ids) == 2:
+            raise InvariantError(f"edge with {len(f.vertex_ids)} vertices")
     return Polytope(n, vertices, tuple(faces), facet_ids, affine_eqs, lookup)
 
 
@@ -435,7 +440,10 @@ def normal_cone(polytope, face):
     ]
     cone = cone_from_hrep(polytope.n, [primitive(e) for e in eqs],
                           [primitive(a) for a in ineqs])
-    assert cone.dim == polytope.n - face.dim
+    if not cone.dim == polytope.n - face.dim:
+        raise InvariantError(
+            f"normal cone of dim {cone.dim} at a face of dim {face.dim} in R^{polytope.n}"
+        )
     return cone
 
 
@@ -484,7 +492,8 @@ class NormalFan:
 
 def normal_fan(polytope):
     cones = tuple(normal_cone(polytope, f) for f in polytope.faces)
-    assert len(set(cones)) == len(cones)
+    if not len(set(cones)) == len(cones):
+        raise InvariantError("two faces share a normal cone")
     return NormalFan(polytope, GeneralizedFan(polytope.n, cones))
 
 
@@ -494,7 +503,8 @@ def locate_index(nfan, theta):
     best = max(vals)
     ids = frozenset(i for i, x in enumerate(vals) if x == best)
     fid = nfan.polytope.face_id(ids)
-    assert nfan.cones[fid].contains_relint(theta)
+    if not nfan.cones[fid].contains_relint(theta):
+        raise InvariantError(f"{theta} is not inside the cone of its maximal face")
     return fid
 
 

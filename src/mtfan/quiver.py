@@ -6,11 +6,13 @@ shape dim(v) x dim(u).  A path (a_1, ..., a_l) is traversed a_1 first and its
 composite is the product M(a_l) @ ... @ M(a_1).
 
 Submodules are arrow-stable families of subspaces, one per vertex, stored as
-RREF bases so equal submodules compare equal structurally.
+RREF bases so equal submodules compare equal structurally.  Each submodule
+also carries the pivot columns of its bases, so containment tests and sums
+reduce vectors against the stored echelon form instead of re-reducing it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import AlgebraDefinitionError, ModuleDefinitionError
 from .fplinalg import (
@@ -19,8 +21,6 @@ from .fplinalg import (
     mat_vec,
     reduce_vec,
     rref_fp,
-    span_fp,
-    sum_spaces,
 )
 
 DimVector = tuple  # integer vector indexed by vertex position
@@ -277,12 +277,31 @@ def direct_sum(m1, m2):
     return build_module(A, dims, mats)
 
 
+def _pivots_of(rows):
+    """Pivot columns of an RREF basis: the first nonzero entry of each row."""
+    return tuple(next(c for c, x in enumerate(row) if x) for row in rows)
+
+
 @dataclass(frozen=True)
 class Submodule:
-    """Arrow-stable graded subspace of a module, bases in RREF per vertex."""
+    """Arrow-stable graded subspace of a module, bases in RREF per vertex.
+
+    pivots[u] lists the pivot columns of bases[u].  It is determined by the
+    bases, takes no part in equality, hashing or ordering, and is derived
+    from the bases when a caller does not pass it.
+    """
 
     module: Module
     bases: tuple[tuple[tuple[int, ...], ...], ...]
+    pivots: tuple[tuple[int, ...], ...] = field(
+        default=None, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        if self.pivots is None:
+            object.__setattr__(
+                self, "pivots", tuple(_pivots_of(b) for b in self.bases)
+            )
 
     @property
     def dims(self):
@@ -303,10 +322,10 @@ def dim_vector(x):
     raise TypeError(f"expected Module or Submodule, got {type(x).__name__}")
 
 
-def _check_stable(module, bases):
+def _check_stable(module, bases, pivots):
     A = module.algebra
     for ai, arrow in enumerate(A.arrows):
-        tgt_rows, tgt_piv = rref_fp(bases[arrow.target], A.p)
+        tgt_rows, tgt_piv = bases[arrow.target], pivots[arrow.target]
         for vec in bases[arrow.source]:
             img = mat_vec(module.maps[ai], vec, A.p)
             if not in_span(tgt_rows, tgt_piv, img, A.p):
@@ -321,13 +340,15 @@ def submodule_from_bases(module, vectors_per_vertex):
         ModuleDefinitionError: if the spans are not arrow-stable.
     """
     p = module.algebra.p
-    bases = tuple(span_fp(vs, p) for vs in vectors_per_vertex)
-    bad = _check_stable(module, bases)
+    reduced = [rref_fp(vs, p) for vs in vectors_per_vertex]
+    bases = tuple(rows for rows, _ in reduced)
+    pivots = tuple(piv for _, piv in reduced)
+    bad = _check_stable(module, bases, pivots)
     if bad is not None:
         raise ModuleDefinitionError(
             f"subspace family is not stable under arrow {bad.name!r}"
         )
-    return Submodule(module, bases)
+    return Submodule(module, bases, pivots)
 
 
 def generated_submodule(module, seeds):
@@ -357,11 +378,12 @@ def generated_submodule(module, seeds):
         for ai, arrow in enumerate(A.arrows):
             if arrow.source == u:
                 insert(arrow.target, mat_vec(module.maps[ai], vec, p))
-    return Submodule(module, tuple(tuple(s) for s in spans))
+    return Submodule(module, tuple(tuple(s) for s in spans), tuple(pivots))
 
 
 def submodule_zero(module):
-    return Submodule(module, tuple(() for _ in range(module.algebra.n)))
+    empty = tuple(() for _ in range(module.algebra.n))
+    return Submodule(module, empty, empty)
 
 
 def submodule_full(module):
@@ -369,28 +391,45 @@ def submodule_full(module):
         tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
         for d in module.dims
     )
-    return Submodule(module, bases)
+    return Submodule(module, bases, tuple(tuple(range(d)) for d in module.dims))
 
 
 def submodule_contains(outer, inner):
-    """inner <= outer as submodules of the same module."""
+    """inner <= outer as submodules of the same module.
+
+    Reduces inner's basis vectors against outer's stored echelon form.
+    """
     if outer.module != inner.module:
         raise ModuleDefinitionError("submodules of different modules")
     p = outer.module.algebra.p
-    for bo, bi in zip(outer.bases, inner.bases):
-        rows, piv = rref_fp(bo, p)
-        for vec in bi:
+    for rows, piv, vecs in zip(outer.bases, outer.pivots, inner.bases):
+        if len(vecs) > len(rows):
+            return False
+        for vec in vecs:
             if not in_span(rows, piv, vec, p):
                 return False
     return True
 
 
 def submodule_sum(a, b):
+    """a + b, which is a itself (the same object) when b <= a.
+
+    b's basis vectors are reduced against a's stored echelon form, and a
+    vertex basis is re-reduced only where some residue survives.
+    """
     if a.module != b.module:
         raise ModuleDefinitionError("submodules of different modules")
     p = a.module.algebra.p
-    bases = tuple(sum_spaces(x, y, p) for x, y in zip(a.bases, b.bases))
-    return Submodule(a.module, bases)
+    bases, pivots = list(a.bases), list(a.pivots)
+    grew = False
+    for u, (rows, piv, vecs) in enumerate(zip(a.bases, a.pivots, b.bases)):
+        residues = [r for r in (reduce_vec(rows, piv, v, p) for v in vecs) if any(r)]
+        if residues:
+            bases[u], pivots[u] = rref_fp(rows + tuple(residues), p)
+            grew = True
+    if not grew:
+        return a
+    return Submodule(a.module, tuple(bases), tuple(pivots))
 
 
 def submodule_intersection(a, b):
@@ -424,7 +463,7 @@ def subquotient(module, lower, upper):
     if not submodule_contains(upper, lower):
         raise ModuleDefinitionError("lower submodule is not contained in upper")
 
-    lo = [rref_fp(b, p) for b in lower.bases]
+    lo = list(zip(lower.bases, lower.pivots))
     quot_bases = []
     quot_pivots = []
     for u in range(A.n):

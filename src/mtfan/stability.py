@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ModuleDefinitionError
+from .errors import InvariantError, ModuleDefinitionError
 from .quiver import (
     Module,
     Submodule,
@@ -86,11 +86,12 @@ def is_stable(theta, module):
 
 
 def _largest_member(subs, members):
-    """The unique maximal submodule among members (their sum; asserted in)."""
+    """The unique maximal submodule among members (their sum, checked in)."""
     total = None
     for s in members:
         total = s if total is None else submodule_sum(total, s)
-    assert total in members
+    if total not in members:
+        raise InvariantError("the sum of the members is not a member")
     return total
 
 
@@ -140,18 +141,22 @@ def canonical_sequences(theta, module):
     subs, vals = _sub_values(module, theta)
     t = _largest_member(subs, _torsion_members(subs, vals, strict=True))
     tbar = _largest_member(subs, _torsion_members(subs, vals, strict=False))
-    assert submodule_contains(tbar, t)
+    if not submodule_contains(tbar, t):
+        raise InvariantError(f"t is not inside tbar at theta {theta}")
     w = subquotient(module, t, tbar)
     f = quotient_module(module, tbar)
     fbar = quotient_module(module, t)
-    assert is_semistable(theta, w)
-    assert all(
+    if not is_semistable(theta, w):
+        raise InvariantError(f"w = tbar/t is not semistable at theta {theta}")
+    if not all(
         a + b + c == d
         for a, b, c, d in zip(t.dims, w.dims, f.dims, module.dims)
-    )
+    ):
+        raise InvariantError("dimensions of t, w and f do not add up to M")
     # f lies in the free class: strictly negative on nonzero submodules
     fsubs, fvals = _sub_values(f, theta)
-    assert all(v < 0 for s, v in zip(fsubs.submodules, fvals) if s.total_dim)
+    if not all(v < 0 for s, v in zip(fsubs.submodules, fvals) if s.total_dim):
+        raise InvariantError(f"f = M/tbar is not free at theta {theta}")
     data = CanonicalSequenceData(t, tbar, w, f, fbar)
     _canonical_cache[key] = data
     return data
@@ -188,7 +193,8 @@ def supp_factors(theta, module):
         ]
         chosen = min(minimal, key=Submodule.sort_key)
         factor = submodule_as_module(chosen)
-        assert is_stable(theta, factor)
+        if not is_stable(theta, factor):
+            raise InvariantError(f"a minimal semistable factor is not stable at {theta}")
         factors.append((factor, dim_vector(factor)))
         current = quotient_module(current, chosen)
     return tuple(factors)
@@ -220,8 +226,10 @@ def t_set(theta, module):
             continue
         if is_semistable(theta, subquotient(module, cs.t, L)):
             members.add(L)
-    assert cs.t in members and cs.tbar in members
-    assert all(submodule_contains(cs.tbar, L) for L in members)
+    if not (cs.t in members and cs.tbar in members):
+        raise InvariantError(f"t or tbar is missing from the t-set at {theta}")
+    if not all(submodule_contains(cs.tbar, L) for L in members):
+        raise InvariantError(f"a t-set member is not inside tbar at {theta}")
     result = frozenset(members)
     _t_set_cache[key] = result
     return result

@@ -1,22 +1,28 @@
 """Complete submodule lattices and Newton polytopes of modules.
 
-Enumeration walks every cyclic submodule and closes under sums.  A cyclic
-submodule splits into the cyclic submodules of its vertex components (a
-graded subspace contains a vector iff it contains each component), so
-single-vertex generators already reach every cyclic submodule and the sum
-closure yields the full lattice.
+Every submodule is the sum of the cyclic submodules generated by the
+vectors of its bases, and a graded subspace contains a vector iff it
+contains each vertex component, so the cyclic submodules generated by one
+vector at one vertex generate the whole lattice under sums.  A vector and
+its nonzero multiples generate the same submodule, so one vector per
+projective line is enough: (p^d - 1)/(p - 1) of them at a vertex of
+dimension d.  Enumeration keeps the distinct cyclic submodules G and closes
+{0} and G under adding a member of G, breadth first.  Each submodule found
+is summed with each member of G once, so the closure takes at most S * |G|
+sums for a lattice of S submodules.  The sums reduce against the pivots
+that every Submodule stores, and a vertex basis is re-reduced only where
+it grows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
-from .fplinalg import all_vectors
+from .fplinalg import projective_points
 from .quiver import (
     Module,
     Submodule,
     generated_submodule,
-    submodule_full,
     submodule_sum,
     submodule_zero,
 )
@@ -47,54 +53,66 @@ def enumerate_submodules(
 ):
     """Every submodule of the module, sorted by flattened basis data.
 
-    Results are memoized per module (enumeration is deterministic, so
-    concurrent readers always observe the same value).
+    Results are memoized per module; the bounds are checked on every call,
+    so the outcome does not depend on what was enumerated before.
 
     Raises:
-        ResourceLimitError: total dimension above dim_bound, or more than
-            max_count submodules encountered; the p^dim vector sweep and the
-            lattice itself blow up quickly, so failing loudly beats hanging.
+        ResourceLimitError: total dimension above dim_bound, or a lattice of
+            more than max_count submodules (the set found only grows, so
+            this does not depend on the order of discovery); the line sweep
+            and the lattice itself blow up quickly, so failing loudly beats
+            hanging.
     """
-    cached = _cache.get(module)
-    if cached is not None:
-        return cached
     p = module.algebra.p
     total = module.total_dim
     if total > dim_bound:
         raise ResourceLimitError(
             f"total dimension {total} exceeds the enumeration bound {dim_bound} "
-            f"(p={p}: the sweep touches p^dim vectors); raise dim_bound only "
-            "if you accept the cost"
+            f"(p={p}: the sweep touches (p^d-1)/(p-1) vectors at a vertex of "
+            "dimension d); raise dim_bound only if you accept the cost"
         )
+    too_many = ResourceLimitError(
+        f"more than {max_count} submodules; the lattice is too large "
+        "to enumerate"
+    )
+    cached = _cache.get(module)
+    if cached is not None:
+        if len(cached) > max_count:
+            raise too_many
+        return cached
 
-    def too_many():
-        return ResourceLimitError(
-            f"more than {max_count} submodules; the lattice is too large "
-            "to enumerate"
-        )
+    # keyed by bases: equal bases mean equal submodules of this module
+    found = {}
 
-    found = {submodule_zero(module), submodule_full(module)}
+    def add(sub):
+        found[sub.bases] = sub
+        if len(found) > max_count:
+            raise too_many
+
+    add(submodule_zero(module))
+    gens = {}
     for u, d in enumerate(module.dims):
-        for vec in all_vectors(d, p):
-            if any(vec):
-                found.add(generated_submodule(module, {u: [vec]}))
-                if len(found) > max_count:
-                    raise too_many()
+        for vec in projective_points(d, p):
+            g = generated_submodule(module, {u: [vec]})
+            if g.bases not in gens:
+                gens[g.bases] = g
+                add(g)
+    gens = tuple(gens.values())
 
-    frontier = list(found)
+    frontier = gens
     while frontier:
         fresh = []
         for a in frontier:
-            for b in list(found):
-                s = submodule_sum(a, b)
-                if s not in found:
-                    found.add(s)
+            for g in gens:
+                s = submodule_sum(a, g)
+                if s.bases not in found:
+                    add(s)
                     fresh.append(s)
-                    if len(found) > max_count:
-                        raise too_many()
         frontier = fresh
 
-    result = SubmoduleSet(module, tuple(sorted(found, key=Submodule.sort_key)))
+    result = SubmoduleSet(
+        module, tuple(sorted(found.values(), key=Submodule.sort_key))
+    )
     _cache[module] = result
     return result
 

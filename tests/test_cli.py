@@ -6,10 +6,12 @@ import sys
 
 import pytest
 
-from mtfan.cli import RunConfig, main, run
+import mtfan.cli
+from mtfan.cli import MAX_SVG_SIZE, RunConfig, main, run
 from mtfan.fan import build_mtf_fan, wall_cone
-from mtfan.presets import preset_module
-from mtfan.serialize import cone_from_doc
+from mtfan.presets import preset_module, preset_names
+from mtfan.serialize import cone_from_doc, polytope_doc
+from mtfan.sublattice import newton_polytope
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -36,6 +38,17 @@ def test_newton_document(tmp_path):
     assert len(doc["faces"]) == 7
     dims = [f["dim"] for f in doc["faces"]]
     assert dims == sorted(dims)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_newton_does_not_build_the_fan(name, monkeypatch, capsys):
+    def no_fan(module):
+        raise AssertionError("newton must not build the fan")
+
+    monkeypatch.setattr(mtfan.cli, "build_mtf_fan", no_fan)
+    assert main(["newton", "--preset", name]) == 0
+    expected = polytope_doc(newton_polytope(preset_module(name)))
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_fan_document_and_cone_roundtrip(tmp_path):
@@ -192,6 +205,31 @@ def test_exit_code_2_on_ill_typed_map(tmp_path, capsys):
     code, err = _exit_code_on(tmp_path, capsys, spec)
     assert code == 2
     assert "matrix of arrow 'a'" in err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "--preset", "a2-P1", "--grid-bound", "-1"], ">= 0"),
+        (["verify", "--preset", "a2-P1", "--grid-bound", "200"], "grid points"),
+        (["verify", "--preset", "square-lambda", "--grid-bound", "9"], "grid points"),
+        (["svg", "--preset", "a2-P1", "--size", "0"], "--size"),
+        (["svg", "--preset", "a2-P1", "--size", "-40"], "--size"),
+        (["svg", "--preset", "a2-P1", "--size", str(MAX_SVG_SIZE + 1)], "--size"),
+    ],
+)
+def test_exit_code_2_on_sizes_out_of_range(args, message, capsys):
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_size_caps_admit_the_defaults_and_the_benchmark_grids():
+    for name in preset_names():
+        n = preset_module(name).algebra.n
+        for command in ("verify", "svg"):
+            mtfan.cli._check_sizes(RunConfig(command=command), n)
+    for bound, n in ((16, 2), (1, 4)):
+        mtfan.cli._check_sizes(RunConfig(command="verify", grid_bound=bound), n)
 
 
 def test_run_config_direct():

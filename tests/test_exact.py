@@ -27,7 +27,6 @@ from mtfan.fplinalg import (
     rank_fp,
     rref_fp,
     span_fp,
-    sum_spaces,
 )
 
 F = Fraction
@@ -170,7 +169,7 @@ def test_sum_and_intersection_against_enumeration():
 
     inter = intersect_spaces(a, b, 3, p)
     assert members(inter) == members(a) & members(b)
-    total = sum_spaces(a, b, p)
+    total = span_fp(a + b, p)
     assert members(total) >= members(a) | members(b)
     assert len(members(total)) == p ** len(total)
 

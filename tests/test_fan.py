@@ -1,5 +1,7 @@
 """Decorated fans: construction, walls, facet partitions, paths."""
 
+import dataclasses
+
 import pytest
 
 import mtfan.fan
@@ -284,3 +286,18 @@ def test_build_raises_when_random_points_disagree(monkeypatch):
     monkeypatch.setattr(mtfan.fan, "_lattice_class", wrong_t_after_the_witness)
     with pytest.raises(InvariantError, match="differs inside the cone"):
         build_mtf_fan(preset_module("a2-P1"))
+
+
+def test_corrupted_cone_table_raises_invariant_error():
+    mtf = build_mtf_fan(preset_module("a2-P1"))
+    cones = list(mtf.cones)
+    # the cone of the vertex 0 trades places with the cone of the whole polytope
+    cones[0], cones[-1] = cones[-1], cones[0]
+    normal = dataclasses.replace(
+        mtf.normal, fan=dataclasses.replace(mtf.fan, cones=tuple(cones))
+    )
+    bad = dataclasses.replace(mtf, normal=normal)
+    with pytest.raises(InvariantError, match="smallest face through 0 and"):
+        wall_cone(bad)
+    with pytest.raises(InvariantError):
+        smallest_cone(bad)

@@ -6,6 +6,7 @@ full-dimensional cones, and a generator/H-representation round-trip that
 must reproduce the canonical cone bit for bit.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtfan.errors import InvariantError
 from mtfan.exact import dot, nullspace, primitive, rank
 from mtfan.polyhedra import (
     Cone,
@@ -23,7 +25,9 @@ from mtfan.polyhedra import (
     cone_intersection,
     convex_hull,
     full_cone,
+    NormalFan,
     locate_cone,
+    locate_index,
     max_face,
     minkowski_sum,
     normal_cone,
@@ -286,3 +290,20 @@ def test_validate_detects_incompleteness():
     report = validate_generalized_fan(fan, check_completeness=True)
     assert report.completeness_violations
     assert validate_generalized_fan(fan, check_completeness=False).ok
+
+
+def test_corrupted_cones_raise_invariant_error():
+    # the first ray points out of the cone's own facet inequality
+    bad = Cone(2, 2, (), ((0, 1), (1, 0)), (), ((-1, 0), (0, 1)))
+    with pytest.raises(InvariantError, match="relative interior"):
+        bad.relint_point()
+    with pytest.raises(InvariantError, match="relative interior"):
+        bad.random_relint_point(random.Random(0))
+
+    nfan = normal_fan(convex_hull([(0, 0), (0, 1), (1, 0)], 2))
+    assert locate_index(nfan, (5, 1)) == 2  # the vertex (1, 0)
+    cones = list(nfan.cones)
+    cones[1], cones[2] = cones[2], cones[1]
+    swapped = NormalFan(nfan.polytope, GeneralizedFan(2, tuple(cones)))
+    with pytest.raises(InvariantError, match="not inside the cone"):
+        locate_index(swapped, (5, 1))

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtfan.errors import ModuleDefinitionError
+from mtfan.errors import InvariantError, ModuleDefinitionError
 from mtfan.presets import preset_module
-from mtfan.quiver import dim_vector, zero_module
+from mtfan.quiver import dim_vector, direct_sum, simple_module, zero_module
 from mtfan.stability import (
+    _largest_member,
     canonical_sequences,
     evaluate,
     in_class_closure,
@@ -21,6 +22,7 @@ from mtfan.stability import (
     t_set,
     wall_membership,
 )
+from mtfan.sublattice import enumerate_submodules
 
 
 def filtration_dims(theta, module):
@@ -175,3 +177,14 @@ def test_filtration_dims_are_additive(theta):
     assert all(a + b == c for a, b, c in zip(t, w, tbar))
     assert all(a + b == c for a, b, c in zip(tbar, f, m.dims))
     assert all(a + b == c for a, b, c in zip(t, fbar, m.dims))
+
+
+def test_largest_member_of_a_corrupted_table_raises_invariant_error():
+    A = preset_module("a2-P1").algebra
+    module = direct_sum(simple_module(A, 1), simple_module(A, 2))
+    subs = enumerate_submodules(module)
+    # S1 and S2 without their sum: not the member set of any functional
+    simples = [s for s in subs if s.total_dim == 1]
+    assert len(simples) == 2
+    with pytest.raises(InvariantError, match="not a member"):
+        _largest_member(subs, set(simples))

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from mtfan.errors import ResourceLimitError
 from mtfan.fplinalg import all_vectors, in_span, rref_fp
 from mtfan.presets import preset_module, preset_names
-from mtfan.quiver import build_algebra, build_module
+from mtfan.quiver import (
+    build_algebra,
+    build_module,
+    direct_sum,
+    submodule_contains,
+    submodule_sum,
+)
 from mtfan.sublattice import enumerate_submodules, submodule_dim_vectors
 
 
@@ -144,3 +150,83 @@ def test_lattice_closure_properties(module):
         for b in items:
             assert submodule_sum(a, b) in members
             assert submodule_intersection(a, b) in members
+
+
+@st.composite
+def random_square_module(draw):
+    """The commutative-square quiver without relations, dims <= 2."""
+    p = draw(st.sampled_from([2, 3]))
+    dims = [draw(st.integers(0, 2)) for _ in range(4)]
+    arrows = [("a", 0, 1), ("b", 1, 3), ("c", 0, 2), ("d", 2, 3)]
+    A = build_algebra(
+        {
+            "p": p,
+            "vertices": ["1", "2", "3", "4"],
+            "arrows": [
+                {"name": a, "from": str(s + 1), "to": str(t + 1)}
+                for a, s, t in arrows
+            ],
+        }
+    )
+    maps = {
+        a: [[draw(st.integers(0, p - 1)) for _ in range(dims[s])] for _ in range(dims[t])]
+        for a, s, t in arrows
+    }
+    return build_module(A, dims, maps)
+
+
+@st.composite
+def random_a2_module_with_a3_space(draw):
+    """a2 with a three-dimensional space at one of its two vertices."""
+    p = draw(st.sampled_from([2, 3]))
+    small = draw(st.integers(0, 2))
+    d1, d2 = (3, small) if draw(st.booleans()) else (small, 3)
+    entries = [[draw(st.integers(0, p - 1)) for _ in range(d1)] for _ in range(d2)]
+    A = build_algebra(
+        {
+            "p": p,
+            "vertices": ["1", "2"],
+            "arrows": [{"name": "a", "from": "1", "to": "2"}],
+        }
+    )
+    return build_module(A, (d1, d2), {"a": entries})
+
+
+@given(st.one_of(random_square_module(), random_a2_module_with_a3_space()))
+@settings(max_examples=40, deadline=None)
+def test_cyclic_closure_matches_brute_force_on_random_modules(module):
+    subs = enumerate_submodules(module)
+    assert {s.bases for s in subs} == brute_force_submodules(module)
+    assert list(subs.submodules) == sorted(subs.submodules, key=lambda s: s.sort_key())
+
+
+def _a2_p1_cubed():
+    m = preset_module("a2-P1")
+    return direct_sum(direct_sum(m, m), m)
+
+
+def test_count_bound_is_exact_at_the_lattice_size():
+    module = _a2_p1_cubed()
+    with pytest.raises(ResourceLimitError):
+        enumerate_submodules(module, max_count=65)
+    assert len(enumerate_submodules(module, max_count=66)) == 66
+    # a memoized lattice is held to the bound of every later call
+    with pytest.raises(ResourceLimitError):
+        enumerate_submodules(module, max_count=65)
+
+
+@pytest.mark.parametrize("name", preset_names() + ("a2-P1^3",))
+def test_stored_pivots_and_sums_against_the_stored_form(name):
+    module = _a2_p1_cubed() if name == "a2-P1^3" else preset_module(name)
+    p = module.algebra.p
+    subs = enumerate_submodules(module).submodules
+    for s in subs:
+        assert s.pivots == tuple(rref_fp(b, p)[1] for b in s.bases)
+    for a in subs:
+        for b in subs:
+            total = submodule_sum(a, b)
+            assert total.pivots == tuple(rref_fp(x, p)[1] for x in total.bases)
+            if submodule_contains(a, b):
+                assert total is a
+            else:
+                assert total != a and submodule_contains(total, a)
