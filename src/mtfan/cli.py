@@ -16,11 +16,17 @@ from dataclasses import dataclass
 from . import serialize
 from .errors import InputFormatError, ResourceLimitError
 from .fan import build_mtf_fan, class_of, fan_paths, wall_cone
-from .oracle import build_sample_set, verify_dim_formula, verify_fan
+from .oracle import (
+    DEFAULT_GRID_BOUND,
+    DEFAULT_SEED,
+    build_sample_set,
+    verify_dim_formula,
+    verify_fan,
+)
 from .polyhedra import validate_generalized_fan
 from .presets import preset_module, preset_names
 from .sublattice import newton_polytope
-from .svg import render_svg
+from .svg import DEFAULT_SIZE, render_svg
 
 # `verify` checks every point of the grid [-B, B]^n against the whole fan
 MAX_GRID_POINTS = 100_000
@@ -34,10 +40,10 @@ class RunConfig:
     input_path: str | None = None
     output: str | None = None
     theta: str | None = None
-    grid_bound: int = 3
-    seed: int = 2024
+    grid_bound: int = DEFAULT_GRID_BOUND
+    seed: int = DEFAULT_SEED
     p_override: int | None = None
-    size: int = 440
+    size: int = DEFAULT_SIZE
 
 
 def _load_module(config):
@@ -163,9 +169,16 @@ def _add_source_args(sub):
         choices=preset_names(),
         help="built-in example module",
     )
-    sub.add_argument("--input", help="JSON file describing algebra and module")
+    sub.add_argument(
+        "--input",
+        dest="input_path",
+        metavar="INPUT",
+        help="JSON file describing algebra and module",
+    )
     sub.add_argument(
         "--p",
+        dest="p_override",
+        metavar="P",
         type=int,
         default=None,
         help="override the prime of a JSON input (not allowed with --preset)",
@@ -207,14 +220,17 @@ def build_parser():
     verify.add_argument(
         "--grid-bound",
         type=int,
-        default=3,
+        default=DEFAULT_GRID_BOUND,
         help=(
             "check every integer vector with entries in [-B, B]; B >= 0 and "
             f"(2B+1)^n at most {MAX_GRID_POINTS}"
         ),
     )
     verify.add_argument(
-        "--seed", type=int, default=2024, help="seed for extra random samples"
+        "--seed",
+        type=int,
+        default=DEFAULT_SEED,
+        help="seed for extra random samples",
     )
 
     svg = sub.add_parser("svg", help="render a rank-two fan")
@@ -222,26 +238,14 @@ def build_parser():
     svg.add_argument(
         "--size",
         type=int,
-        default=440,
+        default=DEFAULT_SIZE,
         help=f"canvas size in pixels, 1 to {MAX_SVG_SIZE}",
     )
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    config = RunConfig(
-        command=ns.command,
-        preset=ns.preset,
-        input_path=ns.input,
-        output=ns.output,
-        theta=getattr(ns, "theta", None),
-        grid_bound=getattr(ns, "grid_bound", 3),
-        seed=getattr(ns, "seed", 2024),
-        p_override=ns.p,
-        size=getattr(ns, "size", 440),
-    )
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         return run(config)
     except (ValueError, ResourceLimitError) as exc:

@@ -91,39 +91,8 @@ def hnf(rows):
     Pivots positive, entries above a pivot reduced into [0, pivot).  Canonical
     for the lattice generated by the rows.
     """
-    if not rows:
-        return ()
-    n = len(rows[0])
-    work = [list(r) for r in rows]
-    r = 0
-    for c in range(n):
-        while True:
-            nz = [i for i in range(r, len(work)) if work[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(work[i][c]))
-            if i0 != r:
-                work[r], work[i0] = work[i0], work[r]
-            if work[r][c] < 0:
-                work[r] = [-x for x in work[r]]
-            stable = True
-            for i in range(r + 1, len(work)):
-                if work[i][c] != 0:
-                    q = work[i][c] // work[r][c]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-                    if work[i][c] != 0:
-                        stable = False
-            if stable:
-                break
-        if r < len(work) and work[r][c] != 0:
-            for i in range(r):
-                q = work[i][c] // work[r][c]
-                if q:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-            r += 1
-            if r == len(work):
-                break
-    return tuple(tuple(row) for row in work[:r])
+    H, _ = _hnf_with_transform(rows)
+    return tuple(row for row in H if any(row))
 
 
 def _hnf_with_transform(rows):

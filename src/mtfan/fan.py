@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvariantError, ModuleDefinitionError
 from .exact import primitive, rank
@@ -86,6 +87,53 @@ class MTFFan:
 
     def maximal_indices(self):
         return self.fan.maximal_indices()
+
+    @cached_property
+    def wall(self):
+        """The set of functionals at which the module itself is semistable.
+
+        Computed as the intersection of the normal cones at the Newton
+        vertices 0 and [M]; equals the normal cone of the smallest face
+        containing both.  Memoized on the fan and freed with it.
+        """
+        module = self.module
+        if module.is_zero():
+            raise ModuleDefinitionError(
+                "the wall is undefined for the zero module"
+            )
+        P = self.newton
+        v0 = P.vertices.index((0,) * self.n)
+        vM = P.vertices.index(tuple(module.dims))
+        c0 = self.cones[P.vertex_face_id(v0)]
+        cM = self.cones[P.vertex_face_id(vM)]
+        wall = cone_intersection(c0, cM)
+        carrier = [
+            set(f.vertex_ids)
+            for f in P.faces
+            if {v0, vM} <= set(f.vertex_ids)
+        ]
+        smallest = frozenset(set.intersection(*carrier))
+        _require(
+            wall == self.cones[P.face_id(smallest)],
+            "the wall is not the cone of the smallest face through 0 and [M]",
+        )
+        subs = enumerate_submodules(module).submodules
+
+        def semistable(theta):  # 0 and M are both in the t-set
+            t, tbar, _, _ = _lattice_class(subs, theta)
+            return t.total_dim == 0 and tbar.dims == module.dims
+
+        _require(
+            semistable(wall.relint_point()),
+            "the module is not semistable inside the wall",
+        )
+        for i in self.maximal_indices():
+            if not wall.contains_cone(self.cones[i]):
+                _require(
+                    not semistable(self.cones[i].relint_point()),
+                    f"the module is semistable in cone {i}, off the wall",
+                )
+        return wall
 
 
 def _lattice_class(subs, theta):
@@ -189,53 +237,9 @@ def class_of(mtf, theta):
     return mtf.cones[idx], mtf.classes[idx]
 
 
-_wall_cache: dict = {}
-
-
 def wall_cone(mtf):
-    """The set of functionals at which the module itself is semistable.
-
-    Computed as the intersection of the normal cones at the Newton vertices
-    0 and [M]; equals the normal cone of the smallest face containing both.
-    """
-    cached = _wall_cache.get(id(mtf))
-    if cached is not None and cached[0] is mtf:
-        return cached[1]
-    module = mtf.module
-    if module.is_zero():
-        raise ModuleDefinitionError("the wall is undefined for the zero module")
-    P = mtf.newton
-    v0 = P.vertices.index((0,) * mtf.n)
-    vM = P.vertices.index(tuple(module.dims))
-    c0 = mtf.cones[P.vertex_face_id(v0)]
-    cM = mtf.cones[P.vertex_face_id(vM)]
-    wall = cone_intersection(c0, cM)
-    carrier = [
-        set(f.vertex_ids) for f in P.faces if {v0, vM} <= set(f.vertex_ids)
-    ]
-    smallest = frozenset(set.intersection(*carrier))
-    _require(
-        wall == mtf.cones[P.face_id(smallest)],
-        "the wall is not the cone of the smallest face through 0 and [M]",
-    )
-    subs = enumerate_submodules(module).submodules
-
-    def semistable(theta):  # 0 and M are both in the t-set
-        t, tbar, _, _ = _lattice_class(subs, theta)
-        return t.total_dim == 0 and tbar.dims == module.dims
-
-    _require(
-        semistable(wall.relint_point()),
-        "the module is not semistable inside the wall",
-    )
-    for i in mtf.maximal_indices():
-        if not wall.contains_cone(mtf.cones[i]):
-            _require(
-                not semistable(mtf.cones[i].relint_point()),
-                f"the module is semistable in cone {i}, off the wall",
-            )
-    _wall_cache[id(mtf)] = (mtf, wall)
-    return wall
+    """The set of functionals at which the module itself is semistable."""
+    return mtf.wall
 
 
 def smallest_cone(mtf):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import dot, rank
-from .polyhedra import locate_index
+from .polyhedra import integer_grid, locate_index
 from .stability import (
     as_theta,
     canonical_sequences,
@@ -27,6 +27,7 @@ from .stability import (
 from .sublattice import enumerate_submodules
 
 DEFAULT_GRID_BOUND = 3
+DEFAULT_SEED = 2024
 
 
 @dataclass(frozen=True)
@@ -41,19 +42,21 @@ class SampleSet:
         return len(self.thetas)
 
 
-def build_sample_set(mtf, bound=DEFAULT_GRID_BOUND, seed=2024, extra=8):
+def build_sample_set(
+    mtf, bound=DEFAULT_GRID_BOUND, seed=DEFAULT_SEED, extra=8
+):
     """Integer grid [-bound, bound]^n plus interior and boundary witnesses
     of every cone, plus a few seeded random integer points."""
     n = mtf.n
-    pts = [()]
-    for _ in range(n):
-        pts = [t + (v,) for t in pts for v in range(-bound, bound + 1)]
-    samples = list(pts)
+    samples = list(integer_grid(n, bound))
     for cone in mtf.cones:
         samples.append(cone.relint_point())
-        proper = [f for f in cone.faces() if f != cone]
-        if proper:
-            samples.append(proper[-1].relint_point())
+        facets = cone.facet_cones()
+        if facets:
+            # the boundary witness is the last proper face in the
+            # (dim, eqs, ineqs) order of Cone.faces, which is a facet
+            last = max(facets, key=lambda f: (f.eqs, f.ineqs))
+            samples.append(last.relint_point())
     rng = random.Random(seed)
     for _ in range(extra):
         samples.append(tuple(rng.randint(-3 * bound, 3 * bound) for _ in range(n)))
@@ -163,6 +166,7 @@ def verify_fan(mtf, samples=None, reps_per_cone=3):
         for j, us in reps.items():
             if j < i:
                 continue
+            face_rel = mtf.cones[i].is_face_of(mtf.cones[j])
             for a in ts:
                 for b in us:
                     if a == b:
@@ -181,7 +185,6 @@ def verify_fan(mtf, samples=None, reps_per_cone=3):
                             f"{'agree' if same else 'differ'}"
                         )
                     closure = in_class_closure(a, b, module)
-                    face_rel = mtf.cones[i].is_face_of(mtf.cones[j])
                     if closure != face_rel:
                         failures.append(
                             f"closure({a}, {b}) = {closure} but face "

@@ -68,22 +68,6 @@ def _independent_subset(normals, d):
     return None
 
 
-def _invert(mat):
-    d = len(mat)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-            for i, row in enumerate(mat)]
-    for c in range(d):
-        pr = next(i for i in range(c, d) if work[i][c] != 0)
-        work[c], work[pr] = work[pr], work[c]
-        pv = work[c][c]
-        work[c] = [x / pv for x in work[c]]
-        for i in range(d):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return [tuple(row[d:]) for row in work]
-
-
 def _dd_pointed(normals, d):
     """Extreme rays of the pointed cone {t in R^d : a.t >= 0 for all a}.
 
@@ -95,8 +79,12 @@ def _dd_pointed(normals, d):
     init = _independent_subset(normals, d)
     if init is None:
         raise ValueError("cone is not pointed: normals do not span")
-    inv = _invert([normals[i] for i in init])
-    rays = [primitive(tuple(row[j] for row in inv)) for j in range(d)]
+    # the columns of the inverse of the chosen rows are the initial rays
+    red, _ = rref(
+        [tuple(normals[i]) + tuple(int(k == j) for j in range(d))
+         for k, i in enumerate(init)]
+    )
+    rays = [primitive(tuple(row[d + j] for row in red)) for j in range(d)]
     processed = [normals[i] for i in init]
     rest = [normals[i] for i in range(len(normals)) if i not in set(init)]
 
@@ -477,12 +465,6 @@ class NormalFan:
     def cones(self):
         return self.fan.cones
 
-    def cone_of_face(self, fid):
-        return self.fan.cones[fid]
-
-    def face_of_cone(self, cid):
-        return self.polytope.faces[cid]
-
     def cone_index(self, cone):
         for i, c in enumerate(self.fan.cones):
             if c == cone:
@@ -543,7 +525,9 @@ class FanValidationReport:
         )
 
 
-def _sample_grid(n, bound=2):
+def integer_grid(n, bound):
+    """Every integer vector with entries in [-bound, bound], in lexicographic
+    order."""
     if n == 0:
         return ((),)
     pts = [()]
@@ -589,7 +573,7 @@ def validate_generalized_fan(fan, check_completeness=True):
         maximal = [i for i, c in enumerate(cones) if c.dim == n]
         if not maximal:
             comp_violations.append("no full-dimensional cone")
-        for pt in _sample_grid(n):
+        for pt in integer_grid(n, 2):
             if not any(c.contains(pt) for c in cones):
                 comp_violations.append(f"point {pt} is not covered")
         for i in maximal:

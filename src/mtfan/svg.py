@@ -9,6 +9,8 @@ from fractions import Fraction
 
 from .exact import dot
 
+DEFAULT_SIZE = 440  # canvas width and height in pixels
+
 _FILLS = (
     "#c6dbef",
     "#fdd0a2",
@@ -75,7 +77,7 @@ class _Canvas:
         return " ".join(",".join(self.point(v)) for v in poly)
 
 
-def render_svg(mtf, size=440):
+def render_svg(mtf, size=DEFAULT_SIZE):
     """Render a complete picture of a rank-two fan as an SVG string.
 
     Maximal cones are shaded, one-dimensional cones drawn as rays or lines

@@ -1,5 +1,6 @@
 """Command line interface: documents, exit codes, golden round-trips."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -7,11 +8,13 @@ import sys
 import pytest
 
 import mtfan.cli
-from mtfan.cli import MAX_SVG_SIZE, RunConfig, main, run
+from mtfan.cli import MAX_SVG_SIZE, RunConfig, build_parser, main, run
 from mtfan.fan import build_mtf_fan, wall_cone
+from mtfan.oracle import build_sample_set
 from mtfan.presets import preset_module, preset_names
 from mtfan.serialize import cone_from_doc, polytope_doc
 from mtfan.sublattice import newton_polytope
+from mtfan.svg import render_svg
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -230,6 +233,18 @@ def test_size_caps_admit_the_defaults_and_the_benchmark_grids():
             mtfan.cli._check_sizes(RunConfig(command=command), n)
     for bound, n in ((16, 2), (1, 4)):
         mtfan.cli._check_sizes(RunConfig(command="verify", grid_bound=bound), n)
+
+
+def test_parser_run_config_and_library_defaults_agree():
+    parser = build_parser()
+    verify = parser.parse_args(["verify", "--preset", "a2-P1"])
+    svg = parser.parse_args(["svg", "--preset", "a2-P1"])
+    config = RunConfig(command="verify")
+    sample = inspect.signature(build_sample_set).parameters
+    size = inspect.signature(render_svg).parameters["size"].default
+    assert verify.grid_bound == config.grid_bound == sample["bound"].default
+    assert verify.seed == config.seed == sample["seed"].default
+    assert svg.size == config.size == size
 
 
 def test_run_config_direct():

@@ -1,6 +1,8 @@
 """Decorated fans: construction, walls, facet partitions, paths."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -129,10 +131,19 @@ def test_wall_cones():
 
 def test_wall_cone_is_cached_and_rejects_zero_module():
     mtf = fan_of("a2-P1")
-    assert wall_cone(mtf) is wall_cone(mtf)
+    assert wall_cone(mtf) is wall_cone(mtf) is mtf.wall
     z = build_mtf_fan(zero_module(preset_module("a2-P1").algebra))
     with pytest.raises(ModuleDefinitionError):
         wall_cone(z)
+
+
+def test_a_walled_fan_is_freed_with_its_last_reference():
+    mtf = fan_of("square-lambda")
+    wall_cone(mtf)
+    ref = weakref.ref(mtf)
+    del mtf
+    gc.collect()
+    assert ref() is None
 
 
 def test_smallest_cones():

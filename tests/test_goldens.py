@@ -1,0 +1,55 @@
+"""Byte-for-byte CLI output of every preset against committed goldens.
+
+Regenerate the files (only when an output change is intended) with
+    PYTHONPATH=src python tests/test_goldens.py
+"""
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from mtfan.cli import main
+from mtfan.presets import preset_names
+
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
+COMMANDS = ("newton", "fan", "wall", "paths")
+THETAS = {
+    "a2-P1": "1,-2",
+    "a2-S1": "-1,3",
+    "nakayama2-121": "1/2,-1",
+    "square-lambda": "1,-1,2,-3",
+}
+
+
+def _cases():
+    for preset in preset_names():
+        for command in COMMANDS:
+            yield preset, [command, "--preset", preset]
+        theta = f"--theta={THETAS[preset]}"
+        yield preset, ["classify", "--preset", preset, theta]
+
+
+CASES = [(f"{preset}.{argv[0]}", argv) for preset, argv in _cases()]
+
+
+def _output(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, argv
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_output_matches_golden(name, argv):
+    golden = (GOLDENS / f"{name}.json").read_text(encoding="utf-8")
+    assert _output(argv) == golden
+
+
+if __name__ == "__main__":
+    GOLDENS.mkdir(exist_ok=True)
+    for name, argv in CASES:
+        (GOLDENS / f"{name}.json").write_text(_output(argv), encoding="utf-8")
+        print(name, file=sys.stderr)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from mtfan.errors import InvariantError, ModuleDefinitionError
 from mtfan.presets import preset_module
 from mtfan.quiver import dim_vector, direct_sum, simple_module, zero_module
+import mtfan.stability
 from mtfan.stability import (
+    THETA_CACHE_SIZE,
     _largest_member,
     canonical_sequences,
     evaluate,
@@ -188,3 +190,11 @@ def test_largest_member_of_a_corrupted_table_raises_invariant_error():
     assert len(simples) == 2
     with pytest.raises(InvariantError, match="not a member"):
         _largest_member(subs, set(simples))
+
+
+def test_theta_memos_stay_within_their_bound():
+    module = preset_module("a2-S1")
+    for k in range(THETA_CACHE_SIZE + 8):
+        t_set((Fraction(k, THETA_CACHE_SIZE), -1), module)
+    for memo in (mtfan.stability._t_set, mtfan.stability._canonical_sequences):
+        assert 0 < memo.cache_info().currsize <= THETA_CACHE_SIZE

@@ -21,7 +21,11 @@ from mtfan.quiver import (
     submodule_contains,
     submodule_sum,
 )
-from mtfan.sublattice import enumerate_submodules, submodule_dim_vectors
+from mtfan.sublattice import (
+    LATTICE_CACHE_SIZE,
+    enumerate_submodules,
+    submodule_dim_vectors,
+)
 
 
 def all_subspaces(dim, p):
@@ -230,3 +234,11 @@ def test_stored_pivots_and_sums_against_the_stored_form(name):
                 assert total is a
             else:
                 assert total != a and submodule_contains(total, a)
+
+
+def test_lattice_memo_stays_within_its_bound():
+    module = preset_module("a2-P1")
+    for extra in range(LATTICE_CACHE_SIZE + 8):
+        assert len(enumerate_submodules(module, max_count=3 + extra)) == 3
+    info = enumerate_submodules.cache_info()
+    assert 0 < info.currsize <= LATTICE_CACHE_SIZE
