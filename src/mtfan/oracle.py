@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import dot, rank
-from .polyhedra import integer_grid, locate_index
+from .fan import wall_cone
+from .polyhedra import cone_from_hrep, integer_grid, locate_index
 from .stability import (
     as_theta,
     canonical_sequences,
@@ -127,8 +128,6 @@ def verify_point(mtf, theta):
         fails.append("t/tbar are not the min/max of the located face")
 
     if not module.is_zero():
-        from .fan import wall_cone
-
         on_wall = wall_membership(theta, module)
         if on_wall != wall_cone(mtf).contains(theta):
             fails.append("wall membership disagrees with the wall cone")
@@ -212,9 +211,6 @@ def verify_dim_formula(mtf):
                 f"{rank(data.supp_dims)} != {n}"
             )
     if not mtf.module.is_zero():
-        from .fan import wall_cone
-        from .polyhedra import cone_from_hrep
-
         wall = wall_cone(mtf)
         cone_index = {c: i for i, c in enumerate(mtf.cones)}
         for face in wall.faces():

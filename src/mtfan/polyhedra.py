@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvariantError
 from .exact import (
@@ -229,19 +230,65 @@ class Cone:
         return tuple(sorted(found, key=lambda c: (c.dim, c.eqs, c.ineqs)))
 
     def is_face_of(self, other):
+        """Whether self is the face of other where other's tight normals
+        vanish.  That face keeps other's lineality and its canonical rays
+        are other's rays on which the tight normals vanish, so comparing
+        V-representations decides it without a double description pass."""
         if self.n != other.n or not other.contains_cone(self):
             return False
         gens = list(self.rays) + list(self.lineality)
         tight = tuple(
             a for a in other.ineqs if all(dot(a, g) == 0 for g in gens)
         )
-        return other.face_at(tight) == self
+        return self.lineality == other.lineality and self.rays == tuple(
+            r for r in other.rays if all(dot(a, r) == 0 for a in tight)
+        )
+
+
+def _vrep(n, eqs, ineqs):
+    """Canonical V-representation (lineality, rays) of
+    {x : eq.x = 0, a.x >= 0}: one double description pass."""
+    lin_raw, rays = _dd(ineqs, eqs, n)
+    return hnf(lattice_basis_of_span(lin_raw, n)), rays
+
+
+def _vrep_dim(vrep):
+    lineality, rays = vrep
+    return rank(list(lineality) + list(rays))
+
+
+def _face_keys(cone):
+    """Canonical (lineality, rays) of every face of a canonical cone.
+
+    Faces keep the cone's lineality, and a face's rays are the cone's rays
+    on which its tight facet normals vanish.  The faces are the cone itself
+    and every intersection of facets, so their ray sets are the full set
+    and the closure of the facet zero-sets under intersection (bit masks
+    over cone.rays).
+    """
+    rays = cone.rays
+    facets = {
+        sum(1 << k for k, r in enumerate(rays) if dot(a, r) == 0)
+        for a in cone.ineqs
+    }
+    found = facets | {(1 << len(rays)) - 1}
+    frontier = list(facets)
+    while frontier:
+        cur = frontier.pop()
+        for mask in facets:
+            meet = cur & mask
+            if meet not in found:
+                found.add(meet)
+                frontier.append(meet)
+    return frozenset(
+        (cone.lineality, tuple(r for k, r in enumerate(rays) if mask >> k & 1))
+        for mask in found
+    )
 
 
 def cone_from_hrep(n, eqs, ineqs):
     """Canonical cone {x : eq.x = 0, a.x >= 0}."""
-    lin_raw, rays = _dd(ineqs, eqs, n)
-    lineality = hnf(lattice_basis_of_span(lin_raw, n))
+    lineality, rays = _vrep(n, eqs, ineqs)
     dual_lin, facets = _dd(rays, [tuple(v) for v in lineality], n)
     eqs_c = subspace_canonical(dual_lin)
     dim = n - len(eqs_c)
@@ -308,13 +355,21 @@ class Polytope:
 
     def face_children(self, fid):
         """Ids of the faces covered by faces[fid] (one dimension down)."""
-        f = self.faces[fid]
-        vs = set(f.vertex_ids)
-        return tuple(
-            i
-            for i, g in enumerate(self.faces)
-            if g.dim == f.dim - 1 and set(g.vertex_ids) <= vs
-        )
+        return self._cover[fid]
+
+    @cached_property
+    def _cover(self):
+        # a face covered by f is f's meet with some facet of the polytope
+        facets = [frozenset(self.faces[k].vertex_ids) for k in self.facet_ids]
+        cover = []
+        for f in self.faces:
+            vs = frozenset(f.vertex_ids)
+            meets = {self._face_lookup.get(vs & fs) for fs in facets}
+            meets.discard(None)
+            cover.append(
+                tuple(sorted(k for k in meets if self.faces[k].dim == f.dim - 1))
+            )
+        return tuple(cover)
 
     def edges(self):
         return tuple(i for i, f in enumerate(self.faces) if f.dim == 1)
@@ -544,29 +599,32 @@ def validate_generalized_fan(fan, check_completeness=True):
     (optional): sampled integer points are covered, and every facet of every
     full-dimensional cone is shared with exactly one other full-dimensional
     cone.
+
+    Cones are compared by their canonical (lineality, rays), which determine
+    a canonical cone; faces are read off each cone's own rays (_face_keys),
+    never off a polytope's face lattice.
     """
     if isinstance(fan, NormalFan):
         fan = fan.fan
     cones = tuple(fan.cones)
     n = fan.n
-    cone_set = set(cones)
+    fan_keys = {(c.lineality, c.rays) for c in cones}
+    face_keys = [_face_keys(c) for c in cones]
     face_violations = []
-    face_cache = {}
-    for i, c in enumerate(cones):
-        face_cache[i] = c.faces()
-        for f in face_cache[i]:
-            if f not in cone_set:
-                face_violations.append(
-                    f"cone {i}: face of dim {f.dim} is missing from the fan"
-                )
+    for i, keys in enumerate(face_keys):
+        for dim in sorted(_vrep_dim(k) for k in keys if k not in fan_keys):
+            face_violations.append(
+                f"cone {i}: face of dim {dim} is missing from the fan"
+            )
     inter_violations = []
-    for i in range(len(cones)):
+    for i, a in enumerate(cones):
         for j in range(i + 1, len(cones)):
-            meet = cone_intersection(cones[i], cones[j])
-            if meet not in face_cache[i] or meet not in face_cache[j]:
+            b = cones[j]
+            meet = _vrep(n, a.eqs + b.eqs, a.ineqs + b.ineqs)
+            if meet not in face_keys[i] or meet not in face_keys[j]:
                 inter_violations.append(
-                    f"cones {i} and {j}: intersection of dim {meet.dim} "
-                    "is not a common face"
+                    f"cones {i} and {j}: intersection of dim "
+                    f"{_vrep_dim(meet)} is not a common face"
                 )
     comp_violations = []
     if check_completeness:
@@ -577,11 +635,13 @@ def validate_generalized_fan(fan, check_completeness=True):
             if not any(c.contains(pt) for c in cones):
                 comp_violations.append(f"point {pt} is not covered")
         for i in maximal:
-            for facet in cones[i].facet_cones():
+            c = cones[i]
+            for a in c.ineqs:
+                rays = tuple(r for r in c.rays if dot(a, r) == 0)
                 owners = [
                     j
                     for j in maximal
-                    if j != i and facet.is_face_of(cones[j])
+                    if j != i and (c.lineality, rays) in face_keys[j]
                 ]
                 if len(owners) != 1:
                     comp_violations.append(

@@ -29,6 +29,7 @@ def _cases():
             yield preset, [command, "--preset", preset]
         theta = f"--theta={THETAS[preset]}"
         yield preset, ["classify", "--preset", preset, theta]
+        yield preset, ["verify", "--preset", preset, "--grid-bound", "1"]
 
 
 CASES = [(f"{preset}.{argv[0]}", argv) for preset, argv in _cases()]

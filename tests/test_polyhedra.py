@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from mtfan.errors import InvariantError
 from mtfan.exact import dot, nullspace, primitive, rank
+from mtfan.fan import build_mtf_fan
 from mtfan.polyhedra import (
     Cone,
     GeneralizedFan,
@@ -26,6 +27,7 @@ from mtfan.polyhedra import (
     convex_hull,
     full_cone,
     NormalFan,
+    _face_keys,
     locate_cone,
     locate_index,
     max_face,
@@ -35,6 +37,8 @@ from mtfan.polyhedra import (
     validate_generalized_fan,
     vertex_order,
 )
+from mtfan.presets import preset_module, preset_names
+from mtfan.quiver import direct_sum, simple_module
 
 F = Fraction
 
@@ -241,6 +245,23 @@ def test_normal_fan_and_locate_on_square():
         assert cone.dim + nfan.polytope.faces[i].dim == 2
 
 
+def test_face_children_is_the_cover_relation():
+    pts3 = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1), (2, 2, 1)]
+    for P in (
+        convex_hull([(2, 3)], 2),
+        convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)], 2),
+        convex_hull(pts3, 3),
+        convex_hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)], 4),
+    ):
+        for fid, f in enumerate(P.faces):
+            covered = tuple(
+                i
+                for i, g in enumerate(P.faces)
+                if g.dim == f.dim - 1 and set(g.vertex_ids) <= set(f.vertex_ids)
+            )
+            assert P.face_children(fid) == covered
+
+
 def test_minkowski_sum_of_segments_is_square():
     seg_x = convex_hull([(0, 0), (1, 0)], 2)
     seg_y = convex_hull([(0, 0), (0, 1)], 2)
@@ -268,7 +289,11 @@ def test_validate_detects_missing_face():
     report = validate_generalized_fan(
         GeneralizedFan(2, kept), check_completeness=False
     )
-    assert report.face_closure_violations
+    assert report.face_closure_violations == tuple(
+        f"cone {i}: face of dim 0 is missing from the fan" for i in range(8)
+    )
+    assert report.intersection_violations == ()
+    assert report.completeness_violations == ()
     assert not report.ok
 
 
@@ -280,7 +305,13 @@ def test_validate_detects_bad_intersection():
         cones.extend(f for f in c.faces() if f != c)
     fan = GeneralizedFan(2, tuple(dict.fromkeys(cones)))
     report = validate_generalized_fan(fan, check_completeness=False)
-    assert report.intersection_violations
+    assert report.face_closure_violations == ()
+    assert report.intersection_violations == (
+        "cones 0 and 1: intersection of dim 2 is not a common face",
+        "cones 0 and 5: intersection of dim 1 is not a common face",
+        "cones 0 and 6: intersection of dim 1 is not a common face",
+    )
+    assert report.completeness_violations == ()
 
 
 def test_validate_detects_incompleteness():
@@ -288,8 +319,57 @@ def test_validate_detects_incompleteness():
     cones = [a] + [f for f in a.faces() if f != a]
     fan = GeneralizedFan(2, tuple(cones))
     report = validate_generalized_fan(fan, check_completeness=True)
-    assert report.completeness_violations
+    assert report.face_closure_violations == ()
+    assert report.intersection_violations == ()
+    uncovered = [
+        (x, y) for x in range(-2, 3) for y in range(-2, 3) if min(x, y) < 0
+    ]
+    assert report.completeness_violations == tuple(
+        f"point {pt} is not covered" for pt in uncovered
+    ) + ("cone 0: facet shared with 0 other maximal cones instead of 1",) * 2
     assert validate_generalized_fan(fan, check_completeness=False).ok
+
+
+def test_validate_reports_missing_faces_in_ascending_dimension():
+    simplex = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    fan = normal_fan(simplex).fan
+    maximal = GeneralizedFan(3, tuple(c for c in fan.cones if c.dim == 3))
+    per_cone = [0] + [1] * 3 + [2] * 3
+    expected = tuple(
+        f"cone {i}: face of dim {d} is missing from the fan"
+        for i in range(4)
+        for d in per_cone
+    )
+    for completeness in (True, False):
+        report = validate_generalized_fan(maximal, completeness)
+        assert report.face_closure_violations == expected
+        assert report.intersection_violations == ()
+        assert report.completeness_violations == ()
+
+
+@pytest.mark.parametrize("name", [*preset_names(), "sq+S1"])
+def test_ray_set_referee_matches_the_definition_routes(name):
+    """is_face_of and the validator's face keys read faces off a cone's own
+    canonical rays; the definition routes build every face by double
+    description.  Both must agree on every cone and ordered cone pair."""
+    if name == "sq+S1":
+        sq = preset_module("square-lambda")
+        module = direct_sum(sq, simple_module(sq.algebra, 1))
+    else:
+        module = preset_module(name)
+    cones = build_mtf_fan(module).cones
+    for c in cones:
+        assert _face_keys(c) == {(f.lineality, f.rays) for f in c.faces()}
+    for face in cones:
+        gens = face.rays + face.lineality
+        for cone in cones:
+            tight = tuple(
+                a for a in cone.ineqs if all(dot(a, g) == 0 for g in gens)
+            )
+            by_definition = (
+                cone.contains_cone(face) and cone.face_at(tight) == face
+            )
+            assert face.is_face_of(cone) == by_definition
 
 
 def test_corrupted_cones_raise_invariant_error():
