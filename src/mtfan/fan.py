@@ -28,8 +28,10 @@ from .polyhedra import (
     cone_from_generators,
     cone_from_hrep,
     cone_intersection,
+    key_dim,
     locate_index,
     normal_fan,
+    ray_sum,
     vertex_order,
 )
 from .quiver import Module, Submodule, submodule_contains
@@ -334,17 +336,17 @@ def boundary_regions(mtf, cone):
     degenerates (plus side) and where f degenerates (minus side).
 
     The union of the two facet families is the whole boundary: every proper
-    face of the cone lies in some listed facet (checked on face witnesses).
+    face of the cone lies in some listed facet (checked at the ray sum of
+    each face, in ascending dimension).
     """
     plus, minus = facet_partition(mtf, cone)
     both = plus + minus
-    for face in cone.faces():
-        if face == cone:
-            continue
-        probe = face.relint_point()
+    proper = cone.face_keys - {(cone.lineality, cone.rays)}
+    for key in sorted(proper, key=key_dim):
+        probe = ray_sum(mtf.n, key)
         _require(
             any(c.contains(probe) for c in both) or not both,
-            f"a face of dim {face.dim} lies in no listed facet",
+            f"a face of dim {key_dim(key)} lies in no listed facet",
         )
     return plus, minus
 

@@ -30,10 +30,6 @@ def rref_fp(rows, p):
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
-def rank_fp(rows, p):
-    return len(rref_fp(rows, p)[0])
-
-
 def reduce_vec(rrows, pivots, vec, p):
     """Residue of vec after elimination against an RREF basis."""
     v = [x % p for x in vec]
@@ -60,21 +56,6 @@ def intersect_spaces(a_rows, b_rows, ncols, p):
     red, _ = rref_fp(block, p)
     out = [row[ncols:] for row in red if not any(row[:ncols])]
     return span_fp(out, p)
-
-
-def nullspace_fp(rows, ncols, p):
-    red, pivots = rref_fp(rows, p)
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [0] * ncols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-red[i][f]) % p
-        basis.append(tuple(v))
-    return tuple(basis)
 
 
 def mat_vec(rows, vec, p):

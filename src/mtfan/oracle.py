@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .exact import dot, rank
 from .fan import wall_cone
-from .polyhedra import cone_from_hrep, integer_grid, locate_index
+from .polyhedra import integer_grid, key_dim, key_eqs, locate_index, ray_sum, vrep
 from .stability import (
     as_theta,
     canonical_sequences,
@@ -52,12 +52,8 @@ def build_sample_set(
     samples = list(integer_grid(n, bound))
     for cone in mtf.cones:
         samples.append(cone.relint_point())
-        facets = cone.facet_cones()
-        if facets:
-            # the boundary witness is the last proper face in the
-            # (dim, eqs, ineqs) order of Cone.faces, which is a facet
-            last = max(facets, key=lambda f: (f.eqs, f.ineqs))
-            samples.append(last.relint_point())
+        if cone.ineqs:
+            samples.append(_boundary_witness(cone))
     rng = random.Random(seed)
     for _ in range(extra):
         samples.append(tuple(rng.randint(-3 * bound, 3 * bound) for _ in range(n)))
@@ -69,6 +65,17 @@ def build_sample_set(
             seen.add(t)
             uniq.append(t)
     return SampleSet(seed, bound, tuple(uniq))
+
+
+def _boundary_witness(cone):
+    """Ray sum of the last proper face of a cone in (dim, eqs) order: the
+    facet whose canonical equations are greatest.  Distinct facets have
+    distinct spans, so the equations alone order them."""
+    facets = [
+        (cone.lineality, tuple(r for r in cone.rays if dot(a, r) == 0))
+        for a in cone.ineqs
+    ]
+    return ray_sum(cone.n, max(facets, key=lambda key: key_eqs(cone.n, key)))
 
 
 @dataclass(frozen=True)
@@ -212,21 +219,21 @@ def verify_dim_formula(mtf):
             )
     if not mtf.module.is_zero():
         wall = wall_cone(mtf)
-        cone_index = {c: i for i, c in enumerate(mtf.cones)}
-        for face in wall.faces():
+        cone_index = {(c.lineality, c.rays): i for i, c in enumerate(mtf.cones)}
+        # (dim, eqs) order; the equations determine the face
+        for key in sorted(wall.face_keys, key=lambda k: (key_dim(k), key_eqs(n, k))):
             checks += 1
-            if face not in cone_index:
-                failures.append(
-                    f"wall face of dim {face.dim} is missing from the fan"
-                )
+            dim = key_dim(key)
+            if key not in cone_index:
+                failures.append(f"wall face of dim {dim} is missing from the fan")
                 continue
-            data = mtf.classes[cone_index[face]]
-            cut = cone_from_hrep(
+            data = mtf.classes[cone_index[key]]
+            cut = vrep(
                 n, wall.eqs + tuple(tuple(d) for d in data.supp_dims), wall.ineqs
             )
-            if cut != face:
+            if cut != key:
                 failures.append(
-                    f"wall face of dim {face.dim} is not the wall cut by "
+                    f"wall face of dim {dim} is not the wall cut by "
                     "its support span"
                 )
     return OracleReport(checks, tuple(failures))

@@ -10,6 +10,10 @@ values coincides with geometric equality.
 Conversion between the two representations runs the double description
 method: facets of a cone are the extreme rays of its dual, so one insertion
 loop serves both directions.
+
+The face key of a canonical cone is its (lineality, rays); it determines the
+cone.  Faces of a cone are listed as face keys read off the cone's own rays
+and facet normals (Cone.face_keys), with no double description pass.
 """
 from __future__ import annotations
 
@@ -186,12 +190,7 @@ class Cone:
 
     def relint_point(self):
         """Deterministic integer point in the relative interior."""
-        if self.rays:
-            pt = tuple(sum(r[c] for r in self.rays) for c in range(self.n))
-        elif self.lineality:
-            pt = tuple(sum(r[c] for r in self.lineality) for c in range(self.n))
-        else:
-            pt = (0,) * self.n
+        pt = ray_sum(self.n, (self.lineality, self.rays))
         if not self.contains_relint(pt):
             raise InvariantError(f"ray sum {pt} is not in the relative interior")
         return pt
@@ -210,85 +209,78 @@ class Cone:
             raise InvariantError("random ray combination left the relative interior")
         return pt
 
-    def face_at(self, tight):
-        """Face where the given inequality normals become equalities."""
-        return cone_from_hrep(self.n, self.eqs + tuple(tight), self.ineqs)
+    @cached_property
+    def face_keys(self):
+        """Face keys (lineality, rays) of every face, the cone itself included.
 
-    def facet_cones(self):
-        return tuple(self.face_at((a,)) for a in self.ineqs)
-
-    def faces(self):
-        """All faces, the cone itself included."""
-        found = {self}
-        frontier = [self]
-        while frontier:
-            c = frontier.pop()
-            for f in c.facet_cones():
-                if f not in found:
-                    found.add(f)
-                    frontier.append(f)
-        return tuple(sorted(found, key=lambda c: (c.dim, c.eqs, c.ineqs)))
+        Faces keep the cone's lineality, and a face's rays are the cone's
+        rays on which its tight facet normals vanish.  The faces are the cone
+        itself and every intersection of facets, so their ray sets are the
+        full set and the closure of the facet zero-sets under intersection
+        (bit masks over self.rays).
+        """
+        rays = self.rays
+        facets = {
+            sum(1 << k for k, r in enumerate(rays) if dot(a, r) == 0)
+            for a in self.ineqs
+        }
+        return frozenset(
+            (self.lineality, tuple(r for k, r in enumerate(rays) if mask >> k & 1))
+            for mask in _meet_closure(facets, (1 << len(rays)) - 1)
+        )
 
     def is_face_of(self, other):
-        """Whether self is the face of other where other's tight normals
-        vanish.  That face keeps other's lineality and its canonical rays
-        are other's rays on which the tight normals vanish, so comparing
-        V-representations decides it without a double description pass."""
-        if self.n != other.n or not other.contains_cone(self):
-            return False
-        gens = list(self.rays) + list(self.lineality)
-        tight = tuple(
-            a for a in other.ineqs if all(dot(a, g) == 0 for g in gens)
-        )
-        return self.lineality == other.lineality and self.rays == tuple(
-            r for r in other.rays if all(dot(a, r) == 0 for a in tight)
-        )
+        """Whether self is a face of other: a face of a canonical cone is
+        determined by its face key, so no double description pass is needed."""
+        return self.n == other.n and (self.lineality, self.rays) in other.face_keys
 
 
-def _vrep(n, eqs, ineqs):
-    """Canonical V-representation (lineality, rays) of
+def _meet_closure(sets, top):
+    """top, the given sets and all their intersections (sets or bit masks)."""
+    sets = set(sets)
+    found = sets | {top}
+    frontier = list(sets)
+    while frontier:
+        cur = frontier.pop()
+        for s in sets:
+            meet = cur & s
+            if meet not in found:
+                found.add(meet)
+                frontier.append(meet)
+    return found
+
+
+def vrep(n, eqs, ineqs):
+    """Face key (lineality, rays) of the canonical cone
     {x : eq.x = 0, a.x >= 0}: one double description pass."""
     lin_raw, rays = _dd(ineqs, eqs, n)
     return hnf(lattice_basis_of_span(lin_raw, n)), rays
 
 
-def _vrep_dim(vrep):
-    lineality, rays = vrep
+def key_dim(key):
+    """Dimension of the cone with the given face key."""
+    lineality, rays = key
     return rank(list(lineality) + list(rays))
 
 
-def _face_keys(cone):
-    """Canonical (lineality, rays) of every face of a canonical cone.
+def key_eqs(n, key):
+    """Canonical equations (the eqs of the canonical cone) of the linear
+    span of a face key."""
+    lineality, rays = key
+    return subspace_canonical(nullspace(list(lineality) + list(rays), n))
 
-    Faces keep the cone's lineality, and a face's rays are the cone's rays
-    on which its tight facet normals vanish.  The faces are the cone itself
-    and every intersection of facets, so their ray sets are the full set
-    and the closure of the facet zero-sets under intersection (bit masks
-    over cone.rays).
-    """
-    rays = cone.rays
-    facets = {
-        sum(1 << k for k, r in enumerate(rays) if dot(a, r) == 0)
-        for a in cone.ineqs
-    }
-    found = facets | {(1 << len(rays)) - 1}
-    frontier = list(facets)
-    while frontier:
-        cur = frontier.pop()
-        for mask in facets:
-            meet = cur & mask
-            if meet not in found:
-                found.add(meet)
-                frontier.append(meet)
-    return frozenset(
-        (cone.lineality, tuple(r for k, r in enumerate(rays) if mask >> k & 1))
-        for mask in found
-    )
+
+def ray_sum(n, key):
+    """Sum of the rays of a face key, or of its lineality basis when it has
+    no rays: an integer point in the relative interior of its cone."""
+    lineality, rays = key
+    gens = rays or lineality
+    return tuple(sum(g[c] for g in gens) for c in range(n))
 
 
 def cone_from_hrep(n, eqs, ineqs):
     """Canonical cone {x : eq.x = 0, a.x >= 0}."""
-    lineality, rays = _vrep(n, eqs, ineqs)
+    lineality, rays = vrep(n, eqs, ineqs)
     dual_lin, facets = _dd(rays, [tuple(v) for v in lineality], n)
     eqs_c = subspace_canonical(dual_lin)
     dim = n - len(eqs_c)
@@ -324,15 +316,10 @@ def full_cone(n):
 
 @dataclass(frozen=True)
 class Face:
-    """Face of a polytope: vertex ids, dimension, affine hull equations.
-
-    Affine equations are primitive integer rows (c0, c1, ..., cn) meaning
-    c0 + c.x = 0 on the face.
-    """
+    """Face of a polytope: vertex ids and dimension."""
 
     vertex_ids: tuple[int, ...]
     dim: int
-    affine_eqs: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -343,7 +330,6 @@ class Polytope:
     vertices: tuple[tuple[Fraction, ...], ...]
     faces: tuple[Face, ...]
     facet_ids: tuple[int, ...]
-    affine_eqs: tuple[tuple[int, ...], ...]
     _face_lookup: dict = field(compare=False, repr=False, hash=False)
 
     @property
@@ -376,11 +362,6 @@ class Polytope:
 
     def vertex_face_id(self, vid):
         return self.face_id((vid,))
-
-
-def _affine_eqs_of(points, n):
-    rows = [(1,) + tuple(v) for v in points]
-    return subspace_canonical(nullspace(rows, n + 1))
 
 
 def convex_hull(points, n):
@@ -430,25 +411,13 @@ def convex_hull(points, n):
     for _, tight in facet_data:
         facet_sets.append(frozenset(remap[i] for i in tight if i in remap))
 
-    all_sets = {frozenset(range(len(vertices)))}
-    frontier = [frozenset(range(len(vertices)))]
-    for fs in facet_sets:
-        if fs not in all_sets:
-            all_sets.add(fs)
-            frontier.append(fs)
-    while frontier:
-        cur = frontier.pop()
-        for fs in facet_sets:
-            meet = cur & fs
-            if meet and meet not in all_sets:
-                all_sets.add(meet)
-                frontier.append(meet)
+    all_sets = _meet_closure(facet_sets, frozenset(range(len(vertices))))
+    all_sets.discard(frozenset())
 
     faces = []
     for vs in all_sets:
-        face_pts = [vertices[i] for i in sorted(vs)]
-        eqs = _affine_eqs_of(face_pts, n)
-        faces.append(Face(tuple(sorted(vs)), n - len(eqs), eqs))
+        affine_dim = rank([(1,) + vertices[i] for i in vs]) - 1
+        faces.append(Face(tuple(sorted(vs)), affine_dim))
     faces.sort(key=lambda f: (f.dim, f.vertex_ids))
     lookup = {frozenset(f.vertex_ids): i for i, f in enumerate(faces)}
 
@@ -459,7 +428,7 @@ def convex_hull(points, n):
     for f in faces:
         if f.dim == 1 and not len(f.vertex_ids) == 2:
             raise InvariantError(f"edge with {len(f.vertex_ids)} vertices")
-    return Polytope(n, vertices, tuple(faces), facet_ids, affine_eqs, lookup)
+    return Polytope(n, vertices, tuple(faces), facet_ids, lookup)
 
 
 def max_face(polytope, theta):
@@ -601,7 +570,7 @@ def validate_generalized_fan(fan, check_completeness=True):
     cone.
 
     Cones are compared by their canonical (lineality, rays), which determine
-    a canonical cone; faces are read off each cone's own rays (_face_keys),
+    a canonical cone; faces are read off each cone's own rays (face_keys),
     never off a polytope's face lattice.
     """
     if isinstance(fan, NormalFan):
@@ -609,10 +578,10 @@ def validate_generalized_fan(fan, check_completeness=True):
     cones = tuple(fan.cones)
     n = fan.n
     fan_keys = {(c.lineality, c.rays) for c in cones}
-    face_keys = [_face_keys(c) for c in cones]
+    face_keys = [c.face_keys for c in cones]
     face_violations = []
     for i, keys in enumerate(face_keys):
-        for dim in sorted(_vrep_dim(k) for k in keys if k not in fan_keys):
+        for dim in sorted(key_dim(k) for k in keys if k not in fan_keys):
             face_violations.append(
                 f"cone {i}: face of dim {dim} is missing from the fan"
             )
@@ -620,11 +589,11 @@ def validate_generalized_fan(fan, check_completeness=True):
     for i, a in enumerate(cones):
         for j in range(i + 1, len(cones)):
             b = cones[j]
-            meet = _vrep(n, a.eqs + b.eqs, a.ineqs + b.ineqs)
+            meet = vrep(n, a.eqs + b.eqs, a.ineqs + b.ineqs)
             if meet not in face_keys[i] or meet not in face_keys[j]:
                 inter_violations.append(
                     f"cones {i} and {j}: intersection of dim "
-                    f"{_vrep_dim(meet)} is not a common face"
+                    f"{key_dim(meet)} is not a common face"
                 )
     comp_violations = []
     if check_completeness:

@@ -322,35 +322,6 @@ def dim_vector(x):
     raise TypeError(f"expected Module or Submodule, got {type(x).__name__}")
 
 
-def _check_stable(module, bases, pivots):
-    A = module.algebra
-    for ai, arrow in enumerate(A.arrows):
-        tgt_rows, tgt_piv = bases[arrow.target], pivots[arrow.target]
-        for vec in bases[arrow.source]:
-            img = mat_vec(module.maps[ai], vec, A.p)
-            if not in_span(tgt_rows, tgt_piv, img, A.p):
-                return arrow
-    return None
-
-
-def submodule_from_bases(module, vectors_per_vertex):
-    """Submodule spanned by the given per-vertex vectors.
-
-    Raises:
-        ModuleDefinitionError: if the spans are not arrow-stable.
-    """
-    p = module.algebra.p
-    reduced = [rref_fp(vs, p) for vs in vectors_per_vertex]
-    bases = tuple(rows for rows, _ in reduced)
-    pivots = tuple(piv for _, piv in reduced)
-    bad = _check_stable(module, bases, pivots)
-    if bad is not None:
-        raise ModuleDefinitionError(
-            f"subspace family is not stable under arrow {bad.name!r}"
-        )
-    return Submodule(module, bases, pivots)
-
-
 def generated_submodule(module, seeds):
     """Smallest submodule containing the seed vectors.
 

@@ -20,6 +20,7 @@ from mtfan.polyhedra import (
     cone_from_generators,
     cone_from_hrep,
     cone_intersection,
+    key_dim,
     locate_cone,
     minkowski_sum,
     validate_generalized_fan,
@@ -121,14 +122,13 @@ def test_criterion_5_structural_invariants():
             assert report.ok, (name, report.failures[:5])
             assert verify_dim_formula(mtf).ok
             for i in mtf.maximal_indices():
-                plus, minus = facet_partition(mtf, mtf.cones[i])
-                facets = set(mtf.cones[i].facet_cones())
-                assert set(plus) | set(minus) == facets
+                cone = mtf.cones[i]
+                plus, minus = facet_partition(mtf, cone)
+                facets = {k for k in cone.face_keys if key_dim(k) == mtf.n - 1}
+                assert {(c.lineality, c.rays) for c in plus + minus} == facets
                 assert not (set(plus) & set(minus))
-            wall = wall_cone(mtf)
-            fan_cones = set(mtf.cones)
-            for face in wall.faces():
-                assert face in fan_cones
+            fan_keys = {(c.lineality, c.rays) for c in mtf.cones}
+            assert wall_cone(mtf).face_keys <= fan_keys
 
     _report(5, "fan axioms, duality, partitions, wall faces", 30.0, check)
 

@@ -22,9 +22,6 @@ from mtfan.fplinalg import (
     in_span,
     intersect_spaces,
     mat_mul,
-    mat_vec,
-    nullspace_fp,
-    rank_fp,
     rref_fp,
     span_fp,
 )
@@ -174,13 +171,6 @@ def test_sum_and_intersection_against_enumeration():
     assert len(members(total)) == p ** len(total)
 
 
-def test_nullspace_fp():
-    ns = nullspace_fp([(1, 1, 0), (0, 1, 1)], 3, 3)
-    assert len(ns) == 1
-    for v in ns:
-        assert mat_vec([(1, 1, 0), (0, 1, 1)], v, 3) == (0, 0)
-
-
 def test_mat_mul_handles_zero_shapes():
     assert mat_mul((), ((1,),), 1, 2) == ()
     assert mat_mul(((),), (), 3, 2) == ((0, 0, 0),)
@@ -193,18 +183,3 @@ def test_mat_mul_handles_zero_shapes():
 def test_all_vectors():
     assert set(all_vectors(2, 2)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert all_vectors(0, 3) == ((),)
-
-
-@given(
-    st.integers(0, 3),
-    st.integers(0, 3),
-    st.sampled_from([2, 3, 5]),
-    st.data(),
-)
-@settings(max_examples=50, deadline=None)
-def test_rank_nullity_fp(nrows, ncols, p, data):
-    rows = [
-        tuple(data.draw(st.integers(0, p - 1)) for _ in range(ncols))
-        for _ in range(nrows)
-    ]
-    assert rank_fp(rows, p) + len(nullspace_fp(rows, ncols, p)) == ncols

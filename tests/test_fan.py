@@ -188,6 +188,18 @@ def test_boundary_regions_cover_the_boundary():
             assert len(plus) + len(minus) == len(mtf.cones[i].ineqs)
 
 
+@pytest.mark.parametrize("name", ["a2-P1", "square-lambda"])
+def test_boundary_regions_reject_an_uncovered_face(name, monkeypatch):
+    mtf = fan_of(name)
+    cone = mtf.cones[mtf.maximal_indices()[0]]
+    plus, minus = facet_partition(mtf, cone)
+    monkeypatch.setattr(
+        mtfan.fan, "facet_partition", lambda m, c: (((plus + minus)[0],), ())
+    )
+    with pytest.raises(InvariantError, match="a face of dim 1 lies in no listed facet"):
+        boundary_regions(mtf, cone)
+
+
 def test_fan_paths_on_a2():
     mtf = fan_of("a2-P1")
     cat = fan_paths(mtf)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from mtfan.errors import InvariantError
 from mtfan.exact import dot, nullspace, primitive, rank
 from mtfan.fan import build_mtf_fan
+from mtfan.oracle import _boundary_witness
 from mtfan.polyhedra import (
     Cone,
     GeneralizedFan,
@@ -27,7 +28,6 @@ from mtfan.polyhedra import (
     convex_hull,
     full_cone,
     NormalFan,
-    _face_keys,
     locate_cone,
     locate_index,
     max_face,
@@ -52,6 +52,32 @@ def test_vertex_order():
     assert vertex_order((1, 2), (1, 0)) is Order.GREATER
     assert vertex_order((1, 2), (1, 2)) is Order.EQUAL
     assert vertex_order((1, 0), (0, 1)) is Order.INCOMPARABLE
+
+
+# ---------------------------------------------------------------------------
+# the double description face route, referee for Cone.face_keys
+
+
+def face_at(cone, tight):
+    """Face where the given inequality normals become equalities."""
+    return cone_from_hrep(cone.n, cone.eqs + tuple(tight), cone.ineqs)
+
+
+def facet_cones(cone):
+    return tuple(face_at(cone, (a,)) for a in cone.ineqs)
+
+
+def faces(cone):
+    """All faces, the cone itself included, in (dim, eqs, ineqs) order."""
+    found = {cone}
+    frontier = [cone]
+    while frontier:
+        c = frontier.pop()
+        for f in facet_cones(c):
+            if f not in found:
+                found.add(f)
+                frontier.append(f)
+    return tuple(sorted(found, key=lambda c: (c.dim, c.eqs, c.ineqs)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +134,9 @@ def test_cone_from_generators_matches_hrep():
 
 def test_cone_faces_and_is_face_of():
     c = cone_from_hrep(2, [], [(1, 0), (0, 1)])
-    faces = c.faces()
-    dims = sorted(f.dim for f in faces)
+    dims = sorted(f.dim for f in faces(c))
     assert dims == [0, 1, 1, 2]
-    for f in faces:
+    for f in faces(c):
         assert f.is_face_of(c)
     ray = cone_from_generators(2, rays=[(1, 0)])
     assert ray.is_face_of(c)
@@ -302,7 +327,7 @@ def test_validate_detects_bad_intersection():
     b = cone_from_hrep(2, [], [(1, -1), (-1, 2)])  # overlaps a's interior
     cones = [a, b]
     for c in (a, b):
-        cones.extend(f for f in c.faces() if f != c)
+        cones.extend(f for f in faces(c) if f != c)
     fan = GeneralizedFan(2, tuple(dict.fromkeys(cones)))
     report = validate_generalized_fan(fan, check_completeness=False)
     assert report.face_closure_violations == ()
@@ -316,7 +341,7 @@ def test_validate_detects_bad_intersection():
 
 def test_validate_detects_incompleteness():
     a = cone_from_hrep(2, [], [(1, 0), (0, 1)])
-    cones = [a] + [f for f in a.faces() if f != a]
+    cones = [a] + [f for f in faces(a) if f != a]
     fan = GeneralizedFan(2, tuple(cones))
     report = validate_generalized_fan(fan, check_completeness=True)
     assert report.face_closure_violations == ()
@@ -349,9 +374,10 @@ def test_validate_reports_missing_faces_in_ascending_dimension():
 
 @pytest.mark.parametrize("name", [*preset_names(), "sq+S1"])
 def test_ray_set_referee_matches_the_definition_routes(name):
-    """is_face_of and the validator's face keys read faces off a cone's own
-    canonical rays; the definition routes build every face by double
-    description.  Both must agree on every cone and ordered cone pair."""
+    """face_keys, is_face_of and the sample set's boundary witness read
+    faces off a cone's own canonical rays; the definition routes build every
+    face by double description.  Both must agree on every cone and ordered
+    cone pair."""
     if name == "sq+S1":
         sq = preset_module("square-lambda")
         module = direct_sum(sq, simple_module(sq.algebra, 1))
@@ -359,7 +385,10 @@ def test_ray_set_referee_matches_the_definition_routes(name):
         module = preset_module(name)
     cones = build_mtf_fan(module).cones
     for c in cones:
-        assert _face_keys(c) == {(f.lineality, f.rays) for f in c.faces()}
+        assert c.face_keys == {(f.lineality, f.rays) for f in faces(c)}
+        if c.ineqs:
+            last = max(facet_cones(c), key=lambda f: (f.eqs, f.ineqs))
+            assert _boundary_witness(c) == last.relint_point()
     for face in cones:
         gens = face.rays + face.lineality
         for cone in cones:
@@ -367,7 +396,7 @@ def test_ray_set_referee_matches_the_definition_routes(name):
                 a for a in cone.ineqs if all(dot(a, g) == 0 for g in gens)
             )
             by_definition = (
-                cone.contains_cone(face) and cone.face_at(tight) == face
+                cone.contains_cone(face) and face_at(cone, tight) == face
             )
             assert face.is_face_of(cone) == by_definition
 

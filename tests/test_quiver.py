@@ -13,7 +13,6 @@ from mtfan.quiver import (
     simple_module,
     submodule_as_module,
     submodule_contains,
-    submodule_from_bases,
     submodule_full,
     submodule_intersection,
     submodule_sum,
@@ -188,14 +187,6 @@ def test_generated_submodule_closure():
     assert whole.dims == (1, 1)  # the image of a generates at vertex 2
     top = generated_submodule(m, {1: [(1,)]})
     assert top.dims == (0, 1)
-
-
-def test_submodule_from_bases_validates_stability():
-    m = preset_module("a2-P1")
-    with pytest.raises(ModuleDefinitionError):
-        submodule_from_bases(m, [[(1,)], []])
-    ok = submodule_from_bases(m, [[(1,)], [(1,)]])
-    assert ok.dims == (1, 1)
 
 
 def test_submodule_lattice_operations():
