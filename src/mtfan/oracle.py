@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import dot, rank
 from .fan import wall_cone
@@ -23,6 +22,7 @@ from .stability import (
     m_tf_equivalent_by_filtration,
     supp_factors,
     t_set,
+    theta_str,
     wall_membership,
 )
 from .sublattice import enumerate_submodules
@@ -33,11 +33,15 @@ DEFAULT_SEED = 2024
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Deterministic battery of sample functionals for one fan."""
+    """Deterministic battery of sample functionals for one fan.
+
+    Every theta is an as_theta vector; the grid points, ray-sum witnesses
+    and seeded points are all integral, so their coordinates are ints.
+    """
 
     seed: int
     bound: int
-    thetas: tuple[tuple[Fraction, ...], ...]
+    thetas: tuple[tuple[int, ...], ...]
 
     def __len__(self):
         return len(self.thetas)
@@ -159,7 +163,9 @@ def verify_fan(mtf, samples=None, reps_per_cone=3):
     for theta in samples.thetas:
         rep = verify_point(mtf, theta)
         checks += 1
-        failures.extend(f"theta {rep.theta}: {m}" for m in rep.failures)
+        failures.extend(
+            f"theta {theta_str(rep.theta)}: {m}" for m in rep.failures
+        )
         by_cone.setdefault(rep.cone_index, []).append(rep.theta)
 
     observed = set(by_cone)
@@ -181,19 +187,20 @@ def verify_fan(mtf, samples=None, reps_per_cone=3):
                     same = i == j
                     eq = is_m_tf_equivalent(a, b, module)
                     eq2 = m_tf_equivalent_by_filtration(a, b, module)
+                    sa, sb = theta_str(a), theta_str(b)
                     if eq != eq2:
                         failures.append(
-                            f"equivalence routes disagree at {a} vs {b}"
+                            f"equivalence routes disagree at {sa} vs {sb}"
                         )
                     if eq != same:
                         failures.append(
-                            f"equivalence({a}, {b}) = {eq}, located cones "
+                            f"equivalence({sa}, {sb}) = {eq}, located cones "
                             f"{'agree' if same else 'differ'}"
                         )
                     closure = in_class_closure(a, b, module)
                     if closure != face_rel:
                         failures.append(
-                            f"closure({a}, {b}) = {closure} but face "
+                            f"closure({sa}, {sb}) = {closure} but face "
                             f"relation is {face_rel}"
                         )
     return OracleReport(checks, tuple(failures))

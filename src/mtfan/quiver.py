@@ -12,6 +12,7 @@ reduce vectors against the stored echelon form instead of re-reducing it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import AlgebraDefinitionError, ModuleDefinitionError
@@ -24,6 +25,11 @@ from .fplinalg import (
 )
 
 DimVector = tuple  # integer vector indexed by vertex position
+
+# subquotient modules memoized per (module, lower, upper); only the oracle's
+# definition routes build them, and a default `verify` on square-lambda asks
+# for 23,308 of which 75 are distinct
+SUBQUOTIENT_CACHE_SIZE = 1024
 
 
 def _is_prime(p):
@@ -417,8 +423,12 @@ def submodule_intersection(a, b):
     return Submodule(a.module, bases)
 
 
+@functools.lru_cache(maxsize=SUBQUOTIENT_CACHE_SIZE)
 def subquotient(module, lower, upper):
     """Present upper/lower as a standalone module.
+
+    Memoized by value: equal (module, lower, upper) give the same Module,
+    which is immutable, so callers may share it.
 
     Args:
         module: the ambient module.

@@ -36,7 +36,9 @@ from .quiver import (
 )
 from .sublattice import enumerate_submodules
 
-StabilityVector = tuple  # rational functional, one coordinate per vertex
+# rational functional, one coordinate per vertex: as_theta makes every
+# integral coordinate an int and every other one a Fraction
+StabilityVector = tuple
 
 # canonical filtrations and t-sets memoized per (theta, module); a default
 # `verify` on any preset reads at most 2,409 functionals (square-lambda), and
@@ -45,20 +47,39 @@ StabilityVector = tuple  # rational functional, one coordinate per vertex
 THETA_CACHE_SIZE = 4096
 
 
+def _coordinate(x):
+    if type(x) is int:
+        return x
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
 def as_theta(theta, n):
-    t = tuple(Fraction(x) for x in theta)
+    """theta as a tuple of n exact coordinates: an int where the coordinate
+    is an integer, a Fraction otherwise.  Equal ints and Fractions hash
+    alike, so memo keys do not depend on which form a caller passed."""
+    t = tuple(_coordinate(x) for x in theta)
     if len(t) != n:
         raise ValueError(f"stability vector of length {len(t)}, expected {n}")
     return t
 
 
+def theta_str(theta):
+    """theta for messages: each coordinate as str, e.g. (1/2, -1)."""
+    return "(" + ", ".join(map(str, theta)) + ")"
+
+
 def evaluate(theta, x):
-    """theta applied to a dimension vector, Module or Submodule."""
+    """theta applied to a dimension vector, Module or Submodule.
+
+    theta must hold exact numbers (ints and Fractions), as as_theta returns;
+    every caller in the package passes an as_theta vector.
+    """
     if isinstance(x, (Module, Submodule)):
         x = dim_vector(x)
     if len(theta) != len(x):
         raise ValueError("length mismatch between theta and dimension vector")
-    return sum(Fraction(a) * b for a, b in zip(theta, x))
+    return sum(a * b for a, b in zip(theta, x))
 
 
 def _sub_values(module, theta):
@@ -146,12 +167,14 @@ def _canonical_sequences(theta, module):
     t = _largest_member(subs, _torsion_members(subs, vals, strict=True))
     tbar = _largest_member(subs, _torsion_members(subs, vals, strict=False))
     if not submodule_contains(tbar, t):
-        raise InvariantError(f"t is not inside tbar at theta {theta}")
+        raise InvariantError(f"t is not inside tbar at theta {theta_str(theta)}")
     w = subquotient(module, t, tbar)
     f = quotient_module(module, tbar)
     fbar = quotient_module(module, t)
     if not is_semistable(theta, w):
-        raise InvariantError(f"w = tbar/t is not semistable at theta {theta}")
+        raise InvariantError(
+            f"w = tbar/t is not semistable at theta {theta_str(theta)}"
+        )
     if not all(
         a + b + c == d
         for a, b, c, d in zip(t.dims, w.dims, f.dims, module.dims)
@@ -160,7 +183,7 @@ def _canonical_sequences(theta, module):
     # f lies in the free class: strictly negative on nonzero submodules
     fsubs, fvals = _sub_values(f, theta)
     if not all(v < 0 for s, v in zip(fsubs.submodules, fvals) if s.total_dim):
-        raise InvariantError(f"f = M/tbar is not free at theta {theta}")
+        raise InvariantError(f"f = M/tbar is not free at theta {theta_str(theta)}")
     return CanonicalSequenceData(t, tbar, w, f, fbar)
 
 
@@ -196,7 +219,10 @@ def supp_factors(theta, module):
         chosen = min(minimal, key=Submodule.sort_key)
         factor = submodule_as_module(chosen)
         if not is_stable(theta, factor):
-            raise InvariantError(f"a minimal semistable factor is not stable at {theta}")
+            raise InvariantError(
+                "a minimal semistable factor is not stable at "
+                f"{theta_str(theta)}"
+            )
         factors.append((factor, dim_vector(factor)))
         current = quotient_module(current, chosen)
     return tuple(factors)
@@ -226,9 +252,11 @@ def _t_set(theta, module):
         if is_semistable(theta, subquotient(module, cs.t, L)):
             members.add(L)
     if not (cs.t in members and cs.tbar in members):
-        raise InvariantError(f"t or tbar is missing from the t-set at {theta}")
+        raise InvariantError(
+            f"t or tbar is missing from the t-set at {theta_str(theta)}"
+        )
     if not all(submodule_contains(cs.tbar, L) for L in members):
-        raise InvariantError(f"a t-set member is not inside tbar at {theta}")
+        raise InvariantError(f"a t-set member is not inside tbar at {theta_str(theta)}")
     return frozenset(members)
 
 

@@ -2,11 +2,13 @@
 
 import dataclasses
 import gc
+import sys
 import weakref
 
 import pytest
 
 import mtfan.fan
+import mtfan.quiver
 from mtfan.errors import InvariantError, ModuleDefinitionError
 from mtfan.fan import (
     boundary_regions,
@@ -29,6 +31,7 @@ from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import (
     dim_vector,
     direct_sum,
+    quotient_module,
     simple_module,
     submodule_full,
     submodule_zero,
@@ -292,6 +295,28 @@ def test_lattice_class_data_matches_the_definitions(name):
         supp = tuple(sorted(d for _, d in supp_factors(theta, cs.w)))
         assert data.supp_dims == supp
         assert data.t_set == t_set(theta, module)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_the_build_presents_no_subquotient(name, monkeypatch):
+    """Only the oracle's definition routes build subquotient modules, so
+    their memo never serves the fan, its wall or its paths."""
+    real = mtfan.quiver.subquotient
+
+    def refuse(*args):
+        raise AssertionError("a subquotient module was built")
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "mtfan" or mod_name.startswith("mtfan."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, refuse)
+    module = preset_module(name)
+    with pytest.raises(AssertionError, match="subquotient"):
+        quotient_module(module, submodule_zero(module))
+    mtf = build_mtf_fan(module)
+    wall_cone(mtf)
+    fan_paths(mtf)
 
 
 def test_build_raises_when_random_points_disagree(monkeypatch):

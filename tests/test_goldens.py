@@ -26,13 +26,15 @@ THETAS = {
 def _cases():
     for preset in preset_names():
         for command in COMMANDS:
-            yield preset, [command, "--preset", preset]
+            yield f"{preset}.{command}", [command, "--preset", preset]
         theta = f"--theta={THETAS[preset]}"
-        yield preset, ["classify", "--preset", preset, theta]
-        yield preset, ["verify", "--preset", preset, "--grid-bound", "1"]
+        yield f"{preset}.classify", ["classify", "--preset", preset, theta]
+        yield f"{preset}.verify", ["verify", "--preset", preset, "--grid-bound", "1"]
+        # the default grid: pins the sample count (2,409 on square-lambda)
+        yield f"{preset}.verify-default", ["verify", "--preset", preset]
 
 
-CASES = [(f"{preset}.{argv[0]}", argv) for preset, argv in _cases()]
+CASES = list(_cases())
 
 
 def _output(argv):

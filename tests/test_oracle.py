@@ -1,12 +1,14 @@
 """Brute-force oracle agreement with the decorated fan."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 import mtfan.polyhedra
 from mtfan.fan import MTFFan, build_mtf_fan
 from mtfan.oracle import (
+    SampleSet,
     build_sample_set,
     verify_dim_formula,
     verify_fan,
@@ -14,6 +16,7 @@ from mtfan.oracle import (
 )
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import zero_module
+from mtfan.stability import as_theta
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -61,6 +64,108 @@ def test_dim_formula_reports_wall_faces_with_a_wrong_support():
     ) + tuple(
         f"wall face of dim {d} is not the wall cut by its support span"
         for d in (0, 1, 1, 1, 1, 2, 2, 2, 2)
+    )
+
+
+def _corrupted(name, field, index):
+    """The fan of a preset with one cone's class data replaced: t by tbar,
+    the support by the single class (1, ..., 1), or the t-set by {t}."""
+    mtf = build_mtf_fan(preset_module(name))
+
+    def corrupt(d):
+        if field == "t":
+            return dataclasses.replace(d, t=d.tbar)
+        if field == "supp_dims":
+            return dataclasses.replace(d, supp_dims=((1,) * mtf.n,))
+        return dataclasses.replace(d, t_set=frozenset({d.t}))
+
+    classes = tuple(
+        corrupt(d) if d.cone_index == index else d for d in mtf.classes
+    )
+    return dataclasses.replace(mtf, classes=classes)
+
+
+def _support_failures(support, thetas):
+    return tuple(
+        f"theta {theta}: support () != cone support ({support},)"
+        for theta in thetas
+    )
+
+
+BAD_FANS = {
+    ("a2-P1", "t", 3): (
+        78,
+        ("theta (-1, 0): canonical filtration differs from the cone's",),
+    ),
+    ("a2-P1", "supp_dims", 0): (
+        78,
+        _support_failures(
+            "(1, 1)",
+            (
+                "(-1, -1)",
+                "(0, -1)",
+                "(0, -2)",
+                "(-1, -2)",
+                "(1, -2)",
+            ),
+        ),
+    ),
+    ("a2-P1", "t_set", 6): (
+        78,
+        ("theta (0, 0): t-set differs from the cone's",),
+    ),
+    ("square-lambda", "t", 27): (
+        2411,
+        ("theta (-1, 0, 0, 1): canonical filtration differs from the cone's",),
+    ),
+    ("square-lambda", "supp_dims", 5): (
+        2411,
+        _support_failures(
+            "(1, 1, 1, 1)",
+            (
+                "(1, 0, 0, 0)",
+                "(1, 0, 0, 1)",
+                "(1, 0, 1, -1)",
+                "(1, 0, 1, 0)",
+                "(1, 0, 1, 1)",
+                "(1, 1, 0, -1)",
+                "(1, 1, 0, 0)",
+                "(1, 1, 0, 1)",
+                "(1, 1, 1, -1)",
+                "(1, 1, 1, 0)",
+                "(1, 1, 1, 1)",
+                "(2, 0, 0, -1)",
+                "(3, 2, 3, -1)",
+                "(2, 0, -1, 0)",
+                "(1, 2, 1, -2)",
+            ),
+        ),
+    ),
+    ("square-lambda", "t_set", 38): (
+        2411,
+        ("theta (0, 0, 0, 0): t-set differs from the cone's",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name,field,index", list(BAD_FANS))
+def test_oracle_reports_corrupted_class_data(name, field, index):
+    """verify_fan recomputes t, the support and the t-set at every sample
+    from the definitions, so a wrong entry in one cone's class data is
+    reported at every sample located in that cone."""
+    bad = _corrupted(name, field, index)
+    report = verify_fan(bad, samples=build_sample_set(bad, bound=1))
+    assert (report.checks, report.failures) == BAD_FANS[name, field, index]
+
+
+def test_oracle_messages_print_rational_functionals():
+    bad = _corrupted("a2-P1", "supp_dims", 0)
+    samples = SampleSet(0, 0, (as_theta((Fraction(-1, 2), -1), 2),))
+    report = verify_fan(bad, samples=samples)
+    assert report.checks == 1
+    assert report.failures == (
+        "theta (-1/2, -1): support () != cone support ((1, 1),)",
+        "cones never sampled: [1, 2, 3, 4, 5, 6]",
     )
 
 

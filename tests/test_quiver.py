@@ -4,6 +4,8 @@ import pytest
 
 from mtfan.errors import AlgebraDefinitionError, ModuleDefinitionError
 from mtfan.quiver import (
+    SUBQUOTIENT_CACHE_SIZE,
+    _is_prime,
     build_algebra,
     build_module,
     direct_sum,
@@ -217,9 +219,35 @@ def test_subquotient_and_quotient():
     assert again.dims == (1, 1)
 
 
+def test_equal_subquotients_are_built_once():
+    """The memo is keyed by value: equal submodules built separately give
+    the very same module."""
+    m = preset_module("nakayama2-121")
+    soc = generated_submodule(m, {0: [(0, 1)]})
+    mid = generated_submodule(m, {1: [(1,)]})
+    soc2 = generated_submodule(m, {0: [(0, 1)]})
+    mid2 = generated_submodule(m, {1: [(1,)]})
+    assert (soc2, mid2) == (soc, mid) and soc2 is not soc and mid2 is not mid
+    assert subquotient(m, soc2, mid2) is subquotient(m, soc, mid)
+
+
 def test_subquotient_requires_containment():
     m = preset_module("nakayama2-121")
     soc = generated_submodule(m, {0: [(0, 1)]})
     top = generated_submodule(m, {0: [(1, 0)]})
-    with pytest.raises(ModuleDefinitionError):
-        subquotient(m, top, soc)
+    # failures are not memoized: the check raises on every call
+    for _ in range(2):
+        with pytest.raises(ModuleDefinitionError):
+            subquotient(m, top, soc)
+
+
+def test_subquotient_memo_stays_within_its_bound():
+    """More distinct one-arrow modules than the memo holds: the map a
+    ranges over F_p with p larger than the bound."""
+    count = SUBQUOTIENT_CACHE_SIZE + 8
+    p = next(q for q in range(count, 2 * count) if _is_prime(q))
+    A = build_algebra({**a2_spec(), "p": p})
+    for c in range(count):
+        m = build_module(A, (1, 1), [[[c]]])
+        quotient_module(m, submodule_zero(m))
+    assert 0 < subquotient.cache_info().currsize <= SUBQUOTIENT_CACHE_SIZE

@@ -13,6 +13,7 @@ import mtfan.stability
 from mtfan.stability import (
     THETA_CACHE_SIZE,
     _largest_member,
+    as_theta,
     canonical_sequences,
     evaluate,
     in_class_closure,
@@ -146,6 +147,29 @@ def test_evaluate_accepts_modules_submodules_and_vectors():
     assert evaluate((2, 1), m) == 3
     assert evaluate((2, 1), (1, 1)) == 3
     assert evaluate((Fraction(1, 2), 0), (2, 0)) == 1
+    # integer functionals stay in integer arithmetic
+    assert type(evaluate((2, 1), m)) is int
+
+
+def test_as_theta_makes_integral_coordinates_ints():
+    t = as_theta((2, Fraction(4, 2), "3"), 3)
+    assert t == (2, 2, 3)
+    assert all(type(x) is int for x in t)
+    half = as_theta((Fraction(1, 2), 0), 2)
+    assert half == (Fraction(1, 2), 0)
+    assert (type(half[0]), type(half[1])) == (Fraction, int)
+    for wrong in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="expected 2"):
+            as_theta(wrong, 2)
+
+
+def test_int_and_fraction_functionals_share_a_memo_entry():
+    m = preset_module("a2-P1")
+    mtfan.stability._t_set.cache_clear()
+    first = t_set((2, 1), m)
+    assert t_set((Fraction(2), Fraction(1)), m) is first
+    info = mtfan.stability._t_set.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 theta2 = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
