@@ -25,7 +25,7 @@ from .oracle import (
 )
 from .polyhedra import validate_generalized_fan
 from .presets import preset_module, preset_names
-from .sublattice import newton_polytope
+from .sublattice import check_total_dim, newton_polytope
 from .svg import DEFAULT_SIZE, render_svg
 
 # `verify` checks every point of the grid [-B, B]^n against the whole fan
@@ -67,6 +67,9 @@ def _load_module(config):
         )
     if config.p_override is not None:
         doc["p"] = config.p_override
+    # every subcommand enumerates submodules; a missing map is zero-filled
+    # at its full size, so the bound applies before any matrix is built
+    check_total_dim(serialize.declared_total_dim(doc), doc["p"])
     _, module = serialize.module_from_doc(doc)
     return module
 

@@ -11,6 +11,15 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+def number(x):
+    """x as an exact number: an int where it is integral, a Fraction
+    otherwise."""
+    if type(x) is int:
+        return x
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 

@@ -199,7 +199,7 @@ def build_mtf_fan(module):
         t, tbar, supp_dims, ts = data
         face = P.faces[idx]
         # the min and max of the Newton face are the classes of t and tbar
-        face_vecs = [tuple(map(int, P.vertices[v])) for v in face.vertex_ids]
+        face_vecs = [P.vertices[v] for v in face.vertex_ids]
         t_vec, tbar_vec = t.dims, tbar.dims
         _require(
             t_vec in face_vecs
@@ -267,7 +267,7 @@ def _newton_vertex_of_maximal(mtf, idx):
     face = mtf.newton.faces[idx]
     if len(face.vertex_ids) != 1:
         raise ModuleDefinitionError("cone is not maximal")
-    return tuple(map(int, mtf.newton.vertices[face.vertex_ids[0]]))
+    return mtf.newton.vertices[face.vertex_ids[0]]
 
 
 def _edge_neighbors(mtf, idx):
@@ -374,29 +374,20 @@ def fan_paths(mtf):
 
     Nodes are the maximal cones (equivalently the Newton vertices); steps
     cross a shared facet, which happens exactly along Newton edges, and are
-    oriented by the coordinatewise vertex order.
+    oriented by the coordinatewise vertex order.  Faces are sorted by
+    (dim, vertex ids), so node, vertex id and cone index coincide.
     """
     P = mtf.newton
-    node_faces = [i for i, f in enumerate(P.faces) if f.dim == 0]
-    vid_to_node = {}
-    vertices = []
-    for node, fid in enumerate(node_faces):
-        vid = P.faces[fid].vertex_ids[0]
-        vid_to_node[vid] = node
-        vertices.append(tuple(map(int, P.vertices[vid])))
+    vertices = P.vertices
     edges = []
     for eid in P.edges():
         a, b = P.faces[eid].vertex_ids
-        va, vb = vertices[vid_to_node[a]], vertices[vid_to_node[b]]
-        order = vertex_order(va, vb)
+        order = vertex_order(vertices[a], vertices[b])
         _require(
             order in (Order.LESS, Order.GREATER),
             f"Newton edge {eid} joins incomparable vertices",
         )
-        if order is Order.LESS:
-            edges.append((vid_to_node[a], vid_to_node[b]))
-        else:
-            edges.append((vid_to_node[b], vid_to_node[a]))
+        edges.append((a, b) if order is Order.LESS else (b, a))
     succ = {i: [] for i in range(len(vertices))}
     pred = {i: [] for i in range(len(vertices))}
     for a, b in edges:
@@ -415,8 +406,8 @@ def fan_paths(mtf):
         p for p in paths if not pred[p[0]] and not succ[p[-1]]
     )
     return FanPathCatalog(
-        cone_indices=tuple(P.vertex_face_id(P.faces[f].vertex_ids[0]) for f in node_faces),
-        vertices=tuple(vertices),
+        cone_indices=tuple(range(len(vertices))),
+        vertices=vertices,
         edges=tuple(sorted(edges)),
         increasing_paths=tuple(sorted(paths)),
         maximal_paths=tuple(sorted(maximal)),

@@ -29,6 +29,8 @@ from .sublattice import enumerate_submodules
 
 DEFAULT_GRID_BOUND = 3
 DEFAULT_SEED = 2024
+EXTRA_SAMPLES = 8  # seeded random integer points per sample set
+REPS_PER_CONE = 3  # samples per cone that enter the pair checks
 
 
 @dataclass(frozen=True)
@@ -47,11 +49,9 @@ class SampleSet:
         return len(self.thetas)
 
 
-def build_sample_set(
-    mtf, bound=DEFAULT_GRID_BOUND, seed=DEFAULT_SEED, extra=8
-):
+def build_sample_set(mtf, bound=DEFAULT_GRID_BOUND, seed=DEFAULT_SEED):
     """Integer grid [-bound, bound]^n plus interior and boundary witnesses
-    of every cone, plus a few seeded random integer points."""
+    of every cone, plus EXTRA_SAMPLES seeded random integer points."""
     n = mtf.n
     samples = list(integer_grid(n, bound))
     for cone in mtf.cones:
@@ -59,7 +59,7 @@ def build_sample_set(
         if cone.ineqs:
             samples.append(_boundary_witness(cone))
     rng = random.Random(seed)
-    for _ in range(extra):
+    for _ in range(EXTRA_SAMPLES):
         samples.append(tuple(rng.randint(-3 * bound, 3 * bound) for _ in range(n)))
     uniq = []
     seen = set()
@@ -132,7 +132,7 @@ def verify_point(mtf, theta):
 
     # min and max of the located Newton face
     face = mtf.newton.faces[idx]
-    vecs = [tuple(map(int, mtf.newton.vertices[v])) for v in face.vertex_ids]
+    vecs = [mtf.newton.vertices[v] for v in face.vertex_ids]
     if tuple(cs.t.dims) != tuple(map(min, zip(*vecs))) or tuple(
         cs.tbar.dims
     ) != tuple(map(max, zip(*vecs))):
@@ -145,12 +145,12 @@ def verify_point(mtf, theta):
     return PointReport(theta, idx, tuple(fails))
 
 
-def verify_fan(mtf, samples=None, reps_per_cone=3):
+def verify_fan(mtf, samples=None):
     """Run verify_point over a sample set and check pairwise predicates.
 
     Same located cone must mean equivalent (both routes), different cones
     not equivalent; closure membership must match the face relation of the
-    located cones.  Pair checks run on up to reps_per_cone representatives
+    located cones.  Pair checks run on up to REPS_PER_CONE representatives
     per cone so the budget stays quadratic in the fan, not in the samples.
     """
     if samples is None:
@@ -173,7 +173,7 @@ def verify_fan(mtf, samples=None, reps_per_cone=3):
         missing = sorted(set(range(len(mtf.cones))) - observed)
         failures.append(f"cones never sampled: {missing}")
 
-    reps = {i: ts[:reps_per_cone] for i, ts in sorted(by_cone.items())}
+    reps = {i: ts[:REPS_PER_CONE] for i, ts in sorted(by_cone.items())}
     for i, ts in reps.items():
         for j, us in reps.items():
             if j < i:

@@ -14,6 +14,10 @@ loop serves both directions.
 The face key of a canonical cone is its (lineality, rays); it determines the
 cone.  Faces of a cone are listed as face keys read off the cone's own rays
 and facet normals (Cone.face_keys), with no double description pass.
+
+A Polytope keeps what its one double description pass found: exact vertices,
+facets with their outer normals, and the lineality of its normal cones, so
+each normal cone takes one more pass, for its own facets (normal_cone).
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ from .exact import (
     hnf,
     lattice_basis_of_span,
     nullspace,
+    number,
     primitive,
     rank,
     rref,
@@ -280,7 +285,13 @@ def ray_sum(n, key):
 
 def cone_from_hrep(n, eqs, ineqs):
     """Canonical cone {x : eq.x = 0, a.x >= 0}."""
-    lineality, rays = vrep(n, eqs, ineqs)
+    return cone_from_key(n, vrep(n, eqs, ineqs))
+
+
+def cone_from_key(n, key):
+    """Canonical cone with the given face key (lineality, rays): one double
+    description pass, for its equations and facets."""
+    lineality, rays = key
     dual_lin, facets = _dd(rays, [tuple(v) for v in lineality], n)
     eqs_c = subspace_canonical(dual_lin)
     dim = n - len(eqs_c)
@@ -324,12 +335,15 @@ class Face:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Convex hull of finitely many rational points with its face lattice."""
+    """Convex hull of finitely many rational points with its face lattice,
+    its facets as (vertex ids, primitive outer normal) and the HNF basis of
+    the span of its affine equations, orthogonal to every facet normal."""
 
     n: int
-    vertices: tuple[tuple[Fraction, ...], ...]
+    vertices: tuple[tuple[int | Fraction, ...], ...]  # exact.number coordinates
     faces: tuple[Face, ...]
-    facet_ids: tuple[int, ...]
+    facets: tuple[tuple[frozenset[int], tuple[int, ...]], ...]
+    lineality: tuple[tuple[int, ...], ...]
     _face_lookup: dict = field(compare=False, repr=False, hash=False)
 
     @property
@@ -346,11 +360,10 @@ class Polytope:
     @cached_property
     def _cover(self):
         # a face covered by f is f's meet with some facet of the polytope
-        facets = [frozenset(self.faces[k].vertex_ids) for k in self.facet_ids]
         cover = []
         for f in self.faces:
             vs = frozenset(f.vertex_ids)
-            meets = {self._face_lookup.get(vs & fs) for fs in facets}
+            meets = {self._face_lookup.get(vs & ids) for ids, _ in self.facets}
             meets.discard(None)
             cover.append(
                 tuple(sorted(k for k in meets if self.faces[k].dim == f.dim - 1))
@@ -373,7 +386,7 @@ def convex_hull(points, n):
     pts = []
     seen = set()
     for pt in points:
-        t = tuple(Fraction(x) for x in pt)
+        t = tuple(number(x) for x in pt)
         if len(t) != n:
             raise ValueError("point of wrong dimension")
         if t not in seen:
@@ -382,36 +395,32 @@ def convex_hull(points, n):
     if not pts:
         raise ValueError("convex hull of an empty point set")
 
-    homog = [primitive((1,) + v) for v in pts]
+    # shifted to put pts[0] at the origin, the affine equations are linear
+    # and the dual rays (c0, c) come out with c orthogonal to them
+    homog = [primitive((1,) + tuple(a - b for a, b in zip(v, pts[0])))
+             for v in pts]
     dual_lin, dual_rays = _dd(homog, (), n + 1)
-    affine_eqs = subspace_canonical(dual_lin)
+    eq_parts = [e[1:] for e in dual_lin]
 
-    facet_data = []
+    facet_data = []  # (tight point ids, outer normal)
     for normal in dual_rays:
-        c0, cvec = normal[0], normal[1:]
-        tight = frozenset(
-            i for i, v in enumerate(pts) if c0 + dot(cvec, v) == 0
-        )
+        tight = frozenset(i for i, h in enumerate(homog) if dot(normal, h) == 0)
         if tight:
-            facet_data.append((normal, tight))
-
-    eq_parts = [e[1:] for e in affine_eqs]
+            facet_data.append((tight, primitive(tuple(-c for c in normal[1:]))))
 
     def is_vertex(i):
-        normals = list(eq_parts)
-        normals += [nm[1:] for nm, tight in facet_data if i in tight]
-        return rank(normals) == n
+        return rank(eq_parts + [a for tight, a in facet_data if i in tight]) == n
 
-    vert_ids_old = [i for i in range(len(pts)) if is_vertex(i)]
-    vertices = tuple(sorted(pts[i] for i in vert_ids_old))
+    vertices = tuple(sorted(pts[i] for i in range(len(pts)) if is_vertex(i)))
     new_id = {v: i for i, v in enumerate(vertices)}
-    remap = {i: new_id[pts[i]] for i in vert_ids_old}
+    facets = sorted(
+        ((frozenset(new_id[pts[i]] for i in tight if pts[i] in new_id), a)
+         for tight, a in facet_data),
+        key=lambda facet: sorted(facet[0]),
+    )
 
-    facet_sets = []
-    for _, tight in facet_data:
-        facet_sets.append(frozenset(remap[i] for i in tight if i in remap))
-
-    all_sets = _meet_closure(facet_sets, frozenset(range(len(vertices))))
+    all_sets = _meet_closure([ids for ids, _ in facets],
+                             frozenset(range(len(vertices))))
     all_sets.discard(frozenset())
 
     faces = []
@@ -420,15 +429,11 @@ def convex_hull(points, n):
         faces.append(Face(tuple(sorted(vs)), affine_dim))
     faces.sort(key=lambda f: (f.dim, f.vertex_ids))
     lookup = {frozenset(f.vertex_ids): i for i, f in enumerate(faces)}
-
-    top_dim = faces[-1].dim
-    facet_ids = tuple(
-        i for i, f in enumerate(faces) if f.dim == top_dim - 1
-    )
     for f in faces:
         if f.dim == 1 and not len(f.vertex_ids) == 2:
             raise InvariantError(f"edge with {len(f.vertex_ids)} vertices")
-    return Polytope(n, vertices, tuple(faces), facet_ids, lookup)
+    lineality = lattice_basis_of_span(eq_parts, n)
+    return Polytope(n, vertices, tuple(faces), tuple(facets), lineality, lookup)
 
 
 def max_face(polytope, theta):
@@ -440,18 +445,13 @@ def max_face(polytope, theta):
 
 
 def normal_cone(polytope, face):
-    """Cone of linear functionals maximized exactly on the given face."""
-    vs = face.vertex_ids
-    v0 = polytope.vertices[vs[0]]
-    eqs = [
-        tuple(a - b for a, b in zip(v0, polytope.vertices[w])) for w in vs[1:]
-    ]
-    rest = [i for i in range(len(polytope.vertices)) if i not in set(vs)]
-    ineqs = [
-        tuple(a - b for a, b in zip(v0, polytope.vertices[u])) for u in rest
-    ]
-    cone = cone_from_hrep(polytope.n, [primitive(e) for e in eqs],
-                          [primitive(a) for a in ineqs])
+    """Cone of linear functionals maximized exactly on the given face: the
+    polytope's lineality plus the outer normals of the facets containing
+    the face, which are the extreme rays (Ziegler, Lectures on Polytopes,
+    section 7.1)."""
+    vs = set(face.vertex_ids)
+    rays = tuple(sorted(a for ids, a in polytope.facets if vs <= ids))
+    cone = cone_from_key(polytope.n, (polytope.lineality, rays))
     if not cone.dim == polytope.n - face.dim:
         raise InvariantError(
             f"normal cone of dim {cone.dim} at a face of dim {face.dim} in R^{polytope.n}"
@@ -505,10 +505,7 @@ def normal_fan(polytope):
 
 def locate_index(nfan, theta):
     """Index of the unique cone whose relative interior contains theta."""
-    vals = [dot(theta, v) for v in nfan.polytope.vertices]
-    best = max(vals)
-    ids = frozenset(i for i, x in enumerate(vals) if x == best)
-    fid = nfan.polytope.face_id(ids)
+    fid = nfan.polytope.face_id(max_face(nfan.polytope, theta).vertex_ids)
     if not nfan.cones[fid].contains_relint(theta):
         raise InvariantError(f"{theta} is not inside the cone of its maximal face")
     return fid

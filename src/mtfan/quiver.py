@@ -31,6 +31,10 @@ DimVector = tuple  # integer vector indexed by vertex position
 # for 23,308 of which 75 are distinct
 SUBQUOTIENT_CACHE_SIZE = 1024
 
+# primality is checked by trial division up to sqrt(p), about 46,000 steps
+# below this bound
+MAX_PRIME = 2**31
+
 
 def _is_prime(p):
     if p < 2:
@@ -84,13 +88,16 @@ def build_algebra(spec):
             list of {"coeff", "path"} terms with paths as arrow-name lists.
 
     Raises:
-        AlgebraDefinitionError: non-prime p, duplicate labels, dangling
-            arrow endpoints, non-composable or mixed-endpoint relation paths,
-            paths of length < 2, or coefficients that vanish mod p.
+        AlgebraDefinitionError: non-prime p or p >= 2^31, duplicate
+            labels, dangling arrow endpoints, non-composable or
+            mixed-endpoint relation paths, paths of length < 2, or
+            coefficients that vanish mod p.
     """
     p = spec["p"]
-    if not isinstance(p, int) or not _is_prime(p):
-        raise AlgebraDefinitionError(f"p must be a prime integer, got {p!r}")
+    if not isinstance(p, int) or not (p < MAX_PRIME and _is_prime(p)):
+        raise AlgebraDefinitionError(
+            f"p must be a prime integer below 2^31, got {p!r}"
+        )
     vertices = tuple(str(v) for v in spec["vertices"])
     if len(set(vertices)) != len(vertices):
         raise AlgebraDefinitionError("duplicate vertex labels")

@@ -47,6 +47,13 @@ def module_from_doc(doc):
     return algebra, build_module(algebra, dims, maps)
 
 
+def declared_total_dim(doc):
+    """Sum of the dimensions an input document declares, read before any
+    matrix is built."""
+    _check_doc(doc)
+    return sum(doc["module"]["dims"].values())
+
+
 def _object(value, what, keys=()):
     if not isinstance(value, dict) or any(k not in value for k in keys):
         fields = ", ".join(f'"{k}"' for k in keys)

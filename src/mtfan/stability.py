@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantError, ModuleDefinitionError
+from .exact import number
 from .quiver import (
     Module,
     Submodule,
@@ -31,7 +31,6 @@ from .quiver import (
     submodule_contains,
     submodule_full,
     submodule_sum,
-    submodule_zero,
     subquotient,
 )
 from .sublattice import enumerate_submodules
@@ -47,18 +46,11 @@ StabilityVector = tuple
 THETA_CACHE_SIZE = 4096
 
 
-def _coordinate(x):
-    if type(x) is int:
-        return x
-    q = Fraction(x)
-    return q.numerator if q.denominator == 1 else q
-
-
 def as_theta(theta, n):
     """theta as a tuple of n exact coordinates: an int where the coordinate
     is an integer, a Fraction otherwise.  Equal ints and Fractions hash
     alike, so memo keys do not depend on which form a caller passed."""
-    t = tuple(_coordinate(x) for x in theta)
+    t = tuple(number(x) for x in theta)
     if len(t) != n:
         raise ValueError(f"stability vector of length {len(t)}, expected {n}")
     return t

@@ -50,6 +50,17 @@ class SubmoduleSet:
         return iter(self.submodules)
 
 
+def check_total_dim(total, p, dim_bound=DEFAULT_DIM_BOUND):
+    """Raise ResourceLimitError when a total dimension exceeds the
+    enumeration bound."""
+    if total > dim_bound:
+        raise ResourceLimitError(
+            f"total dimension {total} exceeds the enumeration bound {dim_bound} "
+            f"(p={p}: the sweep touches (p^d-1)/(p-1) vectors at a vertex of "
+            "dimension d); raise dim_bound only if you accept the cost"
+        )
+
+
 @functools.lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def enumerate_submodules(
     module, dim_bound=DEFAULT_DIM_BOUND, max_count=DEFAULT_MAX_SUBMODULES
@@ -60,19 +71,21 @@ def enumerate_submodules(
     lattice always comes from a call with the same bounds.
 
     Raises:
-        ResourceLimitError: total dimension above dim_bound, or a lattice of
-            more than max_count submodules (the set found only grows, so
-            this does not depend on the order of discovery); the line sweep
-            and the lattice itself blow up quickly, so failing loudly beats
-            hanging.
+        ResourceLimitError: total dimension above dim_bound, a line sweep of
+            more than 2^dim_bound - 1 vectors (the sweep of a p = 2 module
+            at the dimension bound), or a lattice of more than max_count
+            submodules (the set found only grows, so this does not depend on
+            the order of discovery); the line sweep and the lattice itself
+            blow up quickly, so failing loudly beats hanging.
     """
     p = module.algebra.p
-    total = module.total_dim
-    if total > dim_bound:
+    check_total_dim(module.total_dim, p, dim_bound)
+    sweep = sum((p**d - 1) // (p - 1) for d in module.dims)
+    if sweep > 2**dim_bound - 1:
         raise ResourceLimitError(
-            f"total dimension {total} exceeds the enumeration bound {dim_bound} "
-            f"(p={p}: the sweep touches (p^d-1)/(p-1) vectors at a vertex of "
-            "dimension d); raise dim_bound only if you accept the cost"
+            f"the line sweep at p={p} touches {sweep} vectors, more than "
+            f"2^{dim_bound} - 1, the sweep of a p=2 module at the dimension "
+            "bound; raise dim_bound only if you accept the cost"
         )
     too_many = ResourceLimitError(
         f"more than {max_count} submodules; the lattice is too large "

@@ -9,11 +9,13 @@ import pytest
 
 import mtfan.cli
 from mtfan.cli import MAX_SVG_SIZE, RunConfig, build_parser, main, run
+from mtfan.errors import ResourceLimitError
 from mtfan.fan import build_mtf_fan, wall_cone
 from mtfan.oracle import build_sample_set
 from mtfan.presets import preset_module, preset_names
+from mtfan.quiver import build_algebra, build_module
 from mtfan.serialize import cone_from_doc, polytope_doc
-from mtfan.sublattice import newton_polytope
+from mtfan.sublattice import enumerate_submodules, newton_polytope
 from mtfan.svg import render_svg
 
 
@@ -208,6 +210,41 @@ def test_exit_code_2_on_ill_typed_map(tmp_path, capsys):
     code, err = _exit_code_on(tmp_path, capsys, spec)
     assert code == 2
     assert "matrix of arrow 'a'" in err
+
+
+def test_exit_code_2_on_a_line_sweep_beyond_the_bound(tmp_path, capsys):
+    """x^2 - 2 is irreducible over F_16411, so the module has two
+    submodules, but the sweep would visit 16412 > 2^14 - 1 lines."""
+    spec = {
+        "p": 16411,
+        "vertices": ["1"],
+        "arrows": [{"name": "a", "from": "1", "to": "1"}],
+        "module": {"dims": {"1": 2}, "maps": {"a": [[0, 2], [1, 0]]}},
+    }
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["newton", "--input", str(path)]) == 2
+    assert "line sweep at p=16411 touches 16412 vectors" in capsys.readouterr().err
+
+
+def test_declared_dims_are_bounded_before_any_matrix(tmp_path, capsys, monkeypatch):
+    A = build_algebra(A2_SPEC)
+    with pytest.raises(ResourceLimitError) as limit:
+        enumerate_submodules(build_module(A, (8, 7), {}))
+
+    def refuse(*args):
+        raise AssertionError("a module was built")
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "mtfan" or mod_name.startswith("mtfan."):
+            for attr, value in list(vars(mod).items()):
+                if value is build_module:
+                    monkeypatch.setattr(mod, attr, refuse)
+    spec = dict(A2_SPEC, module={"dims": {"1": 8, "2": 7}})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["newton", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {limit.value}\n"
 
 
 @pytest.mark.parametrize(

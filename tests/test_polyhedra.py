@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtfan import polyhedra
 from mtfan.errors import InvariantError
 from mtfan.exact import dot, nullspace, primitive, rank
 from mtfan.fan import build_mtf_fan
@@ -39,6 +40,7 @@ from mtfan.polyhedra import (
 )
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import direct_sum, simple_module
+from mtfan.sublattice import newton_polytope
 
 F = Fraction
 
@@ -287,11 +289,114 @@ def test_face_children_is_the_cover_relation():
             assert P.face_children(fid) == covered
 
 
+def test_hull_keeps_its_facets_and_lineality():
+    # the segment lies on x - y + 1 = 0, which misses the origin
+    seg = convex_hull([(1, 2), (3, 4)], 2)
+    assert seg.lineality == ((1, -1),)
+    assert seg.facets == ((frozenset({0}), (-1, -1)), (frozenset({1}), (1, 1)))
+    sq = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)], 2)
+    assert sq.lineality == ()
+    assert sorted(normal for _, normal in sq.facets) == [
+        (-1, 0), (0, -1), (0, 1), (1, 0)
+    ]
+    assert convex_hull([(2, 3)], 2).facets == ()
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_newton_vertices_are_ints(name):
+    P = newton_polytope(preset_module(name))
+    assert all(type(x) is int for v in P.vertices for x in v)
+
+
+def test_hull_keeps_fractional_coordinates():
+    P = convex_hull([(F(1, 2), 0), (0, 1)], 2)
+    assert P.vertices == ((0, 1), (F(1, 2), 0))
+    assert [[type(x) for x in v] for v in P.vertices] == [[int, int], [F, int]]
+
+
 def test_minkowski_sum_of_segments_is_square():
     seg_x = convex_hull([(0, 0), (1, 0)], 2)
     seg_y = convex_hull([(0, 0), (0, 1)], 2)
     sq = minkowski_sum(seg_x, seg_y)
     assert set(sq.vertices) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+
+
+# ---------------------------------------------------------------------------
+# normal cones: the vertex-difference H-representation is the referee
+
+
+def vertex_difference_cone(P, face):
+    """Normal cone of a face by definition: v0 - w = 0 for the face's other
+    vertices w, and v0 - u >= 0 for every vertex u off the face."""
+    vs = face.vertex_ids
+    v0 = P.vertices[vs[0]]
+
+    def diff(w):
+        return primitive(tuple(a - b for a, b in zip(v0, P.vertices[w])))
+
+    eqs = [diff(w) for w in vs[1:]]
+    ineqs = [diff(u) for u in range(len(P.vertices)) if u not in vs]
+    return cone_from_hrep(P.n, eqs, ineqs)
+
+
+def random_point_set(rng):
+    """1 to 9 rational points in R^n, n <= 4: an offset plus rational
+    combinations of k random integer vectors.  k < n for about half the
+    sets, and then the set lies in a lower-dimensional affine subspace."""
+    n = rng.randint(1, 4)
+    k = n if rng.random() < 0.5 else rng.randint(0, n - 1)
+    offset = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+    pts = []
+    for _ in range(rng.randint(1, 9)):
+        coeffs = [F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(k)]
+        pts.append(tuple(
+            o + sum(c * b[i] for c, b in zip(coeffs, basis))
+            for i, o in enumerate(offset)
+        ))
+    return pts, n
+
+
+def fan_input(name):
+    sq = preset_module("square-lambda")
+    if name == "sq+S1":
+        return direct_sum(sq, simple_module(sq.algebra, 1))
+    if name == "sq+sq+S4":
+        return direct_sum(direct_sum(sq, sq), simple_module(sq.algebra, 4))
+    return preset_module(name)
+
+
+def assert_normal_fan_matches_the_referee(P):
+    cones = normal_fan(P).cones
+    assert cones == tuple(vertex_difference_cone(P, f) for f in P.faces)
+
+
+@pytest.mark.parametrize("name", [*preset_names(), "sq+S1", "sq+sq+S4"])
+def test_normal_fan_matches_the_vertex_difference_referee(name):
+    assert_normal_fan_matches_the_referee(newton_polytope(fan_input(name)))
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_normal_fan_matches_the_referee_on_random_point_sets(block):
+    """25 seeded rational point sets per block, 200 in all."""
+    for seed in range(25 * block, 25 * block + 25):
+        assert_normal_fan_matches_the_referee(
+            convex_hull(*random_point_set(random.Random(seed)))
+        )
+
+
+def test_normal_fan_makes_one_dd_pass_per_face(monkeypatch):
+    P = newton_polytope(preset_module("square-lambda"))
+    real = polyhedra._dd
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "_dd", counted)
+    normal_fan(P)
+    assert len(calls) == len(P.faces)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +483,7 @@ def test_ray_set_referee_matches_the_definition_routes(name):
     faces off a cone's own canonical rays; the definition routes build every
     face by double description.  Both must agree on every cone and ordered
     cone pair."""
-    if name == "sq+S1":
-        sq = preset_module("square-lambda")
-        module = direct_sum(sq, simple_module(sq.algebra, 1))
-    else:
-        module = preset_module(name)
-    cones = build_mtf_fan(module).cones
+    cones = build_mtf_fan(fan_input(name)).cones
     for c in cones:
         assert c.face_keys == {(f.lineality, f.rays) for f in faces(c)}
         if c.ineqs:

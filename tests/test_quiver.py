@@ -2,6 +2,7 @@
 
 import pytest
 
+import mtfan.quiver
 from mtfan.errors import AlgebraDefinitionError, ModuleDefinitionError
 from mtfan.quiver import (
     SUBQUOTIENT_CACHE_SIZE,
@@ -66,6 +67,22 @@ def test_build_algebra_rejects_bad_prime():
         spec["p"] = p
         with pytest.raises(AlgebraDefinitionError):
             build_algebra(spec)
+
+
+def test_build_algebra_rejects_primes_from_2_to_the_31():
+    assert build_algebra({**a2_spec(), "p": 2**31 - 1}).p == 2**31 - 1
+    for p in (2**31 + 11, 10**18 + 9):
+        with pytest.raises(AlgebraDefinitionError, match="below 2\\^31"):
+            build_algebra({**a2_spec(), "p": p})
+
+
+def test_large_primes_are_rejected_before_trial_division(monkeypatch):
+    def refuse(p):
+        raise AssertionError("trial division ran")
+
+    monkeypatch.setattr(mtfan.quiver, "_is_prime", refuse)
+    with pytest.raises(AlgebraDefinitionError):
+        build_algebra({**a2_spec(), "p": 2**61 - 1})
 
 
 def test_build_algebra_rejects_duplicates():

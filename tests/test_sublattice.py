@@ -109,6 +109,25 @@ def test_dimension_bound_raises():
         enumerate_submodules(big)
 
 
+def loop_module(p, matrix):
+    A = build_algebra(
+        {"p": p, "vertices": ["1"], "arrows": [{"name": "a", "from": "1", "to": "1"}]}
+    )
+    return build_module(A, (2,), {"a": matrix})
+
+
+def test_line_sweep_bound_raises():
+    """A loop with an irreducible characteristic polynomial: the module has
+    two submodules, but the sweep visits all p + 1 lines of F_p^2."""
+    # x^2 - 2 at p = 3: a sweep of 4 lines, above 2^2 - 1
+    irreducible = loop_module(3, [[0, 2], [1, 0]])
+    with pytest.raises(ResourceLimitError, match="line sweep"):
+        enumerate_submodules(irreducible, dim_bound=2)
+    assert len(enumerate_submodules(irreducible)) == 2
+    # x^2 + x + 1 at p = 2: a sweep of 3 lines, the cap itself
+    assert len(enumerate_submodules(loop_module(2, [[0, 1], [1, 1]]), dim_bound=2)) == 2
+
+
 def test_count_bound_raises():
     A = build_algebra({"p": 3, "vertices": ["1"], "arrows": []})
     m = build_module(A, (2,), {})
