@@ -31,6 +31,9 @@ from .svg import DEFAULT_SIZE, render_svg
 # `verify` checks every point of the grid [-B, B]^n against the whole fan
 MAX_GRID_POINTS = 100_000
 MAX_SVG_SIZE = 4096
+# a --theta entry is written out in full, with at most this many digits, so
+# parsing it and echoing it back stay cheap
+MAX_THETA_DIGITS = 1000
 
 
 @dataclass
@@ -78,6 +81,18 @@ def _parse_theta(text, n):
     if text is None:
         raise InputFormatError("classify needs --theta")
     parts = [p.strip() for p in text.split(",")]
+    for k, p in enumerate(parts, 1):
+        if "e" in p.lower():
+            raise InputFormatError(
+                f"--theta entry {k} uses exponent notation; write it out, "
+                "e.g. 1/2 or 0.25"
+            )
+        digits = sum(c.isdigit() for c in p)
+        if digits > MAX_THETA_DIGITS:
+            raise InputFormatError(
+                f"--theta entry {k} has {digits} digits, more than the cap "
+                f"of {MAX_THETA_DIGITS}"
+            )
     theta = tuple(serialize.parse_frac(p) for p in parts)
     if len(theta) != n:
         raise InputFormatError(
@@ -133,8 +148,8 @@ def run(config):
         return 0
     if config.command == "classify":
         theta = _parse_theta(config.theta, mtf.n)
-        cone, data = class_of(mtf, theta)
-        _emit_json(config, serialize.classify_doc(mtf, theta, cone, data))
+        idx = class_of(mtf, theta)
+        _emit_json(config, serialize.classify_doc(mtf, theta, idx))
         return 0
     if config.command == "paths":
         _emit_json(config, serialize.paths_doc(fan_paths(mtf)))
@@ -213,7 +228,10 @@ def build_parser():
     _add_source_args(classify)
     classify.add_argument(
         "--theta",
-        help="comma separated rationals, one per vertex, e.g. 1/2,-1",
+        help=(
+            "comma separated rationals, one per vertex, e.g. 1/2,-1; no "
+            f"exponents and at most {MAX_THETA_DIGITS} digits each"
+        ),
     )
 
     verify = sub.add_parser(

@@ -1,6 +1,11 @@
 """The equivalence fan of a module: cones of the normal fan of its Newton
 polytope decorated with torsion-theoretic class data.
 
+One index links the three: newton.faces[i], cones[i] and classes[i] are a
+Newton face, its normal cone and that cone's class data.  Vertex k of the
+Newton polytope is face k, so cone k is its maximal cone.  Nothing stores
+the index; it is the position in each tuple.
+
 Functionals are equivalent relative to M exactly when they lie in the
 relative interior of the same cone.  Each cone's class data is read off the
 indexed submodule lattice at an interior witness theta: the t-set is the set
@@ -23,8 +28,8 @@ from .exact import primitive, rank
 from .polyhedra import (
     Cone,
     GeneralizedFan,
-    NormalFan,
     Order,
+    Polytope,
     cone_from_generators,
     cone_from_hrep,
     cone_intersection,
@@ -46,8 +51,6 @@ _EXTRA_SAMPLES = 3
 class TFClassData:
     """Torsion-theoretic invariants attached to one cone of the fan."""
 
-    cone_index: int
-    newton_face_id: int
     t: Submodule  # least member of the t-set
     tbar: Submodule  # greatest member of the t-set
     t_dims: tuple[int, ...]
@@ -62,30 +65,28 @@ class TFClassData:
 
 @dataclass(frozen=True)
 class MTFFan:
-    """Newton polytope, its normal fan, and per-cone class data."""
+    """Newton polytope, its normal fan, and per-cone class data, all in face
+    order: fan.cones[i] is the normal cone of newton.faces[i] and
+    classes[i] is its class data."""
 
     module: Module
-    normal: NormalFan
+    newton: Polytope
+    fan: GeneralizedFan
     classes: tuple[TFClassData, ...]
 
     @property
-    def newton(self):
-        return self.normal.polytope
-
-    @property
-    def fan(self) -> GeneralizedFan:
-        return self.normal.fan
-
-    @property
     def cones(self):
-        return self.normal.cones
+        return self.fan.cones
 
     @property
     def n(self):
         return self.module.algebra.n
 
     def cone_index(self, cone):
-        return self.normal.cone_index(cone)
+        for i, c in enumerate(self.cones):
+            if c == cone:
+                return i
+        raise KeyError("cone does not belong to the fan")
 
     def maximal_indices(self):
         return self.fan.maximal_indices()
@@ -106,9 +107,7 @@ class MTFFan:
         P = self.newton
         v0 = P.vertices.index((0,) * self.n)
         vM = P.vertices.index(tuple(module.dims))
-        c0 = self.cones[P.vertex_face_id(v0)]
-        cM = self.cones[P.vertex_face_id(vM)]
-        wall = cone_intersection(c0, cM)
+        wall = cone_intersection(self.cones[v0], self.cones[vM])
         carrier = [
             set(f.vertex_ids)
             for f in P.faces
@@ -184,11 +183,11 @@ def build_mtf_fan(module):
     """
     subs = enumerate_submodules(module).submodules
     P = newton_polytope(module)
-    nfan = normal_fan(P)
+    fan = normal_fan(P)
     n = module.algebra.n
     classes = []
     rng = random.Random(_SAMPLE_SEED)
-    for idx, cone in enumerate(nfan.cones):
+    for idx, cone in enumerate(fan.cones):
         witness = cone.relint_point()
         data = _lattice_class(subs, witness)
         for _ in range(_EXTRA_SAMPLES):
@@ -215,8 +214,6 @@ def build_mtf_fan(module):
         )
         classes.append(
             TFClassData(
-                cone_index=idx,
-                newton_face_id=idx,
                 t=t,
                 tbar=tbar,
                 t_dims=t_vec,
@@ -229,14 +226,13 @@ def build_mtf_fan(module):
                 t_set=ts,
             )
         )
-    return MTFFan(module, nfan, tuple(classes))
+    return MTFFan(module, P, fan, tuple(classes))
 
 
 def class_of(mtf, theta):
-    """Cone and class data at a functional (theta lies in its relint)."""
-    theta = as_theta(theta, mtf.n)
-    idx = locate_index(mtf.normal, theta)
-    return mtf.cones[idx], mtf.classes[idx]
+    """Index i of the cone whose relative interior holds a functional: the
+    cone is mtf.cones[i] and its class data mtf.classes[i]."""
+    return locate_index(mtf.newton, mtf.fan, as_theta(theta, mtf.n))
 
 
 def wall_cone(mtf):
@@ -254,7 +250,7 @@ def smallest_cone(mtf):
         if d == 0
     ]
     cone = cone_from_generators(mtf.n, (), gens)
-    at_zero = mtf.cones[locate_index(mtf.normal, (0,) * mtf.n)]
+    at_zero = mtf.cones[class_of(mtf, (0,) * mtf.n)]
     _require(cone == at_zero, "the smallest cone is not the cone at 0")
     meet = mtf.cones[0]
     for c in mtf.cones[1:]:
@@ -263,24 +259,15 @@ def smallest_cone(mtf):
     return cone
 
 
-def _newton_vertex_of_maximal(mtf, idx):
-    face = mtf.newton.faces[idx]
-    if len(face.vertex_ids) != 1:
-        raise ModuleDefinitionError("cone is not maximal")
-    return mtf.newton.vertices[face.vertex_ids[0]]
-
-
 def _edge_neighbors(mtf, idx):
-    """(facet cone index, neighbor maximal cone index) pairs around a
-    maximal cone, one per Newton edge at its vertex."""
+    """(facet cone index, neighbor maximal cone index) pairs around the
+    maximal cone of Newton vertex idx, one per Newton edge at the vertex."""
     P = mtf.newton
-    vid = P.faces[idx].vertex_ids[0]
     out = []
     for eid in P.edges():
-        vs = P.faces[eid].vertex_ids
-        if vid in vs:
-            other = vs[0] if vs[1] == vid else vs[1]
-            out.append((eid, P.vertex_face_id(other)))
+        a, b = P.faces[eid].vertex_ids
+        if idx in (a, b):
+            out.append((eid, b if a == idx else a))
     return out
 
 
@@ -296,7 +283,7 @@ def facet_partition(mtf, cone):
     idx = mtf.cone_index(cone)
     if cone.dim != mtf.n:
         raise ModuleDefinitionError("facet partition needs a maximal cone")
-    v = _newton_vertex_of_maximal(mtf, idx)
+    v = mtf.newton.vertices[idx]
     data = mtf.classes[idx]
     plus, minus = [], []
     pairs = _edge_neighbors(mtf, idx)
@@ -306,7 +293,7 @@ def facet_partition(mtf, cone):
     )
     for eid, nid in pairs:
         tau = mtf.cones[eid]
-        v2 = _newton_vertex_of_maximal(mtf, nid)
+        v2 = mtf.newton.vertices[nid]
         order = vertex_order(v, v2)
         _require(
             order in (Order.LESS, Order.GREATER),
@@ -354,9 +341,9 @@ def boundary_regions(mtf, cone):
 @dataclass(frozen=True)
 class FanPathCatalog:
     """Directed paths through adjacent maximal cones, oriented so that the
-    Newton vertex increases coordinatewise along every step."""
+    Newton vertex increases coordinatewise along every step.  Node k is
+    Newton vertex k and maximal cone k."""
 
-    cone_indices: tuple[int, ...]  # maximal cones, one per Newton vertex
     vertices: tuple[tuple[int, ...], ...]  # Newton vertex per node
     edges: tuple[tuple[int, int], ...]  # directed node pairs (small, large)
     increasing_paths: tuple[tuple[int, ...], ...]  # node sequences, all
@@ -364,9 +351,6 @@ class FanPathCatalog:
 
     def newton_path(self, path):
         return tuple(self.vertices[i] for i in path)
-
-    def cone_path(self, path):
-        return tuple(self.cone_indices[i] for i in path)
 
 
 def fan_paths(mtf):
@@ -406,7 +390,6 @@ def fan_paths(mtf):
         p for p in paths if not pred[p[0]] and not succ[p[-1]]
     )
     return FanPathCatalog(
-        cone_indices=tuple(range(len(vertices))),
         vertices=vertices,
         edges=tuple(sorted(edges)),
         increasing_paths=tuple(sorted(paths)),

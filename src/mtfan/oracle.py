@@ -108,7 +108,7 @@ def verify_point(mtf, theta):
     at theta, and check the polytope-side characterizations."""
     module = mtf.module
     theta = as_theta(theta, mtf.n)
-    idx = locate_index(mtf.normal, theta)
+    idx = locate_index(mtf.newton, mtf.fan, theta)
     data = mtf.classes[idx]
     fails = []
 
@@ -216,12 +216,11 @@ def verify_dim_formula(mtf):
     failures = []
     checks = 0
     n = mtf.n
-    for data in mtf.classes:
+    for i, (cone, data) in enumerate(zip(mtf.cones, mtf.classes)):
         checks += 1
-        cone = mtf.cones[data.cone_index]
         if cone.dim + rank(data.supp_dims) != n:
             failures.append(
-                f"cone {data.cone_index}: dim {cone.dim} + rank(supp) "
+                f"cone {i}: dim {cone.dim} + rank(supp) "
                 f"{rank(data.supp_dims)} != {n}"
             )
     if not mtf.module.is_zero():

@@ -18,6 +18,10 @@ and facet normals (Cone.face_keys), with no double description pass.
 A Polytope keeps what its one double description pass found: exact vertices,
 facets with their outer normals, and the lineality of its normal cones, so
 each normal cone takes one more pass, for its own facets (normal_cone).
+
+Faces sort by (dim, vertex ids), so face k is vertex k for every vertex k.
+The normal fan is a GeneralizedFan in face order: cones[i] is the normal
+cone of faces[i], and no other table links the two.
 """
 from __future__ import annotations
 
@@ -29,7 +33,6 @@ from functools import cached_property
 from .errors import InvariantError
 from .exact import (
     dot,
-    hnf,
     lattice_basis_of_span,
     nullspace,
     number,
@@ -67,17 +70,6 @@ def vertex_order(u, v):
 # double description
 
 
-def _independent_subset(normals, d):
-    """Indices of d linearly independent rows, greedily from the front."""
-    chosen = []
-    for i, v in enumerate(normals):
-        if rank([normals[j] for j in chosen] + [v]) > len(chosen):
-            chosen.append(i)
-            if len(chosen) == d:
-                return chosen
-    return None
-
-
 def _dd_pointed(normals, d):
     """Extreme rays of the pointed cone {t in R^d : a.t >= 0 for all a}.
 
@@ -86,8 +78,10 @@ def _dd_pointed(normals, d):
     """
     if d == 0:
         return ()
-    init = _independent_subset(normals, d)
-    if init is None:
+    # the pivot columns of the normals as columns: the first d independent
+    # normals, chosen greedily from the front
+    _, init = rref([tuple(a[j] for a in normals) for j in range(d)])
+    if len(init) < d:
         raise ValueError("cone is not pointed: normals do not span")
     # the columns of the inverse of the chosen rows are the initial rays
     red, _ = rref(
@@ -96,7 +90,7 @@ def _dd_pointed(normals, d):
     )
     rays = [primitive(tuple(row[d + j] for row in red)) for j in range(d)]
     processed = [normals[i] for i in init]
-    rest = [normals[i] for i in range(len(normals)) if i not in set(init)]
+    rest = [a for i, a in enumerate(normals) if i not in init]
 
     for a in rest:
         vals = [dot(a, r) for r in rays]
@@ -259,7 +253,7 @@ def vrep(n, eqs, ineqs):
     """Face key (lineality, rays) of the canonical cone
     {x : eq.x = 0, a.x >= 0}: one double description pass."""
     lin_raw, rays = _dd(ineqs, eqs, n)
-    return hnf(lattice_basis_of_span(lin_raw, n)), rays
+    return lattice_basis_of_span(lin_raw, n), rays
 
 
 def key_dim(key):
@@ -373,9 +367,6 @@ class Polytope:
     def edges(self):
         return tuple(i for i, f in enumerate(self.faces) if f.dim == 1)
 
-    def vertex_face_id(self, vid):
-        return self.face_id((vid,))
-
 
 def convex_hull(points, n):
     """Polytope from a finite point set in R^n (exact rational arithmetic).
@@ -473,46 +464,29 @@ class GeneralizedFan:
         return tuple(i for i, c in enumerate(self.cones) if c.dim == self.n)
 
 
-@dataclass(frozen=True)
-class NormalFan:
-    """Normal fan of a polytope.
-
-    cones[i] is the normal cone of polytope.faces[i]; the shared index is
-    the order-reversing bijection between the face lattice and the fan
-    (faces of cones[i] are exactly the cones of faces containing face i).
-    """
-
-    polytope: Polytope
-    fan: GeneralizedFan
-
-    @property
-    def cones(self):
-        return self.fan.cones
-
-    def cone_index(self, cone):
-        for i, c in enumerate(self.fan.cones):
-            if c == cone:
-                return i
-        raise KeyError("cone does not belong to the fan")
-
-
 def normal_fan(polytope):
+    """Normal fan of a polytope, in face order: cones[i] is the normal cone
+    of polytope.faces[i].  The shared index is the order-reversing bijection
+    between the face lattice and the fan (the faces of cones[i] are the
+    cones of the faces containing face i); vertex k is face k, so cone k is
+    the maximal cone of vertex k."""
     cones = tuple(normal_cone(polytope, f) for f in polytope.faces)
     if not len(set(cones)) == len(cones):
         raise InvariantError("two faces share a normal cone")
-    return NormalFan(polytope, GeneralizedFan(polytope.n, cones))
+    return GeneralizedFan(polytope.n, cones)
 
 
-def locate_index(nfan, theta):
-    """Index of the unique cone whose relative interior contains theta."""
-    fid = nfan.polytope.face_id(max_face(nfan.polytope, theta).vertex_ids)
-    if not nfan.cones[fid].contains_relint(theta):
+def locate_index(polytope, fan, theta):
+    """Index of the unique cone of the polytope's normal fan whose relative
+    interior contains theta: the index of the face where theta is largest."""
+    fid = polytope.face_id(max_face(polytope, theta).vertex_ids)
+    if not fan.cones[fid].contains_relint(theta):
         raise InvariantError(f"{theta} is not inside the cone of its maximal face")
     return fid
 
 
-def locate_cone(nfan, theta):
-    return nfan.cones[locate_index(nfan, theta)]
+def locate_cone(polytope, fan, theta):
+    return fan.cones[locate_index(polytope, fan, theta)]
 
 
 def minkowski_sum(p, q):
@@ -570,8 +544,6 @@ def validate_generalized_fan(fan, check_completeness=True):
     a canonical cone; faces are read off each cone's own rays (face_keys),
     never off a polytope's face lattice.
     """
-    if isinstance(fan, NormalFan):
-        fan = fan.fan
     cones = tuple(fan.cones)
     n = fan.n
     fan_keys = {(c.lineality, c.rays) for c in cones}

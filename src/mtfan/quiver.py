@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .errors import AlgebraDefinitionError, ModuleDefinitionError
 from .fplinalg import (
     in_span,
+    intersect_spaces,
     mat_mul,
     mat_vec,
     reduce_vec,
@@ -290,31 +291,18 @@ def direct_sum(m1, m2):
     return build_module(A, dims, mats)
 
 
-def _pivots_of(rows):
-    """Pivot columns of an RREF basis: the first nonzero entry of each row."""
-    return tuple(next(c for c, x in enumerate(row) if x) for row in rows)
-
-
 @dataclass(frozen=True)
 class Submodule:
     """Arrow-stable graded subspace of a module, bases in RREF per vertex.
 
     pivots[u] lists the pivot columns of bases[u].  It is determined by the
-    bases, takes no part in equality, hashing or ordering, and is derived
-    from the bases when a caller does not pass it.
+    bases and takes no part in equality, hashing or ordering; every
+    constructor passes the pivots its row reduction found.
     """
 
     module: Module
     bases: tuple[tuple[tuple[int, ...], ...], ...]
-    pivots: tuple[tuple[int, ...], ...] = field(
-        default=None, compare=False, repr=False
-    )
-
-    def __post_init__(self):
-        if self.pivots is None:
-            object.__setattr__(
-                self, "pivots", tuple(_pivots_of(b) for b in self.bases)
-            )
+    pivots: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def dims(self):
@@ -417,17 +405,19 @@ def submodule_sum(a, b):
 
 
 def submodule_intersection(a, b):
-    from .fplinalg import intersect_spaces
-
     if a.module != b.module:
         raise ModuleDefinitionError("submodules of different modules")
     p = a.module.algebra.p
-    bases = tuple(
-        intersect_spaces(x, y, d, p)
+    reduced = [
+        rref_fp(intersect_spaces(x, y, d, p), p)
         for x, y, d in zip(a.bases, b.bases, a.module.dims)
-    )
+    ]
     # intersections of arrow-stable families are arrow-stable
-    return Submodule(a.module, bases)
+    return Submodule(
+        a.module,
+        tuple(rows for rows, _ in reduced),
+        tuple(piv for _, piv in reduced),
+    )
 
 
 @functools.lru_cache(maxsize=SUBQUOTIENT_CACHE_SIZE)

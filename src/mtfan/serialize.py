@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputFormatError
+from .polyhedra import cone_from_hrep
 from .quiver import build_algebra, build_module
 
 
@@ -165,8 +166,6 @@ def cone_doc(cone, cid=None):
 
 def cone_from_doc(doc, n):
     """Rebuild a canonical cone from its serialized H-representation."""
-    from .polyhedra import cone_from_hrep
-
     eqs = [tuple(int(parse_frac(s)) for s in row) for row in doc["equalities"]]
     ineqs = [
         tuple(int(parse_frac(s)) for s in row) for row in doc["inequalities"]
@@ -186,6 +185,8 @@ def class_doc(data):
 
 
 def fan_doc(mtf):
+    """Fan document; a cone's "id" and "newton_face_id" are both its index,
+    which is also the index of its Newton face."""
     return {
         "p": mtf.module.algebra.p,
         "n": mtf.n,
@@ -194,7 +195,7 @@ def fan_doc(mtf):
         "cones": [
             {
                 **cone_doc(mtf.cones[i], cid=i),
-                "newton_face_id": data.newton_face_id,
+                "newton_face_id": i,
                 "class": class_doc(data),
             }
             for i, data in enumerate(mtf.classes)
@@ -202,20 +203,21 @@ def fan_doc(mtf):
     }
 
 
-def classify_doc(mtf, theta, cone, data):
+def classify_doc(mtf, theta, idx):
+    """Document for the functional theta located in cone idx of the fan."""
     return {
         "theta": vec_strs(theta),
-        "cone": cone_doc(cone, cid=data.cone_index),
-        "newton_face_id": data.newton_face_id,
-        "class": class_doc(data),
+        "cone": cone_doc(mtf.cones[idx], cid=idx),
+        "newton_face_id": idx,
+        "class": class_doc(mtf.classes[idx]),
     }
 
 
 def paths_doc(catalog):
     return {
         "nodes": [
-            {"cone_id": c, "vertex": vec_strs(v)}
-            for c, v in zip(catalog.cone_indices, catalog.vertices)
+            {"cone_id": k, "vertex": vec_strs(v)}
+            for k, v in enumerate(catalog.vertices)
         ],
         "edges": [list(e) for e in catalog.edges],
         "increasing_paths": [list(p) for p in catalog.increasing_paths],

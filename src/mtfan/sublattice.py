@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimitError
 from .fplinalg import projective_points
+from .polyhedra import convex_hull
 from .quiver import (
     Module,
     Submodule,
@@ -126,15 +127,11 @@ def enumerate_submodules(
     )
 
 
-def submodule_dim_vectors(module, **kw):
+def submodule_dim_vectors(module):
     """Sorted distinct dimension vectors of all submodules."""
-    subs = enumerate_submodules(module, **kw)
-    return tuple(sorted({s.dims for s in subs}))
+    return tuple(sorted({s.dims for s in enumerate_submodules(module)}))
 
 
-def newton_polytope(module, **kw):
+def newton_polytope(module):
     """Convex hull of the submodule dimension vectors in R^n."""
-    from .polyhedra import convex_hull
-
-    pts = submodule_dim_vectors(module, **kw)
-    return convex_hull(pts, module.algebra.n)
+    return convex_hull(submodule_dim_vectors(module), module.algebra.n)

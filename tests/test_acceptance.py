@@ -139,7 +139,7 @@ def test_criterion_6_smallest_cone():
         line = cone_from_generators(2, lineality=[(0, 1)])
         small = smallest_cone(mtf)
         assert small == line
-        assert small == locate_cone(mtf.normal, (0, 0))
+        assert small == locate_cone(mtf.newton, mtf.fan, (0, 0))
         meet = mtf.cones[0]
         for c in mtf.cones[1:]:
             meet = cone_intersection(meet, c)

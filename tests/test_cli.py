@@ -4,6 +4,7 @@ import inspect
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -95,6 +96,14 @@ def test_classify_document(tmp_path):
     assert doc["theta"] == ["1/2", "-1/2"]
     assert doc["class"]["w"] == ["1", "1"]
     assert doc["class"]["supp"] == [["1", "1"]]
+
+
+@pytest.mark.parametrize("theta", ["1e5000,1", "1e10000000,1", "1" * 1001 + ",1"])
+def test_classify_bounds_theta_before_parsing(theta, capsys):
+    start = time.perf_counter()
+    assert main(["classify", "--preset", "a2-P1", f"--theta={theta}"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "--theta" in capsys.readouterr().err
 
 
 def test_paths_document(tmp_path):

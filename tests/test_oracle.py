@@ -53,10 +53,10 @@ def test_dim_formula_reports_wall_faces_with_a_wrong_support():
         i for i, c in enumerate(mtf.cones) if c.is_face_of(mtf.wall)
     )
     classes = tuple(
-        dataclasses.replace(d, supp_dims=()) if d.cone_index in on_wall else d
-        for d in mtf.classes
+        dataclasses.replace(d, supp_dims=()) if i in on_wall else d
+        for i, d in enumerate(mtf.classes)
     )
-    report = verify_dim_formula(MTFFan(mtf.module, mtf.normal, classes))
+    report = verify_dim_formula(MTFFan(mtf.module, mtf.newton, mtf.fan, classes))
     dims = {10: 3, 21: 2, 23: 2, 25: 2, 26: 2, 33: 1, 34: 1, 35: 1, 36: 1, 38: 0}
     assert report.checks == 49
     assert report.failures == tuple(
@@ -80,7 +80,7 @@ def _corrupted(name, field, index):
         return dataclasses.replace(d, t_set=frozenset({d.t}))
 
     classes = tuple(
-        corrupt(d) if d.cone_index == index else d for d in mtf.classes
+        corrupt(d) if i == index else d for i, d in enumerate(mtf.classes)
     )
     return dataclasses.replace(mtf, classes=classes)
 

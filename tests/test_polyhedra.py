@@ -28,7 +28,6 @@ from mtfan.polyhedra import (
     cone_intersection,
     convex_hull,
     full_cone,
-    NormalFan,
     locate_cone,
     locate_index,
     max_face,
@@ -262,14 +261,14 @@ def test_max_face_and_normal_cone_on_square():
 
 def test_normal_fan_and_locate_on_square():
     P = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)], 2)
-    nfan = normal_fan(P)
-    assert len(nfan.cones) == 9
-    c = locate_cone(nfan, (3, 1))
+    fan = normal_fan(P)
+    assert len(fan.cones) == 9
+    c = locate_cone(P, fan, (3, 1))
     assert c.dim == 2
     assert c.contains_relint((3, 1))
     # order-reversing bijection: cone dim + face dim == n
-    for i, cone in enumerate(nfan.cones):
-        assert cone.dim + nfan.polytope.faces[i].dim == 2
+    for i, cone in enumerate(fan.cones):
+        assert cone.dim + P.faces[i].dim == 2
 
 
 def test_face_children_is_the_cover_relation():
@@ -369,6 +368,8 @@ def fan_input(name):
 def assert_normal_fan_matches_the_referee(P):
     cones = normal_fan(P).cones
     assert cones == tuple(vertex_difference_cone(P, f) for f in P.faces)
+    # face k is vertex k, so cone k is the maximal cone of vertex k
+    assert all(P.faces[k].vertex_ids == (k,) for k in range(len(P.vertices)))
 
 
 @pytest.mark.parametrize("name", [*preset_names(), "sq+S1", "sq+sq+S4"])
@@ -405,7 +406,7 @@ def test_normal_fan_makes_one_dd_pass_per_face(monkeypatch):
 
 def square_fan():
     P = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)], 2)
-    return normal_fan(P).fan
+    return normal_fan(P)
 
 
 def test_validate_normal_fan_passes():
@@ -462,7 +463,7 @@ def test_validate_detects_incompleteness():
 
 def test_validate_reports_missing_faces_in_ascending_dimension():
     simplex = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
-    fan = normal_fan(simplex).fan
+    fan = normal_fan(simplex)
     maximal = GeneralizedFan(3, tuple(c for c in fan.cones if c.dim == 3))
     per_cone = [0] + [1] * 3 + [2] * 3
     expected = tuple(
@@ -509,10 +510,11 @@ def test_corrupted_cones_raise_invariant_error():
     with pytest.raises(InvariantError, match="relative interior"):
         bad.random_relint_point(random.Random(0))
 
-    nfan = normal_fan(convex_hull([(0, 0), (0, 1), (1, 0)], 2))
-    assert locate_index(nfan, (5, 1)) == 2  # the vertex (1, 0)
-    cones = list(nfan.cones)
+    P = convex_hull([(0, 0), (0, 1), (1, 0)], 2)
+    fan = normal_fan(P)
+    assert locate_index(P, fan, (5, 1)) == 2  # the vertex (1, 0)
+    cones = list(fan.cones)
     cones[1], cones[2] = cones[2], cones[1]
-    swapped = NormalFan(nfan.polytope, GeneralizedFan(2, tuple(cones)))
+    swapped = GeneralizedFan(2, tuple(cones))
     with pytest.raises(InvariantError, match="not inside the cone"):
-        locate_index(swapped, (5, 1))
+        locate_index(P, swapped, (5, 1))

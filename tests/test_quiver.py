@@ -6,6 +6,7 @@ import mtfan.quiver
 from mtfan.errors import AlgebraDefinitionError, ModuleDefinitionError
 from mtfan.quiver import (
     SUBQUOTIENT_CACHE_SIZE,
+    Submodule,
     _is_prime,
     build_algebra,
     build_module,
@@ -222,6 +223,18 @@ def test_submodule_lattice_operations():
     assert submodule_contains(mid, soc)
     assert submodule_sum(soc, mid) == mid
     assert submodule_intersection(soc, mid) == soc
+
+
+def test_submodule_is_built_with_its_pivots():
+    m = preset_module("nakayama2-121")
+    full = submodule_full(m)
+    with pytest.raises(TypeError):
+        Submodule(m, full.bases)
+    # pivots take no part in equality, so compare them directly
+    soc = generated_submodule(m, {0: [(0, 1)]})
+    mid = generated_submodule(m, {1: [(1,)]})
+    assert submodule_intersection(soc, mid).pivots == soc.pivots
+    assert submodule_intersection(full, mid).pivots == mid.pivots
 
 
 def test_subquotient_and_quotient():
