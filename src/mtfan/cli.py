@@ -69,6 +69,8 @@ def _load_module(config):
             f"column {exc.colno}: {exc.msg}"
         )
     if config.p_override is not None:
+        if not isinstance(doc, dict):
+            raise InputFormatError("input document must be an object")
         doc["p"] = config.p_override
     # every subcommand enumerates submodules; a missing map is zero-filled
     # at its full size, so the bound applies before any matrix is built
@@ -134,6 +136,8 @@ def _check_sizes(config, n):
 def run(config):
     module = _load_module(config)
     _check_sizes(config, module.algebra.n)
+    if config.command == "classify":
+        theta = _parse_theta(config.theta, module.algebra.n)
     if config.command == "newton":
         _emit_json(config, serialize.polytope_doc(newton_polytope(module)))
         return 0
@@ -147,7 +151,6 @@ def run(config):
         _emit_json(config, {"n": mtf.n, "wall": serialize.cone_doc(wall)})
         return 0
     if config.command == "classify":
-        theta = _parse_theta(config.theta, mtf.n)
         idx = class_of(mtf, theta)
         _emit_json(config, serialize.classify_doc(mtf, theta, idx))
         return 0
@@ -168,9 +171,9 @@ def run(config):
         _emit_json(
             config,
             {
-                "samples": len(samples.thetas),
-                "grid_bound": samples.bound,
-                "seed": samples.seed,
+                "samples": len(samples),
+                "grid_bound": config.grid_bound,
+                "seed": config.seed,
                 "oracle": serialize.report_doc(oracle),
                 "dim_formula": serialize.report_doc(dims),
                 "fan_validation": serialize.validation_doc(validation),

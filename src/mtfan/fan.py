@@ -6,6 +6,11 @@ Newton face, its normal cone and that cone's class data.  Vertex k of the
 Newton polytope is face k, so cone k is its maximal cone.  Nothing stores
 the index; it is the position in each tuple.
 
+The queries below take and return cone indices, and the wall and the
+smallest cone are the fan's own cone objects.  A cone derived to check them
+(a meet, a cut) is compared with a fan cone by its face key (lineality,
+rays), which determines a canonical cone.
+
 Functionals are equivalent relative to M exactly when they lie in the
 relative interior of the same cone.  Each cone's class data is read off the
 indexed submodule lattice at an interior witness theta: the t-set is the set
@@ -24,20 +29,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantError, ModuleDefinitionError
-from .exact import primitive, rank
+from .exact import lattice_basis_of_span, primitive, rank
 from .polyhedra import (
-    Cone,
     GeneralizedFan,
     Order,
     Polytope,
-    cone_from_generators,
-    cone_from_hrep,
-    cone_intersection,
     key_dim,
     locate_index,
     normal_fan,
     ray_sum,
     vertex_order,
+    vrep,
 )
 from .quiver import Module, Submodule, submodule_contains
 from .stability import as_theta
@@ -59,8 +61,7 @@ class TFClassData:
     f_dims: tuple[int, ...]
     fbar_dims: tuple[int, ...]
     supp_dims: tuple[tuple[int, ...], ...]  # sorted multiset
-    witness: tuple[int, ...]
-    t_set: frozenset  # submodules on which the witness is largest
+    t_set: frozenset  # submodules on which the cone's functionals are largest
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,6 @@ class MTFFan:
     def n(self):
         return self.module.algebra.n
 
-    def cone_index(self, cone):
-        for i, c in enumerate(self.cones):
-            if c == cone:
-                return i
-        raise KeyError("cone does not belong to the fan")
-
     def maximal_indices(self):
         return self.fan.maximal_indices()
 
@@ -95,9 +90,9 @@ class MTFFan:
     def wall(self):
         """The set of functionals at which the module itself is semistable.
 
-        Computed as the intersection of the normal cones at the Newton
-        vertices 0 and [M]; equals the normal cone of the smallest face
-        containing both.  Memoized on the fan and freed with it.
+        The fan's cone of the smallest face containing the Newton vertices 0
+        and [M], checked against the meet of their two maximal cones by face
+        key.  Memoized on the fan and freed with it.
         """
         module = self.module
         if module.is_zero():
@@ -107,15 +102,15 @@ class MTFFan:
         P = self.newton
         v0 = P.vertices.index((0,) * self.n)
         vM = P.vertices.index(tuple(module.dims))
-        wall = cone_intersection(self.cones[v0], self.cones[vM])
         carrier = [
             set(f.vertex_ids)
             for f in P.faces
             if {v0, vM} <= set(f.vertex_ids)
         ]
-        smallest = frozenset(set.intersection(*carrier))
+        wall = self.cones[P.face_id(set.intersection(*carrier))]
+        a, b = self.cones[v0], self.cones[vM]
         _require(
-            wall == self.cones[P.face_id(smallest)],
+            vrep(self.n, a.eqs + b.eqs, a.ineqs + b.ineqs) == _key(wall),
             "the wall is not the cone of the smallest face through 0 and [M]",
         )
         subs = enumerate_submodules(module).submodules
@@ -173,6 +168,10 @@ def _require(ok, what):
         raise InvariantError(what)
 
 
+def _key(cone):
+    return cone.lineality, cone.rays
+
+
 def build_mtf_fan(module):
     """Fan of equivalence classes of stability vectors relative to a module.
 
@@ -188,8 +187,7 @@ def build_mtf_fan(module):
     classes = []
     rng = random.Random(_SAMPLE_SEED)
     for idx, cone in enumerate(fan.cones):
-        witness = cone.relint_point()
-        data = _lattice_class(subs, witness)
+        data = _lattice_class(subs, cone.relint_point())
         for _ in range(_EXTRA_SAMPLES):
             _require(
                 _lattice_class(subs, cone.random_relint_point(rng)) == data,
@@ -197,14 +195,14 @@ def build_mtf_fan(module):
             )
         t, tbar, supp_dims, ts = data
         face = P.faces[idx]
-        # the min and max of the Newton face are the classes of t and tbar
+        # the min and max of the Newton face are the classes of t and tbar:
+        # both lie on the face, where theta is largest, so equal to the
+        # componentwise min and max of its vertices they are vertices
         face_vecs = [P.vertices[v] for v in face.vertex_ids]
         t_vec, tbar_vec = t.dims, tbar.dims
         _require(
-            t_vec in face_vecs
-            and tbar_vec in face_vecs
-            and all(vertex_order(t_vec, v) in (Order.LESS, Order.EQUAL) for v in face_vecs)
-            and all(vertex_order(tbar_vec, v) in (Order.GREATER, Order.EQUAL) for v in face_vecs),
+            t_vec == tuple(map(min, zip(*face_vecs)))
+            and tbar_vec == tuple(map(max, zip(*face_vecs))),
             f"cone {idx}: t/tbar are not the min/max of the Newton face",
         )
         # duality of dimensions, and the span of the support cuts the cone
@@ -222,7 +220,6 @@ def build_mtf_fan(module):
                 f_dims=tuple(m - b for m, b in zip(module.dims, tbar_vec)),
                 fbar_dims=tuple(m - a for m, a in zip(module.dims, t_vec)),
                 supp_dims=supp_dims,
-                witness=witness,
                 t_set=ts,
             )
         )
@@ -242,75 +239,78 @@ def wall_cone(mtf):
 
 def smallest_cone(mtf):
     """Intersection of all cones: the span of the coordinate functionals at
-    vertices where the module vanishes."""
-    module = mtf.module
-    gens = [
-        tuple(int(i == j) for j in range(mtf.n))
-        for i, d in enumerate(module.dims)
+    vertices where the module vanishes.  It is the fan's cone at 0."""
+    n = mtf.n
+    cone = mtf.cones[class_of(mtf, (0,) * n)]
+    units = [
+        tuple(int(i == j) for j in range(n))
+        for i, d in enumerate(mtf.module.dims)
         if d == 0
     ]
-    cone = cone_from_generators(mtf.n, (), gens)
-    at_zero = mtf.cones[class_of(mtf, (0,) * mtf.n)]
-    _require(cone == at_zero, "the smallest cone is not the cone at 0")
-    meet = mtf.cones[0]
-    for c in mtf.cones[1:]:
-        meet = cone_intersection(meet, c)
-    _require(cone == meet, "the smallest cone is not the meet of all cones")
+    _require(
+        _key(cone) == (lattice_basis_of_span(units, n), ()),
+        "the cone at 0 is not the span of the vanishing coordinates",
+    )
+    meet = vrep(
+        n,
+        [e for c in mtf.cones for e in c.eqs],
+        [a for c in mtf.cones for a in c.ineqs],
+    )
+    _require(meet == _key(cone), "the cone at 0 is not the meet of all cones")
     return cone
 
 
-def _edge_neighbors(mtf, idx):
-    """(facet cone index, neighbor maximal cone index) pairs around the
-    maximal cone of Newton vertex idx, one per Newton edge at the vertex."""
-    P = mtf.newton
+def _oriented_edges(P):
+    """(edge face id, lower vertex id, upper vertex id) for every Newton
+    edge: the coordinatewise vertex order orients each edge."""
     out = []
     for eid in P.edges():
         a, b = P.faces[eid].vertex_ids
-        if idx in (a, b):
-            out.append((eid, b if a == idx else a))
-    return out
-
-
-def facet_partition(mtf, cone):
-    """Split the fan facets of a maximal cone by the direction of the Newton
-    edge they correspond to.
-
-    Returns (plus, minus): facets across which the Newton vertex drops,
-    respectively rises.  Each facet falls in exactly one part; the split is
-    cross-checked against the facet cone's class data (the vertex drops iff
-    t changes on the facet, rises iff tbar does).
-    """
-    idx = mtf.cone_index(cone)
-    if cone.dim != mtf.n:
-        raise ModuleDefinitionError("facet partition needs a maximal cone")
-    v = mtf.newton.vertices[idx]
-    data = mtf.classes[idx]
-    plus, minus = [], []
-    pairs = _edge_neighbors(mtf, idx)
-    _require(
-        len(pairs) == len(cone.ineqs),
-        f"cone {idx}: {len(pairs)} Newton edges for {len(cone.ineqs)} facets",
-    )
-    for eid, nid in pairs:
-        tau = mtf.cones[eid]
-        v2 = mtf.newton.vertices[nid]
-        order = vertex_order(v, v2)
+        order = vertex_order(P.vertices[a], P.vertices[b])
         _require(
             order in (Order.LESS, Order.GREATER),
             f"Newton edge {eid} joins incomparable vertices",
         )
+        out.append((eid, a, b) if order is Order.LESS else (eid, b, a))
+    return out
+
+
+def facet_partition(mtf, idx):
+    """Split the facets of maximal cone idx by the direction of the Newton
+    edge they correspond to.
+
+    Returns (plus, minus), cone indices of the facets across which the Newton
+    vertex drops, respectively rises.  Each facet falls in exactly one part;
+    the split is cross-checked against the facet cone's class data (the
+    vertex drops iff t changes on the facet, rises iff tbar does).
+    """
+    cone = mtf.cones[idx]
+    if cone.dim != mtf.n:
+        raise ModuleDefinitionError("facet partition needs a maximal cone")
+    data = mtf.classes[idx]
+    plus, minus = [], []
+    edges = [
+        (eid, hi == idx)  # the vertex drops across the facet
+        for eid, lo, hi in _oriented_edges(mtf.newton)
+        if idx in (lo, hi)
+    ]
+    _require(
+        len(edges) == len(cone.ineqs),
+        f"cone {idx}: {len(edges)} Newton edges for {len(cone.ineqs)} facets",
+    )
+    for eid, drops in edges:
         # the facet's class data was read off at its witness
         facet = mtf.classes[eid]
         t_stays_torsion = facet.t_dims == data.t_dims
         f_stays_free = facet.tbar_dims == data.tbar_dims
-        if order is Order.GREATER:
-            plus.append(tau)
+        if drops:
+            plus.append(eid)
             _require(
                 not t_stays_torsion and f_stays_free,
                 f"facet {eid}: the vertex drops, yet t stays or tbar moves",
             )
         else:
-            minus.append(tau)
+            minus.append(eid)
             _require(
                 t_stays_torsion and not f_stays_free,
                 f"facet {eid}: the vertex rises, yet tbar stays or t moves",
@@ -318,18 +318,19 @@ def facet_partition(mtf, cone):
     return tuple(plus), tuple(minus)
 
 
-def boundary_regions(mtf, cone):
-    """Decompose the boundary of a maximal cone into the facets where t
-    degenerates (plus side) and where f degenerates (minus side).
+def boundary_regions(mtf, idx):
+    """Decompose the boundary of maximal cone idx into the facets where t
+    degenerates (plus side) and where f degenerates (minus side), as cone
+    indices.
 
     The union of the two facet families is the whole boundary: every proper
     face of the cone lies in some listed facet (checked at the ray sum of
     each face, in ascending dimension).
     """
-    plus, minus = facet_partition(mtf, cone)
-    both = plus + minus
-    proper = cone.face_keys - {(cone.lineality, cone.rays)}
-    for key in sorted(proper, key=key_dim):
+    plus, minus = facet_partition(mtf, idx)
+    both = [mtf.cones[i] for i in plus + minus]
+    cone = mtf.cones[idx]
+    for key in sorted(cone.face_keys - {_key(cone)}, key=key_dim):
         probe = ray_sum(mtf.n, key)
         _require(
             any(c.contains(probe) for c in both) or not both,
@@ -361,17 +362,8 @@ def fan_paths(mtf):
     oriented by the coordinatewise vertex order.  Faces are sorted by
     (dim, vertex ids), so node, vertex id and cone index coincide.
     """
-    P = mtf.newton
-    vertices = P.vertices
-    edges = []
-    for eid in P.edges():
-        a, b = P.faces[eid].vertex_ids
-        order = vertex_order(vertices[a], vertices[b])
-        _require(
-            order in (Order.LESS, Order.GREATER),
-            f"Newton edge {eid} joins incomparable vertices",
-        )
-        edges.append((a, b) if order is Order.LESS else (b, a))
+    vertices = mtf.newton.vertices
+    edges = [(lo, hi) for _, lo, hi in _oriented_edges(mtf.newton)]
     succ = {i: [] for i in range(len(vertices))}
     pred = {i: [] for i in range(len(vertices))}
     for a, b in edges:
@@ -397,16 +389,13 @@ def fan_paths(mtf):
     )
 
 
-def face_restriction_check(mtf, cone, face_cone):
-    """Whether a face of a cone is cut out of it by the span conditions of
-    its own support: face == cone intersected with {theta(d) = 0 for every
-    support class d of the face}."""
-    idx = mtf.cone_index(cone)
-    fidx = mtf.cone_index(face_cone)
+def face_restriction_check(mtf, idx, fidx):
+    """Whether face cone fidx of cone idx is cut out of it by the span
+    conditions of its own support: cones[fidx] == cones[idx] intersected
+    with {theta(d) = 0 for every support class d of the face}."""
+    cone, face_cone = mtf.cones[idx], mtf.cones[fidx]
     if not face_cone.is_face_of(cone):
         raise ModuleDefinitionError("second cone is not a face of the first")
     supp = mtf.classes[fidx].supp_dims
-    cut = cone_from_hrep(
-        mtf.n, cone.eqs + tuple(tuple(d) for d in supp), cone.ineqs
-    )
-    return cut == face_cone
+    cut = vrep(mtf.n, cone.eqs + tuple(tuple(d) for d in supp), cone.ineqs)
+    return cut == _key(face_cone)

@@ -4,6 +4,11 @@ computations.
 Every sample functional is classified twice: by locating it in the fan and
 by recomputing filtration, support and t-set from scratch.  Pairs of samples
 check the equivalence and closure predicates against the cone combinatorics.
+
+A sample set is a plain tuple of as_theta vectors; the grid points, ray-sum
+witnesses and seeded points are all integral, so their coordinates are ints.
+Cones are named by their index in the fan, and a derived cone (a wall cut)
+is compared with a fan cone by its face key (lineality, rays).
 """
 from __future__ import annotations
 
@@ -33,25 +38,10 @@ EXTRA_SAMPLES = 8  # seeded random integer points per sample set
 REPS_PER_CONE = 3  # samples per cone that enter the pair checks
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Deterministic battery of sample functionals for one fan.
-
-    Every theta is an as_theta vector; the grid points, ray-sum witnesses
-    and seeded points are all integral, so their coordinates are ints.
-    """
-
-    seed: int
-    bound: int
-    thetas: tuple[tuple[int, ...], ...]
-
-    def __len__(self):
-        return len(self.thetas)
-
-
 def build_sample_set(mtf, bound=DEFAULT_GRID_BOUND, seed=DEFAULT_SEED):
-    """Integer grid [-bound, bound]^n plus interior and boundary witnesses
-    of every cone, plus EXTRA_SAMPLES seeded random integer points."""
+    """Tuple of distinct sample functionals: the integer grid
+    [-bound, bound]^n plus interior and boundary witnesses of every cone,
+    plus EXTRA_SAMPLES seeded random integer points."""
     n = mtf.n
     samples = list(integer_grid(n, bound))
     for cone in mtf.cones:
@@ -68,7 +58,7 @@ def build_sample_set(mtf, bound=DEFAULT_GRID_BOUND, seed=DEFAULT_SEED):
         if t not in seen:
             seen.add(t)
             uniq.append(t)
-    return SampleSet(seed, bound, tuple(uniq))
+    return tuple(uniq)
 
 
 def _boundary_witness(cone):
@@ -146,7 +136,8 @@ def verify_point(mtf, theta):
 
 
 def verify_fan(mtf, samples=None):
-    """Run verify_point over a sample set and check pairwise predicates.
+    """Run verify_point over a sample set (default: build_sample_set(mtf))
+    and check pairwise predicates.
 
     Same located cone must mean equivalent (both routes), different cones
     not equivalent; closure membership must match the face relation of the
@@ -160,7 +151,7 @@ def verify_fan(mtf, samples=None):
     checks = 0
 
     by_cone = {}
-    for theta in samples.thetas:
+    for theta in samples:
         rep = verify_point(mtf, theta)
         checks += 1
         failures.extend(

@@ -427,12 +427,15 @@ def convex_hull(points, n):
     return Polytope(n, vertices, tuple(faces), tuple(facets), lineality, lookup)
 
 
-def max_face(polytope, theta):
-    """Face of the polytope where theta attains its maximum."""
+def _max_face_id(polytope, theta):
     vals = [dot(theta, v) for v in polytope.vertices]
     best = max(vals)
-    ids = frozenset(i for i, x in enumerate(vals) if x == best)
-    return polytope.faces[polytope.face_id(ids)]
+    return polytope.face_id(i for i, x in enumerate(vals) if x == best)
+
+
+def max_face(polytope, theta):
+    """Face of the polytope where theta attains its maximum."""
+    return polytope.faces[_max_face_id(polytope, theta)]
 
 
 def normal_cone(polytope, face):
@@ -479,14 +482,10 @@ def normal_fan(polytope):
 def locate_index(polytope, fan, theta):
     """Index of the unique cone of the polytope's normal fan whose relative
     interior contains theta: the index of the face where theta is largest."""
-    fid = polytope.face_id(max_face(polytope, theta).vertex_ids)
+    fid = _max_face_id(polytope, theta)
     if not fan.cones[fid].contains_relint(theta):
         raise InvariantError(f"{theta} is not inside the cone of its maximal face")
     return fid
-
-
-def locate_cone(polytope, fan, theta):
-    return fan.cones[locate_index(polytope, fan, theta)]
 
 
 def minkowski_sum(p, q):

@@ -21,7 +21,7 @@ from mtfan.polyhedra import (
     cone_from_hrep,
     cone_intersection,
     key_dim,
-    locate_cone,
+    locate_index,
     minkowski_sum,
     validate_generalized_fan,
     vertex_order,
@@ -123,9 +123,10 @@ def test_criterion_5_structural_invariants():
             assert verify_dim_formula(mtf).ok
             for i in mtf.maximal_indices():
                 cone = mtf.cones[i]
-                plus, minus = facet_partition(mtf, cone)
+                plus, minus = facet_partition(mtf, i)
                 facets = {k for k in cone.face_keys if key_dim(k) == mtf.n - 1}
-                assert {(c.lineality, c.rays) for c in plus + minus} == facets
+                both = [mtf.cones[j] for j in plus + minus]
+                assert {(c.lineality, c.rays) for c in both} == facets
                 assert not (set(plus) & set(minus))
             fan_keys = {(c.lineality, c.rays) for c in mtf.cones}
             assert wall_cone(mtf).face_keys <= fan_keys
@@ -139,7 +140,7 @@ def test_criterion_6_smallest_cone():
         line = cone_from_generators(2, lineality=[(0, 1)])
         small = smallest_cone(mtf)
         assert small == line
-        assert small == locate_cone(mtf.newton, mtf.fan, (0, 0))
+        assert small == mtf.cones[locate_index(mtf.newton, mtf.fan, (0, 0))]
         meet = mtf.cones[0]
         for c in mtf.cones[1:]:
             meet = cone_intersection(meet, c)

@@ -106,6 +106,23 @@ def test_classify_bounds_theta_before_parsing(theta, capsys):
     assert "--theta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        ("x,y", "not a rational number: 'x'"),
+        ("1,2,3", "--theta has 3 entries, the module has 2 vertices"),
+        ("1e5,1", "--theta entry 1 uses exponent notation"),
+    ],
+)
+def test_classify_checks_theta_before_the_build(theta, message, monkeypatch, capsys):
+    def no_fan(module):
+        raise AssertionError("a malformed --theta must not build the fan")
+
+    monkeypatch.setattr(mtfan.cli, "build_mtf_fan", no_fan)
+    assert main(["classify", "--preset", "a2-P1", f"--theta={theta}"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_paths_document(tmp_path):
     code, text = run_cli(["paths", "--preset", "nakayama2-121"], tmp_path)
     assert code == 0
@@ -140,6 +157,23 @@ def test_input_file_and_p_override(tmp_path):
     code, text = run_cli(
         ["newton", "--input", str(path), "--p", "5"], tmp_path, "p5.json"
     )
+    assert code == 0
+    assert json.loads(text)["vertices"] == [["0", "0"], ["0", "1"], ["1", "1"]]
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "x"])
+def test_p_override_needs_an_object_document(doc, tmp_path, capsys):
+    path = tmp_path / "not-an-object.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["newton", "--input", str(path), "--p", "3"]) == 2
+    assert capsys.readouterr().err == "error: input document must be an object\n"
+
+
+def test_p_override_supplies_a_missing_prime(tmp_path):
+    spec = {k: v for k, v in A2_SPEC.items() if k != "p"}
+    path = tmp_path / "no-p.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, text = run_cli(["newton", "--input", str(path), "--p", "3"], tmp_path)
     assert code == 0
     assert json.loads(text)["vertices"] == [["0", "0"], ["0", "1"], ["1", "1"]]
 

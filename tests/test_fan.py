@@ -8,6 +8,7 @@ import weakref
 import pytest
 
 import mtfan.fan
+import mtfan.polyhedra
 import mtfan.quiver
 from mtfan.errors import InvariantError, ModuleDefinitionError
 from mtfan.fan import (
@@ -165,8 +166,8 @@ def test_facet_partition_on_a2():
     mtf = fan_of("a2-P1")
 
     def parts(chamber):
-        plus, minus = facet_partition(mtf, chamber)
-        return set(plus), set(minus)
+        plus, minus = facet_partition(mtf, mtf.cones.index(chamber))
+        return {mtf.cones[i] for i in plus}, {mtf.cones[i] for i in minus}
 
     top = cone_from_hrep(2, [], [(1, 0), (1, 1)])  # vertex (1, 1)
     assert parts(top) == ({ray2(0, 1), ray2(1, -1)}, set())
@@ -179,27 +180,27 @@ def test_facet_partition_on_a2():
 def test_facet_partition_requires_maximal_cone():
     mtf = fan_of("a2-P1")
     with pytest.raises(ModuleDefinitionError):
-        facet_partition(mtf, ray2(0, 1))
+        facet_partition(mtf, mtf.cones.index(ray2(0, 1)))
 
 
 def test_boundary_regions_cover_the_boundary():
     for name in ("a2-P1", "nakayama2-121", "square-lambda"):
         mtf = fan_of(name)
         for i in mtf.maximal_indices():
-            plus, minus = boundary_regions(mtf, mtf.cones[i])
+            plus, minus = boundary_regions(mtf, i)
             assert len(plus) + len(minus) == len(mtf.cones[i].ineqs)
 
 
 @pytest.mark.parametrize("name", ["a2-P1", "square-lambda"])
 def test_boundary_regions_reject_an_uncovered_face(name, monkeypatch):
     mtf = fan_of(name)
-    cone = mtf.cones[mtf.maximal_indices()[0]]
-    plus, minus = facet_partition(mtf, cone)
+    idx = mtf.maximal_indices()[0]
+    plus, minus = facet_partition(mtf, idx)
     monkeypatch.setattr(
-        mtfan.fan, "facet_partition", lambda m, c: (((plus + minus)[0],), ())
+        mtfan.fan, "facet_partition", lambda m, i: (((plus + minus)[0],), ())
     )
     with pytest.raises(InvariantError, match="a face of dim 1 lies in no listed facet"):
-        boundary_regions(mtf, cone)
+        boundary_regions(mtf, idx)
 
 
 def test_fan_paths_on_a2():
@@ -235,12 +236,12 @@ def test_fan_paths_zero_module():
 
 def test_face_restriction():
     mtf = fan_of("a2-P1")
-    top = cone_from_hrep(2, [], [(1, 0), (1, 1)])
-    origin = cone_from_hrep(2, [(1, 0), (0, 1)], [])
-    assert face_restriction_check(mtf, top, ray2(0, 1))
+    top = mtf.cones.index(cone_from_hrep(2, [], [(1, 0), (1, 1)]))
+    origin = mtf.cones.index(cone_from_hrep(2, [(1, 0), (0, 1)], []))
+    assert face_restriction_check(mtf, top, mtf.cones.index(ray2(0, 1)))
     assert face_restriction_check(mtf, top, origin)
     with pytest.raises(ModuleDefinitionError):
-        face_restriction_check(mtf, top, ray2(-1, 0))
+        face_restriction_check(mtf, top, mtf.cones.index(ray2(-1, 0)))
 
 
 def test_direct_sum_newton_is_minkowski_and_fan_refines():
@@ -282,8 +283,8 @@ def test_lattice_class_data_matches_the_definitions(name):
     every cone's witness."""
     module = _sq_plus_s1() if name == "sq+S1" else preset_module(name)
     mtf = build_mtf_fan(module)
-    for data in mtf.classes:
-        theta = data.witness
+    for cone, data in zip(mtf.cones, mtf.classes):
+        theta = cone.relint_point()
         cs = canonical_sequences(theta, module)
         assert (cs.t, cs.tbar) == (data.t, data.tbar)
         assert (data.t_dims, data.tbar_dims) == (cs.t.dims, cs.tbar.dims)
@@ -315,6 +316,39 @@ def test_the_build_presents_no_subquotient(name, monkeypatch):
     mtf = build_mtf_fan(module)
     wall_cone(mtf)
     fan_paths(mtf)
+
+
+@pytest.mark.parametrize("name", [*preset_names(), "sq+S1"])
+def test_fan_queries_build_no_cone_by_double_description(name, monkeypatch):
+    """The fan names its cones by index and compares a derived cone with a
+    fan cone by face key, so no query builds a Cone by double description,
+    and the wall and the smallest cone are the fan's own cone objects."""
+    refused = (
+        mtfan.polyhedra.cone_from_hrep,
+        mtfan.polyhedra.cone_intersection,
+        mtfan.polyhedra.cone_from_generators,
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cone was built by double description")
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "mtfan" or mod_name.startswith("mtfan."):
+            for attr, value in list(vars(mod).items()):
+                if any(value is f for f in refused):
+                    monkeypatch.setattr(mod, attr, refuse)
+    with pytest.raises(AssertionError, match="double description"):
+        mtfan.polyhedra.cone_intersection(None, None)
+    module = _sq_plus_s1() if name == "sq+S1" else preset_module(name)
+    mtf = build_mtf_fan(module)
+    assert any(wall_cone(mtf) is c for c in mtf.cones)
+    assert any(smallest_cone(mtf) is c for c in mtf.cones)
+    fan_paths(mtf)
+    for i in mtf.maximal_indices():
+        assert facet_partition(mtf, i) == boundary_regions(mtf, i)
+    i = mtf.maximal_indices()[0]
+    plus, minus = facet_partition(mtf, i)
+    assert face_restriction_check(mtf, i, (plus + minus)[0])
 
 
 def test_build_raises_when_random_points_disagree(monkeypatch):

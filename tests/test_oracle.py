@@ -8,7 +8,6 @@ import pytest
 import mtfan.polyhedra
 from mtfan.fan import MTFFan, build_mtf_fan
 from mtfan.oracle import (
-    SampleSet,
     build_sample_set,
     verify_dim_formula,
     verify_fan,
@@ -25,7 +24,7 @@ def test_oracle_clean_on_presets(name):
     samples = build_sample_set(mtf, bound=2, seed=7)
     report = verify_fan(mtf, samples=samples)
     assert report.ok, report.failures
-    assert report.checks >= len(samples.thetas)
+    assert report.checks >= len(samples)
 
 
 def test_oracle_clean_on_zero_module():
@@ -160,7 +159,7 @@ def test_oracle_reports_corrupted_class_data(name, field, index):
 
 def test_oracle_messages_print_rational_functionals():
     bad = _corrupted("a2-P1", "supp_dims", 0)
-    samples = SampleSet(0, 0, (as_theta((Fraction(-1, 2), -1), 2),))
+    samples = (as_theta((Fraction(-1, 2), -1), 2),)
     report = verify_fan(bad, samples=samples)
     assert report.checks == 1
     assert report.failures == (
@@ -196,6 +195,6 @@ def test_sample_set_is_deterministic_and_covers_all_cones():
     mtf = build_mtf_fan(preset_module("nakayama2-121"))
     a = build_sample_set(mtf, bound=2, seed=11)
     b = build_sample_set(mtf, bound=2, seed=11)
-    assert a.thetas == b.thetas
-    located = {verify_point(mtf, t).cone_index for t in a.thetas}
+    assert a == b
+    located = {verify_point(mtf, t).cone_index for t in a}
     assert located == set(range(len(mtf.cones)))

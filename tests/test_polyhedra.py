@@ -28,7 +28,6 @@ from mtfan.polyhedra import (
     cone_intersection,
     convex_hull,
     full_cone,
-    locate_cone,
     locate_index,
     max_face,
     minkowski_sum,
@@ -263,7 +262,7 @@ def test_normal_fan_and_locate_on_square():
     P = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)], 2)
     fan = normal_fan(P)
     assert len(fan.cones) == 9
-    c = locate_cone(P, fan, (3, 1))
+    c = fan.cones[locate_index(P, fan, (3, 1))]
     assert c.dim == 2
     assert c.contains_relint((3, 1))
     # order-reversing bijection: cone dim + face dim == n
