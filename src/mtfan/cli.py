@@ -106,9 +106,12 @@ def _parse_theta(text, n):
 def _emit(config, text):
     if config.output is None:
         sys.stdout.write(text + "\n")
-    else:
+        return
+    try:
         with open(config.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {config.output}: {exc}")
 
 
 def _emit_json(config, doc):

@@ -181,11 +181,14 @@ class Cone:
         )
 
     def contains_cone(self, other):
-        gens = list(other.rays)
-        for v in other.lineality:
-            gens.append(v)
-            gens.append(tuple(-x for x in v))
-        return all(self.contains(g) for g in gens)
+        return self.contains_key((other.lineality, other.rays))
+
+    def contains_key(self, key):
+        """Whether the cone with face key (lineality, rays) lies in this
+        cone: its rays and both signs of its lineality vectors do."""
+        lineality, rays = key
+        negated = [tuple(-x for x in v) for v in lineality]
+        return all(self.contains(g) for g in (*rays, *lineality, *negated))
 
     def relint_point(self):
         """Deterministic integer point in the relative interior."""
@@ -298,21 +301,10 @@ def cone_from_key(n, key):
     return cone
 
 
-def cone_from_generators(n, rays=(), lineality=()):
-    """Canonical cone spanned by ray generators plus a lineality span."""
-    dual_lin, facets = _dd([tuple(r) for r in rays], [tuple(v) for v in lineality], n)
-    eqs_c = subspace_canonical(dual_lin)
-    return cone_from_hrep(n, eqs_c, facets)
-
-
 def cone_intersection(a, b):
     if a.n != b.n:
         raise ValueError("cones in different ambient dimensions")
     return cone_from_hrep(a.n, a.eqs + b.eqs, a.ineqs + b.ineqs)
-
-
-def full_cone(n):
-    return cone_from_hrep(n, (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +522,44 @@ def integer_grid(n, bound):
     return tuple(pts)
 
 
+def _nonpositive_on(u, cone):
+    """Whether u <= 0 on the cone: on its rays, and u = 0 on its lineality."""
+    return all(dot(u, r) <= 0 for r in cone.rays) and all(
+        dot(u, v) == 0 for v in cone.lineality
+    )
+
+
+def _certified_meet(a, b):
+    """Face key of a & b read off the two canonical cones alone, or None
+    when no certificate applies.
+
+    Nested cones: if a lies in b, the meet is a (and the other way round).
+    Otherwise sum the facet normals of a that are <= 0 on b, minus the facet
+    normals of b that are <= 0 on a.  The sum u is >= 0 on a and <= 0 on b,
+    so a & b is the meet of the exposed faces F_a = a & u-perp and
+    F_b = b & u-perp, whose keys keep the lineality and the rays on which
+    u vanishes.  If one of them lies in the other cone, it is the meet.
+    """
+    key_a = (a.lineality, a.rays)
+    key_b = (b.lineality, b.rays)
+    if b.contains_key(key_a):
+        return key_a
+    if a.contains_key(key_b):
+        return key_b
+    sep = [u for u in a.ineqs if _nonpositive_on(u, b)]
+    sep += [tuple(-x for x in v) for v in b.ineqs if _nonpositive_on(v, a)]
+    if not sep:
+        return None
+    u = tuple(map(sum, zip(*sep)))
+    face_a = (a.lineality, tuple(r for r in a.rays if dot(u, r) == 0))
+    face_b = (b.lineality, tuple(r for r in b.rays if dot(u, r) == 0))
+    if b.contains_key(face_a):
+        return face_a
+    if a.contains_key(face_b):
+        return face_b
+    return None
+
+
 def validate_generalized_fan(fan, check_completeness=True):
     """Check the generalized-fan axioms for a set of cones.
 
@@ -541,7 +571,10 @@ def validate_generalized_fan(fan, check_completeness=True):
 
     Cones are compared by their canonical (lineality, rays), which determine
     a canonical cone; faces are read off each cone's own rays (face_keys),
-    never off a polytope's face lattice.
+    never off a polytope's face lattice.  The meet of two cones is decided
+    from the two cones alone, by nested cones, a summed separating facet
+    normal or nested exposed faces (_certified_meet); only a pair that none
+    of these settles takes a double description pass.
     """
     cones = tuple(fan.cones)
     n = fan.n
@@ -557,7 +590,9 @@ def validate_generalized_fan(fan, check_completeness=True):
     for i, a in enumerate(cones):
         for j in range(i + 1, len(cones)):
             b = cones[j]
-            meet = vrep(n, a.eqs + b.eqs, a.ineqs + b.ineqs)
+            meet = _certified_meet(a, b)
+            if meet is None:
+                meet = vrep(n, a.eqs + b.eqs, a.ineqs + b.ineqs)
             if meet not in face_keys[i] or meet not in face_keys[j]:
                 inter_violations.append(
                     f"cones {i} and {j}: intersection of dim "

@@ -17,7 +17,6 @@ from mtfan.fan import (
 from mtfan.oracle import build_sample_set, verify_dim_formula, verify_fan
 from mtfan.polyhedra import (
     Order,
-    cone_from_generators,
     cone_from_hrep,
     cone_intersection,
     key_dim,
@@ -28,6 +27,7 @@ from mtfan.polyhedra import (
 )
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import direct_sum, simple_module
+from referee import cone_from_generators
 
 
 def _report(num, desc, budget, fn):

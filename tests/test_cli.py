@@ -227,6 +227,20 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
     assert main(["svg", "--preset", "a2-P1", "--p", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["fan", "--preset", "a2-P1"], ["verify", "--preset", "a2-P1", "--grid-bound", "0"]],
+)
+def test_exit_code_2_on_an_unwritable_output(args, tmp_path, capsys):
+    # exit 1 would read as "violations found" for verify
+    out = tmp_path / "missing" / "out.json"
+    assert main(args + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def _exit_code_on(tmp_path, capsys, spec):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(spec), encoding="utf-8")

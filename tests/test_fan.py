@@ -22,9 +22,7 @@ from mtfan.fan import (
     wall_cone,
 )
 from mtfan.polyhedra import (
-    cone_from_generators,
     cone_from_hrep,
-    full_cone,
     minkowski_sum,
     validate_generalized_fan,
 )
@@ -39,6 +37,7 @@ from mtfan.quiver import (
     zero_module,
 )
 from mtfan.stability import canonical_sequences, supp_factors, t_set
+from referee import cone_from_generators, full_cone
 
 
 def fan_of(name):
@@ -326,7 +325,6 @@ def test_fan_queries_build_no_cone_by_double_description(name, monkeypatch):
     refused = (
         mtfan.polyhedra.cone_from_hrep,
         mtfan.polyhedra.cone_intersection,
-        mtfan.polyhedra.cone_from_generators,
     )
 
     def refuse(*args, **kwargs):

@@ -23,11 +23,9 @@ from mtfan.polyhedra import (
     Cone,
     GeneralizedFan,
     Order,
-    cone_from_generators,
     cone_from_hrep,
     cone_intersection,
     convex_hull,
-    full_cone,
     locate_index,
     max_face,
     minkowski_sum,
@@ -39,6 +37,7 @@ from mtfan.polyhedra import (
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import direct_sum, simple_module
 from mtfan.sublattice import newton_polytope
+from referee import cone_from_generators, full_cone
 
 F = Fraction
 
@@ -475,6 +474,103 @@ def test_validate_reports_missing_faces_in_ascending_dimension():
         assert report.face_closure_violations == expected
         assert report.intersection_violations == ()
         assert report.completeness_violations == ()
+
+
+# ---------------------------------------------------------------------------
+# certified meets: one double description pass per pair is the referee
+
+
+def meet_by_dd(a, b):
+    return polyhedra.vrep(a.n, a.eqs + b.eqs, a.ineqs + b.ineqs)
+
+
+def assert_certified_meet_agrees(a, b):
+    """A certified meet is the double description meet; None is allowed."""
+    assert polyhedra._certified_meet(a, b) in (None, meet_by_dd(a, b))
+
+
+@st.composite
+def cone_pairs(draw):
+    """Two cones in R^n, n in 2..4, each with up to two equations."""
+    n = draw(st.integers(2, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+
+    def cone():
+        eqs = draw(st.lists(vec, max_size=2))
+        ineqs = draw(st.lists(vec, max_size=5))
+        return cone_from_hrep(n, eqs, ineqs)
+
+    return cone(), cone()
+
+
+@given(cone_pairs())
+@settings(max_examples=120, deadline=None)
+def test_certified_meet_matches_double_description(pair):
+    assert_certified_meet_agrees(*pair)
+
+
+@pytest.mark.parametrize("name", [*preset_names(), "sq+S1"])
+def test_certified_meet_matches_double_description_on_fans(name):
+    cones = build_mtf_fan(fan_input(name)).cones
+    for i, a in enumerate(cones):
+        for b in cones[i + 1:]:
+            meet = meet_by_dd(a, b)
+            for x, y in ((a, b), (b, a)):
+                assert polyhedra._certified_meet(x, y) in (None, meet)
+
+
+def test_certified_meet_branches():
+    quadrant = cone_from_hrep(2, [], [(1, 0), (0, 1)])
+    ray = cone_from_generators(2, rays=[(1, 0)])
+    # nested cones, either way round
+    assert polyhedra._certified_meet(ray, quadrant) == ((), ((1, 0),))
+    assert polyhedra._certified_meet(quadrant, ray) == ((), ((1, 0),))
+    # a separator exposing the same face of both: two quadrants on an edge
+    left = cone_from_hrep(2, [], [(-1, 0), (0, 1)])
+    assert polyhedra._certified_meet(quadrant, left) == ((), ((0, 1),))
+    # the exposed face of the first cone lies in the second, and the other
+    # way round: the quadrant against the half-plane y <= 0
+    lower = cone_from_hrep(2, [], [(0, -1)])
+    assert polyhedra._certified_meet(quadrant, lower) == ((), ((1, 0),))
+    assert polyhedra._certified_meet(lower, quadrant) == ((), ((1, 0),))
+    # no separator: two overlapping chambers
+    upper = cone_from_hrep(2, [], [(-1, 1), (1, 1)])
+    assert polyhedra._certified_meet(quadrant, upper) is None
+    # a separator whose exposed faces overlap without nesting
+    octant = cone_from_generators(3, rays=[(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    below = cone_from_generators(3, rays=[(1, 1, 0), (-1, 1, 0), (0, 0, -1)])
+    assert polyhedra._certified_meet(octant, below) is None
+    assert polyhedra._certified_meet(below, octant) is None
+    for a, b in ((ray, quadrant), (quadrant, left), (quadrant, lower)):
+        assert_certified_meet_agrees(a, b)
+
+
+def test_validate_detects_a_meet_that_is_a_face_of_one_cone_only():
+    # the ray (1, 0) is a face of the quadrant but not of the half-plane
+    quadrant = cone_from_hrep(2, [], [(1, 0), (0, 1)])
+    lower = cone_from_hrep(2, [], [(0, -1)])
+    report = validate_generalized_fan(
+        GeneralizedFan(2, (quadrant, lower)), check_completeness=False
+    )
+    assert report.intersection_violations == (
+        "cones 0 and 1: intersection of dim 1 is not a common face",
+    )
+
+
+def test_validator_makes_few_dd_passes(monkeypatch):
+    """The certificate settles all but 10 of square-lambda's 741 cone
+    pairs, so a return to one double description pass per pair fails."""
+    fan = build_mtf_fan(preset_module("square-lambda")).fan
+    real = polyhedra.vrep
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "vrep", counted)
+    assert validate_generalized_fan(fan).ok
+    assert len(calls) <= 10
 
 
 @pytest.mark.parametrize("name", [*preset_names(), "sq+S1"])
