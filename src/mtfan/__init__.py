@@ -15,9 +15,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .fan import (
-    FanPathCatalog,
     MTFFan,
-    TFClassData,
     boundary_regions,
     build_mtf_fan,
     class_of,
@@ -27,125 +25,32 @@ from .fan import (
     smallest_cone,
     wall_cone,
 )
-from .oracle import (
-    OracleReport,
-    build_sample_set,
-    verify_dim_formula,
-    verify_fan,
-    verify_point,
-)
-from .polyhedra import (
-    Cone,
-    GeneralizedFan,
-    Order,
-    Polytope,
-    cone_from_hrep,
-    cone_intersection,
-    convex_hull,
-    max_face,
-    minkowski_sum,
-    normal_cone,
-    normal_fan,
-    validate_generalized_fan,
-    vertex_order,
-)
 from .presets import preset_module, preset_names
-from .quiver import (
-    BoundQuiverAlgebra,
-    Module,
-    Submodule,
-    build_algebra,
-    build_module,
-    direct_sum,
-    dim_vector,
-    generated_submodule,
-    quotient_module,
-    simple_module,
-    submodule_as_module,
-    subquotient,
-    zero_module,
-)
-from .stability import (
-    CanonicalSequenceData,
-    canonical_sequences,
-    evaluate,
-    in_class_closure,
-    is_m_tf_equivalent,
-    is_semistable,
-    is_stable,
-    m_tf_equivalent_by_filtration,
-    supp_factors,
-    t_set,
-    wall_membership,
-)
-from .sublattice import enumerate_submodules, newton_polytope, submodule_dim_vectors
-from .svg import render_svg
+from .quiver import build_algebra, build_module, direct_sum, simple_module
 
 __version__ = "0.1.0"
 
+# the fan API, the presets, the module constructors and the error types;
+# everything else is imported from its own module, e.g. mtfan.oracle
 __all__ = [
     "AlgebraDefinitionError",
-    "BoundQuiverAlgebra",
-    "CanonicalSequenceData",
-    "Cone",
-    "FanPathCatalog",
-    "GeneralizedFan",
     "InputFormatError",
     "InvariantError",
     "MTFFan",
-    "Module",
     "ModuleDefinitionError",
-    "OracleReport",
-    "Order",
-    "Polytope",
     "ResourceLimitError",
-    "Submodule",
-    "TFClassData",
     "boundary_regions",
     "build_algebra",
     "build_module",
     "build_mtf_fan",
-    "build_sample_set",
-    "canonical_sequences",
     "class_of",
-    "cone_from_hrep",
-    "cone_intersection",
-    "convex_hull",
-    "dim_vector",
     "direct_sum",
-    "enumerate_submodules",
-    "evaluate",
     "face_restriction_check",
     "facet_partition",
     "fan_paths",
-    "generated_submodule",
-    "in_class_closure",
-    "is_m_tf_equivalent",
-    "is_semistable",
-    "is_stable",
-    "m_tf_equivalent_by_filtration",
-    "max_face",
-    "minkowski_sum",
-    "newton_polytope",
-    "normal_cone",
-    "normal_fan",
     "preset_module",
     "preset_names",
-    "quotient_module",
-    "render_svg",
     "simple_module",
     "smallest_cone",
-    "subquotient",
-    "submodule_as_module",
-    "submodule_dim_vectors",
-    "supp_factors",
-    "t_set",
-    "validate_generalized_fan",
-    "verify_dim_formula",
-    "verify_fan",
-    "verify_point",
-    "vertex_order",
     "wall_cone",
-    "wall_membership",
-    "zero_module",
 ]

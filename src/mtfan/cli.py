@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -23,12 +24,13 @@ from .oracle import (
     verify_dim_formula,
     verify_fan,
 )
-from .polyhedra import validate_generalized_fan
+from .polyhedra import COMPLETENESS_GRID_BOUND, validate_generalized_fan
 from .presets import preset_module, preset_names
 from .sublattice import check_total_dim, newton_polytope
 from .svg import DEFAULT_SIZE, render_svg
 
-# `verify` checks every point of the grid [-B, B]^n against the whole fan
+# `verify` checks every point of the grid [-B, B]^n against the whole fan,
+# and every point of the fan validator's completeness grid; both are capped
 MAX_GRID_POINTS = 100_000
 MAX_SVG_SIZE = 4096
 # a --theta entry is written out in full, with at most this many digits, so
@@ -103,6 +105,20 @@ def _parse_theta(text, n):
     return theta
 
 
+def _check_output(config):
+    """Reject an --output that is a directory or lies in a missing one
+    before any work; _emit still reports a write that fails later."""
+    if config.output is None:
+        return
+    folder = os.path.dirname(config.output) or "."
+    if not os.path.isdir(folder):
+        raise InputFormatError(
+            f"cannot write {config.output}: no directory {folder}"
+        )
+    if os.path.isdir(config.output):
+        raise InputFormatError(f"cannot write {config.output}: a directory")
+
+
 def _emit(config, text):
     if config.output is None:
         sys.stdout.write(text + "\n")
@@ -129,6 +145,13 @@ def _check_sizes(config, n):
                 f"--grid-bound {bound} gives (2B+1)^{n} grid points, more than "
                 f"the cap of {MAX_GRID_POINTS}"
             )
+        side = 2 * COMPLETENESS_GRID_BOUND + 1
+        if side**n > MAX_GRID_POINTS:
+            raise InputFormatError(
+                "the fan validator's completeness grid "
+                f"[-{COMPLETENESS_GRID_BOUND}, {COMPLETENESS_GRID_BOUND}]^{n} "
+                f"has {side}^{n} points, more than the cap of {MAX_GRID_POINTS}"
+            )
     if config.command == "svg" and not 0 < config.size <= MAX_SVG_SIZE:
         raise InputFormatError(
             f"--size must be between 1 and {MAX_SVG_SIZE} pixels, "
@@ -137,6 +160,7 @@ def _check_sizes(config, n):
 
 
 def run(config):
+    _check_output(config)
     module = _load_module(config)
     _check_sizes(config, module.algebra.n)
     if config.command == "classify":

@@ -61,7 +61,6 @@ class TFClassData:
     f_dims: tuple[int, ...]
     fbar_dims: tuple[int, ...]
     supp_dims: tuple[tuple[int, ...], ...]  # sorted multiset
-    t_set: frozenset  # submodules on which the cone's functionals are largest
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ class MTFFan:
             vrep(self.n, a.eqs + b.eqs, a.ineqs + b.ineqs) == _key(wall),
             "the wall is not the cone of the smallest face through 0 and [M]",
         )
-        subs = enumerate_submodules(module).submodules
+        subs = enumerate_submodules(module)
 
         def semistable(theta):  # 0 and M are both in the t-set
             t, tbar, _, _ = _lattice_class(subs, theta)
@@ -180,7 +179,7 @@ def build_mtf_fan(module):
     points; any disagreement would mean the cone decomposition is wrong,
     so it raises InvariantError.
     """
-    subs = enumerate_submodules(module).submodules
+    subs = enumerate_submodules(module)
     P = newton_polytope(module)
     fan = normal_fan(P)
     n = module.algebra.n
@@ -193,7 +192,7 @@ def build_mtf_fan(module):
                 _lattice_class(subs, cone.random_relint_point(rng)) == data,
                 f"cone {idx}: class data differs inside the cone",
             )
-        t, tbar, supp_dims, ts = data
+        t, tbar, supp_dims, _ = data
         face = P.faces[idx]
         # the min and max of the Newton face are the classes of t and tbar:
         # both lie on the face, where theta is largest, so equal to the
@@ -220,7 +219,6 @@ def build_mtf_fan(module):
                 f_dims=tuple(m - b for m, b in zip(module.dims, tbar_vec)),
                 fbar_dims=tuple(m - a for m, a in zip(module.dims, t_vec)),
                 supp_dims=supp_dims,
-                t_set=ts,
             )
         )
     return MTFFan(module, P, fan, tuple(classes))

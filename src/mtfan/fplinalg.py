@@ -44,20 +44,6 @@ def in_span(rrows, pivots, vec, p):
     return not any(reduce_vec(rrows, pivots, vec, p))
 
 
-def span_fp(rows, p):
-    """RREF basis of the row span (zero rows dropped)."""
-    return rref_fp(rows, p)[0]
-
-
-def intersect_spaces(a_rows, b_rows, ncols, p):
-    """Basis of rowspace(a) intersect rowspace(b) by the Zassenhaus trick."""
-    block = [tuple(r) + tuple(r) for r in a_rows]
-    block += [tuple(r) + (0,) * ncols for r in b_rows]
-    red, _ = rref_fp(block, p)
-    out = [row[ncols:] for row in red if not any(row[:ncols])]
-    return span_fp(out, p)
-
-
 def mat_vec(rows, vec, p):
     return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in rows)
 

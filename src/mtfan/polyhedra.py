@@ -42,6 +42,9 @@ from .exact import (
     subspace_canonical,
 )
 
+# validate_generalized_fan checks that every point of [-B, B]^n is covered
+COMPLETENESS_GRID_BOUND = 2
+
 
 class Order(enum.Enum):
     """Coordinatewise comparison outcome for two vectors."""
@@ -425,11 +428,6 @@ def _max_face_id(polytope, theta):
     return polytope.face_id(i for i, x in enumerate(vals) if x == best)
 
 
-def max_face(polytope, theta):
-    """Face of the polytope where theta attains its maximum."""
-    return polytope.faces[_max_face_id(polytope, theta)]
-
-
 def normal_cone(polytope, face):
     """Cone of linear functionals maximized exactly on the given face: the
     polytope's lineality plus the outer normals of the facets containing
@@ -451,9 +449,6 @@ class GeneralizedFan:
 
     n: int
     cones: tuple[Cone, ...]
-
-    def __len__(self):
-        return len(self.cones)
 
     def maximal_indices(self):
         return tuple(i for i, c in enumerate(self.cones) if c.dim == self.n)
@@ -565,7 +560,8 @@ def validate_generalized_fan(fan, check_completeness=True):
 
     Face closure: every face of every cone belongs to the set.  Pairwise:
     the intersection of two cones is a face of both.  Completeness
-    (optional): sampled integer points are covered, and every facet of every
+    (optional): the points of the integer grid [-B, B]^n, B =
+    COMPLETENESS_GRID_BOUND, are covered, and every facet of every
     full-dimensional cone is shared with exactly one other full-dimensional
     cone.
 
@@ -603,7 +599,7 @@ def validate_generalized_fan(fan, check_completeness=True):
         maximal = [i for i, c in enumerate(cones) if c.dim == n]
         if not maximal:
             comp_violations.append("no full-dimensional cone")
-        for pt in integer_grid(n, 2):
+        for pt in integer_grid(n, COMPLETENESS_GRID_BOUND):
             if not any(c.contains(pt) for c in cones):
                 comp_violations.append(f"point {pt} is not covered")
         for i in maximal:

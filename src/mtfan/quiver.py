@@ -18,14 +18,11 @@ from dataclasses import dataclass, field
 from .errors import AlgebraDefinitionError, ModuleDefinitionError
 from .fplinalg import (
     in_span,
-    intersect_spaces,
     mat_mul,
     mat_vec,
     reduce_vec,
     rref_fp,
 )
-
-DimVector = tuple  # integer vector indexed by vertex position
 
 # subquotient modules memoized per (module, lower, upper); only the oracle's
 # definition routes build them, and a default `verify` on square-lambda asks
@@ -72,12 +69,6 @@ class BoundQuiverAlgebra:
     @property
     def n(self):
         return len(self.vertices)
-
-    def arrow_index(self, name):
-        for i, a in enumerate(self.arrows):
-            if a.name == name:
-                return i
-        raise AlgebraDefinitionError(f"unknown arrow {name!r}")
 
 
 def build_algebra(spec):
@@ -316,13 +307,6 @@ class Submodule:
         return tuple((len(b), b) for b in self.bases)
 
 
-def dim_vector(x):
-    """Dimension vector of a Module or Submodule."""
-    if isinstance(x, (Module, Submodule)):
-        return tuple(x.dims)
-    raise TypeError(f"expected Module or Submodule, got {type(x).__name__}")
-
-
 def generated_submodule(module, seeds):
     """Smallest submodule containing the seed vectors.
 
@@ -402,22 +386,6 @@ def submodule_sum(a, b):
     if not grew:
         return a
     return Submodule(a.module, tuple(bases), tuple(pivots))
-
-
-def submodule_intersection(a, b):
-    if a.module != b.module:
-        raise ModuleDefinitionError("submodules of different modules")
-    p = a.module.algebra.p
-    reduced = [
-        rref_fp(intersect_spaces(x, y, d, p), p)
-        for x, y, d in zip(a.bases, b.bases, a.module.dims)
-    ]
-    # intersections of arrow-stable families are arrow-stable
-    return Submodule(
-        a.module,
-        tuple(rows for rows, _ in reduced),
-        tuple(piv for _, piv in reduced),
-    )
 
 
 @functools.lru_cache(maxsize=SUBQUOTIENT_CACHE_SIZE)

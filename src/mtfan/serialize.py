@@ -9,7 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputFormatError
-from .polyhedra import cone_from_hrep
 from .quiver import build_algebra, build_module
 
 
@@ -26,10 +25,6 @@ def parse_frac(s):
 
 def vec_strs(vec):
     return [frac_str(x) for x in vec]
-
-
-def parse_vec(items):
-    return tuple(parse_frac(s) for s in items)
 
 
 def module_from_doc(doc):
@@ -162,15 +157,6 @@ def cone_doc(cone, cid=None):
     if cid is not None:
         doc = {"id": cid, **doc}
     return doc
-
-
-def cone_from_doc(doc, n):
-    """Rebuild a canonical cone from its serialized H-representation."""
-    eqs = [tuple(int(parse_frac(s)) for s in row) for row in doc["equalities"]]
-    ineqs = [
-        tuple(int(parse_frac(s)) for s in row) for row in doc["inequalities"]
-    ]
-    return cone_from_hrep(n, eqs, ineqs)
 
 
 def class_doc(data):

@@ -25,7 +25,6 @@ from .exact import number
 from .quiver import (
     Module,
     Submodule,
-    dim_vector,
     quotient_module,
     submodule_as_module,
     submodule_contains,
@@ -34,10 +33,6 @@ from .quiver import (
     subquotient,
 )
 from .sublattice import enumerate_submodules
-
-# rational functional, one coordinate per vertex: as_theta makes every
-# integral coordinate an int and every other one a Fraction
-StabilityVector = tuple
 
 # canonical filtrations and t-sets memoized per (theta, module); a default
 # `verify` on any preset reads at most 2,409 functionals (square-lambda), and
@@ -68,7 +63,7 @@ def evaluate(theta, x):
     every caller in the package passes an as_theta vector.
     """
     if isinstance(x, (Module, Submodule)):
-        x = dim_vector(x)
+        x = x.dims
     if len(theta) != len(x):
         raise ValueError("length mismatch between theta and dimension vector")
     return sum(a * b for a, b in zip(theta, x))
@@ -76,7 +71,7 @@ def evaluate(theta, x):
 
 def _sub_values(module, theta):
     subs = enumerate_submodules(module)
-    return subs, [evaluate(theta, s) for s in subs.submodules]
+    return subs, [evaluate(theta, s) for s in subs]
 
 
 def is_semistable(theta, module):
@@ -97,7 +92,7 @@ def is_stable(theta, module):
         return False
     subs, vals = _sub_values(module, theta)
     full = submodule_full(module)
-    for s, v in zip(subs.submodules, vals):
+    for s, v in zip(subs, vals):
         if s.total_dim == 0 or s == full:
             continue
         if v >= 0:
@@ -105,7 +100,7 @@ def is_stable(theta, module):
     return True
 
 
-def _largest_member(subs, members):
+def _largest_member(members):
     """The unique maximal submodule among members (their sum, checked in)."""
     total = None
     for s in members:
@@ -118,7 +113,7 @@ def _largest_member(subs, members):
 def _torsion_members(subs, vals, strict):
     """Submodules L with theta(L') < theta(L) (or <=) for all L' < L."""
     members = set()
-    items = list(zip(subs.submodules, vals))
+    items = list(zip(subs, vals))
     for L, vL in items:
         ok = True
         for L2, v2 in items:
@@ -156,8 +151,8 @@ def canonical_sequences(theta, module):
 @functools.lru_cache(maxsize=THETA_CACHE_SIZE)
 def _canonical_sequences(theta, module):
     subs, vals = _sub_values(module, theta)
-    t = _largest_member(subs, _torsion_members(subs, vals, strict=True))
-    tbar = _largest_member(subs, _torsion_members(subs, vals, strict=False))
+    t = _largest_member(_torsion_members(subs, vals, strict=True))
+    tbar = _largest_member(_torsion_members(subs, vals, strict=False))
     if not submodule_contains(tbar, t):
         raise InvariantError(f"t is not inside tbar at theta {theta_str(theta)}")
     w = subquotient(module, t, tbar)
@@ -174,7 +169,7 @@ def _canonical_sequences(theta, module):
         raise InvariantError("dimensions of t, w and f do not add up to M")
     # f lies in the free class: strictly negative on nonzero submodules
     fsubs, fvals = _sub_values(f, theta)
-    if not all(v < 0 for s, v in zip(fsubs.submodules, fvals) if s.total_dim):
+    if not all(v < 0 for s, v in zip(fsubs, fvals) if s.total_dim):
         raise InvariantError(f"f = M/tbar is not free at theta {theta_str(theta)}")
     return CanonicalSequenceData(t, tbar, w, f, fbar)
 
@@ -193,10 +188,9 @@ def supp_factors(theta, module):
     factors = []
     current = module
     while not current.is_zero():
-        subs = enumerate_submodules(current)
         semis = [
             s
-            for s in subs.submodules
+            for s in enumerate_submodules(current)
             if s.total_dim
             and evaluate(theta, s) == 0
             and is_semistable(theta, submodule_as_module(s))
@@ -215,12 +209,9 @@ def supp_factors(theta, module):
                 "a minimal semistable factor is not stable at "
                 f"{theta_str(theta)}"
             )
-        factors.append((factor, dim_vector(factor)))
+        factors.append((factor, factor.dims))
         current = quotient_module(current, chosen)
     return tuple(factors)
-
-
-TSet = frozenset  # of Submodule
 
 
 def t_set(theta, module):
@@ -236,9 +227,8 @@ def t_set(theta, module):
 @functools.lru_cache(maxsize=THETA_CACHE_SIZE)
 def _t_set(theta, module):
     cs = canonical_sequences(theta, module)
-    subs = enumerate_submodules(module)
     members = set()
-    for L in subs.submodules:
+    for L in enumerate_submodules(module):
         if not submodule_contains(L, cs.t):
             continue
         if is_semistable(theta, subquotient(module, cs.t, L)):
@@ -269,13 +259,12 @@ def m_tf_equivalent_by_filtration(theta, eta, module):
     ce = canonical_sequences(eta, module)
     if ct.t != ce.t or ct.tbar != ce.tbar:
         return False
-    w = ct.w
-    wsubs = enumerate_submodules(w)
+    wsubs = enumerate_submodules(ct.w)
 
     def semis(vec):
         return frozenset(
             s
-            for s in wsubs.submodules
+            for s in wsubs
             if evaluate(vec, s) == 0
             and is_semistable(vec, submodule_as_module(s))
         )

@@ -16,13 +16,11 @@ it grows.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import ResourceLimitError
 from .fplinalg import projective_points
 from .polyhedra import convex_hull
 from .quiver import (
-    Module,
     Submodule,
     generated_submodule,
     submodule_sum,
@@ -35,20 +33,6 @@ DEFAULT_MAX_SUBMODULES = 20000
 # any preset reads at most 13 of them and the `oracle` benchmark workload hits
 # the memo 8,142 times for 6 misses
 LATTICE_CACHE_SIZE = 256
-
-
-@dataclass(frozen=True)
-class SubmoduleSet:
-    """All submodules of a module, canonically sorted."""
-
-    module: Module
-    submodules: tuple[Submodule, ...]
-
-    def __len__(self):
-        return len(self.submodules)
-
-    def __iter__(self):
-        return iter(self.submodules)
 
 
 def check_total_dim(total, p, dim_bound=DEFAULT_DIM_BOUND):
@@ -66,7 +50,8 @@ def check_total_dim(total, p, dim_bound=DEFAULT_DIM_BOUND):
 def enumerate_submodules(
     module, dim_bound=DEFAULT_DIM_BOUND, max_count=DEFAULT_MAX_SUBMODULES
 ):
-    """Every submodule of the module, sorted by flattened basis data.
+    """Every submodule of the module as a tuple, sorted by flattened basis
+    data (Submodule.sort_key).
 
     Results are memoized under the module and both bounds, so a memoized
     lattice always comes from a call with the same bounds.
@@ -122,9 +107,7 @@ def enumerate_submodules(
                     fresh.append(s)
         frontier = fresh
 
-    return SubmoduleSet(
-        module, tuple(sorted(found.values(), key=Submodule.sort_key))
-    )
+    return tuple(sorted(found.values(), key=Submodule.sort_key))
 
 
 def submodule_dim_vectors(module):

@@ -15,9 +15,10 @@ from mtfan.fan import build_mtf_fan, wall_cone
 from mtfan.oracle import build_sample_set
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import build_algebra, build_module
-from mtfan.serialize import cone_from_doc, polytope_doc
+from mtfan.serialize import polytope_doc
 from mtfan.sublattice import enumerate_submodules, newton_polytope
 from mtfan.svg import render_svg
+from referee import cone_from_doc
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -241,6 +242,23 @@ def test_exit_code_2_on_an_unwritable_output(args, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", [("missing", "x.json"), ()])
+def test_an_unwritable_output_is_reported_before_any_work(
+    where, tmp_path, monkeypatch, capsys
+):
+    """A file in a missing directory, or the directory itself."""
+
+    def no_work(*args):
+        raise AssertionError("the module was loaded or built")
+
+    monkeypatch.setattr(mtfan.cli, "preset_module", no_work)
+    monkeypatch.setattr(mtfan.cli, "build_mtf_fan", no_work)
+    out = tmp_path.joinpath(*where)
+    args = ["verify", "--preset", "square-lambda", "--output", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
 def _exit_code_on(tmp_path, capsys, spec):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
@@ -318,6 +336,37 @@ def test_declared_dims_are_bounded_before_any_matrix(tmp_path, capsys, monkeypat
 def test_exit_code_2_on_sizes_out_of_range(args, message, capsys):
     assert main(args) == 2
     assert message in capsys.readouterr().err
+
+
+def _arrowless_module_doc(n):
+    """A module with one 1-dimensional vertex on n vertices and no arrows."""
+    return {
+        "p": 2,
+        "vertices": [str(k) for k in range(n)],
+        "arrows": [],
+        "module": {"dims": {"0": 1}},
+    }
+
+
+def test_verify_bounds_the_validator_grid_before_the_build(
+    tmp_path, monkeypatch, capsys
+):
+    """The fan validator covers [-2, 2]^n, so eight vertices (5^8 points)
+    exceed the cap even at --grid-bound 0; seven are admitted."""
+
+    def no_fan(module):
+        raise AssertionError("the fan was built")
+
+    monkeypatch.setattr(mtfan.cli, "build_mtf_fan", no_fan)
+    path = tmp_path / "arrowless.json"
+    path.write_text(json.dumps(_arrowless_module_doc(8)), encoding="utf-8")
+    assert main(["verify", "--input", str(path), "--grid-bound", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the fan validator's completeness grid [-2, 2]^8 has 5^8 "
+        f"points, more than the cap of {mtfan.cli.MAX_GRID_POINTS}\n"
+    )
+    for bound in (0, 1):
+        mtfan.cli._check_sizes(RunConfig(command="verify", grid_bound=bound), 7)
 
 
 def test_size_caps_admit_the_defaults_and_the_benchmark_grids():

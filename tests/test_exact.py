@@ -20,11 +20,10 @@ from mtfan.exact import (
 from mtfan.fplinalg import (
     all_vectors,
     in_span,
-    intersect_spaces,
     mat_mul,
     rref_fp,
-    span_fp,
 )
+from referee import intersect_spaces, span_fp
 
 F = Fraction
 

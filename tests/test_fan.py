@@ -28,7 +28,6 @@ from mtfan.polyhedra import (
 )
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import (
-    dim_vector,
     direct_sum,
     quotient_module,
     simple_module,
@@ -37,6 +36,7 @@ from mtfan.quiver import (
     zero_module,
 )
 from mtfan.stability import canonical_sequences, supp_factors, t_set
+from mtfan.sublattice import enumerate_submodules
 from referee import cone_from_generators, full_cone
 
 
@@ -282,17 +282,18 @@ def test_lattice_class_data_matches_the_definitions(name):
     every cone's witness."""
     module = _sq_plus_s1() if name == "sq+S1" else preset_module(name)
     mtf = build_mtf_fan(module)
+    subs = enumerate_submodules(module)
     for cone, data in zip(mtf.cones, mtf.classes):
         theta = cone.relint_point()
         cs = canonical_sequences(theta, module)
         assert (cs.t, cs.tbar) == (data.t, data.tbar)
         assert (data.t_dims, data.tbar_dims) == (cs.t.dims, cs.tbar.dims)
-        assert data.w_dims == dim_vector(cs.w)
-        assert data.f_dims == dim_vector(cs.f)
-        assert data.fbar_dims == dim_vector(cs.fbar)
+        assert data.w_dims == cs.w.dims
+        assert data.f_dims == cs.f.dims
+        assert data.fbar_dims == cs.fbar.dims
         supp = tuple(sorted(d for _, d in supp_factors(theta, cs.w)))
         assert data.supp_dims == supp
-        assert data.t_set == t_set(theta, module)
+        assert mtfan.fan._lattice_class(subs, theta)[3] == t_set(theta, module)
 
 
 @pytest.mark.parametrize("name", preset_names())

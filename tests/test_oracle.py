@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import mtfan.oracle
 import mtfan.polyhedra
 from mtfan.fan import MTFFan, build_mtf_fan
 from mtfan.oracle import (
@@ -15,7 +16,7 @@ from mtfan.oracle import (
 )
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import zero_module
-from mtfan.stability import as_theta
+from mtfan.stability import as_theta, canonical_sequences, t_set
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -68,15 +69,13 @@ def test_dim_formula_reports_wall_faces_with_a_wrong_support():
 
 def _corrupted(name, field, index):
     """The fan of a preset with one cone's class data replaced: t by tbar,
-    the support by the single class (1, ..., 1), or the t-set by {t}."""
+    or the support by the single class (1, ..., 1)."""
     mtf = build_mtf_fan(preset_module(name))
 
     def corrupt(d):
         if field == "t":
             return dataclasses.replace(d, t=d.tbar)
-        if field == "supp_dims":
-            return dataclasses.replace(d, supp_dims=((1,) * mtf.n,))
-        return dataclasses.replace(d, t_set=frozenset({d.t}))
+        return dataclasses.replace(d, supp_dims=((1,) * mtf.n,))
 
     classes = tuple(
         corrupt(d) if i == index else d for i, d in enumerate(mtf.classes)
@@ -109,10 +108,6 @@ BAD_FANS = {
             ),
         ),
     ),
-    ("a2-P1", "t_set", 6): (
-        78,
-        ("theta (0, 0): t-set differs from the cone's",),
-    ),
     ("square-lambda", "t", 27): (
         2411,
         ("theta (-1, 0, 0, 1): canonical filtration differs from the cone's",),
@@ -140,18 +135,14 @@ BAD_FANS = {
             ),
         ),
     ),
-    ("square-lambda", "t_set", 38): (
-        2411,
-        ("theta (0, 0, 0, 0): t-set differs from the cone's",),
-    ),
 }
 
 
 @pytest.mark.parametrize("name,field,index", list(BAD_FANS))
 def test_oracle_reports_corrupted_class_data(name, field, index):
-    """verify_fan recomputes t, the support and the t-set at every sample
-    from the definitions, so a wrong entry in one cone's class data is
-    reported at every sample located in that cone."""
+    """verify_fan recomputes t and the support at every sample from the
+    definitions, so a wrong entry in one cone's class data is reported at
+    every sample located in that cone."""
     bad = _corrupted(name, field, index)
     report = verify_fan(bad, samples=build_sample_set(bad, bound=1))
     assert (report.checks, report.failures) == BAD_FANS[name, field, index]
@@ -166,6 +157,23 @@ def test_oracle_messages_print_rational_functionals():
         "theta (-1/2, -1): support () != cone support ((1, 1),)",
         "cones never sampled: [1, 2, 3, 4, 5, 6]",
     )
+
+
+def test_oracle_reports_a_definition_t_set_off_the_lattice(monkeypatch):
+    """The definition t-set at theta must be the set of submodules where
+    theta is largest.  At 0 every submodule of a2-P1 is there, so a t-set
+    cut down to {t} is reported at the first submodule it misses."""
+    mtf = build_mtf_fan(preset_module("a2-P1"))
+    assert len(t_set((0, 0), mtf.module)) == 3
+
+    def only_t(theta, module):
+        return frozenset({canonical_sequences(theta, module).t})
+
+    monkeypatch.setattr(mtfan.oracle, "t_set", only_t)
+    assert verify_point(mtf, (0, 0)).failures == (
+        "t-set mismatch at submodule of class (0, 1)",
+    )
+    assert verify_point(mtf, (2, 1)).ok
 
 
 def test_verify_point_on_specific_functionals():

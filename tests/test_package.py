@@ -1,0 +1,33 @@
+"""The package namespace: what `import mtfan` exports."""
+
+import ast
+import re
+from pathlib import Path
+
+import mtfan
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_star_import_gives_exactly_the_exported_names():
+    """Every name in __all__ resolves once, and `import *` brings in
+    nothing else."""
+    assert len(set(mtfan.__all__)) == len(mtfan.__all__)
+    namespace = {}
+    exec("from mtfan import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(mtfan.__all__)
+
+
+def test_readme_imports_only_exported_names():
+    blocks = re.findall(
+        r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S
+    )
+    imported = {
+        alias.name
+        for block in blocks
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "mtfan"
+        for alias in node.names
+    }
+    assert imported
+    assert imported <= set(mtfan.__all__), imported - set(mtfan.__all__)

