@@ -155,6 +155,17 @@ class Module:
     dims: tuple[int, ...]
     maps: tuple[tuple[tuple[int, ...], ...], ...]  # per arrow, target x source
 
+    def __hash__(self):
+        # computed once per instance from the fields equality compares: the
+        # memos look modules up by value many thousands of times
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(
+                self, "_hash", hash((self.algebra, self.dims, self.maps))
+            )
+            return self._hash
+
     @property
     def total_dim(self):
         return sum(self.dims)
@@ -288,12 +299,20 @@ class Submodule:
 
     pivots[u] lists the pivot columns of bases[u].  It is determined by the
     bases and takes no part in equality, hashing or ordering; every
-    constructor passes the pivots its row reduction found.
+    constructor passes the pivots its row reduction found.  The hash is
+    computed once per instance, as Module's is.
     """
 
     module: Module
     bases: tuple[tuple[tuple[int, ...], ...], ...]
     pivots: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.module, self.bases)))
+            return self._hash
 
     @property
     def dims(self):

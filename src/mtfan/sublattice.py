@@ -7,25 +7,28 @@ vector at one vertex generate the whole lattice under sums.  A vector and
 its nonzero multiples generate the same submodule, so one vector per
 projective line is enough: (p^d - 1)/(p - 1) of them at a vertex of
 dimension d.  Enumeration keeps the distinct cyclic submodules G and closes
-{0} and G under adding a member of G, breadth first.  Each submodule found
-is summed with each member of G once, so the closure takes at most S * |G|
-sums for a lattice of S submodules.  The sums reduce against the pivots
-that every Submodule stores, and a vertex basis is re-reduced only where
-it grows.
+{0} and G under adding a member of G, breadth first, so the closure takes
+at most S * |G| sums for a lattice of S submodules.
+
+The lattice has far fewer distinct subspaces at each vertex than it has
+submodules, so the closure interns them: each vertex keeps a table from id
+to (RREF rows, pivots) and a dict from rows back to the id, and a submodule
+in the closure is the tuple of its vertex space ids.  A sum of submodules is
+a sum at each vertex, and each vertex memoizes the id of the sum of an
+unordered pair of ids.  The first sum of a pair reduces the smaller space's
+rows against the larger one's echelon form and row reduces only when a
+residue survives; every later sum of that pair is a dict lookup.  So the
+closure does one row reduction per distinct vertex-space pair, not one per
+sum, and builds its Submodule objects once, at the end.
 """
 from __future__ import annotations
 
 import functools
 
 from .errors import ResourceLimitError
-from .fplinalg import projective_points
+from .fplinalg import projective_points, reduce_vec, rref_fp
 from .polyhedra import convex_hull
-from .quiver import (
-    Submodule,
-    generated_submodule,
-    submodule_sum,
-    submodule_zero,
-)
+from .quiver import Submodule, generated_submodule
 
 DEFAULT_DIM_BOUND = 14
 DEFAULT_MAX_SUBMODULES = 20000
@@ -78,36 +81,80 @@ def enumerate_submodules(
         "to enumerate"
     )
 
-    # keyed by bases: equal bases mean equal submodules of this module
-    found = {}
+    # vertex u's distinct subspaces: spaces[u][i] = (RREF rows, pivots) and
+    # ids[u][rows] = i, with i = 0 the zero space; sums[u] memoizes the id of
+    # the sum of spaces i and j under the unordered pair (min, max)
+    spaces = [[((), ())] for _ in module.dims]
+    ids = [{(): 0} for _ in module.dims]
+    sums = [{} for _ in module.dims]
+
+    def space_id(u, rows, pivots):
+        i = ids[u].get(rows)
+        if i is None:
+            i = ids[u][rows] = len(spaces[u])
+            spaces[u].append((rows, pivots))
+        return i
+
+    def space_sum(u, i, j):
+        if i == j:
+            return i
+        pair = (i, j) if i < j else (j, i)
+        k = sums[u].get(pair)
+        if k is None:
+            # reduce the smaller space against the larger one's echelon form,
+            # so a containment costs no row reduction
+            if len(spaces[u][i][0]) < len(spaces[u][j][0]):
+                i, j = j, i
+            rows, piv = spaces[u][i]
+            residues = tuple(
+                r
+                for r in (reduce_vec(rows, piv, v, p) for v in spaces[u][j][0])
+                if any(r)
+            )
+            k = space_id(u, *rref_fp(rows + residues, p)) if residues else i
+            sums[u][pair] = k
+        return k
+
+    # a submodule is the tuple of its vertex space ids
+    found = set()
 
     def add(sub):
-        found[sub.bases] = sub
+        found.add(sub)
         if len(found) > max_count:
             raise too_many
 
-    add(submodule_zero(module))
-    gens = {}
+    vertices = range(module.algebra.n)
+    add((0,) * len(vertices))
+    gens = []
     for u, d in enumerate(module.dims):
         for vec in projective_points(d, p):
             g = generated_submodule(module, {u: [vec]})
-            if g.bases not in gens:
-                gens[g.bases] = g
+            g = tuple(map(space_id, vertices, g.bases, g.pivots))
+            # found holds only {0} and the generators so far, and g != 0
+            if g not in found:
                 add(g)
-    gens = tuple(gens.values())
+                gens.append(g)
 
     frontier = gens
     while frontier:
         fresh = []
         for a in frontier:
             for g in gens:
-                s = submodule_sum(a, g)
-                if s.bases not in found:
+                s = tuple(map(space_sum, vertices, a, g))
+                if s not in found:
                     add(s)
                     fresh.append(s)
         frontier = fresh
 
-    return tuple(sorted(found.values(), key=Submodule.sort_key))
+    subs = (
+        Submodule(
+            module,
+            tuple(spaces[u][i][0] for u, i in enumerate(sub)),
+            tuple(spaces[u][i][1] for u, i in enumerate(sub)),
+        )
+        for sub in found
+    )
+    return tuple(sorted(subs, key=Submodule.sort_key))
 
 
 def submodule_dim_vectors(module):

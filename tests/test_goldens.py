@@ -1,4 +1,5 @@
-"""Byte-for-byte CLI output of every preset against committed goldens.
+"""Byte-for-byte CLI output of every preset, and of the committed input
+documents, against committed goldens.
 
 Regenerate the files (only when an output change is intended) with
     PYTHONPATH=src python tests/test_goldens.py
@@ -21,6 +22,11 @@ THETAS = {
     "nakayama2-121": "1/2,-1",
     "square-lambda": "1,-1,2,-3",
 }
+# `<name>.input.json` documents: indecomposable modules that are no preset
+# (kronecker-R4 is the Kronecker module 1 => 2 with a = I_4, b = J_4(0) over
+# F_2, 227 submodules)
+INPUTS = ("kronecker-R4",)
+INPUT_COMMANDS = ("newton", "fan")
 
 
 def _cases():
@@ -32,6 +38,10 @@ def _cases():
         yield f"{preset}.verify", ["verify", "--preset", preset, "--grid-bound", "1"]
         # the default grid: pins the sample count (2,409 on square-lambda)
         yield f"{preset}.verify-default", ["verify", "--preset", preset]
+    for name in INPUTS:
+        path = str(GOLDENS / f"{name}.input.json")
+        for command in INPUT_COMMANDS:
+            yield f"{name}.{command}", [command, "--input", path]
 
 
 CASES = list(_cases())

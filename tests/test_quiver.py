@@ -1,5 +1,7 @@
 """Bound quiver algebras, modules, submodules and subquotients."""
 
+import dataclasses
+
 import pytest
 
 import mtfan.quiver
@@ -234,6 +236,28 @@ def test_submodule_is_built_with_its_pivots():
     mid = generated_submodule(m, {1: [(1,)]})
     assert submodule_intersection(soc, mid).pivots == soc.pivots
     assert submodule_intersection(full, mid).pivots == mid.pivots
+
+
+def test_cached_hashes_follow_equality():
+    # equal but distinct instances hash equal
+    m, twin = preset_module("nakayama2-121"), preset_module("nakayama2-121")
+    assert m is not twin and m == twin
+    assert hash(m) == hash(twin) == hash((m.algebra, m.dims, m.maps))
+    soc = generated_submodule(m, {0: [(0, 1)]})
+    soc_twin = generated_submodule(twin, {0: [(0, 1)]})
+    assert soc is not soc_twin and soc == soc_twin
+    assert hash(soc) == hash(soc_twin) == hash((m, soc.bases))
+    # a submodule that differs only in its bases hashes as its own value,
+    # whichever of the two is hashed first
+    mid = generated_submodule(m, {1: [(1,)]})
+    hash(mid)
+    other = Submodule(m, soc.bases, mid.pivots)
+    assert other == soc and other != mid
+    assert hash(other) == hash(soc) == hash((m, soc.bases))
+    assert hash(dataclasses.replace(mid, bases=soc.bases)) == hash(soc)
+    assert {mid, other, soc} == {mid, soc}
+    # pivots stay out of equality and hashing, and repr is the dataclass's
+    assert repr(other) == f"Submodule(module={m!r}, bases={soc.bases!r})"
 
 
 def test_subquotient_and_quotient():

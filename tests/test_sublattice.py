@@ -2,9 +2,13 @@
 
 The oracle enumerates every graded subspace (product of subspaces, one per
 vertex) and keeps the arrow-stable ones; enumerate_submodules must produce
-exactly the same set of per-vertex spans.
+exactly the same set of per-vertex spans.  On larger modules the referee is
+referee.closure_by_sums, which must give the same tuple (bases, pivots and
+order), and a change of basis at every vertex must leave the lattice's size,
+dimension vectors and Newton polytope alone.
 """
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -18,14 +22,17 @@ from mtfan.quiver import (
     build_algebra,
     build_module,
     direct_sum,
+    simple_module,
     submodule_contains,
     submodule_sum,
 )
 from mtfan.sublattice import (
     LATTICE_CACHE_SIZE,
     enumerate_submodules,
+    newton_polytope,
     submodule_dim_vectors,
 )
+from referee import change_of_basis, closure_by_sums, inverse_fp
 
 
 def all_subspaces(dim, p):
@@ -257,3 +264,135 @@ def test_lattice_memo_stays_within_its_bound():
         assert len(enumerate_submodules(module, max_count=3 + extra)) == 3
     info = enumerate_submodules.cache_info()
     assert 0 < info.currsize <= LATTICE_CACHE_SIZE
+
+
+def kronecker_module(p, dims, a, b):
+    """The Kronecker quiver 1 => 2 with maps a and b (dims[1] x dims[0])."""
+    A = build_algebra(
+        {
+            "p": p,
+            "vertices": ["1", "2"],
+            "arrows": [
+                {"name": "a", "from": "1", "to": "2"},
+                {"name": "b", "from": "1", "to": "2"},
+            ],
+        }
+    )
+    return build_module(A, dims, {"a": a, "b": b})
+
+
+def regular_kronecker(k, p):
+    """R_k: a = I_k and b = J_k(0), the nilpotent Jordan block."""
+    identity = [[int(i == j) for j in range(k)] for i in range(k)]
+    jordan = [[int(j == i + 1) for j in range(k)] for i in range(k)]
+    return kronecker_module(p, (k, k), identity, jordan)
+
+
+def seeded_change_of_basis(module, seed):
+    """The module after a random invertible matrix at each vertex."""
+    p = module.algebra.p
+    rng = random.Random(seed)
+    change = []
+    for d in module.dims:
+        while True:
+            g = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+            if inverse_fp(g, p) is not None:
+                break
+        change.append(g)
+    return change_of_basis(module, change)
+
+
+def _sq_sq_s4():
+    sq = preset_module("square-lambda")
+    return direct_sum(direct_sum(sq, sq), simple_module(sq.algebra, 4))
+
+
+# name -> (module, lattice size)
+REFEREE_CASES = {
+    "a2-P1^3": (_a2_p1_cubed, 66),
+    "sq+sq+S4, seeded change of basis": (
+        lambda: seeded_change_of_basis(_sq_sq_s4(), "sq+sq+S4/1"),
+        196,
+    ),
+    "R_4 at p=2": (lambda: regular_kronecker(4, 2), 227),
+}
+
+
+@pytest.mark.parametrize("name", REFEREE_CASES)
+def test_interned_closure_matches_the_referee_closure(name):
+    """Same submodules, bases, pivots and order as the closure that sums
+    Submodule objects."""
+    build, size = REFEREE_CASES[name]
+    module = build()
+    ours = enumerate_submodules(module)
+    theirs = closure_by_sums(module)
+    assert len(ours) == size
+    assert [(s.bases, s.pivots) for s in ours] == [
+        (s.bases, s.pivots) for s in theirs
+    ]
+
+
+@st.composite
+def invertible_matrix(draw, d, p):
+    """P L U: a permutation, a unit lower triangular and an upper triangular
+    matrix with a nonzero diagonal; every invertible matrix has this form."""
+    entry = st.integers(0, p - 1)
+    perm = draw(st.permutations(range(d)))
+    lower = [[int(i == j) for j in range(d)] for i in range(d)]
+    upper = [[0] * d for _ in range(d)]
+    for i in range(d):
+        upper[i][i] = draw(st.integers(1, p - 1))
+        for j in range(i):
+            lower[i][j] = draw(entry)
+            upper[j][i] = draw(entry)
+    lu = [
+        [sum(lower[i][k] * upper[k][j] for k in range(d)) % p for j in range(d)]
+        for i in range(d)
+    ]
+    return [lu[perm[i]] for i in range(d)]
+
+
+@st.composite
+def preset_direct_sum(draw):
+    """A preset plus up to two summands, each a preset or a simple module
+    over its algebra, total dimension at most 8."""
+    module = preset_module(draw(st.sampled_from(preset_names())))
+    same_algebra = [
+        preset_module(n)
+        for n in preset_names()
+        if preset_module(n).algebra == module.algebra
+    ] + [simple_module(module.algebra, i) for i in range(1, module.algebra.n + 1)]
+    for _ in range(draw(st.integers(0, 2))):
+        part = draw(st.sampled_from(same_algebra))
+        if module.total_dim + part.total_dim <= 8:
+            module = direct_sum(module, part)
+    return module
+
+
+@st.composite
+def random_kronecker_module(draw):
+    p = draw(st.sampled_from([2, 3]))
+    d1, d2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    a, b = (
+        [[draw(st.integers(0, p - 1)) for _ in range(d1)] for _ in range(d2)]
+        for _ in range(2)
+    )
+    return kronecker_module(p, (d1, d2), a, b)
+
+
+@st.composite
+def module_and_change_of_basis(draw):
+    module = draw(st.one_of(preset_direct_sum(), random_kronecker_module()))
+    p = module.algebra.p
+    change = [draw(invertible_matrix(d, p)) for d in module.dims]
+    return module, change_of_basis(module, change)
+
+
+@given(module_and_change_of_basis())
+@settings(max_examples=50, deadline=None)
+def test_change_of_basis_leaves_the_lattice_alone(pair):
+    module, moved = pair
+    subs, moved_subs = enumerate_submodules(module), enumerate_submodules(moved)
+    assert len(subs) == len(moved_subs)
+    assert sorted(s.dims for s in subs) == sorted(s.dims for s in moved_subs)
+    assert newton_polytope(module) == newton_polytope(moved)
