@@ -27,7 +27,7 @@ from .oracle import (
 from .polyhedra import COMPLETENESS_GRID_BOUND, validate_generalized_fan
 from .presets import preset_module, preset_names
 from .sublattice import check_total_dim, newton_polytope
-from .svg import DEFAULT_SIZE, render_svg
+from .svg import DEFAULT_SIZE, check_rank, render_svg
 
 # `verify` checks every point of the grid [-B, B]^n against the whole fan,
 # and every point of the fan validator's completeness grid; both are capped
@@ -165,6 +165,8 @@ def run(config):
     _check_sizes(config, module.algebra.n)
     if config.command == "classify":
         theta = _parse_theta(config.theta, module.algebra.n)
+    if config.command == "svg":
+        check_rank(module.algebra.n)
     if config.command == "newton":
         _emit_json(config, serialize.polytope_doc(newton_polytope(module)))
         return 0

@@ -20,6 +20,16 @@ def number(x):
     return q.numerator if q.denominator == 1 else q
 
 
+def as_theta(theta, n):
+    """theta as a tuple of n exact coordinates: an int where the coordinate
+    is an integer, a Fraction otherwise.  Equal ints and Fractions hash
+    alike, so memo keys do not depend on which form a caller passed."""
+    t = tuple(number(x) for x in theta)
+    if len(t) != n:
+        raise ValueError(f"stability vector of length {len(t)}, expected {n}")
+    return t
+
+
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 

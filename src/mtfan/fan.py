@@ -29,20 +29,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantError, ModuleDefinitionError
-from .exact import lattice_basis_of_span, primitive, rank
+from .exact import as_theta, lattice_basis_of_span, primitive, rank
 from .polyhedra import (
     GeneralizedFan,
-    Order,
     Polytope,
     key_dim,
     locate_index,
     normal_fan,
     ray_sum,
-    vertex_order,
     vrep,
 )
 from .quiver import Module, Submodule, submodule_contains
-from .stability import as_theta
 from .sublattice import enumerate_submodules, newton_polytope
 
 _SAMPLE_SEED = 0x5EED
@@ -109,7 +106,7 @@ class MTFFan:
         wall = self.cones[P.face_id(set.intersection(*carrier))]
         a, b = self.cones[v0], self.cones[vM]
         _require(
-            vrep(self.n, a.eqs + b.eqs, a.ineqs + b.ineqs) == _key(wall),
+            vrep(self.n, a.eqs + b.eqs, a.ineqs + b.ineqs) == wall.key,
             "the wall is not the cone of the smallest face through 0 and [M]",
         )
         subs = enumerate_submodules(module)
@@ -165,10 +162,6 @@ def _lattice_class(subs, theta):
 def _require(ok, what):
     if not ok:
         raise InvariantError(what)
-
-
-def _key(cone):
-    return cone.lineality, cone.rays
 
 
 def build_mtf_fan(module):
@@ -246,7 +239,7 @@ def smallest_cone(mtf):
         if d == 0
     ]
     _require(
-        _key(cone) == (lattice_basis_of_span(units, n), ()),
+        cone.key == (lattice_basis_of_span(units, n), ()),
         "the cone at 0 is not the span of the vanishing coordinates",
     )
     meet = vrep(
@@ -254,22 +247,22 @@ def smallest_cone(mtf):
         [e for c in mtf.cones for e in c.eqs],
         [a for c in mtf.cones for a in c.ineqs],
     )
-    _require(meet == _key(cone), "the cone at 0 is not the meet of all cones")
+    _require(meet == cone.key, "the cone at 0 is not the meet of all cones")
     return cone
 
 
 def _oriented_edges(P):
     """(edge face id, lower vertex id, upper vertex id) for every Newton
-    edge: the coordinatewise vertex order orients each edge."""
+    edge: the coordinatewise vertex order orients each edge.  Of two
+    comparable vertices the lower has the smaller coordinate sum."""
     out = []
     for eid in P.edges():
-        a, b = P.faces[eid].vertex_ids
-        order = vertex_order(P.vertices[a], P.vertices[b])
+        lo, hi = sorted(P.faces[eid].vertex_ids, key=lambda v: sum(P.vertices[v]))
         _require(
-            order in (Order.LESS, Order.GREATER),
+            all(a <= b for a, b in zip(P.vertices[lo], P.vertices[hi])),
             f"Newton edge {eid} joins incomparable vertices",
         )
-        out.append((eid, a, b) if order is Order.LESS else (eid, b, a))
+        out.append((eid, lo, hi))
     return out
 
 
@@ -328,7 +321,7 @@ def boundary_regions(mtf, idx):
     plus, minus = facet_partition(mtf, idx)
     both = [mtf.cones[i] for i in plus + minus]
     cone = mtf.cones[idx]
-    for key in sorted(cone.face_keys - {_key(cone)}, key=key_dim):
+    for key in sorted(cone.face_keys - {cone.key}, key=key_dim):
         probe = ray_sum(mtf.n, key)
         _require(
             any(c.contains(probe) for c in both) or not both,
@@ -396,4 +389,4 @@ def face_restriction_check(mtf, idx, fidx):
         raise ModuleDefinitionError("second cone is not a face of the first")
     supp = mtf.classes[fidx].supp_dims
     cut = vrep(mtf.n, cone.eqs + tuple(tuple(d) for d in supp), cone.ineqs)
-    return cut == _key(face_cone)
+    return cut == face_cone.key

@@ -44,6 +44,18 @@ def in_span(rrows, pivots, vec, p):
     return not any(reduce_vec(rrows, pivots, vec, p))
 
 
+def rref_join(rrows, pivots, vecs, p):
+    """RREF (rows, pivots) of the span of an RREF basis and more vectors:
+    the basis is row reduced with the vectors' residues against it, and when
+    none survives the given tuples come back unchanged (the same objects)."""
+    residues = tuple(
+        r for r in (reduce_vec(rrows, pivots, v, p) for v in vecs) if any(r)
+    )
+    if not residues:
+        return rrows, pivots
+    return rref_fp(rrows + residues, p)
+
+
 def mat_vec(rows, vec, p):
     return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in rows)
 

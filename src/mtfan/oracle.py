@@ -15,11 +15,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact import dot, rank
+from .exact import as_theta, rank
 from .fan import wall_cone
 from .polyhedra import integer_grid, key_dim, key_eqs, locate_index, ray_sum, vrep
 from .stability import (
-    as_theta,
     canonical_sequences,
     evaluate,
     in_class_closure,
@@ -65,10 +64,7 @@ def _boundary_witness(cone):
     """Ray sum of the last proper face of a cone in (dim, eqs) order: the
     facet whose canonical equations are greatest.  Distinct facets have
     distinct spans, so the equations alone order them."""
-    facets = [
-        (cone.lineality, tuple(r for r in cone.rays if dot(a, r) == 0))
-        for a in cone.ineqs
-    ]
+    facets = [cone.exposed_key(a) for a in cone.ineqs]
     return ray_sum(cone.n, max(facets, key=lambda key: key_eqs(cone.n, key)))
 
 
@@ -215,7 +211,7 @@ def verify_dim_formula(mtf):
             )
     if not mtf.module.is_zero():
         wall = wall_cone(mtf)
-        cone_index = {(c.lineality, c.rays): i for i, c in enumerate(mtf.cones)}
+        cone_index = {c.key: i for i, c in enumerate(mtf.cones)}
         # (dim, eqs) order; the equations determine the face
         for key in sorted(wall.face_keys, key=lambda k: (key_dim(k), key_eqs(n, k))):
             checks += 1

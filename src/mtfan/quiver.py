@@ -22,6 +22,7 @@ from .fplinalg import (
     mat_vec,
     reduce_vec,
     rref_fp,
+    rref_join,
 )
 
 # subquotient modules memoized per (module, lower, upper); only the oracle's
@@ -333,17 +334,15 @@ def generated_submodule(module, seeds):
     """
     A = module.algebra
     p = A.p
-    spans = [[] for _ in range(A.n)]
+    spans = [() for _ in range(A.n)]
     pivots = [() for _ in range(A.n)]
     queue = []
 
     def insert(u, vec):
-        res = reduce_vec(spans[u], pivots[u], vec, p)
-        if any(res):
-            rows, piv = rref_fp(tuple(spans[u]) + (res,), p)
-            spans[u] = list(rows)
-            pivots[u] = piv
-            queue.append((u, res))
+        rows, piv = rref_join(spans[u], pivots[u], (vec,), p)
+        if rows is not spans[u]:
+            spans[u], pivots[u] = rows, piv
+            queue.append((u, vec))
 
     for u, vecs in seeds.items():
         for vec in vecs:
@@ -353,7 +352,7 @@ def generated_submodule(module, seeds):
         for ai, arrow in enumerate(A.arrows):
             if arrow.source == u:
                 insert(arrow.target, mat_vec(module.maps[ai], vec, p))
-    return Submodule(module, tuple(tuple(s) for s in spans), tuple(pivots))
+    return Submodule(module, tuple(spans), tuple(pivots))
 
 
 def submodule_zero(module):
@@ -389,22 +388,16 @@ def submodule_contains(outer, inner):
 def submodule_sum(a, b):
     """a + b, which is a itself (the same object) when b <= a.
 
-    b's basis vectors are reduced against a's stored echelon form, and a
-    vertex basis is re-reduced only where some residue survives.
+    Each vertex basis of a is joined with b's basis there (rref_join).
     """
     if a.module != b.module:
         raise ModuleDefinitionError("submodules of different modules")
     p = a.module.algebra.p
-    bases, pivots = list(a.bases), list(a.pivots)
-    grew = False
-    for u, (rows, piv, vecs) in enumerate(zip(a.bases, a.pivots, b.bases)):
-        residues = [r for r in (reduce_vec(rows, piv, v, p) for v in vecs) if any(r)]
-        if residues:
-            bases[u], pivots[u] = rref_fp(rows + tuple(residues), p)
-            grew = True
-    if not grew:
+    joined = [rref_join(*space, p) for space in zip(a.bases, a.pivots, b.bases)]
+    bases = tuple(rows for rows, _ in joined)
+    if bases == a.bases:
         return a
-    return Submodule(a.module, tuple(bases), tuple(pivots))
+    return Submodule(a.module, bases, tuple(piv for _, piv in joined))
 
 
 @functools.lru_cache(maxsize=SUBQUOTIENT_CACHE_SIZE)

@@ -13,7 +13,7 @@ additivity of theta on short exact sequences:
 
 Each module has a largest torsion submodule t and a largest weak-torsion
 submodule tbar; the canonical slices are w = tbar/t (semistable) and the
-quotients f = M/tbar, fbar = M/t.
+quotient f = M/tbar.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import InvariantError, ModuleDefinitionError
-from .exact import number
+from .exact import as_theta
 from .quiver import (
     Module,
     Submodule,
@@ -39,16 +39,6 @@ from .sublattice import enumerate_submodules
 # on the `geometry` benchmark workload the t-set memo has 10,404 hits for 96
 # misses
 THETA_CACHE_SIZE = 4096
-
-
-def as_theta(theta, n):
-    """theta as a tuple of n exact coordinates: an int where the coordinate
-    is an integer, a Fraction otherwise.  Equal ints and Fractions hash
-    alike, so memo keys do not depend on which form a caller passed."""
-    t = tuple(number(x) for x in theta)
-    if len(t) != n:
-        raise ValueError(f"stability vector of length {len(t)}, expected {n}")
-    return t
 
 
 def theta_str(theta):
@@ -135,7 +125,6 @@ class CanonicalSequenceData:
     tbar: Submodule
     w: Module
     f: Module
-    fbar: Module
 
 
 def canonical_sequences(theta, module):
@@ -157,7 +146,6 @@ def _canonical_sequences(theta, module):
         raise InvariantError(f"t is not inside tbar at theta {theta_str(theta)}")
     w = subquotient(module, t, tbar)
     f = quotient_module(module, tbar)
-    fbar = quotient_module(module, t)
     if not is_semistable(theta, w):
         raise InvariantError(
             f"w = tbar/t is not semistable at theta {theta_str(theta)}"
@@ -171,7 +159,7 @@ def _canonical_sequences(theta, module):
     fsubs, fvals = _sub_values(f, theta)
     if not all(v < 0 for s, v in zip(fsubs, fvals) if s.total_dim):
         raise InvariantError(f"f = M/tbar is not free at theta {theta_str(theta)}")
-    return CanonicalSequenceData(t, tbar, w, f, fbar)
+    return CanonicalSequenceData(t, tbar, w, f)
 
 
 def supp_factors(theta, module):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 
 from .errors import ResourceLimitError
-from .fplinalg import projective_points, reduce_vec, rref_fp
+from .fplinalg import projective_points, rref_join
 from .polyhedra import convex_hull
 from .quiver import Submodule, generated_submodule
 
@@ -101,17 +101,13 @@ def enumerate_submodules(
         pair = (i, j) if i < j else (j, i)
         k = sums[u].get(pair)
         if k is None:
-            # reduce the smaller space against the larger one's echelon form,
-            # so a containment costs no row reduction
+            # join the smaller space to the larger one, so a containment
+            # costs no row reduction
             if len(spaces[u][i][0]) < len(spaces[u][j][0]):
                 i, j = j, i
             rows, piv = spaces[u][i]
-            residues = tuple(
-                r
-                for r in (reduce_vec(rows, piv, v, p) for v in spaces[u][j][0])
-                if any(r)
-            )
-            k = space_id(u, *rref_fp(rows + residues, p)) if residues else i
+            joined = rref_join(rows, piv, spaces[u][j][0], p)
+            k = i if joined[0] is rows else space_id(u, *joined)
             sums[u][pair] = k
         return k
 

@@ -77,16 +77,19 @@ class _Canvas:
         return " ".join(",".join(self.point(v)) for v in poly)
 
 
+def check_rank(n):
+    """Raise ValueError unless n = 2: only rank-two fans are drawn."""
+    if n != 2:
+        raise ValueError(f"SVG rendering needs a rank-two fan, got rank {n}")
+
+
 def render_svg(mtf, size=DEFAULT_SIZE):
     """Render a complete picture of a rank-two fan as an SVG string.
 
     Maximal cones are shaded, one-dimensional cones drawn as rays or lines
     through the origin, and every cone labelled by its index in the fan.
     """
-    if mtf.n != 2:
-        raise ValueError(
-            f"SVG rendering needs a rank-two fan, got rank {mtf.n}"
-        )
+    check_rank(mtf.n)
     canvas = _Canvas(size)
     dims = tuple(mtf.module.dims)
     parts = [

@@ -16,18 +16,21 @@ from mtfan.fan import (
 )
 from mtfan.oracle import build_sample_set, verify_dim_formula, verify_fan
 from mtfan.polyhedra import (
-    Order,
     cone_from_hrep,
     cone_intersection,
     key_dim,
     locate_index,
     minkowski_sum,
     validate_generalized_fan,
-    vertex_order,
 )
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import direct_sum, simple_module
 from referee import cone_from_generators
+
+
+def _leq(u, v):
+    """Coordinatewise u <= v."""
+    return all(a <= b for a, b in zip(u, v))
 
 
 def _report(num, desc, budget, fn):
@@ -176,7 +179,7 @@ def test_criterion_8_increasing_paths():
         adj = {i: set() for i in range(len(verts))}
         for eid in P.edges():
             a, b = P.faces[eid].vertex_ids
-            if vertex_order(verts[a], verts[b]) is Order.LESS:
+            if _leq(verts[a], verts[b]):
                 adj[a].add(b)
             else:
                 adj[b].add(a)
@@ -200,6 +203,6 @@ def test_criterion_8_increasing_paths():
         for path in ours:
             assert path[0] == (0, 0) and path[-1] == (1, 1)
             for u, v in zip(path, path[1:]):
-                assert vertex_order(u, v) is Order.LESS
+                assert u != v and _leq(u, v)
 
     _report(8, "maximal increasing paths match Newton vertex walks", 1.0, check)

@@ -9,6 +9,7 @@ import time
 import pytest
 
 import mtfan.cli
+import mtfan.polyhedra
 from mtfan.cli import MAX_SVG_SIZE, RunConfig, build_parser, main, run
 from mtfan.errors import ResourceLimitError
 from mtfan.fan import build_mtf_fan, wall_cone
@@ -201,10 +202,22 @@ def test_svg_zero_module(tmp_path):
     assert text.count("<line") == 0
 
 
-def test_svg_rejects_higher_rank(tmp_path, capsys):
-    code = main(["svg", "--preset", "square-lambda"])
+def test_svg_rejects_higher_rank(tmp_path, monkeypatch, capsys):
+    def no_fan(module):
+        raise AssertionError("the fan was built")
+
+    # the CLI checks the rank before the build
+    with monkeypatch.context() as patch:
+        patch.setattr(mtfan.cli, "build_mtf_fan", no_fan)
+        code = main(["svg", "--preset", "square-lambda"])
     assert code == 2
-    assert "rank" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: SVG rendering needs a rank-two fan, got rank 4\n"
+    )
+    # library callers get the same check from render_svg itself
+    mtf = build_mtf_fan(preset_module("square-lambda"))
+    with pytest.raises(ValueError, match="rank-two fan, got rank 4"):
+        render_svg(mtf)
 
 
 def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
@@ -346,6 +359,48 @@ def _arrowless_module_doc(n):
         "arrows": [],
         "module": {"dims": {"0": 1}},
     }
+
+
+def _write_cube_doc(tmp_path, n):
+    """The arrowless module with a 1-dimensional space at each of n
+    vertices: 2^n submodules, all with distinct dimension vectors, whose
+    Newton polytope is the n-cube with 3^n faces."""
+    doc = dict(
+        _arrowless_module_doc(n), module={"dims": {str(k): 1 for k in range(n)}}
+    )
+    path = tmp_path / f"cube{n}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_newton_bounds_the_hull_points_before_the_hull(
+    n, tmp_path, monkeypatch, capsys
+):
+    def no_dd(*args):
+        raise AssertionError("the double description pass ran")
+
+    monkeypatch.setattr(mtfan.polyhedra, "_dd", no_dd)
+    path = _write_cube_doc(tmp_path, n)
+    start = time.perf_counter()
+    assert main(["newton", "--input", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: {2**n} distinct points, more than the convex hull's bound "
+        f"of {mtfan.polyhedra.MAX_HULL_POINTS}\n"
+    )
+
+
+def test_newton_bounds_the_hull_faces(tmp_path, capsys):
+    """The 7-cube has 128 vertices, within the point bound, and 2187
+    faces, beyond the face bound."""
+    path = _write_cube_doc(tmp_path, 7)
+    assert main(["newton", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the face lattice has more than "
+        f"{mtfan.polyhedra.MAX_HULL_FACES} faces, the empty face counted, "
+        "the convex hull's bound\n"
+    )
 
 
 def test_verify_bounds_the_validator_grid_before_the_build(

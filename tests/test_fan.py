@@ -2,10 +2,12 @@
 
 import dataclasses
 import gc
+import json
 import sys
 import weakref
 
 import pytest
+from hypothesis import given, seed, settings
 
 import mtfan.fan
 import mtfan.polyhedra
@@ -23,6 +25,7 @@ from mtfan.fan import (
 )
 from mtfan.polyhedra import (
     cone_from_hrep,
+    convex_hull,
     minkowski_sum,
     validate_generalized_fan,
 )
@@ -35,9 +38,10 @@ from mtfan.quiver import (
     submodule_zero,
     zero_module,
 )
+from mtfan.serialize import fan_doc
 from mtfan.stability import canonical_sequences, supp_factors, t_set
 from mtfan.sublattice import enumerate_submodules
-from referee import cone_from_generators, full_cone
+from referee import cone_from_generators, full_cone, module_and_change_of_basis
 
 
 def fan_of(name):
@@ -202,6 +206,17 @@ def test_boundary_regions_reject_an_uncovered_face(name, monkeypatch):
         boundary_regions(mtf, idx)
 
 
+def test_oriented_edges_point_up_and_reject_incomparable_vertices():
+    P = convex_hull([(1, 1), (0, 0), (0, 1), (1, 2)], 2)
+    edges = mtfan.fan._oriented_edges(P)
+    assert len(edges) == len(P.edges()) == 4
+    for _, lo, hi in edges:
+        u, v = P.vertices[lo], P.vertices[hi]
+        assert u != v and all(a <= b for a, b in zip(u, v))
+    with pytest.raises(InvariantError, match="incomparable"):
+        mtfan.fan._oriented_edges(convex_hull([(1, 0), (0, 1)], 2))
+
+
 def test_fan_paths_on_a2():
     mtf = fan_of("a2-P1")
     cat = fan_paths(mtf)
@@ -290,7 +305,9 @@ def test_lattice_class_data_matches_the_definitions(name):
         assert (data.t_dims, data.tbar_dims) == (cs.t.dims, cs.tbar.dims)
         assert data.w_dims == cs.w.dims
         assert data.f_dims == cs.f.dims
-        assert data.fbar_dims == cs.fbar.dims
+        assert data.fbar_dims == tuple(
+            m - t for m, t in zip(module.dims, cs.t.dims)
+        )
         supp = tuple(sorted(d for _, d in supp_factors(theta, cs.w)))
         assert data.supp_dims == supp
         assert mtfan.fan._lattice_class(subs, theta)[3] == t_set(theta, module)
@@ -379,3 +396,15 @@ def test_corrupted_cone_table_raises_invariant_error():
         wall_cone(bad)
     with pytest.raises(InvariantError):
         smallest_cone(bad)
+
+
+@given(module_and_change_of_basis())
+@seed(0x5EED)
+@settings(max_examples=40, deadline=None)
+def test_fan_doc_is_invariant_under_a_change_of_basis(pair):
+    """An isomorphic module with other matrix entries has the same fan
+    document, byte for byte."""
+    doc, moved_doc = (
+        json.dumps(fan_doc(build_mtf_fan(m)), indent=2) for m in pair
+    )
+    assert moved_doc == doc

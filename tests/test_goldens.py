@@ -1,5 +1,6 @@
 """Byte-for-byte CLI output of every preset, and of the committed input
-documents, against committed goldens.
+documents, against committed goldens: `<case>.json`, and `<preset>.svg` for
+the rank-two presets.
 
 Regenerate the files (only when an output change is intended) with
     PYTHONPATH=src python tests/test_goldens.py
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 from mtfan.cli import main
-from mtfan.presets import preset_names
+from mtfan.presets import preset_module, preset_names
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 COMMANDS = ("newton", "fan", "wall", "paths")
@@ -38,6 +39,8 @@ def _cases():
         yield f"{preset}.verify", ["verify", "--preset", preset, "--grid-bound", "1"]
         # the default grid: pins the sample count (2,409 on square-lambda)
         yield f"{preset}.verify-default", ["verify", "--preset", preset]
+        if preset_module(preset).algebra.n == 2:
+            yield f"{preset}.svg", ["svg", "--preset", preset]
     for name in INPUTS:
         path = str(GOLDENS / f"{name}.input.json")
         for command in INPUT_COMMANDS:
@@ -45,6 +48,10 @@ def _cases():
 
 
 CASES = list(_cases())
+
+
+def _golden(name):
+    return GOLDENS / (name if name.endswith(".svg") else f"{name}.json")
 
 
 def _output(argv):
@@ -57,12 +64,12 @@ def _output(argv):
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
 def test_output_matches_golden(name, argv):
-    golden = (GOLDENS / f"{name}.json").read_text(encoding="utf-8")
+    golden = _golden(name).read_text(encoding="utf-8")
     assert _output(argv) == golden
 
 
 if __name__ == "__main__":
     GOLDENS.mkdir(exist_ok=True)
     for name, argv in CASES:
-        (GOLDENS / f"{name}.json").write_text(_output(argv), encoding="utf-8")
+        _golden(name).write_text(_output(argv), encoding="utf-8")
         print(name, file=sys.stderr)

@@ -7,6 +7,7 @@ import pytest
 
 import mtfan.oracle
 import mtfan.polyhedra
+from mtfan.exact import as_theta
 from mtfan.fan import MTFFan, build_mtf_fan
 from mtfan.oracle import (
     build_sample_set,
@@ -16,7 +17,7 @@ from mtfan.oracle import (
 )
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import zero_module
-from mtfan.stability import as_theta, canonical_sequences, t_set
+from mtfan.stability import canonical_sequences, t_set
 
 
 @pytest.mark.parametrize("name", preset_names())

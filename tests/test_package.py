@@ -2,6 +2,8 @@
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import mtfan
@@ -31,3 +33,22 @@ def test_readme_imports_only_exported_names():
     }
     assert imported
     assert imported <= set(mtfan.__all__), imported - set(mtfan.__all__)
+
+
+def test_the_build_and_its_queries_leave_the_definition_module_unloaded():
+    """The definition routes in mtfan.stability serve the oracle only."""
+    script = """
+import sys
+import mtfan
+mtf = mtfan.build_mtf_fan(mtfan.preset_module("square-lambda"))
+mtfan.wall_cone(mtf)
+mtfan.fan_paths(mtf)
+loaded = sorted(m for m in sys.modules if m.startswith("mtfan"))
+assert "mtfan.stability" not in loaded, loaded
+print("ok")
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -15,14 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtfan import polyhedra
-from mtfan.errors import InvariantError
+from mtfan.errors import InvariantError, ResourceLimitError
 from mtfan.exact import dot, nullspace, primitive, rank
 from mtfan.fan import build_mtf_fan
 from mtfan.oracle import _boundary_witness
 from mtfan.polyhedra import (
     Cone,
     GeneralizedFan,
-    Order,
     cone_from_hrep,
     cone_intersection,
     convex_hull,
@@ -31,7 +30,6 @@ from mtfan.polyhedra import (
     normal_cone,
     normal_fan,
     validate_generalized_fan,
-    vertex_order,
 )
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import direct_sum, simple_module
@@ -39,17 +37,6 @@ from mtfan.sublattice import newton_polytope
 from referee import cone_from_generators, full_cone
 
 F = Fraction
-
-
-# ---------------------------------------------------------------------------
-# vertex order
-
-
-def test_vertex_order():
-    assert vertex_order((0, 0), (1, 0)) is Order.LESS
-    assert vertex_order((1, 2), (1, 0)) is Order.GREATER
-    assert vertex_order((1, 2), (1, 2)) is Order.EQUAL
-    assert vertex_order((1, 0), (0, 1)) is Order.INCOMPARABLE
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +220,37 @@ def test_hull_of_quadrilateral_has_nine_faces():
     assert len(P.vertices) == 4
     assert [f.dim for f in P.faces] == [0, 0, 0, 0, 1, 1, 1, 1, 2]
     assert len(P.edges()) == 4
+
+
+def test_hull_bounds_its_distinct_points():
+    line = [(k, 0) for k in range(polyhedra.MAX_HULL_POINTS)]
+    assert len(convex_hull(line + line, 2).vertices) == 2  # repeats are free
+    with pytest.raises(ResourceLimitError, match="convex hull's bound"):
+        convex_hull(line + [(-1, 0)], 2)
+
+
+def test_hull_bounds_its_faces_the_empty_face_counted(monkeypatch):
+    cube = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    monkeypatch.setattr(polyhedra, "MAX_HULL_FACES", 28)
+    assert len(convex_hull(cube, 3).faces) == 27
+    monkeypatch.setattr(polyhedra, "MAX_HULL_FACES", 27)
+    with pytest.raises(ResourceLimitError, match="more than 27 faces"):
+        convex_hull(cube, 3)
+
+
+@pytest.mark.parametrize(
+    "name", [*preset_names(), "sq+sq+sq", "sq+sq+S4"]
+)
+def test_hull_bounds_admit_the_presets_and_the_largest_inputs(name):
+    if name in preset_names():
+        module = preset_module(name)
+    else:
+        sq = preset_module("square-lambda")
+        last = sq if name == "sq+sq+sq" else simple_module(sq.algebra, 4)
+        module = direct_sum(direct_sum(sq, sq), last)
+    P = newton_polytope(module)
+    assert len(P.vertices) <= polyhedra.MAX_HULL_POINTS
+    assert len(P.faces) + 1 <= polyhedra.MAX_HULL_FACES
 
 
 def test_hull_is_invariant_under_input_order():

@@ -32,7 +32,13 @@ from mtfan.sublattice import (
     newton_polytope,
     submodule_dim_vectors,
 )
-from referee import change_of_basis, closure_by_sums, inverse_fp
+from referee import (
+    change_of_basis,
+    closure_by_sums,
+    inverse_fp,
+    kronecker_module,
+    module_and_change_of_basis,
+)
 
 
 def all_subspaces(dim, p):
@@ -266,21 +272,6 @@ def test_lattice_memo_stays_within_its_bound():
     assert 0 < info.currsize <= LATTICE_CACHE_SIZE
 
 
-def kronecker_module(p, dims, a, b):
-    """The Kronecker quiver 1 => 2 with maps a and b (dims[1] x dims[0])."""
-    A = build_algebra(
-        {
-            "p": p,
-            "vertices": ["1", "2"],
-            "arrows": [
-                {"name": "a", "from": "1", "to": "2"},
-                {"name": "b", "from": "1", "to": "2"},
-            ],
-        }
-    )
-    return build_module(A, dims, {"a": a, "b": b})
-
-
 def regular_kronecker(k, p):
     """R_k: a = I_k and b = J_k(0), the nilpotent Jordan block."""
     identity = [[int(i == j) for j in range(k)] for i in range(k)]
@@ -330,62 +321,6 @@ def test_interned_closure_matches_the_referee_closure(name):
     assert [(s.bases, s.pivots) for s in ours] == [
         (s.bases, s.pivots) for s in theirs
     ]
-
-
-@st.composite
-def invertible_matrix(draw, d, p):
-    """P L U: a permutation, a unit lower triangular and an upper triangular
-    matrix with a nonzero diagonal; every invertible matrix has this form."""
-    entry = st.integers(0, p - 1)
-    perm = draw(st.permutations(range(d)))
-    lower = [[int(i == j) for j in range(d)] for i in range(d)]
-    upper = [[0] * d for _ in range(d)]
-    for i in range(d):
-        upper[i][i] = draw(st.integers(1, p - 1))
-        for j in range(i):
-            lower[i][j] = draw(entry)
-            upper[j][i] = draw(entry)
-    lu = [
-        [sum(lower[i][k] * upper[k][j] for k in range(d)) % p for j in range(d)]
-        for i in range(d)
-    ]
-    return [lu[perm[i]] for i in range(d)]
-
-
-@st.composite
-def preset_direct_sum(draw):
-    """A preset plus up to two summands, each a preset or a simple module
-    over its algebra, total dimension at most 8."""
-    module = preset_module(draw(st.sampled_from(preset_names())))
-    same_algebra = [
-        preset_module(n)
-        for n in preset_names()
-        if preset_module(n).algebra == module.algebra
-    ] + [simple_module(module.algebra, i) for i in range(1, module.algebra.n + 1)]
-    for _ in range(draw(st.integers(0, 2))):
-        part = draw(st.sampled_from(same_algebra))
-        if module.total_dim + part.total_dim <= 8:
-            module = direct_sum(module, part)
-    return module
-
-
-@st.composite
-def random_kronecker_module(draw):
-    p = draw(st.sampled_from([2, 3]))
-    d1, d2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    a, b = (
-        [[draw(st.integers(0, p - 1)) for _ in range(d1)] for _ in range(d2)]
-        for _ in range(2)
-    )
-    return kronecker_module(p, (d1, d2), a, b)
-
-
-@st.composite
-def module_and_change_of_basis(draw):
-    module = draw(st.one_of(preset_direct_sum(), random_kronecker_module()))
-    p = module.algebra.p
-    change = [draw(invertible_matrix(d, p)) for d in module.dims]
-    return module, change_of_basis(module, change)
 
 
 @given(module_and_change_of_basis())
