@@ -32,6 +32,12 @@ from .svg import DEFAULT_SIZE, check_rank, render_svg
 # `verify` checks every point of the grid [-B, B]^n against the whole fan,
 # and every point of the fan validator's completeness grid; both are capped
 MAX_GRID_POINTS = 100_000
+# `verify` checks pairs of cones, in the oracle and in the fan validator, so
+# its cost grows with the square of the cone count C.  On CPython 3.11 on a
+# 2-core Xeon, `verify --grid-bound 0` on the arrowless module with a line at
+# each of 5 vertices (C = 243) takes 4 s, on 6 vertices (C = 729) it took
+# 46 s; the presets, the goldens and the benchmark inputs have C <= 61
+MAX_VERIFY_CONES = 256
 MAX_SVG_SIZE = 4096
 # a --theta entry is written out in full, with at most this many digits, so
 # parsing it and echoing it back stay cheap
@@ -190,6 +196,11 @@ def run(config):
         _emit(config, render_svg(mtf, size=config.size))
         return 0
     if config.command == "verify":
+        if len(mtf.cones) > MAX_VERIFY_CONES:
+            raise ResourceLimitError(
+                f"the fan has {len(mtf.cones)} cones, more than verify's cap "
+                f"of {MAX_VERIFY_CONES}"
+            )
         samples = build_sample_set(
             mtf, bound=config.grid_bound, seed=config.seed
         )

@@ -109,9 +109,10 @@ def verify_point(mtf, theta):
     # its relative interior, so this is the cone's t-set
     ts = t_set(theta, module)
     subs = enumerate_submodules(module)
-    maxval = max(evaluate(theta, v) for v in subs)
-    for L in subs:
-        if (evaluate(theta, L) == maxval) != (L in ts):
+    vals = [evaluate(theta, L) for L in subs]
+    maxval = max(vals)
+    for L, v in zip(subs, vals):
+        if (v == maxval) != (L in ts):
             fails.append(f"t-set mismatch at submodule of class {L.dims}")
             break
 
@@ -173,21 +174,22 @@ def verify_fan(mtf, samples=None):
                     same = i == j
                     eq = is_m_tf_equivalent(a, b, module)
                     eq2 = m_tf_equivalent_by_filtration(a, b, module)
-                    sa, sb = theta_str(a), theta_str(b)
                     if eq != eq2:
                         failures.append(
-                            f"equivalence routes disagree at {sa} vs {sb}"
+                            "equivalence routes disagree at "
+                            f"{theta_str(a)} vs {theta_str(b)}"
                         )
                     if eq != same:
                         failures.append(
-                            f"equivalence({sa}, {sb}) = {eq}, located cones "
+                            f"equivalence({theta_str(a)}, {theta_str(b)}) = "
+                            f"{eq}, located cones "
                             f"{'agree' if same else 'differ'}"
                         )
                     closure = in_class_closure(a, b, module)
                     if closure != face_rel:
                         failures.append(
-                            f"closure({sa}, {sb}) = {closure} but face "
-                            f"relation is {face_rel}"
+                            f"closure({theta_str(a)}, {theta_str(b)}) = "
+                            f"{closure} but face relation is {face_rel}"
                         )
     return OracleReport(checks, tuple(failures))
 

@@ -300,8 +300,9 @@ class Submodule:
 
     pivots[u] lists the pivot columns of bases[u].  It is determined by the
     bases and takes no part in equality, hashing or ordering; every
-    constructor passes the pivots its row reduction found.  The hash is
-    computed once per instance, as Module's is.
+    constructor passes the pivots its row reduction found.  The hash and
+    the dimension vector are computed once per instance, as Module's hash
+    is.
     """
 
     module: Module
@@ -315,7 +316,7 @@ class Submodule:
             object.__setattr__(self, "_hash", hash((self.module, self.bases)))
             return self._hash
 
-    @property
+    @functools.cached_property
     def dims(self):
         return tuple(len(b) for b in self.bases)
 

@@ -14,6 +14,13 @@ additivity of theta on short exact sequences:
 Each module has a largest torsion submodule t and a largest weak-torsion
 submodule tbar; the canonical slices are w = tbar/t (semistable) and the
 quotient f = M/tbar.
+
+The scans that test containment (the torsion classes, the t-set's members
+above t, the minimal semistable submodules of supp_factors) read one order
+table per module: for each member of enumerate_submodules(module), the
+indices of the members strictly inside it, each pair decided once by
+submodule_contains.  A functional then only compares its values along the
+table.  Semistability reads values alone, so it never builds a table.
 """
 from __future__ import annotations
 
@@ -29,16 +36,21 @@ from .quiver import (
     submodule_as_module,
     submodule_contains,
     submodule_full,
-    submodule_sum,
     subquotient,
 )
-from .sublattice import enumerate_submodules
+from .sublattice import LATTICE_CACHE_SIZE, enumerate_submodules
 
 # canonical filtrations and t-sets memoized per (theta, module); a default
 # `verify` on any preset reads at most 2,409 functionals (square-lambda), and
-# on the `geometry` benchmark workload the t-set memo has 10,404 hits for 96
-# misses
+# on the `geometry` benchmark workload (seed 1) the t-set memo has 10,404
+# hits for 96 misses
 THETA_CACHE_SIZE = 4096
+# order tables memoized per module, as many as the lattices they index: the
+# module, its slices w and the quotients supp_factors splits them into.  A
+# default `verify` builds at most 12 on a preset (square-lambda), 15 on the
+# Kronecker module R_4 and 47 on sq+sq+S4; the `oracle` workload reads its 4
+# tables 2,257 times
+ORDER_CACHE_SIZE = LATTICE_CACHE_SIZE
 
 
 def theta_str(theta):
@@ -66,11 +78,13 @@ def _sub_values(module, theta):
 
 def is_semistable(theta, module):
     """theta(X) = 0 and theta(L) <= 0 for every submodule L of X."""
-    theta = as_theta(theta, module.algebra.n)
+    return _is_semistable(as_theta(theta, module.algebra.n), module)
+
+
+def _is_semistable(theta, module):
     if evaluate(theta, module) != 0:
         return False
-    _, vals = _sub_values(module, theta)
-    return all(v <= 0 for v in vals)
+    return all(evaluate(theta, s) <= 0 for s in enumerate_submodules(module))
 
 
 def is_stable(theta, module):
@@ -90,31 +104,48 @@ def is_stable(theta, module):
     return True
 
 
-def _largest_member(members):
-    """The unique maximal submodule among members (their sum, checked in)."""
-    total = None
-    for s in members:
-        total = s if total is None else submodule_sum(total, s)
-    if total not in members:
-        raise InvariantError("the sum of the members is not a member")
-    return total
+@functools.lru_cache(maxsize=ORDER_CACHE_SIZE)
+def _order(module):
+    """below[i]: the indices of the members strictly inside member i of
+    enumerate_submodules(module), as a frozenset.
+
+    A submodule strictly inside L has a dimension vector at most L's in
+    every coordinate and a smaller total, so only such pairs reach
+    submodule_contains.
+    """
+    subs = enumerate_submodules(module)
+    dims = [s.dims for s in subs]
+    totals = [sum(d) for d in dims]
+
+    def inside(i):
+        return frozenset(
+            j
+            for j, inner in enumerate(subs)
+            if totals[j] < totals[i]
+            and all(a <= b for a, b in zip(dims[j], dims[i]))
+            and submodule_contains(subs[i], inner)
+        )
+
+    return tuple(map(inside, range(len(subs))))
 
 
-def _torsion_members(subs, vals, strict):
-    """Submodules L with theta(L') < theta(L) (or <=) for all L' < L."""
-    members = set()
-    items = list(zip(subs, vals))
-    for L, vL in items:
-        ok = True
-        for L2, v2 in items:
-            if L2 == L or not submodule_contains(L, L2):
-                continue
-            if (v2 >= vL) if strict else (v2 > vL):
-                ok = False
-                break
-        if ok:
-            members.add(L)
-    return members
+def _largest_member(members, below):
+    """The member (an index) whose table row holds every other member.
+
+    Some member contains all the others exactly when the sum of the members
+    is a member, and then it is that sum.
+    """
+    for i in members:
+        if len(below[i]) >= len(members) - 1 and members - below[i] == {i}:
+            return i
+    raise InvariantError("the sum of the members is not a member")
+
+
+def _torsion_members(below, vals, strict):
+    """Indices i with theta(L') < theta(L_i) (or <=) for all L' < L_i."""
+    if strict:
+        return {i for i, v in enumerate(vals) if all(vals[j] < v for j in below[i])}
+    return {i for i, v in enumerate(vals) if all(vals[j] <= v for j in below[i])}
 
 
 @dataclass(frozen=True)
@@ -140,13 +171,15 @@ def canonical_sequences(theta, module):
 @functools.lru_cache(maxsize=THETA_CACHE_SIZE)
 def _canonical_sequences(theta, module):
     subs, vals = _sub_values(module, theta)
-    t = _largest_member(_torsion_members(subs, vals, strict=True))
-    tbar = _largest_member(_torsion_members(subs, vals, strict=False))
-    if not submodule_contains(tbar, t):
+    below = _order(module)
+    i = _largest_member(_torsion_members(below, vals, strict=True), below)
+    k = _largest_member(_torsion_members(below, vals, strict=False), below)
+    if i != k and i not in below[k]:
         raise InvariantError(f"t is not inside tbar at theta {theta_str(theta)}")
+    t, tbar = subs[i], subs[k]
     w = subquotient(module, t, tbar)
     f = quotient_module(module, tbar)
-    if not is_semistable(theta, w):
+    if not _is_semistable(theta, w):
         raise InvariantError(
             f"w = tbar/t is not semistable at theta {theta_str(theta)}"
         )
@@ -171,25 +204,21 @@ def supp_factors(theta, module):
     not depend on the choices made.
     """
     theta = as_theta(theta, module.algebra.n)
-    if not is_semistable(theta, module):
+    if not _is_semistable(theta, module):
         raise ModuleDefinitionError("supp factors need a semistable module")
     factors = []
     current = module
     while not current.is_zero():
-        semis = [
-            s
-            for s in enumerate_submodules(current)
+        subs = enumerate_submodules(current)
+        semis = {
+            i
+            for i, s in enumerate(subs)
             if s.total_dim
             and evaluate(theta, s) == 0
-            and is_semistable(theta, submodule_as_module(s))
-        ]
-        minimal = [
-            s
-            for s in semis
-            if not any(
-                s2 != s and submodule_contains(s, s2) for s2 in semis
-            )
-        ]
+            and _is_semistable(theta, submodule_as_module(s))
+        }
+        below = _order(current)
+        minimal = [subs[i] for i in semis if semis.isdisjoint(below[i])]
         chosen = min(minimal, key=Submodule.sort_key)
         factor = submodule_as_module(chosen)
         if not is_stable(theta, factor):
@@ -214,20 +243,23 @@ def t_set(theta, module):
 
 @functools.lru_cache(maxsize=THETA_CACHE_SIZE)
 def _t_set(theta, module):
-    cs = canonical_sequences(theta, module)
-    members = set()
-    for L in enumerate_submodules(module):
-        if not submodule_contains(L, cs.t):
-            continue
-        if is_semistable(theta, subquotient(module, cs.t, L)):
-            members.add(L)
-    if not (cs.t in members and cs.tbar in members):
+    cs = _canonical_sequences(theta, module)
+    subs = enumerate_submodules(module)
+    below = _order(module)
+    t, tbar = subs.index(cs.t), subs.index(cs.tbar)
+    members = {
+        i
+        for i, L in enumerate(subs)
+        if (i == t or t in below[i])
+        and _is_semistable(theta, subquotient(module, cs.t, L))
+    }
+    if not (t in members and tbar in members):
         raise InvariantError(
             f"t or tbar is missing from the t-set at {theta_str(theta)}"
         )
-    if not all(submodule_contains(cs.tbar, L) for L in members):
+    if members - below[tbar] != {tbar}:
         raise InvariantError(f"a t-set member is not inside tbar at {theta_str(theta)}")
-    return frozenset(members)
+    return frozenset(subs[i] for i in members)
 
 
 def is_m_tf_equivalent(theta, eta, module):
@@ -243,8 +275,8 @@ def m_tf_equivalent_by_filtration(theta, eta, module):
     """
     theta = as_theta(theta, module.algebra.n)
     eta = as_theta(eta, module.algebra.n)
-    ct = canonical_sequences(theta, module)
-    ce = canonical_sequences(eta, module)
+    ct = _canonical_sequences(theta, module)
+    ce = _canonical_sequences(eta, module)
     if ct.t != ce.t or ct.tbar != ce.tbar:
         return False
     wsubs = enumerate_submodules(ct.w)
@@ -254,7 +286,7 @@ def m_tf_equivalent_by_filtration(theta, eta, module):
             s
             for s in wsubs
             if evaluate(vec, s) == 0
-            and is_semistable(vec, submodule_as_module(s))
+            and _is_semistable(vec, submodule_as_module(s))
         )
 
     return semis(theta) == semis(eta)

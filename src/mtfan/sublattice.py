@@ -33,8 +33,8 @@ from .quiver import Submodule, generated_submodule
 DEFAULT_DIM_BOUND = 14
 DEFAULT_MAX_SUBMODULES = 20000
 # lattices memoized per (module, dim_bound, max_count); a default `verify` on
-# any preset reads at most 13 of them and the `oracle` benchmark workload hits
-# the memo 8,142 times for 6 misses
+# any preset reads at most 13 of them and the `oracle` benchmark workload
+# (seed 1) hits the memo 8,146 times for 6 misses
 LATTICE_CACHE_SIZE = 256
 
 

@@ -4,7 +4,9 @@ Each cone builds a canonical cone through the public double description
 entry points, so a test can state a cone by its generators or rebuild it
 from its document.  The meet of two submodules and the F_p subspace helpers
 it rests on serve as referees for the submodule lattice, and so does a
-closure that sums Submodule objects.  A change of basis at every vertex
+closure that sums Submodule objects.  The torsion scans that test
+containment of every pair of submodules at each functional, and take the
+largest member as a sum, are the referee for the oracle's order table.  A change of basis at every vertex
 builds isomorphic modules with different matrix entries, and the hypothesis
 strategies at the end draw such pairs from the presets, their direct sums
 and small Kronecker modules.
@@ -23,10 +25,14 @@ from mtfan.quiver import (
     direct_sum,
     generated_submodule,
     simple_module,
+    submodule_contains,
     submodule_sum,
     submodule_zero,
+    subquotient,
 )
 from mtfan.serialize import parse_frac
+from mtfan.stability import evaluate, is_semistable
+from mtfan.sublattice import enumerate_submodules
 
 
 def cone_from_generators(n, rays=(), lineality=()):
@@ -105,6 +111,56 @@ def closure_by_sums(module):
                     fresh.append(s)
         frontier = fresh
     return tuple(sorted(found.values(), key=Submodule.sort_key))
+
+
+def torsion_members(subs, vals, strict):
+    """Submodules L with theta(L') < theta(L) (or <=) for all L' < L, by a
+    containment test of every pair."""
+    members = set()
+    items = list(zip(subs, vals))
+    for L, vL in items:
+        ok = True
+        for L2, v2 in items:
+            if L2 == L or not submodule_contains(L, L2):
+                continue
+            if (v2 >= vL) if strict else (v2 > vL):
+                ok = False
+                break
+        if ok:
+            members.add(L)
+    return members
+
+
+def largest_member(members):
+    """The sum of the members, which must be one of them."""
+    total = None
+    for s in members:
+        total = s if total is None else submodule_sum(total, s)
+    if total not in members:
+        raise AssertionError("the sum of the members is not a member")
+    return total
+
+
+def torsion_filtration(theta, module):
+    """(t, tbar) at an as_theta functional: the largest torsion and
+    weak-torsion submodules, from the definitions at this functional."""
+    subs = enumerate_submodules(module)
+    vals = [evaluate(theta, s) for s in subs]
+    return tuple(
+        largest_member(torsion_members(subs, vals, strict))
+        for strict in (True, False)
+    )
+
+
+def definition_t_set(theta, module):
+    """Submodules L with t <= L and L/t semistable at an as_theta
+    functional."""
+    t, _ = torsion_filtration(theta, module)
+    return frozenset(
+        L
+        for L in enumerate_submodules(module)
+        if submodule_contains(L, t) and is_semistable(theta, subquotient(module, t, L))
+    )
 
 
 def inverse_fp(mat, p):

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ from mtfan.serialize import polytope_doc
 from mtfan.sublattice import enumerate_submodules, newton_polytope
 from mtfan.svg import render_svg
 from referee import cone_from_doc
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -422,6 +425,50 @@ def test_verify_bounds_the_validator_grid_before_the_build(
     )
     for bound in (0, 1):
         mtfan.cli._check_sizes(RunConfig(command="verify", grid_bound=bound), 7)
+
+
+def test_verify_caps_the_cones_before_the_samples(tmp_path, monkeypatch, capsys):
+    """The 6-cube's fan has 729 cones, beyond the cap: verify refuses it
+    after the build, before it builds a sample set or runs the oracle or
+    the fan validator."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify went past the cone cap")
+
+    for name in (
+        "build_sample_set",
+        "verify_fan",
+        "verify_dim_formula",
+        "validate_generalized_fan",
+    ):
+        monkeypatch.setattr(mtfan.cli, name, no_work)
+    path = _write_cube_doc(tmp_path, 6)
+    assert main(["verify", "--input", str(path), "--grid-bound", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the fan has 729 cones, more than verify's cap of "
+        f"{mtfan.cli.MAX_VERIFY_CONES}\n"
+    )
+
+
+def test_the_cone_cap_is_inclusive(monkeypatch, capsys):
+    """square-lambda has 39 cones: a cap of 39 admits it, 38 refuses it."""
+    args = ["verify", "--preset", "square-lambda", "--grid-bound", "0"]
+    monkeypatch.setattr(mtfan.cli, "MAX_VERIFY_CONES", 39)
+    assert main(args) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(mtfan.cli, "MAX_VERIFY_CONES", 38)
+    assert main(args) == 2
+    assert "the fan has 39 cones" in capsys.readouterr().err
+
+
+def test_the_cone_cap_admits_every_golden_fan():
+    """Every golden fan is within the cap: the presets, which include the
+    benchmark's verify inputs, and the Kronecker module R_4."""
+    goldens = sorted(GOLDENS.glob("*.fan.json"))
+    assert len(goldens) == len(preset_names()) + 1
+    for path in goldens:
+        cones = json.loads(path.read_text(encoding="utf-8"))["cones"]
+        assert len(cones) <= mtfan.cli.MAX_VERIFY_CONES
 
 
 def test_size_caps_admit_the_defaults_and_the_benchmark_grids():

@@ -1,12 +1,15 @@
 """Brute-force oracle agreement with the decorated fan."""
 
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
 
 import mtfan.oracle
 import mtfan.polyhedra
+import mtfan.quiver
+import mtfan.stability
 from mtfan.exact import as_theta
 from mtfan.fan import MTFFan, build_mtf_fan
 from mtfan.oracle import (
@@ -207,3 +210,33 @@ def test_sample_set_is_deterministic_and_covers_all_cones():
     assert a == b
     located = {verify_point(mtf, t).cone_index for t in a}
     assert located == set(range(len(mtf.cones)))
+
+
+def test_oracle_containment_tests_do_not_grow_with_the_functionals(monkeypatch):
+    """The order table decides each pair of submodules once per module, so
+    verify_fan on nakayama2-121 at --grid-bound 16 (1,097 functionals) makes
+    41 containment tests, counted through every alias; scans that test every
+    pair at each functional made 26,033."""
+    mtf = build_mtf_fan(preset_module("nakayama2-121"))
+    samples = build_sample_set(mtf, bound=16)
+    for memo in (
+        mtfan.stability._order,
+        mtfan.stability._canonical_sequences,
+        mtfan.stability._t_set,
+        mtfan.quiver.subquotient,
+    ):
+        memo.cache_clear()
+    real = mtfan.quiver.submodule_contains
+    calls = []
+
+    def counting(outer, inner):
+        calls.append(None)
+        return real(outer, inner)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("mtfan") and getattr(mod, "submodule_contains", None) is real:
+            monkeypatch.setattr(mod, "submodule_contains", counting)
+    report = verify_fan(mtf, samples=samples)
+    assert report.ok, report.failures
+    assert len(samples) == 1097
+    assert len(calls) <= 50

@@ -3,17 +3,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from mtfan.errors import InvariantError, ModuleDefinitionError
 from mtfan.exact import as_theta
-from mtfan.presets import preset_module
+from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import direct_sum, simple_module, zero_module
 import mtfan.stability
 from mtfan.stability import (
     THETA_CACHE_SIZE,
     _largest_member,
+    _order,
     canonical_sequences,
     evaluate,
     in_class_closure,
@@ -26,6 +27,7 @@ from mtfan.stability import (
     wall_membership,
 )
 from mtfan.sublattice import enumerate_submodules
+from referee import definition_t_set, module_and_change_of_basis, torsion_filtration
 
 
 def filtration_dims(theta, module):
@@ -209,10 +211,10 @@ def test_largest_member_of_a_corrupted_table_raises_invariant_error():
     module = direct_sum(simple_module(A, 1), simple_module(A, 2))
     subs = enumerate_submodules(module)
     # S1 and S2 without their sum: not the member set of any functional
-    simples = [s for s in subs if s.total_dim == 1]
+    simples = {i for i, s in enumerate(subs) if s.total_dim == 1}
     assert len(simples) == 2
     with pytest.raises(InvariantError, match="not a member"):
-        _largest_member(set(simples))
+        _largest_member(simples, _order(module))
 
 
 def test_theta_memos_stay_within_their_bound():
@@ -221,3 +223,45 @@ def test_theta_memos_stay_within_their_bound():
         t_set((Fraction(k, THETA_CACHE_SIZE), -1), module)
     for memo in (mtfan.stability._t_set, mtfan.stability._canonical_sequences):
         assert 0 < memo.cache_info().currsize <= THETA_CACHE_SIZE
+
+
+@st.composite
+def module_and_theta(draw):
+    """A preset or a random module of the referee (a direct sum of presets
+    or a Kronecker module, after a change of basis), with a small integral
+    functional, so that many submodules tie."""
+    module = draw(
+        st.one_of(
+            st.sampled_from(preset_names()).map(preset_module),
+            module_and_change_of_basis().map(lambda pair: pair[1]),
+        )
+    )
+    theta = draw(st.tuples(*[st.integers(-2, 2)] * module.algebra.n))
+    return module, as_theta(theta, module.algebra.n)
+
+
+@given(module_and_theta())
+@seed(0x0DE7)
+@settings(max_examples=60, deadline=None)
+def test_order_table_agrees_with_the_pairwise_torsion_scans(case):
+    """t, tbar and the t-set read off the order table are those of the
+    scans that test containment of every pair at the functional."""
+    module, theta = case
+    cs = canonical_sequences(theta, module)
+    assert (cs.t, cs.tbar) == torsion_filtration(theta, module)
+    assert t_set(theta, module) == definition_t_set(theta, module)
+
+
+def test_value_only_questions_build_no_order_table():
+    """Semistability and the semistable subobjects of the middle slice read
+    values alone: only the module whose filtration is asked for gets a
+    table, not the submodules that supp_factors and the filtration route
+    test for semistability."""
+    m = preset_module("square-lambda")
+    mtfan.stability._order.cache_clear()
+    assert is_semistable((1, -1, 0, 0), m)
+    assert is_stable((1, 0, 0, -1), m)
+    assert mtfan.stability._order.cache_info().currsize == 0
+    mtfan.stability._canonical_sequences.cache_clear()
+    assert m_tf_equivalent_by_filtration((1, 0, 0, -1), (2, 0, 0, -2), m)
+    assert mtfan.stability._order.cache_info().currsize == 1
