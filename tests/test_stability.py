@@ -253,10 +253,9 @@ def test_order_table_agrees_with_the_pairwise_torsion_scans(case):
 
 
 def test_value_only_questions_build_no_order_table():
-    """Semistability and the semistable subobjects of the middle slice read
-    values alone: only the module whose filtration is asked for gets a
-    table, not the submodules that supp_factors and the filtration route
-    test for semistability."""
+    """Semistability reads values alone: only the module whose filtration
+    is asked for gets a table, not the submodules of its middle slice that
+    the filtration route tests for semistability."""
     m = preset_module("square-lambda")
     mtfan.stability._order.cache_clear()
     assert is_semistable((1, -1, 0, 0), m)
