@@ -3,7 +3,9 @@ computations.
 
 Every sample functional is classified twice: by locating it in the fan and
 by recomputing filtration, support and t-set from scratch.  Pairs of samples
-check the equivalence and closure predicates against the cone combinatorics.
+check the equivalence and closure predicates against the cone combinatorics;
+each sample's definition data is computed once, so a pair check compares
+stored t-sets and filtration keys.
 
 A sample set is a plain tuple of as_theta vectors; the grid points, ray-sum
 witnesses and seeded points are all integral, so their coordinates are ints.
@@ -19,13 +21,11 @@ from .exact import as_theta, rank
 from .fan import wall_cone
 from .polyhedra import integer_grid, key_dim, key_eqs, locate_index, ray_sum, vrep
 from .stability import (
+    CanonicalSequenceData,
     canonical_sequences,
     evaluate,
-    in_class_closure,
-    is_m_tf_equivalent,
-    m_tf_equivalent_by_filtration,
+    filtration_key,
     supp_factors,
-    t_set,
     theta_str,
     wall_membership,
 )
@@ -73,6 +73,7 @@ class PointReport:
     theta: tuple
     cone_index: int
     failures: tuple[str, ...]
+    canonical: CanonicalSequenceData
 
     @property
     def ok(self):
@@ -107,7 +108,7 @@ def verify_point(mtf, theta):
     # the definition t-set is exactly the set of submodules landing on the
     # max face, the lattice t-set at theta; the located cone holds theta in
     # its relative interior, so this is the cone's t-set
-    ts = t_set(theta, module)
+    ts = cs.t_set
     subs = enumerate_submodules(module)
     vals = [evaluate(theta, L) for L in subs]
     maxval = max(vals)
@@ -128,7 +129,7 @@ def verify_point(mtf, theta):
         on_wall = wall_membership(theta, module)
         if on_wall != wall_cone(mtf).contains(theta):
             fails.append("wall membership disagrees with the wall cone")
-    return PointReport(theta, idx, tuple(fails))
+    return PointReport(theta, idx, tuple(fails), cs)
 
 
 def verify_fan(mtf, samples=None):
@@ -138,11 +139,12 @@ def verify_fan(mtf, samples=None):
     Same located cone must mean equivalent (both routes), different cones
     not equivalent; closure membership must match the face relation of the
     located cones.  Pair checks run on up to REPS_PER_CONE representatives
-    per cone so the budget stays quadratic in the fan, not in the samples.
+    per cone so the budget stays quadratic in the fan, not in the samples;
+    they compare each representative's t-set and filtration key, both
+    computed once.
     """
     if samples is None:
         samples = build_sample_set(mtf)
-    module = mtf.module
     failures = []
     checks = 0
 
@@ -153,28 +155,32 @@ def verify_fan(mtf, samples=None):
         failures.extend(
             f"theta {theta_str(rep.theta)}: {m}" for m in rep.failures
         )
-        by_cone.setdefault(rep.cone_index, []).append(rep.theta)
+        # the first REPS_PER_CONE samples of a cone enter the pair checks
+        # with their t-set and filtration key
+        kept = by_cone.setdefault(rep.cone_index, [])
+        if len(kept) < REPS_PER_CONE:
+            cs = rep.canonical
+            kept.append((rep.theta, cs.t_set, filtration_key(rep.theta, cs)))
 
     observed = set(by_cone)
     if observed != set(range(len(mtf.cones))):
         missing = sorted(set(range(len(mtf.cones))) - observed)
         failures.append(f"cones never sampled: {missing}")
 
-    reps = {i: ts[:REPS_PER_CONE] for i, ts in sorted(by_cone.items())}
-    for i, ts in reps.items():
-        for j, us in reps.items():
+    reps = sorted(by_cone.items())
+    for i, ts in reps:
+        for j, us in reps:
             if j < i:
                 continue
             face_rel = mtf.cones[i].is_face_of(mtf.cones[j])
-            for a in ts:
-                for b in us:
+            for a, a_set, a_key in ts:
+                for b, b_set, b_key in us:
                     if a == b:
                         continue
                     checks += 1
                     same = i == j
-                    eq = is_m_tf_equivalent(a, b, module)
-                    eq2 = m_tf_equivalent_by_filtration(a, b, module)
-                    if eq != eq2:
+                    eq = a_set == b_set
+                    if eq != (a_key == b_key):
                         failures.append(
                             "equivalence routes disagree at "
                             f"{theta_str(a)} vs {theta_str(b)}"
@@ -185,7 +191,8 @@ def verify_fan(mtf, samples=None):
                             f"{eq}, located cones "
                             f"{'agree' if same else 'differ'}"
                         )
-                    closure = in_class_closure(a, b, module)
+                    # a lies in the closure of b's class
+                    closure = b_set <= a_set
                     if closure != face_rel:
                         failures.append(
                             f"closure({theta_str(a)}, {theta_str(b)}) = "

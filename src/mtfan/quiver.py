@@ -27,7 +27,7 @@ from .fplinalg import (
 
 # subquotient modules memoized per (module, lower, upper); only the oracle's
 # definition routes build them, and a default `verify` on square-lambda asks
-# for 23,308 of which 75 are distinct
+# for 16,614 of which 63 are distinct
 SUBQUOTIENT_CACHE_SIZE = 1024
 
 # primality is checked by trial division up to sqrt(p), about 46,000 steps
@@ -259,10 +259,6 @@ def build_module(algebra, dims, maps):
                 f"relation {' + '.join(names)} is not satisfied by the maps"
             )
     return module
-
-
-def zero_module(algebra):
-    return build_module(algebra, (0,) * algebra.n, [None] * len(algebra.arrows))
 
 
 def simple_module(algebra, i):

@@ -13,7 +13,10 @@ additivity of theta on short exact sequences:
 
 Each module has a largest torsion submodule t and a largest weak-torsion
 submodule tbar; the canonical slices are w = tbar/t (semistable) and the
-quotient f = M/tbar.
+quotient f = M/tbar.  The t-set (the submodules L above t with L/t
+semistable) comes with them: both are data of one functional, computed
+afresh at each call, so a caller that compares functionals computes each
+one's data once and compares the stored values.
 
 The scans that test containment (the torsion classes, the t-set's members
 above t, the minimal semistable submodules of supp_factors) read one order
@@ -35,21 +38,15 @@ from .quiver import (
     quotient_module,
     submodule_as_module,
     submodule_contains,
-    submodule_full,
     subquotient,
 )
 from .sublattice import LATTICE_CACHE_SIZE, enumerate_submodules
 
-# canonical filtrations and t-sets memoized per (theta, module); a default
-# `verify` on any preset reads at most 2,409 functionals (square-lambda), and
-# on the `geometry` benchmark workload (seed 1) the t-set memo has 10,404
-# hits for 96 misses
-THETA_CACHE_SIZE = 4096
 # order tables memoized per module, as many as the lattices they index: the
 # module, its slices w and the quotients supp_factors splits them into.  A
 # default `verify` builds at most 12 on a preset (square-lambda), 15 on the
 # Kronecker module R_4 and 47 on sq+sq+S4; the `oracle` workload reads its 4
-# tables 2,257 times
+# tables 1,162 times
 ORDER_CACHE_SIZE = LATTICE_CACHE_SIZE
 
 
@@ -95,13 +92,11 @@ def is_stable(theta, module):
     if evaluate(theta, module) != 0:
         return False
     subs, vals = _sub_values(module, theta)
-    full = submodule_full(module)
-    for s, v in zip(subs, vals):
-        if s.total_dim == 0 or s == full:
-            continue
-        if v >= 0:
-            return False
-    return True
+    return all(
+        v < 0
+        for s, v in zip(subs, vals)
+        if s.total_dim not in (0, module.total_dim)
+    )
 
 
 @functools.lru_cache(maxsize=ORDER_CACHE_SIZE)
@@ -150,12 +145,14 @@ def _torsion_members(below, vals, strict):
 
 @dataclass(frozen=True)
 class CanonicalSequenceData:
-    """Canonical two-step filtration 0 <= t <= tbar <= M at a functional."""
+    """Canonical two-step filtration 0 <= t <= tbar <= M at a functional,
+    and the t-set it cuts."""
 
     t: Submodule
     tbar: Submodule
     w: Module
     f: Module
+    t_set: frozenset
 
 
 def canonical_sequences(theta, module):
@@ -163,13 +160,10 @@ def canonical_sequences(theta, module):
 
     Returns CanonicalSequenceData with t <= tbar, w = tbar/t theta-semistable
     and f = M/tbar theta-free; dimension vectors of t, w, f sum to the
-    module's.
+    module's.  Its t_set is the t-set of theta, which lies between t and
+    tbar.
     """
-    return _canonical_sequences(as_theta(theta, module.algebra.n), module)
-
-
-@functools.lru_cache(maxsize=THETA_CACHE_SIZE)
-def _canonical_sequences(theta, module):
+    theta = as_theta(theta, module.algebra.n)
     subs, vals = _sub_values(module, theta)
     below = _order(module)
     i = _largest_member(_torsion_members(below, vals, strict=True), below)
@@ -192,7 +186,32 @@ def _canonical_sequences(theta, module):
     fsubs, fvals = _sub_values(f, theta)
     if not all(v < 0 for s, v in zip(fsubs, fvals) if s.total_dim):
         raise InvariantError(f"f = M/tbar is not free at theta {theta_str(theta)}")
-    return CanonicalSequenceData(t, tbar, w, f)
+    members = {
+        j
+        for j, L in enumerate(subs)
+        if (j == i or i in below[j])
+        and _is_semistable(theta, subquotient(module, t, L))
+    }
+    if not (i in members and k in members):
+        raise InvariantError(
+            f"t or tbar is missing from the t-set at {theta_str(theta)}"
+        )
+    if members - below[k] != {k}:
+        raise InvariantError(f"a t-set member is not inside tbar at {theta_str(theta)}")
+    return CanonicalSequenceData(t, tbar, w, f, frozenset(subs[j] for j in members))
+
+
+def semistable_subobjects(theta, module):
+    """The nonzero submodules of the module that are theta-semistable as
+    modules, as indices into enumerate_submodules(module)."""
+    theta = as_theta(theta, module.algebra.n)
+    return frozenset(
+        i
+        for i, s in enumerate(enumerate_submodules(module))
+        if s.total_dim
+        and evaluate(theta, s) == 0
+        and _is_semistable(theta, submodule_as_module(s))
+    )
 
 
 def supp_factors(theta, module):
@@ -210,13 +229,7 @@ def supp_factors(theta, module):
     current = module
     while not current.is_zero():
         subs = enumerate_submodules(current)
-        semis = {
-            i
-            for i, s in enumerate(subs)
-            if s.total_dim
-            and evaluate(theta, s) == 0
-            and _is_semistable(theta, submodule_as_module(s))
-        }
+        semis = semistable_subobjects(theta, current)
         below = _order(current)
         minimal = [subs[i] for i in semis if semis.isdisjoint(below[i])]
         chosen = min(minimal, key=Submodule.sort_key)
@@ -238,28 +251,15 @@ def t_set(theta, module):
     functional cannot distinguish; it determines the equivalence class of
     theta relative to the module.
     """
-    return _t_set(as_theta(theta, module.algebra.n), module)
+    return canonical_sequences(theta, module).t_set
 
 
-@functools.lru_cache(maxsize=THETA_CACHE_SIZE)
-def _t_set(theta, module):
-    cs = _canonical_sequences(theta, module)
-    subs = enumerate_submodules(module)
-    below = _order(module)
-    t, tbar = subs.index(cs.t), subs.index(cs.tbar)
-    members = {
-        i
-        for i, L in enumerate(subs)
-        if (i == t or t in below[i])
-        and _is_semistable(theta, subquotient(module, cs.t, L))
-    }
-    if not (t in members and tbar in members):
-        raise InvariantError(
-            f"t or tbar is missing from the t-set at {theta_str(theta)}"
-        )
-    if members - below[tbar] != {tbar}:
-        raise InvariantError(f"a t-set member is not inside tbar at {theta_str(theta)}")
-    return frozenset(subs[i] for i in members)
+def filtration_key(theta, cs):
+    """theta's class by the filtration route, from its canonical sequences
+    cs: t, tbar and the semistable subobjects of w.  Keys of functionals on
+    one module are equal exactly when the functionals are equivalent; equal
+    t and tbar give equal w, so the subobject indices are comparable."""
+    return cs.t, cs.tbar, semistable_subobjects(theta, cs.w)
 
 
 def is_m_tf_equivalent(theta, eta, module):
@@ -273,23 +273,9 @@ def m_tf_equivalent_by_filtration(theta, eta, module):
 
     Used to cross-check is_m_tf_equivalent; the two must always agree.
     """
-    theta = as_theta(theta, module.algebra.n)
-    eta = as_theta(eta, module.algebra.n)
-    ct = _canonical_sequences(theta, module)
-    ce = _canonical_sequences(eta, module)
-    if ct.t != ce.t or ct.tbar != ce.tbar:
-        return False
-    wsubs = enumerate_submodules(ct.w)
-
-    def semis(vec):
-        return frozenset(
-            s
-            for s in wsubs
-            if evaluate(vec, s) == 0
-            and _is_semistable(vec, submodule_as_module(s))
-        )
-
-    return semis(theta) == semis(eta)
+    ct = canonical_sequences(theta, module)
+    ce = canonical_sequences(eta, module)
+    return filtration_key(theta, ct) == filtration_key(eta, ce)
 
 
 def in_class_closure(theta, eta, module):

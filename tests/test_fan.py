@@ -31,17 +31,23 @@ from mtfan.polyhedra import (
 )
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import (
+    build_module,
     direct_sum,
     quotient_module,
     simple_module,
     submodule_full,
     submodule_zero,
-    zero_module,
 )
 from mtfan.serialize import fan_doc
 from mtfan.stability import canonical_sequences, supp_factors, t_set
 from mtfan.sublattice import enumerate_submodules
 from referee import cone_from_generators, full_cone, module_and_change_of_basis
+
+
+def zero_fan():
+    """The fan of the zero module over the algebra of a2-P1."""
+    A = preset_module("a2-P1").algebra
+    return build_mtf_fan(build_module(A, (0,) * A.n, [None] * len(A.arrows)))
 
 
 def fan_of(name):
@@ -138,7 +144,7 @@ def test_wall_cones():
 def test_wall_cone_is_cached_and_rejects_zero_module():
     mtf = fan_of("a2-P1")
     assert wall_cone(mtf) is wall_cone(mtf) is mtf.wall
-    z = build_mtf_fan(zero_module(preset_module("a2-P1").algebra))
+    z = zero_fan()
     with pytest.raises(ModuleDefinitionError):
         wall_cone(z)
 
@@ -161,7 +167,7 @@ def test_smallest_cones():
         2, lineality=[(0, 1)]
     )
     assert smallest_cone(fan_of("square-lambda")).dim == 0
-    z = build_mtf_fan(zero_module(preset_module("a2-P1").algebra))
+    z = zero_fan()
     assert smallest_cone(z) == full_cone(2)
 
 
@@ -241,7 +247,7 @@ def test_fan_paths_on_nakayama():
 
 
 def test_fan_paths_zero_module():
-    z = build_mtf_fan(zero_module(preset_module("a2-P1").algebra))
+    z = zero_fan()
     cat = fan_paths(z)
     assert cat.vertices == ((0, 0),)
     assert cat.increasing_paths == ((0,),)

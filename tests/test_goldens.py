@@ -27,7 +27,11 @@ THETAS = {
 # (kronecker-R4 is the Kronecker module 1 => 2 with a = I_4, b = J_4(0) over
 # F_2, 227 submodules)
 INPUTS = ("kronecker-R4",)
-INPUT_COMMANDS = ("newton", "fan")
+INPUT_COMMANDS = {
+    "newton": ["newton"],
+    "fan": ["fan"],
+    "verify": ["verify", "--grid-bound", "1"],
+}
 
 
 def _cases():
@@ -43,8 +47,8 @@ def _cases():
             yield f"{preset}.svg", ["svg", "--preset", preset]
     for name in INPUTS:
         path = str(GOLDENS / f"{name}.input.json")
-        for command in INPUT_COMMANDS:
-            yield f"{name}.{command}", [command, "--input", path]
+        for command, args in INPUT_COMMANDS.items():
+            yield f"{name}.{command}", [*args, "--input", path]
 
 
 CASES = list(_cases())

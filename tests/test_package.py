@@ -1,6 +1,8 @@
 """The package namespace: what `import mtfan` exports."""
 
 import ast
+import importlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -52,3 +54,30 @@ print("ok")
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_the_only_memos_are_three_bounded_lru_caches():
+    """Every `functools.lru_cache` in the package, on a module function or
+    a method: the lattice, the oracle's order table and its subquotients,
+    each with a finite maxsize."""
+    for info in pkgutil.iter_modules(mtfan.__path__):
+        importlib.import_module(f"mtfan.{info.name}")
+    modules = [mod for name, mod in sys.modules.items() if name.startswith("mtfan.")]
+    namespaces = [vars(mod) for mod in modules] + [
+        vars(obj)
+        for mod in modules
+        for obj in vars(mod).values()
+        if isinstance(obj, type) and obj.__module__ == mod.__name__
+    ]
+    memos = {
+        f"{fn.__module__}.{fn.__qualname__}": fn.cache_parameters()["maxsize"]
+        for namespace in namespaces
+        for fn in namespace.values()
+        if hasattr(fn, "cache_parameters")
+    }
+    assert set(memos) == {
+        "mtfan.sublattice.enumerate_submodules",
+        "mtfan.stability._order",
+        "mtfan.quiver.subquotient",
+    }
+    assert all(maxsize is not None for maxsize in memos.values()), memos

@@ -23,7 +23,6 @@ from mtfan.quiver import (
     submodule_sum,
     submodule_zero,
     subquotient,
-    zero_module,
 )
 from mtfan.presets import preset_module
 from referee import submodule_intersection
@@ -184,7 +183,7 @@ def test_simple_and_zero_modules():
     s1 = simple_module(A, 1)
     s2 = simple_module(A, 2)
     assert s1.dims == (1, 0) and s2.dims == (0, 1)
-    z = zero_module(A)
+    z = build_module(A, (0,) * A.n, [None] * len(A.arrows))
     assert z.dims == (0, 0) and z.is_zero()
     assert not s1.is_zero()
 
