@@ -12,15 +12,15 @@ smallest cone are the fan's own cone objects.  A cone derived to check them
 rays), which determines a canonical cone.
 
 Functionals are equivalent relative to M exactly when they lie in the
-relative interior of the same cone.  Each cone's class data is read off the
-indexed submodule lattice at an interior witness theta: the t-set is the set
-of submodules on which theta is largest, t and tbar are its least and
-greatest members, w, f and fbar are the differences of dimension vectors,
-and the stable support of w = tbar/t is the list of steps of a maximal chain
-in the t-set.  The data is re-read at random interior points and checked
-against the Newton face.  The definition routes (torsion scans, subquotient
-modules) live in stability.py; the oracle compares them with this data at
-every sample.
+relative interior of the same cone.  Each cone's class data is a function
+of its t-set, the set of submodules on which an interior witness theta is
+largest: t and tbar are its least and greatest members, w, f and fbar are
+differences of dimension vectors, and the stable support of w = tbar/t is
+the list of steps of a maximal chain in the t-set.  The t-set is re-read at
+random interior points, and the data is checked against the Newton face.
+The wall reads the stored data.  The definition routes (torsion scans,
+subquotient modules) live in stability.py; the oracle compares them with
+this data at every sample.
 """
 from __future__ import annotations
 
@@ -48,15 +48,10 @@ _EXTRA_SAMPLES = 3
 
 @dataclass(frozen=True)
 class TFClassData:
-    """Torsion-theoretic invariants attached to one cone of the fan."""
+    """Torsion-theoretic invariants of one cone, all read off its t-set."""
 
     t: Submodule  # least member of the t-set
     tbar: Submodule  # greatest member of the t-set
-    t_dims: tuple[int, ...]
-    tbar_dims: tuple[int, ...]
-    w_dims: tuple[int, ...]
-    f_dims: tuple[int, ...]
-    fbar_dims: tuple[int, ...]
     supp_dims: tuple[tuple[int, ...], ...]  # sorted multiset
 
 
@@ -88,7 +83,8 @@ class MTFFan:
 
         The fan's cone of the smallest face containing the Newton vertices 0
         and [M], checked against the meet of their two maximal cones by face
-        key.  Memoized on the fan and freed with it.
+        key.  Semistability is read off the class data, which the build took
+        at each cone's witness.  Memoized on the fan and freed with it.
         """
         module = self.module
         if module.is_zero():
@@ -103,44 +99,44 @@ class MTFFan:
             for f in P.faces
             if {v0, vM} <= set(f.vertex_ids)
         ]
-        wall = self.cones[P.face_id(set.intersection(*carrier))]
+        k = P.face_id(set.intersection(*carrier))
+        wall = self.cones[k]
         a, b = self.cones[v0], self.cones[vM]
         _require(
             vrep(self.n, a.eqs + b.eqs, a.ineqs + b.ineqs) == wall.key,
             "the wall is not the cone of the smallest face through 0 and [M]",
         )
-        subs = enumerate_submodules(module)
 
-        def semistable(theta):  # 0 and M are both in the t-set
-            t, tbar, _, _ = _lattice_class(subs, theta)
-            return t.total_dim == 0 and tbar.dims == module.dims
+        def semistable(i):  # 0 and M are both in the t-set of cone i
+            data = self.classes[i]
+            return data.t.total_dim == 0 and data.tbar.dims == module.dims
 
-        _require(
-            semistable(wall.relint_point()),
-            "the module is not semistable inside the wall",
-        )
+        _require(semistable(k), "the module is not semistable inside the wall")
         for i in self.maximal_indices():
             if not wall.contains_cone(self.cones[i]):
                 _require(
-                    not semistable(self.cones[i].relint_point()),
+                    not semistable(i),
                     f"the module is semistable in cone {i}, off the wall",
                 )
         return wall
 
 
-def _lattice_class(subs, theta):
-    """(t, tbar, supp_dims, t-set) at theta, read off the indexed lattice.
-
-    The t-set is the set of submodules on which theta is largest; it is
-    closed under sum and intersection, so its member of least total
-    dimension is t and its member of greatest total dimension is tbar.  The
-    steps of a maximal chain from t to tbar inside the t-set are the stable
-    factors of tbar/t (Jordan-Hoelder for semistable modules).
-    """
+def _t_set(subs, theta):
+    """The submodules on which theta is largest, in lattice order."""
     theta = primitive(theta)  # a positive rescaling keeps the class
     vals = [sum(a * b for a, b in zip(theta, s.dims)) for s in subs]
     top = max(vals)
-    members = [s for s, v in zip(subs, vals) if v == top]
+    return tuple(s for s, v in zip(subs, vals) if v == top)
+
+
+def _class_data(members):
+    """(t, tbar, supp_dims) of a t-set.
+
+    The t-set is closed under sum and intersection, so its member of least
+    total dimension is t and its member of greatest total dimension is
+    tbar.  The steps of a maximal chain from t to tbar inside the t-set are
+    the stable factors of tbar/t (Jordan-Hoelder for semistable modules).
+    """
     t = min(members, key=lambda s: s.total_dim)
     tbar = max(members, key=lambda s: s.total_dim)
     steps = []
@@ -156,7 +152,7 @@ def _lattice_class(subs, theta):
         )
         steps.append(tuple(a - b for a, b in zip(nxt.dims, cur.dims)))
         cur = nxt
-    return t, tbar, tuple(sorted(steps)), frozenset(members)
+    return t, tbar, tuple(sorted(steps))
 
 
 def _require(ok, what):
@@ -167,10 +163,11 @@ def _require(ok, what):
 def build_mtf_fan(module):
     """Fan of equivalence classes of stability vectors relative to a module.
 
-    Class data per cone is read off the submodule lattice at the
+    The t-set of each cone is read off the submodule lattice at the
     deterministic interior witness and again at a few random interior
     points; any disagreement would mean the cone decomposition is wrong,
-    so it raises InvariantError.
+    so it raises InvariantError.  The class data is a function of the
+    t-set, computed once per cone.
     """
     subs = enumerate_submodules(module)
     P = newton_polytope(module)
@@ -179,22 +176,21 @@ def build_mtf_fan(module):
     classes = []
     rng = random.Random(_SAMPLE_SEED)
     for idx, cone in enumerate(fan.cones):
-        data = _lattice_class(subs, cone.relint_point())
+        members = _t_set(subs, cone.relint_point())
         for _ in range(_EXTRA_SAMPLES):
             _require(
-                _lattice_class(subs, cone.random_relint_point(rng)) == data,
+                _t_set(subs, cone.random_relint_point(rng)) == members,
                 f"cone {idx}: class data differs inside the cone",
             )
-        t, tbar, supp_dims, _ = data
+        t, tbar, supp_dims = _class_data(members)
         face = P.faces[idx]
         # the min and max of the Newton face are the classes of t and tbar:
         # both lie on the face, where theta is largest, so equal to the
         # componentwise min and max of its vertices they are vertices
         face_vecs = [P.vertices[v] for v in face.vertex_ids]
-        t_vec, tbar_vec = t.dims, tbar.dims
         _require(
-            t_vec == tuple(map(min, zip(*face_vecs)))
-            and tbar_vec == tuple(map(max, zip(*face_vecs))),
+            t.dims == tuple(map(min, zip(*face_vecs)))
+            and tbar.dims == tuple(map(max, zip(*face_vecs))),
             f"cone {idx}: t/tbar are not the min/max of the Newton face",
         )
         # duality of dimensions, and the span of the support cuts the cone
@@ -202,18 +198,7 @@ def build_mtf_fan(module):
             cone.dim == n - face.dim == n - rank(supp_dims),
             f"cone {idx}: dim {cone.dim} breaks dim + face dim = dim + rank(supp) = n",
         )
-        classes.append(
-            TFClassData(
-                t=t,
-                tbar=tbar,
-                t_dims=t_vec,
-                tbar_dims=tbar_vec,
-                w_dims=tuple(b - a for a, b in zip(t_vec, tbar_vec)),
-                f_dims=tuple(m - b for m, b in zip(module.dims, tbar_vec)),
-                fbar_dims=tuple(m - a for m, a in zip(module.dims, t_vec)),
-                supp_dims=supp_dims,
-            )
-        )
+        classes.append(TFClassData(t, tbar, supp_dims))
     return MTFFan(module, P, fan, tuple(classes))
 
 
@@ -292,8 +277,8 @@ def facet_partition(mtf, idx):
     for eid, drops in edges:
         # the facet's class data was read off at its witness
         facet = mtf.classes[eid]
-        t_stays_torsion = facet.t_dims == data.t_dims
-        f_stays_free = facet.tbar_dims == data.tbar_dims
+        t_stays_torsion = facet.t.dims == data.t.dims
+        f_stays_free = facet.tbar.dims == data.tbar.dims
         if drops:
             plus.append(eid)
             _require(

@@ -58,11 +58,10 @@ MAX_HULL_FACES = 1024
 def _dd_pointed(normals, d):
     """Extreme rays of the pointed cone {t in R^d : a.t >= 0 for all a}.
 
-    The normals must span R^d (which is exactly pointedness).  Insertion
-    order is the given order; adjacency uses the combinatorial zero-set test.
+    The normals must span R^d (which is exactly pointedness) and d >= 1.
+    Insertion order is the given order; adjacency uses the combinatorial
+    zero-set test.
     """
-    if d == 0:
-        return ()
     # the pivot columns of the normals as columns: the first d independent
     # normals, chosen greedily from the front
     _, init = rref([tuple(a[j] for a in normals) for j in range(d)])
@@ -514,8 +513,6 @@ class FanValidationReport:
 def integer_grid(n, bound):
     """Every integer vector with entries in [-bound, bound], in lexicographic
     order."""
-    if n == 0:
-        return ((),)
     pts = [()]
     for _ in range(n):
         pts = [t + (v,) for t in pts for v in range(-bound, bound + 1)]

@@ -160,12 +160,14 @@ def cone_doc(cone, cid=None):
 
 
 def class_doc(data):
+    """w = tbar/t, f = M/tbar and fbar = M/t by their dimension vectors."""
+    t, tbar, m = data.t.dims, data.tbar.dims, data.t.module.dims
     return {
-        "t": vec_strs(data.t_dims),
-        "tbar": vec_strs(data.tbar_dims),
-        "w": vec_strs(data.w_dims),
-        "f": vec_strs(data.f_dims),
-        "fbar": vec_strs(data.fbar_dims),
+        "t": vec_strs(t),
+        "tbar": vec_strs(tbar),
+        "w": vec_strs(b - a for a, b in zip(t, tbar)),
+        "f": vec_strs(x - b for x, b in zip(m, tbar)),
+        "fbar": vec_strs(x - a for x, a in zip(m, t)),
         "supp": [vec_strs(d) for d in data.supp_dims],
     }
 

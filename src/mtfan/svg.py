@@ -42,6 +42,7 @@ def _clip_halfplane(poly, normal):
 
 
 def _cone_polygon(cone):
+    """A maximal cone clipped to the world box: it has no equations."""
     poly = [
         (-_WORLD, -_WORLD),
         (_WORLD, -_WORLD),
@@ -50,9 +51,6 @@ def _cone_polygon(cone):
     ]
     for normal in cone.ineqs:
         poly = _clip_halfplane(poly, normal)
-    for normal in cone.eqs:
-        poly = _clip_halfplane(poly, normal)
-        poly = _clip_halfplane(poly, tuple(-x for x in normal))
     return poly
 
 
@@ -104,8 +102,6 @@ def render_svg(mtf, size=DEFAULT_SIZE):
     for pos, idx in enumerate(mtf.maximal_indices()):
         cone = mtf.cones[idx]
         poly = _cone_polygon(cone)
-        if not poly:
-            continue
         fill = _FILLS[pos % len(_FILLS)]
         parts.append(
             f'<polygon points="{canvas.polygon_attr(poly)}" fill="{fill}" '

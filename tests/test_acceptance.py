@@ -33,6 +33,11 @@ def _leq(u, v):
     return all(a <= b for a, b in zip(u, v))
 
 
+def _minus(u, v):
+    """Coordinatewise u - v."""
+    return tuple(a - b for a, b in zip(u, v))
+
+
 def _report(num, desc, budget, fn):
     start = time.perf_counter()
     try:
@@ -49,8 +54,14 @@ def test_criterion_1_a2_class_table():
     def check():
         mtf = build_mtf_fan(preset_module("a2-P1"))
         assert len(mtf.cones) == 7
+        M = mtf.module.dims
         classes = {
-            mtf.cones[i]: (d.t_dims, d.w_dims, d.f_dims, d.supp_dims)
+            mtf.cones[i]: (
+                d.t.dims,
+                _minus(d.tbar.dims, d.t.dims),  # w = tbar/t
+                _minus(M, d.tbar.dims),  # f = M/tbar
+                d.supp_dims,
+            )
             for i, d in enumerate(mtf.classes)
         }
         origin = cone_from_hrep(2, [(1, 0), (0, 1)], [])

@@ -11,6 +11,7 @@ import pytest
 
 import mtfan.cli
 import mtfan.polyhedra
+from mtfan import serialize
 from mtfan.cli import MAX_SVG_SIZE, RunConfig, build_parser, main, run
 from mtfan.errors import ResourceLimitError
 from mtfan.fan import build_mtf_fan, wall_cone
@@ -258,6 +259,38 @@ def test_exit_code_2_on_an_unwritable_output(args, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_exit_code_2_on_a_missing_input(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["fan", "--input", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {missing}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_exit_code_2_on_a_write_that_fails_after_the_open(capsys):
+    """/dev/full opens for writing and then fails every write (ENOSPC)."""
+    assert main(["fan", "--preset", "a2-P1", "--output", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write /dev/full: ")
+    assert err.count("\n") == 1
+
+
+def test_a_null_map_is_an_omitted_map(tmp_path, capsys):
+    """README: a map that is omitted or null is zero."""
+    modules, outputs = [], []
+    for maps in ({"a": None}, {}):
+        doc = dict(A2_SPEC, module={"dims": {"1": 1, "2": 1}, "maps": maps})
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["fan", "--input", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+        modules.append(serialize.module_from_doc(doc)[1])
+    assert modules[0] == modules[1]
+    assert modules[0].maps == (((0,),),)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("where", [("missing", "x.json"), ()])
 def test_an_unwritable_output_is_reported_before_any_work(
     where, tmp_path, monkeypatch, capsys
@@ -463,9 +496,10 @@ def test_the_cone_cap_is_inclusive(monkeypatch, capsys):
 
 def test_the_cone_cap_admits_every_golden_fan():
     """Every golden fan is within the cap: the presets, which include the
-    benchmark's verify inputs, and the Kronecker module R_4."""
+    benchmark's verify inputs, the Kronecker module R_4 and
+    square-lambda + square-lambda + square-lambda."""
     goldens = sorted(GOLDENS.glob("*.fan.json"))
-    assert len(goldens) == len(preset_names()) + 1
+    assert len(goldens) == len(preset_names()) + 2
     for path in goldens:
         cones = json.loads(path.read_text(encoding="utf-8"))["cones"]
         assert len(cones) <= mtfan.cli.MAX_VERIFY_CONES

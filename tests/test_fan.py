@@ -35,10 +35,9 @@ from mtfan.quiver import (
     direct_sum,
     quotient_module,
     simple_module,
-    submodule_full,
     submodule_zero,
 )
-from mtfan.serialize import fan_doc
+from mtfan.serialize import class_doc, fan_doc, vec_strs
 from mtfan.stability import canonical_sequences, supp_factors, t_set
 from mtfan.sublattice import enumerate_submodules
 from referee import cone_from_generators, full_cone, module_and_change_of_basis
@@ -56,6 +55,11 @@ def fan_of(name):
 
 def ray2(x, y):
     return cone_from_generators(2, rays=[(x, y)])
+
+
+def minus(u, v):
+    """Coordinatewise u - v: w = tbar - t, f = M - tbar, fbar = M - t."""
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def test_cone_counts():
@@ -85,27 +89,28 @@ def test_class_data_on_the_one_arrow_module():
     mtf = fan_of("a2-P1")
     by_cone = {mtf.cones[i]: d for i, d in enumerate(mtf.classes)}
     origin = cone_from_hrep(2, [(1, 0), (0, 1)], [])
+    M = mtf.module.dims
     d = by_cone[origin]
-    assert d.t_dims == (0, 0) and d.tbar_dims == (1, 1)
+    assert d.t.dims == (0, 0) and d.tbar.dims == (1, 1)
     assert d.supp_dims == ((0, 1), (1, 0))
     d = by_cone[ray2(0, 1)]
-    assert d.t_dims == (0, 1) and d.w_dims == (1, 0)
+    assert d.t.dims == (0, 1) and minus(d.tbar.dims, d.t.dims) == (1, 0)
     assert d.supp_dims == ((1, 0),)
     d = by_cone[ray2(-1, 0)]
-    assert d.t_dims == (0, 0) and d.tbar_dims == (0, 1)
+    assert d.t.dims == (0, 0) and d.tbar.dims == (0, 1)
     assert d.supp_dims == ((0, 1),)
     d = by_cone[ray2(1, -1)]
-    assert d.w_dims == (1, 1) and d.supp_dims == ((1, 1),)
+    assert minus(d.tbar.dims, d.t.dims) == (1, 1) and d.supp_dims == ((1, 1),)
     # chambers: everything torsion / top torsion / everything free
     chamber = cone_from_hrep(2, [], [(1, 0), (1, 1)])
     d = by_cone[chamber]
-    assert d.t_dims == (1, 1) and d.f_dims == (0, 0)
+    assert d.t.dims == (1, 1) and minus(M, d.tbar.dims) == (0, 0)
     chamber = cone_from_hrep(2, [], [(-1, 0), (0, 1)])
     d = by_cone[chamber]
-    assert d.t_dims == (0, 1) and d.f_dims == (1, 0)
+    assert d.t.dims == (0, 1) and minus(M, d.tbar.dims) == (1, 0)
     chamber = cone_from_hrep(2, [], [(0, -1), (-1, -1)])
     d = by_cone[chamber]
-    assert d.t_dims == (0, 0) and d.f_dims == (1, 1)
+    assert d.t.dims == (0, 0) and minus(M, d.tbar.dims) == (1, 1)
 
 
 def test_maximal_iff_middle_slice_vanishes():
@@ -113,14 +118,15 @@ def test_maximal_iff_middle_slice_vanishes():
         mtf = fan_of(name)
         for i, cone in enumerate(mtf.cones):
             is_max = cone.dim == mtf.n
-            w_zero = not any(mtf.classes[i].w_dims)
+            d = mtf.classes[i]
+            w_zero = d.t.dims == d.tbar.dims
             assert is_max == w_zero
 
 
 def test_class_of_locates():
     mtf = fan_of("a2-P1")
     idx = class_of(mtf, (2, 1))
-    assert mtf.classes[idx].t_dims == (1, 1)
+    assert mtf.classes[idx].t.dims == (1, 1)
     assert mtf.cones[idx].contains_relint((2, 1))
     assert mtf.cones[class_of(mtf, (0, 0))].dim == 0
 
@@ -300,7 +306,9 @@ def _sq_plus_s1():
 def test_lattice_class_data_matches_the_definitions(name):
     """The build reads class data off the lattice; the definition routes
     (torsion scans, subquotient semistability) must give the same data at
-    every cone's witness."""
+    every cone's witness, and the fan document's w, f and fbar, derived
+    from t and tbar, must be the classes of the definition's w, f and
+    M/t."""
     module = _sq_plus_s1() if name == "sq+S1" else preset_module(name)
     mtf = build_mtf_fan(module)
     subs = enumerate_submodules(module)
@@ -308,15 +316,13 @@ def test_lattice_class_data_matches_the_definitions(name):
         theta = cone.relint_point()
         cs = canonical_sequences(theta, module)
         assert (cs.t, cs.tbar) == (data.t, data.tbar)
-        assert (data.t_dims, data.tbar_dims) == (cs.t.dims, cs.tbar.dims)
-        assert data.w_dims == cs.w.dims
-        assert data.f_dims == cs.f.dims
-        assert data.fbar_dims == tuple(
-            m - t for m, t in zip(module.dims, cs.t.dims)
-        )
+        doc = class_doc(data)
+        assert doc["w"] == vec_strs(cs.w.dims)
+        assert doc["f"] == vec_strs(cs.f.dims)
+        assert doc["fbar"] == vec_strs(minus(module.dims, cs.t.dims))
         supp = tuple(sorted(d for _, d in supp_factors(theta, cs.w)))
         assert data.supp_dims == supp
-        assert mtfan.fan._lattice_class(subs, theta)[3] == t_set(theta, module)
+        assert set(mtfan.fan._t_set(subs, theta)) == t_set(theta, module)
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -374,20 +380,59 @@ def test_fan_queries_build_no_cone_by_double_description(name, monkeypatch):
 
 
 def test_build_raises_when_random_points_disagree(monkeypatch):
-    real = mtfan.fan._lattice_class
+    real = mtfan.fan._t_set
     calls = []
 
-    def wrong_t_after_the_witness(subs, theta):
-        t, tbar, supp, ts = real(subs, theta)
+    def other_t_set_after_the_witness(subs, theta):
         calls.append(theta)
         if len(calls) > 1:  # the random interior points of the first cone
-            M = t.module
-            t = submodule_zero(M) if t.total_dim else submodule_full(M)
-        return t, tbar, supp, ts
+            # the opposite maximal cone has another t-set
+            theta = tuple(-x for x in theta)
+        return real(subs, theta)
 
-    monkeypatch.setattr(mtfan.fan, "_lattice_class", wrong_t_after_the_witness)
+    monkeypatch.setattr(mtfan.fan, "_t_set", other_t_set_after_the_witness)
     with pytest.raises(InvariantError, match="differs inside the cone"):
         build_mtf_fan(preset_module("a2-P1"))
+
+
+def test_the_build_walks_each_chain_once(monkeypatch):
+    """The build compares t-sets inside each cone and walks the chain of
+    each cone's t-set once: on a2-P1 + a2-P1 + a2-P1 (66 submodules, 7
+    cones) that is 270 containment tests, where re-deriving the class data
+    at the 3 random points of every cone took 1,080."""
+    real = mtfan.quiver.submodule_contains
+    calls = []
+
+    def counting(outer, inner):
+        calls.append(1)
+        return real(outer, inner)
+
+    m = preset_module("a2-P1")
+    module = direct_sum(direct_sum(m, m), m)
+    enumerate_submodules(module)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "mtfan" or mod_name.startswith("mtfan."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    mtf = build_mtf_fan(module)
+    assert len(mtf.cones) == 7
+    assert 0 < len(calls) <= 300
+
+
+@pytest.mark.parametrize("name", [*preset_names(), "sq+S1"])
+def test_the_wall_reads_the_stored_classes(name, monkeypatch):
+    """The wall's semistability checks read the class data the build took
+    at each cone's witness: they neither enumerate nor scan the lattice."""
+    module = _sq_plus_s1() if name == "sq+S1" else preset_module(name)
+    mtf = build_mtf_fan(module)
+
+    def refuse(*args):
+        raise AssertionError("the lattice was read again")
+
+    monkeypatch.setattr(mtfan.fan, "enumerate_submodules", refuse)
+    monkeypatch.setattr(mtfan.fan, "_t_set", refuse)
+    assert any(wall_cone(mtf) is c for c in mtf.cones)
 
 
 def test_corrupted_cone_table_raises_invariant_error():

@@ -23,14 +23,21 @@ THETAS = {
     "nakayama2-121": "1/2,-1",
     "square-lambda": "1,-1,2,-3",
 }
-# `<name>.input.json` documents: indecomposable modules that are no preset
-# (kronecker-R4 is the Kronecker module 1 => 2 with a = I_4, b = J_4(0) over
-# F_2, 227 submodules)
-INPUTS = ("kronecker-R4",)
+# `<name>.input.json` documents and the commands pinned on each: modules
+# that are no preset.  kronecker-R4 is the indecomposable Kronecker module
+# 1 => 2 with a = I_4, b = J_4(0) over F_2 (227 submodules); sq-sq-sq is
+# square-lambda + square-lambda + square-lambda (2,060 submodules, 39 cones,
+# chains of up to 12 steps), too big for `verify` here.
 INPUT_COMMANDS = {
-    "newton": ["newton"],
-    "fan": ["fan"],
-    "verify": ["verify", "--grid-bound", "1"],
+    "kronecker-R4": {
+        "newton": ["newton"],
+        "fan": ["fan"],
+        "verify": ["verify", "--grid-bound", "1"],
+    },
+    "sq-sq-sq": {
+        "fan": ["fan"],
+        "wall": ["wall"],
+    },
 }
 
 
@@ -45,9 +52,9 @@ def _cases():
         yield f"{preset}.verify-default", ["verify", "--preset", preset]
         if preset_module(preset).algebra.n == 2:
             yield f"{preset}.svg", ["svg", "--preset", preset]
-    for name in INPUTS:
+    for name, commands in INPUT_COMMANDS.items():
         path = str(GOLDENS / f"{name}.input.json")
-        for command, args in INPUT_COMMANDS.items():
+        for command, args in commands.items():
             yield f"{name}.{command}", [*args, "--input", path]
 
 

@@ -1,6 +1,7 @@
 """Brute-force oracle agreement with the decorated fan."""
 
 import dataclasses
+import itertools
 import sys
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from mtfan.oracle import (
 )
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import build_module
-from mtfan.stability import canonical_sequences, t_set
+from mtfan.stability import canonical_sequences, t_set, theta_str
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -180,6 +181,111 @@ def test_oracle_reports_a_definition_t_set_off_the_lattice(monkeypatch):
         "t-set mismatch at submodule of class (0, 1)",
     )
     assert verify_point(mtf, (2, 1)).ok
+
+
+def test_oracle_reports_a_t_that_is_not_the_face_minimum(monkeypatch):
+    """At 0 the t-set of a2-P1 runs from t = 0 to tbar = M; a definition
+    route that answers tbar for t misses the cone's t and the minimum of
+    the Newton face.  In a maximal cone t = tbar, so nothing changes."""
+    mtf = build_mtf_fan(preset_module("a2-P1"))
+
+    def t_is_tbar(theta, module):
+        cs = canonical_sequences(theta, module)
+        return dataclasses.replace(cs, t=cs.tbar)
+
+    monkeypatch.setattr(mtfan.oracle, "canonical_sequences", t_is_tbar)
+    assert verify_point(mtf, (0, 0)).failures == (
+        "canonical filtration differs from the cone's",
+        "t/tbar are not the min/max of the located face",
+    )
+    assert verify_point(mtf, (2, 1)).ok
+
+
+def test_oracle_reports_a_wall_that_is_another_cone():
+    """The wall of a2-P1 is cone 4, the ray through (1, -1).  A fan whose
+    memoized wall is maximal cone 0, spanned by (-1, 0) and (1, -1), is
+    caught at the witnesses of cone 0 and of its other ray, cone 3, where
+    the module is not semistable."""
+    mtf = build_mtf_fan(preset_module("a2-P1"))
+    assert mtf.wall is mtf.cones[4]
+    vars(mtf)["wall"] = mtf.cones[0]
+    failures = [verify_point(mtf, c.relint_point()).failures for c in mtf.cones]
+    disagree = ("wall membership disagrees with the wall cone",)
+    assert failures == [disagree, (), (), disagree, (), (), ()]
+
+
+def _witnesses(mtf):
+    """One sample per cone, its witness, and the printed samples."""
+    samples = tuple(c.relint_point() for c in mtf.cones)
+    return samples, [theta_str(theta) for theta in samples]
+
+
+def test_oracle_reports_filtration_keys_that_never_differ(monkeypatch):
+    """With one sample per cone of a2-P1 every pair lies in two cones, so
+    their t-sets differ; a filtration route that gives every functional
+    the same key disagrees with the t-sets at each of the 21 pairs."""
+    mtf = build_mtf_fan(preset_module("a2-P1"))
+    samples, printed = _witnesses(mtf)
+    monkeypatch.setattr(mtfan.oracle, "filtration_key", lambda theta, cs: ())
+    report = verify_fan(mtf, samples=samples)
+    assert report.checks == 7 + 21
+    assert report.failures == tuple(
+        f"equivalence routes disagree at {a} vs {b}"
+        for a, b in itertools.combinations(printed, 2)
+    )
+
+
+def test_oracle_reports_empty_t_sets(monkeypatch):
+    """An empty definition t-set misses the first submodule of the cone's
+    t-set at every sample, makes every pair equivalent although the
+    filtration keys and the located cones differ, and puts every sample in
+    the closure of every other, though no two of these cones are faces of
+    one another in that order."""
+    mtf = build_mtf_fan(preset_module("a2-P1"))
+    samples, printed = _witnesses(mtf)
+
+    def empty_t_set(theta, module):
+        return dataclasses.replace(
+            canonical_sequences(theta, module), t_set=frozenset()
+        )
+
+    monkeypatch.setattr(mtfan.oracle, "canonical_sequences", empty_t_set)
+    report = verify_fan(mtf, samples=samples)
+    missed = ("0, 0", "0, 1", "1, 1", "0, 0", "0, 0", "0, 1", "0, 0")
+    pairs = itertools.combinations(printed, 2)
+    assert report.checks == 7 + 21
+    assert report.failures == tuple(
+        f"theta {theta}: t-set mismatch at submodule of class ({dims})"
+        for theta, dims in zip(printed, missed)
+    ) + tuple(
+        message
+        for a, b in pairs
+        for message in (
+            f"equivalence routes disagree at {a} vs {b}",
+            f"equivalence({a}, {b}) = True, located cones differ",
+            f"closure({a}, {b}) = True but face relation is False",
+        )
+    )
+
+
+def test_dim_formula_reports_a_wall_face_missing_from_the_fan():
+    """Put maximal cone 0 of square-lambda, with its class data, in place
+    of cone 38, the origin: the origin is a face of the wall that the fan
+    no longer has."""
+    mtf = build_mtf_fan(preset_module("square-lambda"))
+    cones, classes = list(mtf.cones), list(mtf.classes)
+    assert mtf.cones[38].dim == 0 and mtf.cones[38].is_face_of(mtf.wall)
+    cones[38], classes[38] = cones[0], classes[0]
+    bad = dataclasses.replace(
+        mtf,
+        fan=dataclasses.replace(mtf.fan, cones=tuple(cones)),
+        classes=tuple(classes),
+    )
+    report = verify_dim_formula(bad)
+    assert (report.checks, report.failures) == (
+        49,
+        ("wall face of dim 0 is missing from the fan",),
+    )
 
 
 def test_verify_point_on_specific_functionals():

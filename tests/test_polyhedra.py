@@ -25,6 +25,7 @@ from mtfan.polyhedra import (
     cone_from_hrep,
     cone_intersection,
     convex_hull,
+    integer_grid,
     locate_index,
     minkowski_sum,
     normal_cone,
@@ -631,3 +632,10 @@ def test_corrupted_cones_raise_invariant_error():
     swapped = GeneralizedFan(2, tuple(cones))
     with pytest.raises(InvariantError, match="not inside the cone"):
         locate_index(P, swapped, (5, 1))
+
+
+def test_integer_grid_is_lexicographic_and_has_one_point_in_rank_zero():
+    assert integer_grid(0, 3) == ((),)
+    assert integer_grid(1, 1) == ((-1,), (0,), (1,))
+    assert integer_grid(2, 1)[:4] == ((-1, -1), (-1, 0), (-1, 1), (0, -1))
+    assert len(integer_grid(3, 2)) == 5**3
