@@ -76,6 +76,10 @@ def _load_module(config):
             f"invalid JSON in {config.input_path} at line {exc.lineno} "
             f"column {exc.colno}: {exc.msg}"
         )
+    except RecursionError:
+        raise InputFormatError(
+            f"invalid JSON in {config.input_path}: nested too deeply"
+        )
     if config.p_override is not None:
         if not isinstance(doc, dict):
             raise InputFormatError("input document must be an object")

@@ -13,14 +13,14 @@ rays), which determines a canonical cone.
 
 Functionals are equivalent relative to M exactly when they lie in the
 relative interior of the same cone.  Each cone's class data is a function
-of its t-set, the set of submodules on which an interior witness theta is
-largest: t and tbar are its least and greatest members, w, f and fbar are
-differences of dimension vectors, and the stable support of w = tbar/t is
-the list of steps of a maximal chain in the t-set.  The t-set is re-read at
-random interior points, and the data is checked against the Newton face.
-The wall reads the stored data.  The definition routes (torsion scans,
-subquotient modules) live in stability.py; the oracle compares them with
-this data at every sample.
+of its t-set, the submodules at the Newton points where an interior witness
+theta is largest: t and tbar are its least and greatest members, w, f and
+fbar are differences of dimension vectors, and the stable support of
+w = tbar/t is the list of steps of a maximal chain in the t-set, walked in
+one pass.  The top points are re-read at random interior points, and the
+data is checked against the Newton face.  The wall reads the stored data.
+The definition routes (torsion scans, subquotient modules) live in
+stability.py; the oracle compares them with this data at every sample.
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ from .exact import as_theta, lattice_basis_of_span, primitive, rank
 from .polyhedra import (
     GeneralizedFan,
     Polytope,
+    convex_hull,
     key_dim,
     locate_index,
     normal_fan,
@@ -40,7 +41,7 @@ from .polyhedra import (
     vrep,
 )
 from .quiver import Module, Submodule, submodule_contains
-from .sublattice import enumerate_submodules, newton_polytope
+from .sublattice import enumerate_submodules, submodule_dim_vectors
 
 _SAMPLE_SEED = 0x5EED
 _EXTRA_SAMPLES = 3
@@ -121,38 +122,36 @@ class MTFFan:
         return wall
 
 
-def _t_set(subs, theta):
-    """The submodules on which theta is largest, in lattice order."""
+def _top(points, theta):
+    """The points (distinct submodule dimension vectors) on which theta is
+    largest."""
     theta = primitive(theta)  # a positive rescaling keeps the class
-    vals = [sum(a * b for a, b in zip(theta, s.dims)) for s in subs]
+    vals = [sum(a * b for a, b in zip(theta, x)) for x in points]
     top = max(vals)
-    return tuple(s for s, v in zip(subs, vals) if v == top)
+    return frozenset(x for x, v in zip(points, vals) if v == top)
 
 
 def _class_data(members):
     """(t, tbar, supp_dims) of a t-set.
 
-    The t-set is closed under sum and intersection, so its member of least
-    total dimension is t and its member of greatest total dimension is
-    tbar.  The steps of a maximal chain from t to tbar inside the t-set are
-    the stable factors of tbar/t (Jordan-Hoelder for semistable modules).
+    The t-set is closed under sum and intersection, so it has a least member
+    t and a greatest member tbar.  In order of total dimension, the first
+    member strictly above the top of a chain covers it, so one pass walks a
+    maximal chain from t to tbar.  Its steps are the stable factors of
+    tbar/t (Jordan-Hoelder for semistable modules).
     """
-    t = min(members, key=lambda s: s.total_dim)
-    tbar = max(members, key=lambda s: s.total_dim)
-    steps = []
-    cur = t
-    while cur != tbar:
-        nxt = min(
-            (
-                s
-                for s in members
-                if s.total_dim > cur.total_dim and submodule_contains(s, cur)
-            ),
-            key=lambda s: s.total_dim,
-        )
-        steps.append(tuple(a - b for a, b in zip(nxt.dims, cur.dims)))
-        cur = nxt
-    return t, tbar, tuple(sorted(steps))
+    t, *rest = sorted(members, key=lambda s: s.total_dim)
+    top, steps = t, []
+    for s in rest:
+        if s.total_dim > top.total_dim and submodule_contains(s, top):
+            steps.append(tuple(a - b for a, b in zip(s.dims, top.dims)))
+            top = s
+    # a greatest member is larger than every other one
+    _require(
+        all(s is top or s.total_dim < top.total_dim for s in rest),
+        "a t-set has no greatest member",
+    )
+    return t, top, tuple(sorted(steps))
 
 
 def _require(ok, what):
@@ -163,26 +162,27 @@ def _require(ok, what):
 def build_mtf_fan(module):
     """Fan of equivalence classes of stability vectors relative to a module.
 
-    The t-set of each cone is read off the submodule lattice at the
+    The Newton points on which theta is largest are read at each cone's
     deterministic interior witness and again at a few random interior
     points; any disagreement would mean the cone decomposition is wrong,
-    so it raises InvariantError.  The class data is a function of the
-    t-set, computed once per cone.
+    so it raises InvariantError.  The t-set is the set of submodules at
+    those points, and its class data is computed once per cone.
     """
     subs = enumerate_submodules(module)
-    P = newton_polytope(module)
-    fan = normal_fan(P)
+    points = submodule_dim_vectors(module)
     n = module.algebra.n
+    P = convex_hull(points, n)
+    fan = normal_fan(P)
     classes = []
     rng = random.Random(_SAMPLE_SEED)
     for idx, cone in enumerate(fan.cones):
-        members = _t_set(subs, cone.relint_point())
+        top = _top(points, cone.relint_point())
         for _ in range(_EXTRA_SAMPLES):
             _require(
-                _t_set(subs, cone.random_relint_point(rng)) == members,
+                _top(points, cone.random_relint_point(rng)) == top,
                 f"cone {idx}: class data differs inside the cone",
             )
-        t, tbar, supp_dims = _class_data(members)
+        t, tbar, supp_dims = _class_data([s for s in subs if s.dims in top])
         face = P.faces[idx]
         # the min and max of the Newton face are the classes of t and tbar:
         # both lie on the face, where theta is largest, so equal to the

@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass
 
 from .exact import as_theta, rank
-from .fan import wall_cone
-from .polyhedra import integer_grid, key_dim, key_eqs, locate_index, ray_sum, vrep
+from .fan import face_restriction_check, wall_cone
+from .polyhedra import integer_grid, key_dim, key_eqs, locate_index, ray_sum
 from .stability import (
     CanonicalSequenceData,
     canonical_sequences,
@@ -227,12 +227,7 @@ def verify_dim_formula(mtf):
             dim = key_dim(key)
             if key not in cone_index:
                 failures.append(f"wall face of dim {dim} is missing from the fan")
-                continue
-            data = mtf.classes[cone_index[key]]
-            cut = vrep(
-                n, wall.eqs + tuple(tuple(d) for d in data.supp_dims), wall.ineqs
-            )
-            if cut != key:
+            elif not face_restriction_check(mtf, cone_index[wall.key], cone_index[key]):
                 failures.append(
                     f"wall face of dim {dim} is not the wall cut by "
                     "its support span"

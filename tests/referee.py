@@ -6,15 +6,19 @@ from its document.  The meet of two submodules and the F_p subspace helpers
 it rests on serve as referees for the submodule lattice, and so does a
 closure that sums Submodule objects.  The torsion scans that test
 containment of every pair of submodules at each functional, and take the
-largest member as a sum, are the referee for the oracle's order table.  A change of basis at every vertex
-builds isomorphic modules with different matrix entries, and the hypothesis
-strategies at the end draw such pairs from the presets, their direct sums
-and small Kronecker modules.
+largest member as a sum, are the referee for the oracle's order table.
+The scan of every submodule for the largest value of a functional, and the
+chain walk that rescans the t-set at every step, are the referees for the
+build's top Newton points and its one-pass walk.  A change of basis at
+every vertex builds isomorphic modules with different matrix entries, and
+the hypothesis strategies at the end draw such pairs from the presets,
+their direct sums and small Kronecker modules.
 """
 
 from hypothesis import strategies as st
 
 from mtfan.errors import ModuleDefinitionError
+from mtfan.exact import primitive
 from mtfan.fplinalg import mat_mul, projective_points, rref_fp
 from mtfan.polyhedra import cone_from_hrep, vrep
 from mtfan.presets import preset_module, preset_names
@@ -161,6 +165,37 @@ def definition_t_set(theta, module):
         for L in enumerate_submodules(module)
         if submodule_contains(L, t) and is_semistable(theta, subquotient(module, t, L))
     )
+
+
+def t_set_by_scan(subs, theta):
+    """The submodules on which theta is largest, in lattice order, by
+    evaluating theta on every submodule."""
+    theta = primitive(theta)
+    vals = [sum(a * b for a, b in zip(theta, s.dims)) for s in subs]
+    top = max(vals)
+    return tuple(s for s, v in zip(subs, vals) if v == top)
+
+
+def class_data_by_rescans(members):
+    """(t, tbar, supp_dims) of a t-set: t and tbar are its members of least
+    and greatest total dimension, and each step of the chain from t to tbar
+    rescans the whole t-set for the smallest member strictly above."""
+    t = min(members, key=lambda s: s.total_dim)
+    tbar = max(members, key=lambda s: s.total_dim)
+    steps = []
+    cur = t
+    while cur != tbar:
+        nxt = min(
+            (
+                s
+                for s in members
+                if s.total_dim > cur.total_dim and submodule_contains(s, cur)
+            ),
+            key=lambda s: s.total_dim,
+        )
+        steps.append(tuple(a - b for a, b in zip(nxt.dims, cur.dims)))
+        cur = nxt
+    return t, tbar, tuple(sorted(steps))
 
 
 def inverse_fp(mat, p):

@@ -245,6 +245,17 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
     assert main(["svg", "--preset", "a2-P1", "--p", "3"]) == 2
 
 
+def test_exit_code_2_on_deeply_nested_json(tmp_path, capsys):
+    """JSON nested past the parser's recursion limit is bad input, not a
+    traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert main(["fan", "--input", str(deep)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid JSON in {deep}: nested too deeply\n"
+    )
+
+
 @pytest.mark.parametrize(
     "args",
     [["fan", "--preset", "a2-P1"], ["verify", "--preset", "a2-P1", "--grid-bound", "0"]],

@@ -8,6 +8,7 @@ import weakref
 
 import pytest
 from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import mtfan.fan
 import mtfan.polyhedra
@@ -39,8 +40,16 @@ from mtfan.quiver import (
 )
 from mtfan.serialize import class_doc, fan_doc, vec_strs
 from mtfan.stability import canonical_sequences, supp_factors, t_set
-from mtfan.sublattice import enumerate_submodules
-from referee import cone_from_generators, full_cone, module_and_change_of_basis
+from mtfan.sublattice import enumerate_submodules, submodule_dim_vectors
+from referee import (
+    class_data_by_rescans,
+    cone_from_generators,
+    full_cone,
+    module_and_change_of_basis,
+    preset_direct_sum,
+    random_kronecker_module,
+    t_set_by_scan,
+)
 
 
 def zero_fan():
@@ -312,6 +321,7 @@ def test_lattice_class_data_matches_the_definitions(name):
     module = _sq_plus_s1() if name == "sq+S1" else preset_module(name)
     mtf = build_mtf_fan(module)
     subs = enumerate_submodules(module)
+    points = submodule_dim_vectors(module)
     for cone, data in zip(mtf.cones, mtf.classes):
         theta = cone.relint_point()
         cs = canonical_sequences(theta, module)
@@ -322,7 +332,8 @@ def test_lattice_class_data_matches_the_definitions(name):
         assert doc["fbar"] == vec_strs(minus(module.dims, cs.t.dims))
         supp = tuple(sorted(d for _, d in supp_factors(theta, cs.w)))
         assert data.supp_dims == supp
-        assert set(mtfan.fan._t_set(subs, theta)) == t_set(theta, module)
+        top = mtfan.fan._top(points, theta)
+        assert {s for s in subs if s.dims in top} == t_set(theta, module)
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -380,26 +391,26 @@ def test_fan_queries_build_no_cone_by_double_description(name, monkeypatch):
 
 
 def test_build_raises_when_random_points_disagree(monkeypatch):
-    real = mtfan.fan._t_set
+    real = mtfan.fan._top
     calls = []
 
-    def other_t_set_after_the_witness(subs, theta):
+    def other_top_after_the_witness(points, theta):
         calls.append(theta)
         if len(calls) > 1:  # the random interior points of the first cone
-            # the opposite maximal cone has another t-set
+            # the opposite maximal cone has other top points
             theta = tuple(-x for x in theta)
-        return real(subs, theta)
+        return real(points, theta)
 
-    monkeypatch.setattr(mtfan.fan, "_t_set", other_t_set_after_the_witness)
+    monkeypatch.setattr(mtfan.fan, "_top", other_top_after_the_witness)
     with pytest.raises(InvariantError, match="differs inside the cone"):
         build_mtf_fan(preset_module("a2-P1"))
 
 
 def test_the_build_walks_each_chain_once(monkeypatch):
-    """The build compares t-sets inside each cone and walks the chain of
-    each cone's t-set once: on a2-P1 + a2-P1 + a2-P1 (66 submodules, 7
-    cones) that is 270 containment tests, where re-deriving the class data
-    at the 3 random points of every cone took 1,080."""
+    """The build compares top Newton points inside each cone and walks the
+    chain of each cone's t-set in one pass: on a2-P1 + a2-P1 + a2-P1 (66
+    submodules, 7 cones) that is 15 containment tests, where rescanning
+    the t-set at every step of the chain took 270."""
     real = mtfan.quiver.submodule_contains
     calls = []
 
@@ -417,7 +428,64 @@ def test_the_build_walks_each_chain_once(monkeypatch):
                     monkeypatch.setattr(mod, attr, counting)
     mtf = build_mtf_fan(module)
     assert len(mtf.cones) == 7
-    assert 0 < len(calls) <= 300
+    assert 0 < len(calls) <= 30
+
+
+@pytest.mark.parametrize("name", [*preset_names(), "sq+S1"])
+def test_the_build_evaluates_theta_on_the_newton_points(name, monkeypatch):
+    """Each functional the build reads is evaluated on the distinct
+    submodule dimension vectors, not on every submodule: at the witness
+    and at the random points of every cone."""
+    module = _sq_plus_s1() if name == "sq+S1" else preset_module(name)
+    real = mtfan.fan._top
+    sizes = []
+
+    def recording(points, theta):
+        sizes.append(len(points))
+        return real(points, theta)
+
+    monkeypatch.setattr(mtfan.fan, "_top", recording)
+    mtf = build_mtf_fan(module)
+    per_cone = 1 + mtfan.fan._EXTRA_SAMPLES
+    assert sizes == [len(submodule_dim_vectors(module))] * (per_cone * len(mtf.cones))
+
+
+@given(st.one_of(preset_direct_sum(), random_kronecker_module()))
+@seed(0x5EED)
+@settings(max_examples=30, deadline=None)
+def test_class_data_matches_the_rescan_referees(module):
+    """At each cone's witness the submodules at the top Newton points are
+    the submodules on which theta is largest, and the one-pass chain walk
+    gives the class data of the walk that rescans the t-set at every
+    step."""
+    mtf = build_mtf_fan(module)
+    subs = enumerate_submodules(module)
+    points = submodule_dim_vectors(module)
+    for cone, data in zip(mtf.cones, mtf.classes):
+        theta = cone.relint_point()
+        members = t_set_by_scan(subs, theta)
+        top = mtfan.fan._top(points, theta)
+        assert tuple(s for s in subs if s.dims in top) == members
+        expected = class_data_by_rescans(members)
+        assert mtfan.fan._class_data(members) == expected
+        assert (data.t, data.tbar, data.supp_dims) == expected
+
+
+def test_a_t_set_without_a_greatest_member_raises():
+    """Two lines of S + S with the zero submodule have no greatest member;
+    the chain walk stops at one of them and raises InvariantError."""
+    s = simple_module(preset_module("a2-P1").algebra, 1)
+    zero, *lines, whole = sorted(
+        enumerate_submodules(direct_sum(s, s)), key=lambda x: x.total_dim
+    )
+    assert len(lines) == 3 and whole.total_dim == 2
+    with pytest.raises(InvariantError, match="no greatest member"):
+        mtfan.fan._class_data([zero, *lines[:2]])
+    assert mtfan.fan._class_data([zero, lines[0], whole]) == (
+        zero,
+        whole,
+        ((1, 0), (1, 0)),
+    )
 
 
 @pytest.mark.parametrize("name", [*preset_names(), "sq+S1"])
@@ -431,7 +499,7 @@ def test_the_wall_reads_the_stored_classes(name, monkeypatch):
         raise AssertionError("the lattice was read again")
 
     monkeypatch.setattr(mtfan.fan, "enumerate_submodules", refuse)
-    monkeypatch.setattr(mtfan.fan, "_t_set", refuse)
+    monkeypatch.setattr(mtfan.fan, "_top", refuse)
     assert any(wall_cone(mtf) is c for c in mtf.cones)
 
 
