@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals and the integers.
 
-Row echelon forms, nullspaces, primitive integer vectors, Hermite normal
-forms and saturated lattice bases.  Vectors are tuples of ints/Fractions;
-nothing here touches floating point, so every predicate downstream stays
-exact.
+Row echelon forms, nullspaces, primitive integer vectors and the Hermite
+normal form of an integer lattice.  A rational subspace has one canonical
+form, subspace_canonical: its RREF rows scaled primitive.  Vectors are
+tuples of ints/Fractions; nothing here touches floating point, so every
+predicate downstream stays exact.
 """
 from __future__ import annotations
 
@@ -110,16 +111,9 @@ def hnf(rows):
     Pivots positive, entries above a pivot reduced into [0, pivot).  Canonical
     for the lattice generated by the rows.
     """
-    H, _ = _hnf_with_transform(rows)
-    return tuple(row for row in H if any(row))
-
-
-def _hnf_with_transform(rows):
-    """(H, U) with U unimodular and U @ rows == H (zero rows kept)."""
     m = len(rows)
     n = len(rows[0]) if rows else 0
     work = [list(r) for r in rows]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
     r = 0
     for c in range(n):
         while True:
@@ -129,16 +123,13 @@ def _hnf_with_transform(rows):
             i0 = min(nz, key=lambda i: abs(work[i][c]))
             if i0 != r:
                 work[r], work[i0] = work[i0], work[r]
-                U[r], U[i0] = U[i0], U[r]
             if work[r][c] < 0:
                 work[r] = [-x for x in work[r]]
-                U[r] = [-x for x in U[r]]
             stable = True
             for i in range(r + 1, m):
                 if work[i][c] != 0:
                     q = work[i][c] // work[r][c]
                     work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
                     if work[i][c] != 0:
                         stable = False
             if stable:
@@ -148,29 +139,7 @@ def _hnf_with_transform(rows):
                 q = work[i][c] // work[r][c]
                 if q:
                     work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
             r += 1
             if r == m:
                 break
-    return [tuple(row) for row in work], [tuple(row) for row in U]
-
-
-def integer_kernel(rows, n):
-    """Basis of the lattice {x in Z^n : r.x = 0 for every row r}."""
-    rows = [primitive(r) for r in rows]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    m = len(rows)
-    transposed = [tuple(rows[j][i] for j in range(m)) for i in range(n)]
-    H, U = _hnf_with_transform(transposed)
-    return tuple(U[i] for i in range(n) if not any(H[i]))
-
-
-def lattice_basis_of_span(vectors, n):
-    """Hermite-normal-form basis of span(vectors) intersected with Z^n."""
-    if not vectors or all(not any(v) for v in vectors):
-        return ()
-    comp = nullspace(vectors, n)
-    comp = tuple(primitive(v) for v in comp)
-    return hnf(integer_kernel(comp, n))
+    return tuple(tuple(row) for row in work if any(row))

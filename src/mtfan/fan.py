@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantError, ModuleDefinitionError
-from .exact import as_theta, lattice_basis_of_span, primitive, rank
+from .exact import as_theta, rank, subspace_canonical
 from .polyhedra import (
     GeneralizedFan,
     Polytope,
@@ -125,7 +125,6 @@ class MTFFan:
 def _top(points, theta):
     """The points (distinct submodule dimension vectors) on which theta is
     largest."""
-    theta = primitive(theta)  # a positive rescaling keeps the class
     vals = [sum(a * b for a, b in zip(theta, x)) for x in points]
     top = max(vals)
     return frozenset(x for x, v in zip(points, vals) if v == top)
@@ -224,7 +223,7 @@ def smallest_cone(mtf):
         if d == 0
     ]
     _require(
-        cone.key == (lattice_basis_of_span(units, n), ()),
+        cone.key == (subspace_canonical(units), ()),
         "the cone at 0 is not the span of the vanishing coordinates",
     )
     meet = vrep(

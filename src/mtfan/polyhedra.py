@@ -2,10 +2,12 @@
 
 All coordinates are rational and all predicates exact.  Cones carry both a
 canonical H-representation (equalities and irredundant facet inequalities,
-primitive integer normals) and a canonical V-representation (Hermite-normal
-lineality basis plus the primitive extreme rays of the cone intersected with
-the orthogonal complement of its lineality), so structural equality of Cone
-values coincides with geometric equality.
+primitive integer normals) and a canonical V-representation (lineality basis
+plus the primitive extreme rays of the cone intersected with the orthogonal
+complement of its lineality), so structural equality of Cone values
+coincides with geometric equality.  Equations and lineality, and a
+polytope's lineality, are stored in the one canonical form of a rational
+subspace, exact.subspace_canonical.
 
 Conversion between the two representations runs the double description
 method: facets of a cone are the extreme rays of its dual, so one insertion
@@ -33,7 +35,6 @@ from functools import cached_property
 from .errors import InvariantError, ResourceLimitError
 from .exact import (
     dot,
-    lattice_basis_of_span,
     nullspace,
     number,
     primitive,
@@ -192,13 +193,13 @@ class Cone:
         return pt
 
     def random_relint_point(self, rng):
-        """Random rational point in the relative interior."""
-        pt = [Fraction(0)] * self.n
+        """Random integer point in the relative interior."""
+        pt = [0] * self.n
         for r in self.rays:
-            c = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            c = rng.randint(1, 9)
             pt = [a + c * x for a, x in zip(pt, r)]
         for l in self.lineality:
-            c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            c = rng.randint(-9, 9)
             pt = [a + c * x for a, x in zip(pt, l)]
         pt = tuple(pt)
         if not self.contains_relint(pt):
@@ -256,7 +257,7 @@ def vrep(n, eqs, ineqs):
     """Face key (lineality, rays) of the canonical cone
     {x : eq.x = 0, a.x >= 0}: one double description pass."""
     lin_raw, rays = _dd(ineqs, eqs, n)
-    return lattice_basis_of_span(lin_raw, n), rays
+    return subspace_canonical(lin_raw), rays
 
 
 def key_dim(key):
@@ -322,8 +323,9 @@ class Face:
 @dataclass(frozen=True)
 class Polytope:
     """Convex hull of finitely many rational points with its face lattice,
-    its facets as (vertex ids, primitive outer normal) and the HNF basis of
-    the span of its affine equations, orthogonal to every facet normal."""
+    its facets as (vertex ids, primitive outer normal) and the canonical
+    basis (exact.subspace_canonical) of the span of its affine equations,
+    orthogonal to every facet normal."""
 
     n: int
     vertices: tuple[tuple[int | Fraction, ...], ...]  # exact.number coordinates
@@ -390,7 +392,6 @@ def convex_hull(points, n):
     homog = [primitive((1,) + tuple(a - b for a, b in zip(v, pts[0])))
              for v in pts]
     dual_lin, dual_rays = _dd(homog, (), n + 1)
-    eq_parts = [e[1:] for e in dual_lin]
 
     facet_data = []  # (tight point ids, outer normal)
     for normal in dual_rays:
@@ -398,8 +399,13 @@ def convex_hull(points, n):
         if tight:
             facet_data.append((tight, primitive(tuple(-c for c in normal[1:]))))
 
+    # a vertex is the only point on every facet through it; with no facet
+    # through a point, every point is on all of them
+    everything = frozenset(range(len(pts)))
+
     def is_vertex(i):
-        return rank(eq_parts + [a for tight, a in facet_data if i in tight]) == n
+        return everything.intersection(
+            *(tight for tight, _ in facet_data if i in tight)) == {i}
 
     vertices = tuple(sorted(pts[i] for i in range(len(pts)) if is_vertex(i)))
     new_id = {v: i for i, v in enumerate(vertices)}
@@ -422,7 +428,7 @@ def convex_hull(points, n):
     for f in faces:
         if f.dim == 1 and not len(f.vertex_ids) == 2:
             raise InvariantError(f"edge with {len(f.vertex_ids)} vertices")
-    lineality = lattice_basis_of_span(eq_parts, n)
+    lineality = subspace_canonical([e[1:] for e in dual_lin])
     return Polytope(n, vertices, tuple(faces), tuple(facets), lineality, lookup)
 
 

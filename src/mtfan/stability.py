@@ -151,17 +151,16 @@ class CanonicalSequenceData:
     t: Submodule
     tbar: Submodule
     w: Module
-    f: Module
     t_set: frozenset
 
 
 def canonical_sequences(theta, module):
     """Largest torsion and weak-torsion submodules with their slices.
 
-    Returns CanonicalSequenceData with t <= tbar, w = tbar/t theta-semistable
-    and f = M/tbar theta-free; dimension vectors of t, w, f sum to the
-    module's.  Its t_set is the t-set of theta, which lies between t and
-    tbar.
+    Returns CanonicalSequenceData with t <= tbar and w = tbar/t
+    theta-semistable, after checking that f = M/tbar is theta-free and that
+    the dimension vectors of t, w, f sum to the module's.  Its t_set is the
+    t-set of theta, which lies between t and tbar.
     """
     theta = as_theta(theta, module.algebra.n)
     subs, vals = _sub_values(module, theta)
@@ -198,7 +197,7 @@ def canonical_sequences(theta, module):
         )
     if members - below[k] != {k}:
         raise InvariantError(f"a t-set member is not inside tbar at {theta_str(theta)}")
-    return CanonicalSequenceData(t, tbar, w, f, frozenset(subs[j] for j in members))
+    return CanonicalSequenceData(t, tbar, w, frozenset(subs[j] for j in members))
 
 
 def semistable_subobjects(theta, module):

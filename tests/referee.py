@@ -2,9 +2,11 @@
 
 Each cone builds a canonical cone through the public double description
 entry points, so a test can state a cone by its generators or rebuild it
-from its document.  The meet of two submodules and the F_p subspace helpers
-it rests on serve as referees for the submodule lattice, and so does a
-closure that sums Submodule objects.  The torsion scans that test
+from its document.  The rank test of a hull point, one row reduction per
+point, is the referee for convex_hull's vertices by facet incidence.  The
+meet of two submodules and the F_p subspace helpers it rests on serve as
+referees for the submodule lattice, and so does a closure that sums
+Submodule objects.  The torsion scans that test
 containment of every pair of submodules at each functional, and take the
 largest member as a sum, are the referee for the oracle's order table.
 The scan of every submodule for the largest value of a functional, and the
@@ -18,9 +20,9 @@ their direct sums and small Kronecker modules.
 from hypothesis import strategies as st
 
 from mtfan.errors import ModuleDefinitionError
-from mtfan.exact import primitive
+from mtfan.exact import dot, number, primitive, rank
 from mtfan.fplinalg import mat_mul, projective_points, rref_fp
-from mtfan.polyhedra import cone_from_hrep, vrep
+from mtfan.polyhedra import _dd, cone_from_hrep, vrep
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import (
     Submodule,
@@ -44,6 +46,21 @@ def cone_from_generators(n, rays=(), lineality=()):
     dual cone's lineality and rays are its equations and facets."""
     eqs, facets = vrep(n, lineality, rays)
     return cone_from_hrep(n, eqs, facets)
+
+
+def hull_vertices_by_rank(points, n):
+    """Vertices of the convex hull of a finite point set, by rank: a point
+    is a vertex when the affine equations of the hull and the outer normals
+    of the facets through it span R^n.  One row reduction per point."""
+    pts = sorted({tuple(number(x) for x in pt) for pt in points})
+    homog = [primitive((1,) + tuple(a - b for a, b in zip(v, pts[0])))
+             for v in pts]
+    dual_lin, dual_rays = _dd(homog, (), n + 1)
+    eq_parts = [e[1:] for e in dual_lin]
+    return tuple(
+        pt for pt, h in zip(pts, homog)
+        if rank(eq_parts + [r[1:] for r in dual_rays if dot(r, h) == 0]) == n
+    )
 
 
 def full_cone(n):

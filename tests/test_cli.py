@@ -507,10 +507,11 @@ def test_the_cone_cap_is_inclusive(monkeypatch, capsys):
 
 def test_the_cone_cap_admits_every_golden_fan():
     """Every golden fan is within the cap: the presets, which include the
-    benchmark's verify inputs, the Kronecker module R_4 and
-    square-lambda + square-lambda + square-lambda."""
+    benchmark's verify inputs, the Kronecker module R_4,
+    square-lambda + square-lambda + square-lambda and S2 + S3 over
+    square-lambda."""
     goldens = sorted(GOLDENS.glob("*.fan.json"))
-    assert len(goldens) == len(preset_names()) + 2
+    assert len(goldens) == len(preset_names()) + 3
     for path in goldens:
         cones = json.loads(path.read_text(encoding="utf-8"))["cones"]
         assert len(cones) <= mtfan.cli.MAX_VERIFY_CONES

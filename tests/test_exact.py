@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from mtfan.exact import (
     dot,
     hnf,
-    integer_kernel,
-    lattice_basis_of_span,
     nullspace,
     primitive,
     rank,
@@ -75,27 +73,6 @@ def test_hnf_known():
     assert hnf([(1, 5), (0, 3)]) == ((1, 2), (0, 3))
 
 
-def test_integer_kernel_is_saturated():
-    ker = integer_kernel([(2, 4)], 2)
-    (k,) = ker
-    assert 2 * k[0] + 4 * k[1] == 0
-    from math import gcd
-
-    assert gcd(k[0], k[1]) == 1
-
-
-def test_integer_kernel_full_and_empty():
-    assert integer_kernel([], 2) == ((1, 0), (0, 1))
-    assert integer_kernel([(1, 0), (0, 1)], 2) == ()
-
-
-def test_lattice_basis_of_span_saturates():
-    basis = lattice_basis_of_span([(2, 4)], 2)
-    assert basis == ((1, 2),)
-    basis = lattice_basis_of_span([(2, 0), (0, 3)], 2)
-    assert basis == ((1, 0), (0, 1))
-
-
 @st.composite
 def small_matrix(draw):
     ncols = draw(st.integers(1, 4))
@@ -119,16 +96,6 @@ def test_rref_preserves_row_space(data):
     rows, ncols = data
     red, _ = rref(rows)
     assert subspace_canonical(rows) == subspace_canonical(red)
-
-
-@given(small_matrix())
-@settings(max_examples=60, deadline=None)
-def test_integer_kernel_annihilates(data):
-    rows, ncols = data
-    for k in integer_kernel(rows, ncols):
-        assert all(isinstance(x, int) for x in k)
-        for r in rows:
-            assert dot(r, k) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -328,7 +328,7 @@ def test_lattice_class_data_matches_the_definitions(name):
         assert (cs.t, cs.tbar) == (data.t, data.tbar)
         doc = class_doc(data)
         assert doc["w"] == vec_strs(cs.w.dims)
-        assert doc["f"] == vec_strs(cs.f.dims)
+        assert doc["f"] == vec_strs(minus(module.dims, cs.tbar.dims))
         assert doc["fbar"] == vec_strs(minus(module.dims, cs.t.dims))
         supp = tuple(sorted(d for _, d in supp_factors(theta, cs.w)))
         assert data.supp_dims == supp
@@ -469,6 +469,31 @@ def test_class_data_matches_the_rescan_referees(module):
         expected = class_data_by_rescans(members)
         assert mtfan.fan._class_data(members) == expected
         assert (data.t, data.tbar, data.supp_dims) == expected
+
+
+@given(
+    st.one_of(
+        st.sampled_from(preset_names()).map(preset_module),
+        preset_direct_sum(),
+        random_kronecker_module(),
+    )
+)
+@seed(0x5EED)
+@settings(max_examples=40, deadline=None)
+def test_every_lineality_is_the_span_of_the_vanishing_vertices(module):
+    """A composition series has a step at every vertex of the support, so
+    the functionals that vanish on the Newton polytope are spanned by the
+    e_j where the module is zero.  The polytope and every cone store that
+    span as those unit vectors, in increasing order."""
+    mtf = build_mtf_fan(module)
+    n = module.algebra.n
+    units = tuple(
+        tuple(int(i == j) for j in range(n))
+        for i, d in enumerate(module.dims)
+        if d == 0
+    )
+    assert mtf.newton.lineality == units
+    assert all(cone.lineality == units for cone in mtf.cones)
 
 
 def test_a_t_set_without_a_greatest_member_raises():

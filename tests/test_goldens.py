@@ -27,7 +27,9 @@ THETAS = {
 # that are no preset.  kronecker-R4 is the indecomposable Kronecker module
 # 1 => 2 with a = I_4, b = J_4(0) over F_2 (227 submodules); sq-sq-sq is
 # square-lambda + square-lambda + square-lambda (2,060 submodules, 39 cones,
-# chains of up to 12 steps), too big for `verify` here.
+# chains of up to 12 steps), too big for `verify` here.  sq-S2-S3 is
+# S2 + S3 over square-lambda, zero at vertices 1 and 4: every cone has that
+# two-dimensional lineality.
 INPUT_COMMANDS = {
     "kronecker-R4": {
         "newton": ["newton"],
@@ -37,6 +39,10 @@ INPUT_COMMANDS = {
     "sq-sq-sq": {
         "fan": ["fan"],
         "wall": ["wall"],
+    },
+    "sq-S2-S3": {
+        "fan": ["fan"],
+        "verify": ["verify", "--grid-bound", "1"],
     },
 }
 

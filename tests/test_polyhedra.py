@@ -35,7 +35,7 @@ from mtfan.polyhedra import (
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import direct_sum, simple_module
 from mtfan.sublattice import newton_polytope
-from referee import cone_from_generators, full_cone
+from referee import cone_from_generators, full_cone, hull_vertices_by_rank
 
 F = Fraction
 
@@ -371,6 +371,36 @@ def random_point_set(rng):
             for i, o in enumerate(offset)
         ))
     return pts, n
+
+
+def test_hull_vertices_match_the_rank_referee_on_random_point_sets():
+    for seed in range(200):
+        pts, n = random_point_set(random.Random(seed))
+        assert convex_hull(pts, n).vertices == hull_vertices_by_rank(pts, n)
+
+
+CUBE = [(a, b, c) for a in (0, 2) for b in (0, 2) for c in (0, 2)]
+
+
+@pytest.mark.parametrize(
+    "pts,n,vertices",
+    [
+        # a point inside an edge, inside a facet and inside the cube
+        (CUBE + [(1, 0, 0), (1, 1, 0), (1, 1, 1)], 3, sorted(CUBE)),
+        # the same inside a square that lies in a plane of R^3
+        ([(0, 0, 1), (2, 0, 1), (0, 2, 1), (2, 2, 1), (1, 0, 1), (1, 1, 1)],
+         3, [(0, 0, 1), (0, 2, 1), (2, 0, 1), (2, 2, 1)]),
+        # a triangle with points inside an edge and inside it
+        ([(0, 0), (3, 0), (0, 3), (1, 1), (F(3, 2), F(3, 2))], 2,
+         [(0, 0), (0, 3), (3, 0)]),
+        # a segment with an inner point, and a single point
+        ([(0, 0, 0), (2, 2, 2), (1, 1, 1)], 3, [(0, 0, 0), (2, 2, 2)]),
+        ([(1, 2)], 2, [(1, 2)]),
+    ],
+)
+def test_hull_drops_points_inside_edges_facets_and_the_interior(pts, n, vertices):
+    assert convex_hull(pts, n).vertices == tuple(vertices)
+    assert hull_vertices_by_rank(pts, n) == tuple(vertices)
 
 
 def fan_input(name):

