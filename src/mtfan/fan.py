@@ -19,7 +19,7 @@ fbar are differences of dimension vectors, and the stable support of
 w = tbar/t is the list of steps of a maximal chain in the t-set, walked in
 one pass.  The top points are re-read at random interior points, and the
 data is checked against the Newton face.  The wall reads the stored data.
-The definition routes (torsion scans, subquotient modules) live in
+The definition routes (F_p containment, slices checked as modules) live in
 stability.py; the oracle compares them with this data at every sample.
 """
 from __future__ import annotations

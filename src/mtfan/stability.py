@@ -18,12 +18,13 @@ semistable) comes with them: both are data of one functional, computed
 afresh at each call, so a caller that compares functionals computes each
 one's data once and compares the stored values.
 
-The scans that test containment (the torsion classes, the t-set's members
-above t, the minimal semistable submodules of supp_factors) read one order
-table per module: for each member of enumerate_submodules(module), the
-indices of the members strictly inside it, each pair decided once by
-submodule_contains.  A functional then only compares its values along the
-table.  Semistability reads values alone, so it never builds a table.
+The submodules of L/K are the members between K and L of the module's own
+lattice, so the scans (the torsion classes, the t-set, the semistable
+subobjects, a chain of stable factors) read one order table per module:
+for each member of enumerate_submodules(module), the indices of the
+members strictly inside it, each pair decided once by submodule_contains.
+Only w, f and the stable factors are presented as modules and checked on
+their own lattices.  Semistability reads values alone: it builds no table.
 """
 from __future__ import annotations
 
@@ -36,17 +37,15 @@ from .quiver import (
     Module,
     Submodule,
     quotient_module,
-    submodule_as_module,
     submodule_contains,
     subquotient,
 )
 from .sublattice import LATTICE_CACHE_SIZE, enumerate_submodules
 
 # order tables memoized per module, as many as the lattices they index: the
-# module, its slices w and the quotients supp_factors splits them into.  A
-# default `verify` builds at most 12 on a preset (square-lambda), 15 on the
-# Kronecker module R_4 and 47 on sq+sq+S4; the `oracle` workload reads its 4
-# tables 1,162 times
+# module and its slices w.  A default `verify` builds at most 13 on a preset
+# (square-lambda), 4 on the Kronecker module R_4 and 23 on sq+sq+S4; the
+# `oracle` workload (seed 1) reads its 5 tables 2,210 times
 ORDER_CACHE_SIZE = LATTICE_CACHE_SIZE
 
 
@@ -185,12 +184,7 @@ def canonical_sequences(theta, module):
     fsubs, fvals = _sub_values(f, theta)
     if not all(v < 0 for s, v in zip(fsubs, fvals) if s.total_dim):
         raise InvariantError(f"f = M/tbar is not free at theta {theta_str(theta)}")
-    members = {
-        j
-        for j, L in enumerate(subs)
-        if (j == i or i in below[j])
-        and _is_semistable(theta, subquotient(module, t, L))
-    }
+    members = _semistable_above(below, vals, i)
     if not (i in members and k in members):
         raise InvariantError(
             f"t or tbar is missing from the t-set at {theta_str(theta)}"
@@ -200,46 +194,56 @@ def canonical_sequences(theta, module):
     return CanonicalSequenceData(t, tbar, w, frozenset(subs[j] for j in members))
 
 
+def _semistable_above(below, vals, i):
+    """Indices j of the members L_j containing L_i with L_j/L_i semistable:
+    theta(L_j) = theta(L_i), and theta is at most theta(L_i) on every member
+    between them (the submodules of L_j/L_i)."""
+    v = vals[i]
+    return {
+        j
+        for j in range(len(vals))
+        if (j == i or i in below[j])
+        and vals[j] == v
+        and all(vals[x] <= v for x in below[j] if x == i or i in below[x])
+    }
+
+
 def semistable_subobjects(theta, module):
     """The nonzero submodules of the module that are theta-semistable as
     modules, as indices into enumerate_submodules(module)."""
-    theta = as_theta(theta, module.algebra.n)
-    return frozenset(
-        i
-        for i, s in enumerate(enumerate_submodules(module))
-        if s.total_dim
-        and evaluate(theta, s) == 0
-        and _is_semistable(theta, submodule_as_module(s))
-    )
+    _, vals = _sub_values(module, as_theta(theta, module.algebra.n))
+    # the zero submodule sorts first
+    return frozenset(_semistable_above(_order(module), vals, 0) - {0})
 
 
 def supp_factors(theta, module):
     """Stable composition factors of a theta-semistable module.
 
-    Splits off a minimal nonzero theta-semistable submodule (which is
-    theta-stable), passes to the quotient and repeats.  Returns a tuple of
-    (factor module, dimension vector); the dimension-vector multiset does
-    not depend on the choices made.
+    Walks one maximal chain 0 = L_0 < L_1 < ... < L_r = M through the
+    semistable subobjects (here the zero-valued submodules) in order of
+    total dimension, so each L_{m+1}/L_m is theta-stable.
+    Returns a tuple of (factor module, dimension vector); the
+    dimension-vector multiset does not depend on the chain.
     """
     theta = as_theta(theta, module.algebra.n)
     if not _is_semistable(theta, module):
         raise ModuleDefinitionError("supp factors need a semistable module")
+    subs = enumerate_submodules(module)
+    below = _order(module)
+    chain = [0]  # the zero submodule
+    semis = semistable_subobjects(theta, module)
+    for j in sorted(semis, key=lambda j: (subs[j].total_dim, j)):
+        if chain[-1] in below[j]:
+            chain.append(j)
     factors = []
-    current = module
-    while not current.is_zero():
-        subs = enumerate_submodules(current)
-        semis = semistable_subobjects(theta, current)
-        below = _order(current)
-        minimal = [subs[i] for i in semis if semis.isdisjoint(below[i])]
-        chosen = min(minimal, key=Submodule.sort_key)
-        factor = submodule_as_module(chosen)
+    for lo, hi in zip(chain, chain[1:]):
+        factor = subquotient(module, subs[lo], subs[hi])
         if not is_stable(theta, factor):
             raise InvariantError(
                 "a minimal semistable factor is not stable at "
                 f"{theta_str(theta)}"
             )
         factors.append((factor, factor.dims))
-        current = quotient_module(current, chosen)
     return tuple(factors)
 
 

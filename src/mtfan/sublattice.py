@@ -32,9 +32,9 @@ from .quiver import Submodule, generated_submodule
 
 DEFAULT_DIM_BOUND = 14
 DEFAULT_MAX_SUBMODULES = 20000
-# lattices memoized per (module, dim_bound, max_count); a default `verify` on
-# any preset reads at most 13 of them and the `oracle` benchmark workload
-# (seed 1) hits the memo 6,966 times for 6 misses
+# lattices memoized per (module, dim_bound, max_count); a default `verify`
+# reads at most 13 on a preset, 7 on the Kronecker module R_4 and 33 on
+# sq+sq+S4, and the `oracle` workload (seed 1) hits 6,680 times for 6 misses
 LATTICE_CACHE_SIZE = 256
 
 

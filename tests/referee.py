@@ -9,6 +9,10 @@ referees for the submodule lattice, and so does a closure that sums
 Submodule objects.  The torsion scans that test
 containment of every pair of submodules at each functional, and take the
 largest member as a sum, are the referee for the oracle's order table.
+Testing each zero-valued submodule for semistability on its own lattice,
+and splitting off one stable factor at a time and passing to the quotient,
+are the referees for the semistable subobjects and stable factors that the
+oracle reads off the order table.
 The scan of every submodule for the largest value of a functional, and the
 chain walk that rescans the t-set at every step, are the referees for the
 build's top Newton points and its one-pass walk.  A change of basis at
@@ -20,7 +24,7 @@ their direct sums and small Kronecker modules.
 from hypothesis import strategies as st
 
 from mtfan.errors import ModuleDefinitionError
-from mtfan.exact import dot, number, primitive, rank
+from mtfan.exact import as_theta, dot, number, primitive, rank
 from mtfan.fplinalg import mat_mul, projective_points, rref_fp
 from mtfan.polyhedra import _dd, cone_from_hrep, vrep
 from mtfan.presets import preset_module, preset_names
@@ -30,6 +34,7 @@ from mtfan.quiver import (
     build_module,
     direct_sum,
     generated_submodule,
+    quotient_module,
     simple_module,
     submodule_contains,
     submodule_sum,
@@ -37,7 +42,7 @@ from mtfan.quiver import (
     subquotient,
 )
 from mtfan.serialize import parse_frac
-from mtfan.stability import evaluate, is_semistable
+from mtfan.stability import evaluate, is_semistable, is_stable
 from mtfan.sublattice import enumerate_submodules
 
 
@@ -182,6 +187,45 @@ def definition_t_set(theta, module):
         for L in enumerate_submodules(module)
         if submodule_contains(L, t) and is_semistable(theta, subquotient(module, t, L))
     )
+
+
+def semistable_subobjects_by_submodules(theta, module):
+    """The nonzero submodules of the module that are theta-semistable as
+    modules, as indices into enumerate_submodules(module): each zero-valued
+    one is presented as a module and tested on its own lattice."""
+    theta = as_theta(theta, module.algebra.n)
+    zero = submodule_zero(module)
+    return frozenset(
+        i
+        for i, s in enumerate(enumerate_submodules(module))
+        if s.total_dim
+        and evaluate(theta, s) == 0
+        and is_semistable(theta, subquotient(module, zero, s))
+    )
+
+
+def supp_factors_by_quotients(theta, module):
+    """Stable factors of a theta-semistable module as (module, dims) pairs:
+    split off a minimal nonzero semistable submodule (the least by
+    Submodule.sort_key, minimal by submodule_contains), which is stable,
+    pass to the quotient and repeat."""
+    factors = []
+    current = module
+    while not current.is_zero():
+        subs = enumerate_submodules(current)
+        semis = [subs[i] for i in semistable_subobjects_by_submodules(theta, current)]
+        minimal = [
+            s
+            for s in semis
+            if not any(o != s and submodule_contains(s, o) for o in semis)
+        ]
+        chosen = min(minimal, key=Submodule.sort_key)
+        factor = subquotient(current, submodule_zero(current), chosen)
+        if not is_stable(theta, factor):
+            raise AssertionError("a minimal semistable factor is not stable")
+        factors.append((factor, factor.dims))
+        current = quotient_module(current, chosen)
+    return tuple(factors)
 
 
 def t_set_by_scan(subs, theta):

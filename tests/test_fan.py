@@ -314,10 +314,10 @@ def _sq_plus_s1():
 @pytest.mark.parametrize("name", [*preset_names(), "sq+S1"])
 def test_lattice_class_data_matches_the_definitions(name):
     """The build reads class data off the lattice; the definition routes
-    (torsion scans, subquotient semistability) must give the same data at
-    every cone's witness, and the fan document's w, f and fbar, derived
-    from t and tbar, must be the classes of the definition's w, f and
-    M/t."""
+    (F_p containment, w checked semistable as a module) must give the same
+    data at every cone's witness, and the fan document's w, f and fbar,
+    derived from t and tbar, must be the classes of the definition's w, f
+    and M/t."""
     module = _sq_plus_s1() if name == "sq+S1" else preset_module(name)
     mtf = build_mtf_fan(module)
     subs = enumerate_submodules(module)

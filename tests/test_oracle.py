@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import json
+import pathlib
 import sys
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ import mtfan.oracle
 import mtfan.polyhedra
 import mtfan.quiver
 import mtfan.stability
+import mtfan.sublattice
 from mtfan.exact import as_theta
 from mtfan.fan import MTFFan, build_mtf_fan
 from mtfan.oracle import (
@@ -21,6 +24,7 @@ from mtfan.oracle import (
 )
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import build_module
+from mtfan.serialize import module_from_doc
 from mtfan.stability import canonical_sequences, t_set, theta_str
 
 
@@ -346,3 +350,27 @@ def test_oracle_containment_tests_do_not_grow_with_the_functionals(monkeypatch):
     assert report.ok, report.failures
     assert len(samples) == 1097
     assert len(calls) <= 50
+
+
+def test_oracle_presents_only_the_slices_and_the_stable_factors():
+    """The t-set, the semistable subobjects of w and the stable factors are
+    read off the module's own lattice and order table, so `verify
+    --grid-bound 1` on the Kronecker module R_4 enumerates 7 lattices and
+    presents 26 subquotients; presenting every candidate submodule and
+    quotient as a module of its own took 192 lattices and 755
+    subquotients."""
+    path = pathlib.Path(__file__).parent / "goldens" / "kronecker-R4.input.json"
+    memos = (
+        mtfan.sublattice.enumerate_submodules,
+        mtfan.stability._order,
+        mtfan.quiver.subquotient,
+    )
+    for memo in memos:
+        memo.cache_clear()
+    mtf = build_mtf_fan(module_from_doc(json.loads(path.read_text()))[1])
+    report = verify_fan(mtf, build_sample_set(mtf, bound=1))
+    assert report.ok, report.failures
+    assert verify_dim_formula(mtf).ok
+    lattices, _, subquotients = (memo.cache_info().misses for memo in memos)
+    assert lattices <= 10
+    assert subquotients <= 40

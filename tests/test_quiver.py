@@ -17,7 +17,6 @@ from mtfan.quiver import (
     path_composite,
     quotient_module,
     simple_module,
-    submodule_as_module,
     submodule_contains,
     submodule_full,
     submodule_sum,
@@ -267,7 +266,7 @@ def test_subquotient_and_quotient():
     assert w.dims == (0, 1)
     q = quotient_module(m, soc)
     assert q.dims == (1, 1)
-    again = submodule_as_module(mid)
+    again = subquotient(m, submodule_zero(m), mid)
     assert again.dims == (1, 1)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mtfan.errors import InvariantError, ModuleDefinitionError
 from mtfan.exact import as_theta
 from mtfan.presets import preset_module, preset_names
-from mtfan.quiver import build_module, direct_sum, simple_module
+from mtfan.quiver import build_module, direct_sum, simple_module, submodule_full
 import mtfan.stability
 from mtfan.stability import (
     _largest_member,
@@ -21,12 +21,19 @@ from mtfan.stability import (
     is_semistable,
     is_stable,
     m_tf_equivalent_by_filtration,
+    semistable_subobjects,
     supp_factors,
     t_set,
     wall_membership,
 )
 from mtfan.sublattice import enumerate_submodules
-from referee import definition_t_set, module_and_change_of_basis, torsion_filtration
+from referee import (
+    definition_t_set,
+    module_and_change_of_basis,
+    semistable_subobjects_by_submodules,
+    supp_factors_by_quotients,
+    torsion_filtration,
+)
 
 
 def filtration_dims(theta, module):
@@ -211,6 +218,42 @@ def test_largest_member_of_a_corrupted_table_raises_invariant_error():
         _largest_member(simples, _order(module))
 
 
+def test_an_unstable_factor_raises_invariant_error(monkeypatch):
+    """Each factor of the chain is checked stable on its own lattice."""
+    monkeypatch.setattr(mtfan.stability, "is_stable", lambda theta, module: False)
+    with pytest.raises(InvariantError) as info:
+        supp_factors((0, 0), preset_module("a2-P1"))
+    assert str(info.value) == "a minimal semistable factor is not stable at (0, 0)"
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda members, i, full: members - {i},
+         "t or tbar is missing from the t-set at (-2, 1)"),
+        (lambda members, i, full: members | {full},
+         "a t-set member is not inside tbar at (-2, 1)"),
+    ],
+)
+def test_a_corrupted_t_set_scan_raises_invariant_error(monkeypatch, corrupt, message):
+    """The checks on the t-set guard its scan, not the order table: once w
+    is semistable, theta(t) = theta(tbar) is the largest value, so the scan
+    of any table keeps t and tbar and every member is weak torsion, inside
+    tbar.  At (-2, 1) on a2-P1, t = tbar = S2 and the t-set is {S2}; a scan
+    that drops t, or adds M, is caught."""
+    m = preset_module("a2-P1")
+    full = enumerate_submodules(m).index(submodule_full(m))
+    real = mtfan.stability._semistable_above
+
+    def corrupted(below, vals, i):
+        return corrupt(real(below, vals, i), i, full)
+
+    monkeypatch.setattr(mtfan.stability, "_semistable_above", corrupted)
+    with pytest.raises(InvariantError) as info:
+        canonical_sequences((-2, 1), m)
+    assert str(info.value) == message
+
+
 @st.composite
 def module_and_theta(draw):
     """A preset or a random module of the referee (a direct sum of presets
@@ -230,18 +273,32 @@ def module_and_theta(draw):
 @seed(0x0DE7)
 @settings(max_examples=60, deadline=None)
 def test_order_table_agrees_with_the_pairwise_torsion_scans(case):
-    """t, tbar and the t-set read off the order table are those of the
-    scans that test containment of every pair at the functional."""
+    """t, tbar, the t-set, the semistable subobjects of the module and of w
+    and the stable factors of w read off the order tables are those of the
+    definitions: scans that test containment of every pair at the
+    functional, semistability of each candidate on its own lattice, and one
+    split and quotient at a time.  On w every zero-valued submodule is
+    semistable, so only the module tests the bound on the members below."""
     module, theta = case
     cs = canonical_sequences(theta, module)
     assert (cs.t, cs.tbar) == torsion_filtration(theta, module)
     assert t_set(theta, module) == definition_t_set(theta, module)
+    for x in (module, cs.w):
+        assert semistable_subobjects(theta, x) == semistable_subobjects_by_submodules(
+            theta, x
+        )
+    assert sorted(d for _, d in supp_factors(theta, cs.w)) == sorted(
+        d for _, d in supp_factors_by_quotients(theta, cs.w)
+    )
 
 
 def test_value_only_questions_build_no_order_table():
-    """Semistability reads values alone: only the module whose filtration
-    is asked for gets a table, not the submodules of its middle slice that
-    the filtration route tests for semistability."""
+    """Semistability reads values alone, so is_semistable and is_stable
+    build no table.  The filtration route builds one for the module and one
+    for its middle slice w = tbar/t, whose semistable subobjects it reads
+    off w's own table: at (1, 0, 0, -1) w is the whole module, so that is
+    one table, and at (-1, 0, 0, 0) w is a proper slice with a table of its
+    own."""
     m = preset_module("square-lambda")
     mtfan.stability._order.cache_clear()
     assert is_semistable((1, -1, 0, 0), m)
@@ -249,3 +306,5 @@ def test_value_only_questions_build_no_order_table():
     assert mtfan.stability._order.cache_info().currsize == 0
     assert m_tf_equivalent_by_filtration((1, 0, 0, -1), (2, 0, 0, -2), m)
     assert mtfan.stability._order.cache_info().currsize == 1
+    assert m_tf_equivalent_by_filtration((-1, 0, 0, 0), (-2, 0, 0, 0), m)
+    assert mtfan.stability._order.cache_info().currsize == 2
