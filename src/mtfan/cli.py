@@ -12,11 +12,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import serialize
 from .errors import InputFormatError, ResourceLimitError
-from .fan import build_mtf_fan, class_of, fan_paths, wall_cone
+from .fan import build_mtf_fan, class_of, fan_paths
 from .oracle import (
     DEFAULT_GRID_BOUND,
     DEFAULT_SEED,
@@ -42,19 +41,6 @@ MAX_SVG_SIZE = 4096
 # a --theta entry is written out in full, with at most this many digits, so
 # parsing it and echoing it back stay cheap
 MAX_THETA_DIGITS = 1000
-
-
-@dataclass
-class RunConfig:
-    command: str
-    preset: str | None = None
-    input_path: str | None = None
-    output: str | None = None
-    theta: str | None = None
-    grid_bound: int = DEFAULT_GRID_BOUND
-    seed: int = DEFAULT_SEED
-    p_override: int | None = None
-    size: int = DEFAULT_SIZE
 
 
 def _load_module(config):
@@ -170,6 +156,8 @@ def _check_sizes(config, n):
 
 
 def run(config):
+    """Run one subcommand from build_parser's namespace; return its exit
+    code."""
     _check_output(config)
     module = _load_module(config)
     _check_sizes(config, module.algebra.n)
@@ -186,8 +174,7 @@ def run(config):
         _emit_json(config, serialize.fan_doc(mtf))
         return 0
     if config.command == "wall":
-        wall = wall_cone(mtf)
-        _emit_json(config, {"n": mtf.n, "wall": serialize.cone_doc(wall)})
+        _emit_json(config, {"n": mtf.n, "wall": serialize.cone_doc(mtf.wall)})
         return 0
     if config.command == "classify":
         idx = class_of(mtf, theta)
@@ -313,7 +300,7 @@ def build_parser():
 
 
 def main(argv=None):
-    config = RunConfig(**vars(build_parser().parse_args(argv)))
+    config = build_parser().parse_args(argv)
     try:
         return run(config)
     except (ValueError, ResourceLimitError) as exc:

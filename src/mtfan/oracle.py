@@ -2,10 +2,12 @@
 computations.
 
 Every sample functional is classified twice: by locating it in the fan and
-by recomputing filtration, support and t-set from scratch.  Pairs of samples
-check the equivalence and closure predicates against the cone combinatorics;
-each sample's definition data is computed once, so a pair check compares
-stored t-sets and filtration keys.
+by recomputing filtration, support and t-set from scratch.  One
+canonical_sequences call per sample gives its filtration, its t-set and the
+functional's values on the module's lattice, which the t-set scan and the
+wall check read.  Pairs of samples check the equivalence and closure
+predicates against the cone combinatorics by comparing stored t-sets and
+filtration keys.
 
 A sample set is a plain tuple of as_theta vectors; the grid points, ray-sum
 witnesses and seeded points are all integral, so their coordinates are ints.
@@ -18,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .exact import as_theta, rank
-from .fan import face_restriction_check, wall_cone
+from .fan import face_restriction_check
 from .polyhedra import integer_grid, key_dim, key_eqs, locate_index, ray_sum
 from .stability import (
     CanonicalSequenceData,
@@ -27,7 +29,6 @@ from .stability import (
     filtration_key,
     supp_factors,
     theta_str,
-    wall_membership,
 )
 from .sublattice import enumerate_submodules
 
@@ -109,10 +110,8 @@ def verify_point(mtf, theta):
     # max face, the lattice t-set at theta; the located cone holds theta in
     # its relative interior, so this is the cone's t-set
     ts = cs.t_set
-    subs = enumerate_submodules(module)
-    vals = [evaluate(theta, L) for L in subs]
-    maxval = max(vals)
-    for L, v in zip(subs, vals):
+    maxval = max(cs.vals)
+    for L, v in zip(enumerate_submodules(module), cs.vals):
         if (v == maxval) != (L in ts):
             fails.append(f"t-set mismatch at submodule of class {L.dims}")
             break
@@ -125,9 +124,10 @@ def verify_point(mtf, theta):
     ) != tuple(map(max, zip(*vecs))):
         fails.append("t/tbar are not the min/max of the located face")
 
+    # the module is semistable: theta(M) = 0 and theta <= 0 on its lattice
     if not module.is_zero():
-        on_wall = wall_membership(theta, module)
-        if on_wall != wall_cone(mtf).contains(theta):
+        on_wall = evaluate(theta, module) == 0 and maxval <= 0
+        if on_wall != mtf.wall.contains(theta):
             fails.append("wall membership disagrees with the wall cone")
     return PointReport(theta, idx, tuple(fails), cs)
 
@@ -219,7 +219,7 @@ def verify_dim_formula(mtf):
                 f"{rank(data.supp_dims)} != {n}"
             )
     if not mtf.module.is_zero():
-        wall = wall_cone(mtf)
+        wall = mtf.wall
         cone_index = {c.key: i for i, c in enumerate(mtf.cones)}
         # (dim, eqs) order; the equations determine the face
         for key in sorted(wall.face_keys, key=lambda k: (key_dim(k), key_eqs(n, k))):

@@ -560,15 +560,14 @@ def _certified_meet(a, b):
     return None
 
 
-def validate_generalized_fan(fan, check_completeness=True):
+def validate_generalized_fan(fan):
     """Check the generalized-fan axioms for a set of cones.
 
     Face closure: every face of every cone belongs to the set.  Pairwise:
-    the intersection of two cones is a face of both.  Completeness
-    (optional): the points of the integer grid [-B, B]^n, B =
-    COMPLETENESS_GRID_BOUND, are covered, and every facet of every
-    full-dimensional cone is shared with exactly one other full-dimensional
-    cone.
+    the intersection of two cones is a face of both.  Completeness: the
+    points of the integer grid [-B, B]^n, B = COMPLETENESS_GRID_BOUND, are
+    covered, and every facet of every full-dimensional cone is shared with
+    exactly one other full-dimensional cone.
 
     Cones are compared by their canonical (lineality, rays), which determine
     a canonical cone; faces are read off each cone's own rays (face_keys),
@@ -600,25 +599,22 @@ def validate_generalized_fan(fan, check_completeness=True):
                     f"{key_dim(meet)} is not a common face"
                 )
     comp_violations = []
-    if check_completeness:
-        maximal = [i for i, c in enumerate(cones) if c.dim == n]
-        if not maximal:
-            comp_violations.append("no full-dimensional cone")
-        for pt in integer_grid(n, COMPLETENESS_GRID_BOUND):
-            if not any(c.contains(pt) for c in cones):
-                comp_violations.append(f"point {pt} is not covered")
-        for i in maximal:
-            c = cones[i]
-            for a in c.ineqs:
-                facet = c.exposed_key(a)
-                owners = [
-                    j for j in maximal if j != i and facet in face_keys[j]
-                ]
-                if len(owners) != 1:
-                    comp_violations.append(
-                        f"cone {i}: facet shared with {len(owners)} "
-                        "other maximal cones instead of 1"
-                    )
+    maximal = [i for i, c in enumerate(cones) if c.dim == n]
+    if not maximal:
+        comp_violations.append("no full-dimensional cone")
+    for pt in integer_grid(n, COMPLETENESS_GRID_BOUND):
+        if not any(c.contains(pt) for c in cones):
+            comp_violations.append(f"point {pt} is not covered")
+    for i in maximal:
+        c = cones[i]
+        for a in c.ineqs:
+            facet = c.exposed_key(a)
+            owners = [j for j in maximal if j != i and facet in face_keys[j]]
+            if len(owners) != 1:
+                comp_violations.append(
+                    f"cone {i}: facet shared with {len(owners)} "
+                    "other maximal cones instead of 1"
+                )
     return FanValidationReport(
         tuple(face_violations), tuple(inter_violations), tuple(comp_violations)
     )

@@ -69,7 +69,7 @@ def evaluate(theta, x):
 
 def _sub_values(module, theta):
     subs = enumerate_submodules(module)
-    return subs, [evaluate(theta, s) for s in subs]
+    return subs, tuple(evaluate(theta, s) for s in subs)
 
 
 def is_semistable(theta, module):
@@ -145,12 +145,14 @@ def _torsion_members(below, vals, strict):
 @dataclass(frozen=True)
 class CanonicalSequenceData:
     """Canonical two-step filtration 0 <= t <= tbar <= M at a functional,
-    and the t-set it cuts."""
+    the t-set it cuts, and the values it was read from: vals[i] is theta
+    on member i of enumerate_submodules(M)."""
 
     t: Submodule
     tbar: Submodule
     w: Module
     t_set: frozenset
+    vals: tuple
 
 
 def canonical_sequences(theta, module):
@@ -191,7 +193,9 @@ def canonical_sequences(theta, module):
         )
     if members - below[k] != {k}:
         raise InvariantError(f"a t-set member is not inside tbar at {theta_str(theta)}")
-    return CanonicalSequenceData(t, tbar, w, frozenset(subs[j] for j in members))
+    return CanonicalSequenceData(
+        t, tbar, w, frozenset(subs[j] for j in members), vals
+    )
 
 
 def _semistable_above(below, vals, i):
@@ -265,29 +269,12 @@ def filtration_key(theta, cs):
     return cs.t, cs.tbar, semistable_subobjects(theta, cs.w)
 
 
-def is_m_tf_equivalent(theta, eta, module):
-    """Whether two functionals cut the same t-set on the module."""
-    return t_set(theta, module) == t_set(eta, module)
-
-
 def m_tf_equivalent_by_filtration(theta, eta, module):
     """Independent route to the same equivalence: equal canonical
     filtrations and equal sets of semistable subobjects of the middle slice.
 
-    Used to cross-check is_m_tf_equivalent; the two must always agree.
+    It must agree with comparing the two functionals' t-sets.
     """
     ct = canonical_sequences(theta, module)
     ce = canonical_sequences(eta, module)
     return filtration_key(theta, ct) == filtration_key(eta, ce)
-
-
-def in_class_closure(theta, eta, module):
-    """Whether theta lies in the closure of eta's equivalence class."""
-    return t_set(eta, module) <= t_set(theta, module)
-
-
-def wall_membership(theta, module):
-    """Whether the module itself is theta-semistable (M nonzero)."""
-    if module.is_zero():
-        raise ModuleDefinitionError("wall membership needs a nonzero module")
-    return is_semistable(theta, module)

@@ -30,54 +30,49 @@ from .fplinalg import projective_points, rref_join
 from .polyhedra import convex_hull
 from .quiver import Submodule, generated_submodule
 
-DEFAULT_DIM_BOUND = 14
-DEFAULT_MAX_SUBMODULES = 20000
-# lattices memoized per (module, dim_bound, max_count); a default `verify`
-# reads at most 13 on a preset, 7 on the Kronecker module R_4 and 33 on
-# sq+sq+S4, and the `oracle` workload (seed 1) hits 6,680 times for 6 misses
+DIM_BOUND = 14
+MAX_SUBMODULES = 20000
+# lattices memoized per module; a default `verify` reads at most 13 on a
+# preset, 7 on the Kronecker module R_4 and 33 on sq+sq+S4, and the
+# `oracle` workload (seed 1) hits 7,758 times for 6 misses
 LATTICE_CACHE_SIZE = 256
 
 
-def check_total_dim(total, p, dim_bound=DEFAULT_DIM_BOUND):
+def check_total_dim(total, p):
     """Raise ResourceLimitError when a total dimension exceeds the
     enumeration bound."""
-    if total > dim_bound:
+    if total > DIM_BOUND:
         raise ResourceLimitError(
-            f"total dimension {total} exceeds the enumeration bound {dim_bound} "
+            f"total dimension {total} exceeds the enumeration bound {DIM_BOUND} "
             f"(p={p}: the sweep touches (p^d-1)/(p-1) vectors at a vertex of "
-            "dimension d); raise dim_bound only if you accept the cost"
+            "dimension d)"
         )
 
 
 @functools.lru_cache(maxsize=LATTICE_CACHE_SIZE)
-def enumerate_submodules(
-    module, dim_bound=DEFAULT_DIM_BOUND, max_count=DEFAULT_MAX_SUBMODULES
-):
+def enumerate_submodules(module):
     """Every submodule of the module as a tuple, sorted by flattened basis
     data (Submodule.sort_key).
 
-    Results are memoized under the module and both bounds, so a memoized
-    lattice always comes from a call with the same bounds.
-
     Raises:
-        ResourceLimitError: total dimension above dim_bound, a line sweep of
-            more than 2^dim_bound - 1 vectors (the sweep of a p = 2 module
-            at the dimension bound), or a lattice of more than max_count
+        ResourceLimitError: total dimension above DIM_BOUND, a line sweep of
+            more than 2^DIM_BOUND - 1 vectors (the sweep of a p = 2 module
+            at the dimension bound), or a lattice of more than MAX_SUBMODULES
             submodules (the set found only grows, so this does not depend on
             the order of discovery); the line sweep and the lattice itself
             blow up quickly, so failing loudly beats hanging.
     """
     p = module.algebra.p
-    check_total_dim(module.total_dim, p, dim_bound)
+    check_total_dim(module.total_dim, p)
     sweep = sum((p**d - 1) // (p - 1) for d in module.dims)
-    if sweep > 2**dim_bound - 1:
+    if sweep > 2**DIM_BOUND - 1:
         raise ResourceLimitError(
             f"the line sweep at p={p} touches {sweep} vectors, more than "
-            f"2^{dim_bound} - 1, the sweep of a p=2 module at the dimension "
-            "bound; raise dim_bound only if you accept the cost"
+            f"2^{DIM_BOUND} - 1, the sweep of a p=2 module at the dimension "
+            "bound"
         )
     too_many = ResourceLimitError(
-        f"more than {max_count} submodules; the lattice is too large "
+        f"more than {MAX_SUBMODULES} submodules; the lattice is too large "
         "to enumerate"
     )
 
@@ -116,7 +111,7 @@ def enumerate_submodules(
 
     def add(sub):
         found.add(sub)
-        if len(found) > max_count:
+        if len(found) > MAX_SUBMODULES:
             raise too_many
 
     vertices = range(module.algebra.n)

@@ -12,7 +12,8 @@ largest member as a sum, are the referee for the oracle's order table.
 Testing each zero-valued submodule for semistability on its own lattice,
 and splitting off one stable factor at a time and passing to the quotient,
 are the referees for the semistable subobjects and stable factors that the
-oracle reads off the order table.
+oracle reads off the order table.  Equal t-sets, and nested ones, are the
+definitions of M-TF equivalence and of the closure of a class.
 The scan of every submodule for the largest value of a functional, and the
 chain walk that rescans the t-set at every step, are the referees for the
 build's top Newton points and its one-pass walk.  A change of basis at
@@ -42,7 +43,7 @@ from mtfan.quiver import (
     subquotient,
 )
 from mtfan.serialize import parse_frac
-from mtfan.stability import evaluate, is_semistable, is_stable
+from mtfan.stability import evaluate, is_semistable, is_stable, t_set
 from mtfan.sublattice import enumerate_submodules
 
 
@@ -187,6 +188,16 @@ def definition_t_set(theta, module):
         for L in enumerate_submodules(module)
         if submodule_contains(L, t) and is_semistable(theta, subquotient(module, t, L))
     )
+
+
+def is_m_tf_equivalent(theta, eta, module):
+    """Whether two functionals cut the same t-set on the module."""
+    return t_set(theta, module) == t_set(eta, module)
+
+
+def in_class_closure(theta, eta, module):
+    """Whether theta lies in the closure of eta's equivalence class."""
+    return t_set(eta, module) <= t_set(theta, module)
 
 
 def semistable_subobjects_by_submodules(theta, module):

@@ -12,7 +12,7 @@ import pytest
 import mtfan.cli
 import mtfan.polyhedra
 from mtfan import serialize
-from mtfan.cli import MAX_SVG_SIZE, RunConfig, build_parser, main, run
+from mtfan.cli import MAX_SVG_SIZE, build_parser, main, run
 from mtfan.errors import ResourceLimitError
 from mtfan.fan import build_mtf_fan, wall_cone
 from mtfan.oracle import build_sample_set
@@ -24,6 +24,11 @@ from mtfan.svg import render_svg
 from referee import cone_from_doc
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+
+def parsed(*argv):
+    """The namespace that main hands to run."""
+    return build_parser().parse_args(argv)
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -468,7 +473,8 @@ def test_verify_bounds_the_validator_grid_before_the_build(
         f"points, more than the cap of {mtfan.cli.MAX_GRID_POINTS}\n"
     )
     for bound in (0, 1):
-        mtfan.cli._check_sizes(RunConfig(command="verify", grid_bound=bound), 7)
+        args = parsed("verify", "--preset", "a2-P1", "--grid-bound", str(bound))
+        mtfan.cli._check_sizes(args, 7)
 
 
 def test_verify_caps_the_cones_before_the_samples(tmp_path, monkeypatch, capsys):
@@ -521,26 +527,24 @@ def test_size_caps_admit_the_defaults_and_the_benchmark_grids():
     for name in preset_names():
         n = preset_module(name).algebra.n
         for command in ("verify", "svg"):
-            mtfan.cli._check_sizes(RunConfig(command=command), n)
+            mtfan.cli._check_sizes(parsed(command, "--preset", name), n)
     for bound, n in ((16, 2), (1, 4)):
-        mtfan.cli._check_sizes(RunConfig(command="verify", grid_bound=bound), n)
+        args = parsed("verify", "--preset", "a2-P1", "--grid-bound", str(bound))
+        mtfan.cli._check_sizes(args, n)
 
 
-def test_parser_run_config_and_library_defaults_agree():
-    parser = build_parser()
-    verify = parser.parse_args(["verify", "--preset", "a2-P1"])
-    svg = parser.parse_args(["svg", "--preset", "a2-P1"])
-    config = RunConfig(command="verify")
+def test_parser_and_library_defaults_agree():
+    verify = parsed("verify", "--preset", "a2-P1")
+    svg = parsed("svg", "--preset", "a2-P1")
     sample = inspect.signature(build_sample_set).parameters
     size = inspect.signature(render_svg).parameters["size"].default
-    assert verify.grid_bound == config.grid_bound == sample["bound"].default
-    assert verify.seed == config.seed == sample["seed"].default
-    assert svg.size == config.size == size
+    assert verify.grid_bound == sample["bound"].default
+    assert verify.seed == sample["seed"].default
+    assert svg.size == size
 
 
-def test_run_config_direct():
-    cfg = RunConfig(command="wall", preset="a2-P1", output="/dev/null")
-    assert run(cfg) == 0
+def test_run_takes_the_parsed_namespace():
+    assert run(parsed("wall", "--preset", "a2-P1", "--output", "/dev/null")) == 0
 
 
 def test_module_invocation_subprocess(tmp_path):

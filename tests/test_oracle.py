@@ -25,7 +25,7 @@ from mtfan.oracle import (
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import build_module
 from mtfan.serialize import module_from_doc
-from mtfan.stability import canonical_sequences, t_set, theta_str
+from mtfan.stability import canonical_sequences, supp_factors, t_set, theta_str
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -297,6 +297,33 @@ def test_verify_point_on_specific_functionals():
     for theta in ((0, 0), (2, 1), (0, 1), (-1, 0), (1, -1), (-3, -5)):
         rep = verify_point(mtf, theta)
         assert rep.ok, rep.failures
+
+
+def test_verify_point_values_the_lattice_once(monkeypatch):
+    """verify_point reads its t-set scan and its wall membership off the
+    values that canonical_sequences stores with the filtration, so beyond
+    canonical_sequences and supp_factors it evaluates theta once, on M
+    itself.  Evaluating M's six submodules again for each check took 7 to
+    13 more calls per sample on square-lambda."""
+    mtf = build_mtf_fan(preset_module("square-lambda"))
+    real = mtfan.stability.evaluate
+    calls = []
+
+    def counting(theta, x):
+        calls.append(None)
+        return real(theta, x)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("mtfan") and getattr(mod, "evaluate", None) is real:
+            monkeypatch.setattr(mod, "evaluate", counting)
+    for theta in build_sample_set(mtf, bound=1):
+        calls.clear()
+        assert verify_point(mtf, theta).ok
+        in_point = len(calls)
+        calls.clear()
+        cs = canonical_sequences(theta, mtf.module)
+        supp_factors(theta, cs.w)
+        assert in_point == len(calls) + 1, theta_str(theta)
 
 
 def test_sample_set_builds_no_cone(monkeypatch):

@@ -43,7 +43,7 @@ def test_the_build_and_its_queries_leave_the_definition_module_unloaded():
 import sys
 import mtfan
 mtf = mtfan.build_mtf_fan(mtfan.preset_module("square-lambda"))
-mtfan.wall_cone(mtf)
+mtf.wall
 mtfan.fan_paths(mtf)
 loaded = sorted(m for m in sys.modules if m.startswith("mtfan"))
 assert "mtfan.stability" not in loaded, loaded

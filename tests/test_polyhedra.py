@@ -464,15 +464,27 @@ def test_validate_normal_fan_passes():
 def test_validate_detects_missing_face():
     fan = square_fan()
     kept = tuple(c for c in fan.cones if c.dim != 0)
-    report = validate_generalized_fan(
-        GeneralizedFan(2, kept), check_completeness=False
-    )
+    report = validate_generalized_fan(GeneralizedFan(2, kept))
     assert report.face_closure_violations == tuple(
         f"cone {i}: face of dim 0 is missing from the fan" for i in range(8)
     )
     assert report.intersection_violations == ()
     assert report.completeness_violations == ()
     assert not report.ok
+
+
+def quadrant_gaps(facets_by_cone):
+    """The completeness violations of cones that cover the first quadrant
+    and nothing else: every point of [-2, 2]^2 outside it, then each
+    facet of the maximal cones, none of them shared."""
+    uncovered = [
+        (x, y) for x in range(-2, 3) for y in range(-2, 3) if min(x, y) < 0
+    ]
+    return tuple(f"point {pt} is not covered" for pt in uncovered) + tuple(
+        f"cone {i}: facet shared with 0 other maximal cones instead of 1"
+        for i, count in enumerate(facets_by_cone)
+        for _ in range(count)
+    )
 
 
 def test_validate_detects_bad_intersection():
@@ -482,30 +494,26 @@ def test_validate_detects_bad_intersection():
     for c in (a, b):
         cones.extend(f for f in faces(c) if f != c)
     fan = GeneralizedFan(2, tuple(dict.fromkeys(cones)))
-    report = validate_generalized_fan(fan, check_completeness=False)
+    report = validate_generalized_fan(fan)
     assert report.face_closure_violations == ()
     assert report.intersection_violations == (
         "cones 0 and 1: intersection of dim 2 is not a common face",
         "cones 0 and 5: intersection of dim 1 is not a common face",
         "cones 0 and 6: intersection of dim 1 is not a common face",
     )
-    assert report.completeness_violations == ()
+    # b lies inside a, so the two cover the quadrant alone
+    assert report.completeness_violations == quadrant_gaps([2, 2])
 
 
 def test_validate_detects_incompleteness():
     a = cone_from_hrep(2, [], [(1, 0), (0, 1)])
     cones = [a] + [f for f in faces(a) if f != a]
     fan = GeneralizedFan(2, tuple(cones))
-    report = validate_generalized_fan(fan, check_completeness=True)
+    report = validate_generalized_fan(fan)
     assert report.face_closure_violations == ()
     assert report.intersection_violations == ()
-    uncovered = [
-        (x, y) for x in range(-2, 3) for y in range(-2, 3) if min(x, y) < 0
-    ]
-    assert report.completeness_violations == tuple(
-        f"point {pt} is not covered" for pt in uncovered
-    ) + ("cone 0: facet shared with 0 other maximal cones instead of 1",) * 2
-    assert validate_generalized_fan(fan, check_completeness=False).ok
+    assert report.completeness_violations == quadrant_gaps([2])
+    assert not report.ok
 
 
 def test_validate_reports_missing_faces_in_ascending_dimension():
@@ -518,11 +526,10 @@ def test_validate_reports_missing_faces_in_ascending_dimension():
         for i in range(4)
         for d in per_cone
     )
-    for completeness in (True, False):
-        report = validate_generalized_fan(maximal, completeness)
-        assert report.face_closure_violations == expected
-        assert report.intersection_violations == ()
-        assert report.completeness_violations == ()
+    report = validate_generalized_fan(maximal)
+    assert report.face_closure_violations == expected
+    assert report.intersection_violations == ()
+    assert report.completeness_violations == ()
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +605,7 @@ def test_validate_detects_a_meet_that_is_a_face_of_one_cone_only():
     # the ray (1, 0) is a face of the quadrant but not of the half-plane
     quadrant = cone_from_hrep(2, [], [(1, 0), (0, 1)])
     lower = cone_from_hrep(2, [], [(0, -1)])
-    report = validate_generalized_fan(
-        GeneralizedFan(2, (quadrant, lower)), check_completeness=False
-    )
+    report = validate_generalized_fan(GeneralizedFan(2, (quadrant, lower)))
     assert report.intersection_violations == (
         "cones 0 and 1: intersection of dim 1 is not a common face",
     )

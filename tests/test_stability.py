@@ -16,19 +16,18 @@ from mtfan.stability import (
     _order,
     canonical_sequences,
     evaluate,
-    in_class_closure,
-    is_m_tf_equivalent,
     is_semistable,
     is_stable,
     m_tf_equivalent_by_filtration,
     semistable_subobjects,
     supp_factors,
     t_set,
-    wall_membership,
 )
 from mtfan.sublattice import enumerate_submodules
 from referee import (
     definition_t_set,
+    in_class_closure,
+    is_m_tf_equivalent,
     module_and_change_of_basis,
     semistable_subobjects_by_submodules,
     supp_factors_by_quotients,
@@ -100,9 +99,8 @@ def test_stable_in_wall_interior_but_not_on_its_boundary():
     assert is_semistable(boundary, m)
     assert not is_stable(boundary, m)
     assert is_stable(interior, m)
-    assert wall_membership(boundary, m)
-    assert wall_membership(interior, m)
-    assert not wall_membership((1, 1, 1, 1), m)
+    assert is_semistable(interior, m)
+    assert not is_semistable((1, 1, 1, 1), m)
 
 
 def test_zero_module_edge_cases():
@@ -111,8 +109,6 @@ def test_zero_module_edge_cases():
     assert is_semistable((1, 2), z)
     with pytest.raises(ModuleDefinitionError):
         is_stable((1, 2), z)
-    with pytest.raises(ModuleDefinitionError):
-        wall_membership((1, 2), z)
 
 
 def test_supp_factors_are_stable_and_need_semistability():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtfan.sublattice
 from mtfan.errors import ResourceLimitError
 from mtfan.fplinalg import all_vectors, in_span, rref_fp
 from mtfan.presets import preset_module, preset_names
@@ -129,24 +130,36 @@ def loop_module(p, matrix):
     return build_module(A, (2,), {"a": matrix})
 
 
-def test_line_sweep_bound_raises():
+@pytest.fixture
+def fresh_lattices():
+    """Clear the lattice memo before and after a test that patches the
+    enumeration bounds, so no lattice is read across a change of bound."""
+    enumerate_submodules.cache_clear()
+    yield
+    enumerate_submodules.cache_clear()
+
+
+def test_line_sweep_bound_raises(monkeypatch, fresh_lattices):
     """A loop with an irreducible characteristic polynomial: the module has
     two submodules, but the sweep visits all p + 1 lines of F_p^2."""
+    monkeypatch.setattr(mtfan.sublattice, "DIM_BOUND", 2)
     # x^2 - 2 at p = 3: a sweep of 4 lines, above 2^2 - 1
     irreducible = loop_module(3, [[0, 2], [1, 0]])
     with pytest.raises(ResourceLimitError, match="line sweep"):
-        enumerate_submodules(irreducible, dim_bound=2)
-    assert len(enumerate_submodules(irreducible)) == 2
+        enumerate_submodules(irreducible)
     # x^2 + x + 1 at p = 2: a sweep of 3 lines, the cap itself
-    assert len(enumerate_submodules(loop_module(2, [[0, 1], [1, 1]]), dim_bound=2)) == 2
+    assert len(enumerate_submodules(loop_module(2, [[0, 1], [1, 1]]))) == 2
+    monkeypatch.undo()
+    assert len(enumerate_submodules(irreducible)) == 2
 
 
-def test_count_bound_raises():
+def test_count_bound_raises(monkeypatch, fresh_lattices):
     A = build_algebra({"p": 3, "vertices": ["1"], "arrows": []})
     m = build_module(A, (2,), {})
     # 6 subspaces of F_3^2, so a cap of 5 trips
+    monkeypatch.setattr(mtfan.sublattice, "MAX_SUBMODULES", 5)
     with pytest.raises(ResourceLimitError):
-        enumerate_submodules(m, max_count=5)
+        enumerate_submodules(m)
 
 
 @st.composite
@@ -237,14 +250,13 @@ def _a2_p1_cubed():
     return direct_sum(direct_sum(m, m), m)
 
 
-def test_count_bound_is_exact_at_the_lattice_size():
+def test_count_bound_is_exact_at_the_lattice_size(monkeypatch, fresh_lattices):
     module = _a2_p1_cubed()
+    monkeypatch.setattr(mtfan.sublattice, "MAX_SUBMODULES", 65)
     with pytest.raises(ResourceLimitError):
-        enumerate_submodules(module, max_count=65)
-    assert len(enumerate_submodules(module, max_count=66)) == 66
-    # a memoized lattice is held to the bound of every later call
-    with pytest.raises(ResourceLimitError):
-        enumerate_submodules(module, max_count=65)
+        enumerate_submodules(module)
+    monkeypatch.setattr(mtfan.sublattice, "MAX_SUBMODULES", 66)
+    assert len(enumerate_submodules(module)) == 66
 
 
 @pytest.mark.parametrize("name", preset_names() + ("a2-P1^3",))
@@ -265,9 +277,11 @@ def test_stored_pivots_and_sums_against_the_stored_form(name):
 
 
 def test_lattice_memo_stays_within_its_bound():
-    module = preset_module("a2-P1")
-    for extra in range(LATTICE_CACHE_SIZE + 8):
-        assert len(enumerate_submodules(module, max_count=3 + extra)) == 3
+    """The memo is keyed by the module: 264 distinct one-vertex modules,
+    each a line with two submodules, overflow it."""
+    for k in range(LATTICE_CACHE_SIZE + 8):
+        A = build_algebra({"p": 2, "vertices": [f"v{k}"], "arrows": []})
+        assert len(enumerate_submodules(build_module(A, (1,), {}))) == 2
     info = enumerate_submodules.cache_info()
     assert 0 < info.currsize <= LATTICE_CACHE_SIZE
 
