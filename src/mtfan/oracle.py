@@ -132,9 +132,9 @@ def verify_point(mtf, theta):
     return PointReport(theta, idx, tuple(fails), cs)
 
 
-def verify_fan(mtf, samples=None):
-    """Run verify_point over a sample set (default: build_sample_set(mtf))
-    and check pairwise predicates.
+def verify_fan(mtf, samples):
+    """Run verify_point over a sample set, as build_sample_set(mtf) draws
+    one, and check pairwise predicates.
 
     Same located cone must mean equivalent (both routes), different cones
     not equivalent; closure membership must match the face relation of the
@@ -143,8 +143,6 @@ def verify_fan(mtf, samples=None):
     they compare each representative's t-set and filtration key, both
     computed once.
     """
-    if samples is None:
-        samples = build_sample_set(mtf)
     failures = []
     checks = 0
 

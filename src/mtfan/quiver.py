@@ -352,11 +352,6 @@ def generated_submodule(module, seeds):
     return Submodule(module, tuple(spans), tuple(pivots))
 
 
-def submodule_zero(module):
-    empty = tuple(() for _ in range(module.algebra.n))
-    return Submodule(module, empty, empty)
-
-
 def submodule_full(module):
     bases = tuple(
         tuple(tuple(int(i == j) for j in range(d)) for i in range(d))

@@ -22,7 +22,9 @@ The submodules of L/K are the members between K and L of the module's own
 lattice, so the scans (the torsion classes, the t-set, the semistable
 subobjects, a chain of stable factors) read one order table per module:
 for each member of enumerate_submodules(module), the indices of the
-members strictly inside it, each pair decided once by submodule_contains.
+members strictly inside it.  A submodule is a graded subspace, so the
+table compares the members one vertex at a time, each pair of distinct
+spaces at a vertex once.
 Only w, f and the stable factors are presented as modules and checked on
 their own lattices.  Semistability reads values alone: it builds no table.
 """
@@ -33,13 +35,8 @@ from dataclasses import dataclass
 
 from .errors import InvariantError, ModuleDefinitionError
 from .exact import as_theta
-from .quiver import (
-    Module,
-    Submodule,
-    quotient_module,
-    submodule_contains,
-    subquotient,
-)
+from .fplinalg import in_span
+from .quiver import Module, Submodule, quotient_module, subquotient
 from .sublattice import LATTICE_CACHE_SIZE, enumerate_submodules
 
 # order tables memoized per module, as many as the lattices they index: the
@@ -103,24 +100,31 @@ def _order(module):
     """below[i]: the indices of the members strictly inside member i of
     enumerate_submodules(module), as a frozenset.
 
-    A submodule strictly inside L has a dimension vector at most L's in
-    every coordinate and a smaller total, so only such pairs reach
-    submodule_contains.
+    L' <= L exactly when L'_u <= L_u at every vertex u, so at each vertex
+    the members' distinct spaces are interned with a bit mask of the members
+    having each, and in_span decides each pair of spaces once.  A row is the
+    AND over the vertices of the masks of the spaces inside the member's.
     """
     subs = enumerate_submodules(module)
-    dims = [s.dims for s in subs]
-    totals = [sum(d) for d in dims]
-
-    def inside(i):
-        return frozenset(
-            j
-            for j, inner in enumerate(subs)
-            if totals[j] < totals[i]
-            and all(a <= b for a, b in zip(dims[j], dims[i]))
-            and submodule_contains(subs[i], inner)
-        )
-
-    return tuple(map(inside, range(len(subs))))
+    p = module.algebra.p
+    below = [(1 << len(subs)) - 1] * len(subs)
+    for u in range(module.algebra.n):
+        spaces = {}
+        for i, s in enumerate(subs):
+            spaces.setdefault((s.bases[u], s.pivots[u]), []).append(i)
+        masks = {space: sum(1 << i for i in idx) for space, idx in spaces.items()}
+        for (rows, piv), idx in spaces.items():
+            inside = 0
+            for (inner, _), mask in masks.items():
+                if all(in_span(rows, piv, v, p) for v in inner):
+                    inside |= mask
+            for i in idx:
+                below[i] &= inside
+    # bin(row)[:1:-1] lists the bits of row from the lowest up
+    return tuple(
+        frozenset(j for j, bit in enumerate(bin(row)[:1:-1]) if bit == "1") - {i}
+        for i, row in enumerate(below)
+    )
 
 
 def _largest_member(members, below):

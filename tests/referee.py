@@ -6,9 +6,12 @@ from its document.  The rank test of a hull point, one row reduction per
 point, is the referee for convex_hull's vertices by facet incidence.  The
 meet of two submodules and the F_p subspace helpers it rests on serve as
 referees for the submodule lattice, and so does a closure that sums
-Submodule objects.  The torsion scans that test
+Submodule objects; the zero submodule is built here.  A containment test of
+every pair of submodules is the referee for the oracle's order table, which
+compares them one vertex at a time, and the calls a table makes are counted
+through every alias.  The torsion scans that test
 containment of every pair of submodules at each functional, and take the
-largest member as a sum, are the referee for the oracle's order table.
+largest member as a sum, are the referee for the scans of that table.
 Testing each zero-valued submodule for semistability on its own lattice,
 and splitting off one stable factor at a time and passing to the quotient,
 are the referees for the semistable subobjects and stable factors that the
@@ -21,6 +24,9 @@ every vertex builds isomorphic modules with different matrix entries, and
 the hypothesis strategies at the end draw such pairs from the presets,
 their direct sums and small Kronecker modules.
 """
+
+import sys
+from collections import Counter
 
 from hypothesis import strategies as st
 
@@ -39,7 +45,6 @@ from mtfan.quiver import (
     simple_module,
     submodule_contains,
     submodule_sum,
-    submodule_zero,
     subquotient,
 )
 from mtfan.serialize import parse_frac
@@ -96,6 +101,11 @@ def intersect_spaces(a_rows, b_rows, ncols, p):
     return span_fp(out, p)
 
 
+def submodule_zero(module):
+    empty = tuple(() for _ in range(module.algebra.n))
+    return Submodule(module, empty, empty)
+
+
 def submodule_intersection(a, b):
     if a.module != b.module:
         raise ModuleDefinitionError("submodules of different modules")
@@ -138,6 +148,50 @@ def closure_by_sums(module):
                     fresh.append(s)
         frontier = fresh
     return tuple(sorted(found.values(), key=Submodule.sort_key))
+
+
+def order_by_pairs(module):
+    """The oracle's order table by a containment test of every pair:
+    below[i] holds the indices of the members strictly inside member i of
+    enumerate_submodules(module), as a frozenset.  A submodule strictly
+    inside L has a dimension vector at most L's in every coordinate and a
+    smaller total, so only such pairs reach submodule_contains."""
+    subs = enumerate_submodules(module)
+    dims = [s.dims for s in subs]
+    totals = [sum(d) for d in dims]
+
+    def inside(i):
+        return frozenset(
+            j
+            for j, inner in enumerate(subs)
+            if totals[j] < totals[i]
+            and all(a <= b for a, b in zip(dims[j], dims[i]))
+            and submodule_contains(subs[i], inner)
+        )
+
+    return tuple(map(inside, range(len(subs))))
+
+
+def count_calls(monkeypatch, *functions):
+    """A Counter of the calls to the functions by name, through every alias
+    of each in the package's modules, for the rest of the test."""
+    calls = Counter()
+
+    def counting(real):
+        def wrapper(*args):
+            calls[real.__name__] += 1
+            return real(*args)
+
+        return wrapper
+
+    for real in functions:
+        wrapper = counting(real)
+        for name, mod in list(sys.modules.items()):
+            if name == "mtfan" or name.startswith("mtfan."):
+                for attr, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    return calls
 
 
 def torsion_members(subs, vals, strict):

@@ -31,23 +31,19 @@ from mtfan.polyhedra import (
     validate_generalized_fan,
 )
 from mtfan.presets import preset_module, preset_names
-from mtfan.quiver import (
-    build_module,
-    direct_sum,
-    quotient_module,
-    simple_module,
-    submodule_zero,
-)
+from mtfan.quiver import build_module, direct_sum, quotient_module, simple_module
 from mtfan.serialize import class_doc, fan_doc, vec_strs
 from mtfan.stability import canonical_sequences, supp_factors, t_set
 from mtfan.sublattice import enumerate_submodules, submodule_dim_vectors
 from referee import (
     class_data_by_rescans,
+    count_calls,
     cone_from_generators,
     full_cone,
     module_and_change_of_basis,
     preset_direct_sum,
     random_kronecker_module,
+    submodule_zero,
     t_set_by_scan,
 )
 
@@ -411,24 +407,13 @@ def test_the_build_walks_each_chain_once(monkeypatch):
     chain of each cone's t-set in one pass: on a2-P1 + a2-P1 + a2-P1 (66
     submodules, 7 cones) that is 15 containment tests, where rescanning
     the t-set at every step of the chain took 270."""
-    real = mtfan.quiver.submodule_contains
-    calls = []
-
-    def counting(outer, inner):
-        calls.append(1)
-        return real(outer, inner)
-
     m = preset_module("a2-P1")
     module = direct_sum(direct_sum(m, m), m)
     enumerate_submodules(module)
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name == "mtfan" or mod_name.startswith("mtfan."):
-            for attr, value in list(vars(mod).items()):
-                if value is real:
-                    monkeypatch.setattr(mod, attr, counting)
+    calls = count_calls(monkeypatch, mtfan.quiver.submodule_contains)
     mtf = build_mtf_fan(module)
     assert len(mtf.cones) == 7
-    assert 0 < len(calls) <= 30
+    assert 0 < calls["submodule_contains"] <= 30
 
 
 @pytest.mark.parametrize("name", [*preset_names(), "sq+S1"])

@@ -27,9 +27,11 @@ THETAS = {
 # that are no preset.  kronecker-R4 is the indecomposable Kronecker module
 # 1 => 2 with a = I_4, b = J_4(0) over F_2 (227 submodules); sq-sq-sq is
 # square-lambda + square-lambda + square-lambda (2,060 submodules, 39 cones,
-# chains of up to 12 steps), too big for `verify` here.  sq-S2-S3 is
+# chains of up to 12 steps), verified at one sample per cone.  sq-S2-S3 is
 # S2 + S3 over square-lambda, zero at vertices 1 and 4: every cone has that
-# two-dimensional lineality.
+# two-dimensional lineality.  a3-all is the direct sum of the six interval
+# modules of linear A_3 (1 -> 2 -> 3) over F_2: dimension vector (3, 4, 3),
+# 1,229 submodules, 45 cones.
 INPUT_COMMANDS = {
     "kronecker-R4": {
         "newton": ["newton"],
@@ -39,9 +41,13 @@ INPUT_COMMANDS = {
     "sq-sq-sq": {
         "fan": ["fan"],
         "wall": ["wall"],
+        "verify": ["verify", "--grid-bound", "0"],
     },
     "sq-S2-S3": {
         "fan": ["fan"],
+        "verify": ["verify", "--grid-bound", "1"],
+    },
+    "a3-all": {
         "verify": ["verify", "--grid-bound", "1"],
     },
 }

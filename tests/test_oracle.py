@@ -4,11 +4,11 @@ import dataclasses
 import itertools
 import json
 import pathlib
-import sys
 from fractions import Fraction
 
 import pytest
 
+import mtfan.fplinalg
 import mtfan.oracle
 import mtfan.polyhedra
 import mtfan.quiver
@@ -26,6 +26,7 @@ from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import build_module
 from mtfan.serialize import module_from_doc
 from mtfan.stability import canonical_sequences, supp_factors, t_set, theta_str
+from referee import count_calls
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -41,7 +42,7 @@ def test_oracle_clean_on_zero_module():
     A = preset_module("a2-P1").algebra
     mtf = build_mtf_fan(build_module(A, (0,) * A.n, [None] * len(A.arrows)))
     assert len(mtf.cones) == 1
-    report = verify_fan(mtf)
+    report = verify_fan(mtf, build_sample_set(mtf))
     assert report.ok, report.failures
 
 
@@ -306,24 +307,15 @@ def test_verify_point_values_the_lattice_once(monkeypatch):
     itself.  Evaluating M's six submodules again for each check took 7 to
     13 more calls per sample on square-lambda."""
     mtf = build_mtf_fan(preset_module("square-lambda"))
-    real = mtfan.stability.evaluate
-    calls = []
-
-    def counting(theta, x):
-        calls.append(None)
-        return real(theta, x)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("mtfan") and getattr(mod, "evaluate", None) is real:
-            monkeypatch.setattr(mod, "evaluate", counting)
+    calls = count_calls(monkeypatch, mtfan.stability.evaluate)
     for theta in build_sample_set(mtf, bound=1):
         calls.clear()
         assert verify_point(mtf, theta).ok
-        in_point = len(calls)
+        in_point = calls["evaluate"]
         calls.clear()
         cs = canonical_sequences(theta, mtf.module)
         supp_factors(theta, cs.w)
-        assert in_point == len(calls) + 1, theta_str(theta)
+        assert in_point == calls["evaluate"] + 1, theta_str(theta)
 
 
 def test_sample_set_builds_no_cone(monkeypatch):
@@ -352,10 +344,13 @@ def test_sample_set_is_deterministic_and_covers_all_cones():
 
 
 def test_oracle_containment_tests_do_not_grow_with_the_functionals(monkeypatch):
-    """The order table decides each pair of submodules once per module, so
-    verify_fan on nakayama2-121 at --grid-bound 16 (1,097 functionals) makes
-    37 containment tests, counted through every alias; scans that test every
-    pair at each functional made 26,033."""
+    """The order table decides each pair of distinct vertex spaces once per
+    module, and each memoized subquotient checks once that its lower
+    submodule lies in its upper one, so verify_fan on nakayama2-121 at
+    --grid-bound 16 (1,097 functionals) makes 29 in_span and 13
+    submodule_contains calls, counted through every alias; scans that test
+    every pair of submodules at each functional made 26,033 containment
+    tests."""
     mtf = build_mtf_fan(preset_module("nakayama2-121"))
     samples = build_sample_set(mtf, bound=16)
     for memo in (
@@ -363,20 +358,14 @@ def test_oracle_containment_tests_do_not_grow_with_the_functionals(monkeypatch):
         mtfan.quiver.subquotient,
     ):
         memo.cache_clear()
-    real = mtfan.quiver.submodule_contains
-    calls = []
-
-    def counting(outer, inner):
-        calls.append(None)
-        return real(outer, inner)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("mtfan") and getattr(mod, "submodule_contains", None) is real:
-            monkeypatch.setattr(mod, "submodule_contains", counting)
+    calls = count_calls(
+        monkeypatch, mtfan.fplinalg.in_span, mtfan.quiver.submodule_contains
+    )
     report = verify_fan(mtf, samples=samples)
     assert report.ok, report.failures
     assert len(samples) == 1097
-    assert len(calls) <= 50
+    assert calls["in_span"] <= 50
+    assert calls["submodule_contains"] <= 25
 
 
 def test_oracle_presents_only_the_slices_and_the_stable_factors():

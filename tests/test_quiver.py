@@ -20,11 +20,10 @@ from mtfan.quiver import (
     submodule_contains,
     submodule_full,
     submodule_sum,
-    submodule_zero,
     subquotient,
 )
 from mtfan.presets import preset_module
-from referee import submodule_intersection
+from referee import submodule_intersection, submodule_zero
 
 
 def a2_spec():

@@ -183,8 +183,8 @@ def random_a2_module(draw):
 @given(random_a2_module())
 @settings(max_examples=40, deadline=None)
 def test_lattice_closure_properties(module):
-    from mtfan.quiver import submodule_full, submodule_sum, submodule_zero
-    from referee import submodule_intersection
+    from mtfan.quiver import submodule_full, submodule_sum
+    from referee import submodule_intersection, submodule_zero
 
     subs = enumerate_submodules(module)
     members = set(subs)
