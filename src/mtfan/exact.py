@@ -1,15 +1,20 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra over the rationals, in integer arithmetic.
 
 Row echelon forms, nullspaces, primitive integer vectors and the Hermite
-normal form of an integer lattice.  A rational subspace has one canonical
-form, subspace_canonical: its RREF rows scaled primitive.  Vectors are
-tuples of ints/Fractions; nothing here touches floating point, so every
-predicate downstream stays exact.
+normal form of an integer lattice.  The kernels are fraction-free: a row
+with Fraction entries is scaled to ints by the lcm of its denominators on
+entry, elimination cross-multiplies, and every row, basis vector and
+canonical form they return holds ints.  A Fraction appears only where a
+caller passes one (number and as_theta keep a non-integral coordinate as
+a Fraction).  A rational subspace has one canonical form,
+subspace_canonical: its RREF rows scaled primitive.  Nothing here touches
+floating point, so every predicate downstream stays exact.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def number(x):
@@ -32,16 +37,35 @@ def as_theta(theta, n):
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
+
+
+def _integer_row(row):
+    """The row scaled to ints by the lcm of its denominators: an int row
+    comes back as a list of the same ints."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    qs = [Fraction(x) for x in row]
+    den = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs]
+
+
+def _primitive_row(row):
+    """An int row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rref(rows):
-    """Reduced row echelon form over Q.
+    """Reduced row echelon form, fraction-free.
 
-    Returns (rows, pivot_columns) with zero rows dropped; the result is the
-    unique canonical basis of the row space.
+    Returns (rows, pivot_columns) with zero rows dropped: each row is the
+    RREF row over Q scaled to a primitive integer vector with a positive
+    pivot, so the result is the unique canonical integer basis of the row
+    space.  Gauss-Jordan elimination by cross-multiplication, each updated
+    row made primitive at once, keeps every entry an int.
     """
-    work = [[Fraction(x) for x in r] for r in rows]
+    work = [_integer_row(r) for r in rows]
     ncols = len(work[0]) if work else 0
     pivots = []
     r = 0
@@ -50,12 +74,17 @@ def rref(rows):
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
+        row = _primitive_row(work[r])
+        if row[c] < 0:
+            row = [-x for x in row]
+        work[r] = row
+        pv = row[c]
         for i in range(len(work)):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+                work[i] = _primitive_row(
+                    [pv * a - f * b for a, b in zip(work[i], row)]
+                )
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -68,41 +97,35 @@ def rank(rows):
 
 
 def nullspace(rows, n):
-    """Basis of {x in Q^n : r.x = 0 for every row r}."""
+    """Basis of {x in Q^n : r.x = 0 for every row r}: one primitive integer
+    vector per free column f, positive at f and zero at the other free
+    columns."""
     red, pivots = rref(rows)
     pivset = set(pivots)
+    scale = lcm(*(row[p] for row, p in zip(red, pivots)))
     basis = []
     for f in range(n):
         if f in pivset:
             continue
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(tuple(v))
+        v = [0] * n
+        v[f] = scale
+        for row, p in zip(red, pivots):
+            v[p] = -row[f] * (scale // row[p])
+        basis.append(primitive(v))
     return tuple(basis)
 
 
 def primitive(vec):
     """Scale a rational vector to the primitive integer vector with the same
     direction (the zero vector stays zero)."""
-    den = 1
-    for x in vec:
-        den = lcm(den, Fraction(x).denominator)
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g == 0:
-        return tuple(0 for _ in vec)
-    return tuple(x // g for x in ints)
+    return tuple(_primitive_row(_integer_row(vec)))
 
 
 def subspace_canonical(rows):
-    """Canonical integer basis of a rational subspace: RREF rows scaled
-    primitive.  Equal subspaces give identical outputs."""
-    red, _ = rref(rows)
-    return tuple(primitive(r) for r in red)
+    """Canonical integer basis of a rational subspace: its RREF rows, which
+    rref already scales primitive.  Equal subspaces give identical
+    outputs."""
+    return rref(rows)[0]
 
 
 def hnf(rows):

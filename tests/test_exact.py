@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from mtfan.exact import (
@@ -21,15 +21,30 @@ from mtfan.fplinalg import (
     mat_mul,
     rref_fp,
 )
-from referee import intersect_spaces, span_fp
+from mtfan.fan import build_mtf_fan
+from mtfan.oracle import build_sample_set, verify_fan
+from mtfan.polyhedra import validate_generalized_fan
+from mtfan.presets import preset_module
+from referee import intersect_spaces, nullspace_over_q, rref_over_q, span_fp
 
 F = Fraction
+
+
+def _all_ints(rows):
+    return all(type(x) is int for row in rows for x in row)
 
 
 def test_rref_known_matrix():
     rows, pivots = rref([(1, 2, 3), (2, 4, 7), (0, 0, 1)])
     assert pivots == (0, 2)
     assert rows == ((F(1), F(2), F(0)), (F(0), F(0), F(1)))
+    # a non-unit pivot: each RREF row over Q, scaled primitive with a
+    # positive pivot; (1, 0, -1/6) and (0, 1, 1/3) over Q
+    assert rref([(2, 1, 0), (0, 3, 1)]) == (((6, 0, -1), (0, 3, 1)), (0, 1))
+    for matrix in ([(2, 1, 0), (0, 3, 1)], [(F(1, 2), F(-2, 3), 1)]):
+        assert _all_ints(rref(matrix)[0])
+        assert _all_ints(nullspace(matrix, 3))
+        assert _all_ints(subspace_canonical(matrix))
 
 
 def test_rref_is_idempotent():
@@ -96,6 +111,61 @@ def test_rref_preserves_row_space(data):
     rows, ncols = data
     red, _ = rref(rows)
     assert subspace_canonical(rows) == subspace_canonical(red)
+
+
+@st.composite
+def rational_matrix(draw):
+    """Up to 4 x 4 with int and Fraction entries, empty matrices, zero rows
+    and zero columns included."""
+    ncols = draw(st.integers(0, 4))
+    nrows = draw(st.integers(0, 4))
+    entry = st.one_of(
+        st.integers(-6, 6),
+        st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    )
+    rows = []
+    for _ in range(nrows):
+        if draw(st.booleans()) and draw(st.booleans()):
+            rows.append((0,) * ncols)
+        else:
+            rows.append(tuple(draw(entry) for _ in range(ncols)))
+    return rows, ncols
+
+
+@seed(0xB4E1)
+@given(rational_matrix())
+@settings(max_examples=200, deadline=None)
+def test_integer_kernels_agree_with_elimination_over_q(data):
+    """rref is the RREF over Q with each row scaled primitive, and the
+    nullspace spans the same subspace as the one over Q."""
+    rows, ncols = data
+    red_q, pivots_q = rref_over_q(rows)
+    assert rref(rows) == (tuple(primitive(r) for r in red_q), pivots_q)
+    assert subspace_canonical(nullspace(rows, ncols)) == subspace_canonical(
+        nullspace_over_q(rows, ncols)
+    )
+    assert _all_ints(rref(rows)[0]) and _all_ints(nullspace(rows, ncols))
+
+
+def test_the_build_and_both_referees_make_no_fraction(monkeypatch):
+    """Every input of the exact kernels under the build, the fan validator
+    and the oracle on integer samples is an integer vector, so not one
+    Fraction is constructed."""
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    module = preset_module("square-lambda")
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    mtf = build_mtf_fan(module)
+    assert validate_generalized_fan(mtf.fan).ok
+    samples = build_sample_set(mtf, bound=1)
+    assert _all_ints(samples)
+    assert verify_fan(mtf, samples=samples).ok
+    assert made == []
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ THETAS = {
 # S2 + S3 over square-lambda, zero at vertices 1 and 4: every cone has that
 # two-dimensional lineality.  a3-all is the direct sum of the six interval
 # modules of linear A_3 (1 -> 2 -> 3) over F_2: dimension vector (3, 4, 3),
-# 1,229 submodules, 45 cones.
+# 1,229 submodules, 45 cones.  cube5 is the arrowless module with a line at
+# each of 5 vertices: its Newton polytope is the 5-cube, whose 243 cones give
+# the fan validator its largest pair count (29,403 pairs of cones).
 INPUT_COMMANDS = {
     "kronecker-R4": {
         "newton": ["newton"],
@@ -49,6 +51,9 @@ INPUT_COMMANDS = {
     },
     "a3-all": {
         "verify": ["verify", "--grid-bound", "1"],
+    },
+    "cube5": {
+        "verify": ["verify", "--grid-bound", "0"],
     },
 }
 
