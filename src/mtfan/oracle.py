@@ -3,11 +3,11 @@ computations.
 
 Every sample functional is classified twice: by locating it in the fan and
 by recomputing filtration, support and t-set from scratch.  One
-canonical_sequences call per sample gives its filtration, its t-set and the
-functional's values on the module's lattice, which the t-set scan and the
-wall check read.  Pairs of samples check the equivalence and closure
-predicates against the cone combinatorics by comparing stored t-sets and
-filtration keys.
+canonical_sequences call per sample gives all three, the semistable
+subobjects of w that make its filtration key, and the functional's values
+on the module's lattice, which the t-set scan and the wall check read.
+Pairs of samples check the equivalence and closure predicates against the
+cone combinatorics by comparing stored t-sets and filtration keys.
 
 A sample set is a plain tuple of as_theta vectors; the grid points, ray-sum
 witnesses and seeded points are all integral, so their coordinates are ints.
@@ -27,7 +27,6 @@ from .stability import (
     canonical_sequences,
     evaluate,
     filtration_key,
-    supp_factors,
     theta_str,
 )
 from .sublattice import enumerate_submodules
@@ -103,9 +102,8 @@ def verify_point(mtf, theta):
     cs = canonical_sequences(theta, module)
     if cs.t != data.t or cs.tbar != data.tbar:
         fails.append("canonical filtration differs from the cone's")
-    supp = tuple(sorted(d for _, d in supp_factors(theta, cs.w)))
-    if supp != data.supp_dims:
-        fails.append(f"support {supp} != cone support {data.supp_dims}")
+    if cs.supp != data.supp_dims:
+        fails.append(f"support {cs.supp} != cone support {data.supp_dims}")
     # the definition t-set is exactly the set of submodules landing on the
     # max face, the lattice t-set at theta; the located cone holds theta in
     # its relative interior, so this is the cone's t-set
@@ -158,7 +156,7 @@ def verify_fan(mtf, samples):
         kept = by_cone.setdefault(rep.cone_index, [])
         if len(kept) < REPS_PER_CONE:
             cs = rep.canonical
-            kept.append((rep.theta, cs.t_set, filtration_key(rep.theta, cs)))
+            kept.append((rep.theta, cs.t_set, filtration_key(cs)))
 
     observed = set(by_cone)
     if observed != set(range(len(mtf.cones))):

@@ -14,9 +14,9 @@ additivity of theta on short exact sequences:
 Each module has a largest torsion submodule t and a largest weak-torsion
 submodule tbar; the canonical slices are w = tbar/t (semistable) and the
 quotient f = M/tbar.  The t-set (the submodules L above t with L/t
-semistable) comes with them: both are data of one functional, computed
-afresh at each call, so a caller that compares functionals computes each
-one's data once and compares the stored values.
+semistable), w's semistable subobjects and stable factors come with them:
+all are data of one functional, computed afresh at each call, so a caller
+that compares functionals computes each one's data once.
 
 The submodules of L/K are the members between K and L of the module's own
 lattice, so the scans (the torsion classes, the t-set, the semistable
@@ -25,8 +25,8 @@ for each member of enumerate_submodules(module), the indices of the
 members strictly inside it.  A submodule is a graded subspace, so the
 table compares the members one vertex at a time, each pair of distinct
 spaces at a vertex once.
-Only w, f and the stable factors are presented as modules and checked on
-their own lattices.  Semistability reads values alone: it builds no table.
+Only w, f and the stable factors are presented as modules, each checked
+on its own lattice, valued once; semistability builds no order table.
 """
 from __future__ import annotations
 
@@ -71,13 +71,8 @@ def _sub_values(module, theta):
 
 def is_semistable(theta, module):
     """theta(X) = 0 and theta(L) <= 0 for every submodule L of X."""
-    return _is_semistable(as_theta(theta, module.algebra.n), module)
-
-
-def _is_semistable(theta, module):
-    if evaluate(theta, module) != 0:
-        return False
-    return all(evaluate(theta, s) <= 0 for s in enumerate_submodules(module))
+    theta = as_theta(theta, module.algebra.n)
+    return evaluate(theta, module) == 0 and max(_sub_values(module, theta)[1]) <= 0
 
 
 def is_stable(theta, module):
@@ -150,13 +145,17 @@ def _torsion_members(below, vals, strict):
 class CanonicalSequenceData:
     """Canonical two-step filtration 0 <= t <= tbar <= M at a functional,
     the t-set it cuts, and the values it was read from: vals[i] is theta
-    on member i of enumerate_submodules(M)."""
+    on member i of enumerate_submodules(M).  w_semis indexes the nonzero
+    semistable subobjects of w in enumerate_submodules(w); supp sorts the
+    dimension vectors of w's stable factors."""
 
     t: Submodule
     tbar: Submodule
     w: Module
     t_set: frozenset
     vals: tuple
+    w_semis: frozenset
+    supp: tuple
 
 
 def canonical_sequences(theta, module):
@@ -165,7 +164,8 @@ def canonical_sequences(theta, module):
     Returns CanonicalSequenceData with t <= tbar and w = tbar/t
     theta-semistable, after checking that f = M/tbar is theta-free and that
     the dimension vectors of t, w, f sum to the module's.  Its t_set is the
-    t-set of theta, which lies between t and tbar.
+    t-set of theta, which lies between t and tbar.  theta's values on w's
+    lattice, taken once, decide w semistable and give w_semis and supp.
     """
     theta = as_theta(theta, module.algebra.n)
     subs, vals = _sub_values(module, theta)
@@ -177,7 +177,8 @@ def canonical_sequences(theta, module):
     t, tbar = subs[i], subs[k]
     w = subquotient(module, t, tbar)
     f = quotient_module(module, tbar)
-    if not _is_semistable(theta, w):
+    _, wvals = _sub_values(w, theta)
+    if evaluate(theta, w) != 0 or max(wvals) > 0:
         raise InvariantError(
             f"w = tbar/t is not semistable at theta {theta_str(theta)}"
         )
@@ -197,8 +198,10 @@ def canonical_sequences(theta, module):
         )
     if members - below[k] != {k}:
         raise InvariantError(f"a t-set member is not inside tbar at {theta_str(theta)}")
+    w_semis, factors = _stable_chain(theta, w, wvals)
     return CanonicalSequenceData(
-        t, tbar, w, frozenset(subs[j] for j in members), vals
+        t, tbar, w, frozenset(subs[j] for j in members), vals, w_semis,
+        tuple(sorted(d for _, d in factors)),
     )
 
 
@@ -225,21 +228,24 @@ def semistable_subobjects(theta, module):
 
 
 def supp_factors(theta, module):
-    """Stable composition factors of a theta-semistable module.
-
-    Walks one maximal chain 0 = L_0 < L_1 < ... < L_r = M through the
-    semistable subobjects (here the zero-valued submodules) in order of
-    total dimension, so each L_{m+1}/L_m is theta-stable.
-    Returns a tuple of (factor module, dimension vector); the
-    dimension-vector multiset does not depend on the chain.
-    """
+    """Stable composition factors of a theta-semistable module, as a tuple
+    of (factor module, dimension vector); the dimension-vector multiset
+    does not depend on the chain."""
     theta = as_theta(theta, module.algebra.n)
-    if not _is_semistable(theta, module):
+    if not is_semistable(theta, module):
         raise ModuleDefinitionError("supp factors need a semistable module")
+    return _stable_chain(theta, module, _sub_values(module, theta)[1])[1]
+
+
+def _stable_chain(theta, module, vals):
+    """The nonzero semistable subobjects (indices) of a semistable module,
+    where vals are theta on its lattice, and the stable factors of one
+    maximal chain 0 = L_0 < ... < L_r = M through them (the zero-valued
+    submodules), walked by total dimension so each L_{m+1}/L_m is stable."""
     subs = enumerate_submodules(module)
     below = _order(module)
+    semis = frozenset(_semistable_above(below, vals, 0) - {0})
     chain = [0]  # the zero submodule
-    semis = semistable_subobjects(theta, module)
     for j in sorted(semis, key=lambda j: (subs[j].total_dim, j)):
         if chain[-1] in below[j]:
             chain.append(j)
@@ -252,7 +258,7 @@ def supp_factors(theta, module):
                 f"{theta_str(theta)}"
             )
         factors.append((factor, factor.dims))
-    return tuple(factors)
+    return semis, tuple(factors)
 
 
 def t_set(theta, module):
@@ -265,12 +271,12 @@ def t_set(theta, module):
     return canonical_sequences(theta, module).t_set
 
 
-def filtration_key(theta, cs):
-    """theta's class by the filtration route, from its canonical sequences
-    cs: t, tbar and the semistable subobjects of w.  Keys of functionals on
-    one module are equal exactly when the functionals are equivalent; equal
-    t and tbar give equal w, so the subobject indices are comparable."""
-    return cs.t, cs.tbar, semistable_subobjects(theta, cs.w)
+def filtration_key(cs):
+    """A functional's class by the filtration route, stored in its canonical
+    sequences cs: t, tbar and the semistable subobjects of w.  Keys on one
+    module are equal exactly when the functionals are equivalent; equal t
+    and tbar give equal w, so the subobject indices are comparable."""
+    return cs.t, cs.tbar, cs.w_semis
 
 
 def m_tf_equivalent_by_filtration(theta, eta, module):
@@ -281,4 +287,4 @@ def m_tf_equivalent_by_filtration(theta, eta, module):
     """
     ct = canonical_sequences(theta, module)
     ce = canonical_sequences(eta, module)
-    return filtration_key(theta, ct) == filtration_key(eta, ce)
+    return filtration_key(ct) == filtration_key(ce)

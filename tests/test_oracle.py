@@ -7,6 +7,8 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import mtfan.fplinalg
 import mtfan.oracle
@@ -22,11 +24,13 @@ from mtfan.oracle import (
     verify_fan,
     verify_point,
 )
+from mtfan.polyhedra import validate_generalized_fan
 from mtfan.presets import preset_module, preset_names
-from mtfan.quiver import build_module
+from mtfan.quiver import build_module, quotient_module
 from mtfan.serialize import module_from_doc
 from mtfan.stability import canonical_sequences, supp_factors, t_set, theta_str
-from referee import count_calls
+from mtfan.sublattice import enumerate_submodules
+from referee import count_calls, preset_direct_sum, random_kronecker_module
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -231,7 +235,7 @@ def test_oracle_reports_filtration_keys_that_never_differ(monkeypatch):
     the same key disagrees with the t-sets at each of the 21 pairs."""
     mtf = build_mtf_fan(preset_module("a2-P1"))
     samples, printed = _witnesses(mtf)
-    monkeypatch.setattr(mtfan.oracle, "filtration_key", lambda theta, cs: ())
+    monkeypatch.setattr(mtfan.oracle, "filtration_key", lambda cs: ())
     report = verify_fan(mtf, samples=samples)
     assert report.checks == 7 + 21
     assert report.failures == tuple(
@@ -301,21 +305,54 @@ def test_verify_point_on_specific_functionals():
 
 
 def test_verify_point_values_the_lattice_once(monkeypatch):
-    """verify_point reads its t-set scan and its wall membership off the
-    values that canonical_sequences stores with the filtration, so beyond
-    canonical_sequences and supp_factors it evaluates theta once, on M
-    itself.  Evaluating M's six submodules again for each check took 7 to
-    13 more calls per sample on square-lambda."""
+    """canonical_sequences values theta once on each lattice it reads: M's,
+    w's and w itself (which decide that w is semistable and give its
+    semistable subobjects and stable factors), f's, and each stable
+    factor's with the factor itself.  verify_point reads its support, its
+    t-set scan and its wall membership off that record and evaluates theta
+    once more, on M itself; the filtration key is stored.  Valuing w again
+    took 2 |L(w)| + 1 more calls per sample for the support and |L(w)|
+    more for the key."""
     mtf = build_mtf_fan(preset_module("square-lambda"))
+    module = mtf.module
     calls = count_calls(monkeypatch, mtfan.stability.evaluate)
+
+    def size(x):
+        return len(enumerate_submodules(x))
+
     for theta in build_sample_set(mtf, bound=1):
+        cs = canonical_sequences(theta, module)
+        factors = supp_factors(theta, cs.w)
+        expected = (
+            size(module)
+            + 1 + size(cs.w)
+            + size(quotient_module(module, cs.tbar))
+            + sum(1 + size(x) for x, _ in factors)
+        )
+        calls.clear()
+        cs = canonical_sequences(theta, module)
+        assert calls["evaluate"] == expected, theta_str(theta)
+        mtfan.oracle.filtration_key(cs)
+        assert calls["evaluate"] == expected, theta_str(theta)
         calls.clear()
         assert verify_point(mtf, theta).ok
-        in_point = calls["evaluate"]
-        calls.clear()
-        cs = canonical_sequences(theta, mtf.module)
-        supp_factors(theta, cs.w)
-        assert in_point == calls["evaluate"] + 1, theta_str(theta)
+        assert calls["evaluate"] == expected + 1, theta_str(theta)
+
+
+@given(st.one_of(preset_direct_sum(), random_kronecker_module()))
+@seed(0x0FA7)
+@settings(max_examples=20, deadline=None)
+def test_verify_is_clean_on_random_modules(module):
+    """The whole verify, on direct sums of presets and Kronecker modules:
+    the oracle over the grid [-1, 1]^n and the cone witnesses, the
+    dimension formula and the fan validator."""
+    mtf = build_mtf_fan(module)
+    for report in (
+        verify_fan(mtf, build_sample_set(mtf, bound=1)),
+        verify_dim_formula(mtf),
+        validate_generalized_fan(mtf.fan),
+    ):
+        assert report.ok, report
 
 
 def test_sample_set_builds_no_cone(monkeypatch):

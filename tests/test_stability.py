@@ -293,6 +293,10 @@ def test_order_table_agrees_with_the_pairwise_torsion_scans(case):
     assert sorted(d for _, d in supp_factors(theta, cs.w)) == sorted(
         d for _, d in supp_factors_by_quotients(theta, cs.w)
     )
+    assert cs.w_semis == semistable_subobjects_by_submodules(theta, cs.w)
+    assert cs.supp == tuple(
+        sorted(d for _, d in supp_factors_by_quotients(theta, cs.w))
+    )
 
 
 @given(module_and_change_of_basis())
