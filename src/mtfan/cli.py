@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import serialize
@@ -92,6 +93,13 @@ def _parse_theta(text, n):
             raise InputFormatError(
                 f"--theta entry {k} has {digits} digits, more than the cap "
                 f"of {MAX_THETA_DIGITS}"
+            )
+        # Fraction's own grammar moves between Python versions (3.11 reads
+        # 1_0 as 10, 3.12 allows spaces around the slash), so check ours
+        if not re.fullmatch(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)", p):
+            raise InputFormatError(
+                f"--theta entry {k} is not a rational number: {p!r}; write "
+                "an integer, a fraction or a decimal, e.g. -2, 1/2 or 0.25"
             )
     theta = tuple(serialize.parse_frac(p) for p in parts)
     if len(theta) != n:
@@ -263,8 +271,9 @@ def build_parser():
     classify.add_argument(
         "--theta",
         help=(
-            "comma separated rationals, one per vertex, e.g. 1/2,-1; no "
-            f"exponents and at most {MAX_THETA_DIGITS} digits each"
+            "comma separated rationals, one per vertex, e.g. 1/2,-1 or "
+            "0.25,2; no exponents, underscores or inner spaces, and at most "
+            f"{MAX_THETA_DIGITS} digits each"
         ),
     )
 

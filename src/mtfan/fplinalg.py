@@ -7,10 +7,10 @@ from __future__ import annotations
 
 
 def rref_fp(rows, p):
-    """Reduced row echelon form over F_p: (rows, pivot_columns)."""
+    """Reduced row echelon form over F_p: the nonzero rows, each scaled so
+    its first nonzero entry, its pivot, is 1."""
     work = [[x % p for x in r] for r in rows]
     ncols = len(work[0]) if work else 0
-    pivots = []
     r = 0
     for c in range(ncols):
         pr = next((i for i in range(r, len(work)) if work[i][c]), None)
@@ -23,36 +23,39 @@ def rref_fp(rows, p):
             if i != r and work[i][c]:
                 f = work[i][c]
                 work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
-        pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    return tuple(tuple(row) for row in work[:r])
 
 
-def reduce_vec(rrows, pivots, vec, p):
-    """Residue of vec after elimination against an RREF basis."""
+def reduce_vec(rrows, vec, p):
+    """Residue of vec after elimination against an RREF basis.
+
+    A row's pivot is its leading 1, as in every stored basis: each is an
+    rref_fp result or submodule_full's identity rows."""
     v = [x % p for x in vec]
-    for row, c in zip(rrows, pivots):
+    for row in rrows:
+        c = row.index(1)
         if v[c]:
             f = v[c]
             v = [(a - f * b) % p for a, b in zip(v, row)]
     return tuple(v)
 
 
-def in_span(rrows, pivots, vec, p):
-    return not any(reduce_vec(rrows, pivots, vec, p))
+def in_span(rrows, vec, p):
+    return not any(reduce_vec(rrows, vec, p))
 
 
-def rref_join(rrows, pivots, vecs, p):
-    """RREF (rows, pivots) of the span of an RREF basis and more vectors:
-    the basis is row reduced with the vectors' residues against it, and when
-    none survives the given tuples come back unchanged (the same objects)."""
+def rref_join(rrows, vecs, p):
+    """RREF rows of the span of an RREF basis and more vectors: the basis
+    is row reduced with the vectors' residues against it, and when none
+    survives the given rows come back unchanged (the same object)."""
     residues = tuple(
-        r for r in (reduce_vec(rrows, pivots, v, p) for v in vecs) if any(r)
+        r for r in (reduce_vec(rrows, v, p) for v in vecs) if any(r)
     )
     if not residues:
-        return rrows, pivots
+        return rrows
     return rref_fp(rrows + residues, p)
 
 

@@ -6,14 +6,13 @@ shape dim(v) x dim(u).  A path (a_1, ..., a_l) is traversed a_1 first and its
 composite is the product M(a_l) @ ... @ M(a_1).
 
 Submodules are arrow-stable families of subspaces, one per vertex, stored as
-RREF bases so equal submodules compare equal structurally.  Each submodule
-also carries the pivot columns of its bases, so containment tests and sums
-reduce vectors against the stored echelon form instead of re-reducing it.
+RREF bases so equal submodules compare equal structurally, and containment
+tests and sums reduce vectors against the stored echelon form.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AlgebraDefinitionError, ModuleDefinitionError
 from .fplinalg import (
@@ -120,7 +119,7 @@ def build_algebra(spec):
             coeff = int(term["coeff"]) % p
             if coeff == 0:
                 raise AlgebraDefinitionError("relation coefficient vanishes mod p")
-            path = tuple(term["path"])
+            path = tuple(str(name) for name in term["path"])
             if len(path) < 2:
                 raise AlgebraDefinitionError("relation paths must have length >= 2")
             idxs = []
@@ -294,16 +293,12 @@ def direct_sum(m1, m2):
 class Submodule:
     """Arrow-stable graded subspace of a module, bases in RREF per vertex.
 
-    pivots[u] lists the pivot columns of bases[u].  It is determined by the
-    bases and takes no part in equality, hashing or ordering; every
-    constructor passes the pivots its row reduction found.  The hash and
-    the dimension vector are computed once per instance, as Module's hash
-    is.
+    The hash and the dimension vector are computed once per instance, as
+    Module's hash is.
     """
 
     module: Module
     bases: tuple[tuple[tuple[int, ...], ...], ...]
-    pivots: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def __hash__(self):
         try:
@@ -332,13 +327,12 @@ def generated_submodule(module, seeds):
     A = module.algebra
     p = A.p
     spans = [() for _ in range(A.n)]
-    pivots = [() for _ in range(A.n)]
     queue = []
 
     def insert(u, vec):
-        rows, piv = rref_join(spans[u], pivots[u], (vec,), p)
+        rows = rref_join(spans[u], (vec,), p)
         if rows is not spans[u]:
-            spans[u], pivots[u] = rows, piv
+            spans[u] = rows
             queue.append((u, vec))
 
     for u, vecs in seeds.items():
@@ -349,7 +343,7 @@ def generated_submodule(module, seeds):
         for ai, arrow in enumerate(A.arrows):
             if arrow.source == u:
                 insert(arrow.target, mat_vec(module.maps[ai], vec, p))
-    return Submodule(module, tuple(spans), tuple(pivots))
+    return Submodule(module, tuple(spans))
 
 
 def submodule_full(module):
@@ -357,7 +351,7 @@ def submodule_full(module):
         tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
         for d in module.dims
     )
-    return Submodule(module, bases, tuple(tuple(range(d)) for d in module.dims))
+    return Submodule(module, bases)
 
 
 def submodule_contains(outer, inner):
@@ -368,11 +362,11 @@ def submodule_contains(outer, inner):
     if outer.module != inner.module:
         raise ModuleDefinitionError("submodules of different modules")
     p = outer.module.algebra.p
-    for rows, piv, vecs in zip(outer.bases, outer.pivots, inner.bases):
+    for rows, vecs in zip(outer.bases, inner.bases):
         if len(vecs) > len(rows):
             return False
         for vec in vecs:
-            if not in_span(rows, piv, vec, p):
+            if not in_span(rows, vec, p):
                 return False
     return True
 
@@ -385,11 +379,10 @@ def submodule_sum(a, b):
     if a.module != b.module:
         raise ModuleDefinitionError("submodules of different modules")
     p = a.module.algebra.p
-    joined = [rref_join(*space, p) for space in zip(a.bases, a.pivots, b.bases)]
-    bases = tuple(rows for rows, _ in joined)
+    bases = tuple(rref_join(x, y, p) for x, y in zip(a.bases, b.bases))
     if bases == a.bases:
         return a
-    return Submodule(a.module, bases, tuple(piv for _, piv in joined))
+    return Submodule(a.module, bases)
 
 
 @functools.lru_cache(maxsize=SUBQUOTIENT_CACHE_SIZE)
@@ -413,20 +406,15 @@ def subquotient(module, lower, upper):
     if not submodule_contains(upper, lower):
         raise ModuleDefinitionError("lower submodule is not contained in upper")
 
-    lo = list(zip(lower.bases, lower.pivots))
-    quot_bases = []
-    quot_pivots = []
-    for u in range(A.n):
-        lrows, lpiv = lo[u]
-        reduced = [reduce_vec(lrows, lpiv, vec, p) for vec in upper.bases[u]]
-        rows, piv = rref_fp([r for r in reduced if any(r)], p)
-        quot_bases.append(rows)
-        quot_pivots.append(piv)
+    # rref_fp drops the zero residues of upper's vectors in lower
+    quot_bases = [
+        rref_fp([reduce_vec(lo, vec, p) for vec in up], p)
+        for lo, up in zip(lower.bases, upper.bases)
+    ]
 
     def coords(u, vec):
-        lrows, lpiv = lo[u]
-        res = reduce_vec(lrows, lpiv, vec, p)
-        cs = [res[c] for c in quot_pivots[u]]
+        res = reduce_vec(lower.bases[u], vec, p)
+        cs = [res[row.index(1)] for row in quot_bases[u]]
         chk = list(res)
         for coef, row in zip(cs, quot_bases[u]):
             chk = [(a - coef * b) % p for a, b in zip(chk, row)]

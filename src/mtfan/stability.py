@@ -106,12 +106,12 @@ def _order(module):
     for u in range(module.algebra.n):
         spaces = {}
         for i, s in enumerate(subs):
-            spaces.setdefault((s.bases[u], s.pivots[u]), []).append(i)
+            spaces.setdefault(s.bases[u], []).append(i)
         masks = {space: sum(1 << i for i in idx) for space, idx in spaces.items()}
-        for (rows, piv), idx in spaces.items():
+        for rows, idx in spaces.items():
             inside = 0
-            for (inner, _), mask in masks.items():
-                if all(in_span(rows, piv, v, p) for v in inner):
+            for inner, mask in masks.items():
+                if all(in_span(rows, v, p) for v in inner):
                     inside |= mask
             for i in idx:
                 below[i] &= inside
@@ -217,14 +217,6 @@ def _semistable_above(below, vals, i):
         and vals[j] == v
         and all(vals[x] <= v for x in below[j] if x == i or i in below[x])
     }
-
-
-def semistable_subobjects(theta, module):
-    """The nonzero submodules of the module that are theta-semistable as
-    modules, as indices into enumerate_submodules(module)."""
-    _, vals = _sub_values(module, as_theta(theta, module.algebra.n))
-    # the zero submodule sorts first
-    return frozenset(_semistable_above(_order(module), vals, 0) - {0})
 
 
 def supp_factors(theta, module):

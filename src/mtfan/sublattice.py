@@ -12,10 +12,10 @@ at most S * |G| sums for a lattice of S submodules.
 
 The lattice has far fewer distinct subspaces at each vertex than it has
 submodules, so the closure interns them: each vertex keeps a table from id
-to (RREF rows, pivots) and a dict from rows back to the id, and a submodule
-in the closure is the tuple of its vertex space ids.  A sum of submodules is
-a sum at each vertex, and each vertex memoizes the id of the sum of an
-unordered pair of ids.  The first sum of a pair reduces the smaller space's
+to RREF rows and a dict from rows back to the id, and a submodule in the
+closure is the tuple of its vertex space ids.  A sum of submodules is a sum
+at each vertex, and each vertex memoizes the id of the sum of an unordered
+pair of ids.  The first sum of a pair reduces the smaller space's
 rows against the larger one's echelon form and row reduces only when a
 residue survives; every later sum of that pair is a dict lookup.  So the
 closure does one row reduction per distinct vertex-space pair, not one per
@@ -76,18 +76,18 @@ def enumerate_submodules(module):
         "to enumerate"
     )
 
-    # vertex u's distinct subspaces: spaces[u][i] = (RREF rows, pivots) and
+    # vertex u's distinct subspaces: spaces[u][i] = RREF rows and
     # ids[u][rows] = i, with i = 0 the zero space; sums[u] memoizes the id of
     # the sum of spaces i and j under the unordered pair (min, max)
-    spaces = [[((), ())] for _ in module.dims]
+    spaces = [[()] for _ in module.dims]
     ids = [{(): 0} for _ in module.dims]
     sums = [{} for _ in module.dims]
 
-    def space_id(u, rows, pivots):
+    def space_id(u, rows):
         i = ids[u].get(rows)
         if i is None:
             i = ids[u][rows] = len(spaces[u])
-            spaces[u].append((rows, pivots))
+            spaces[u].append(rows)
         return i
 
     def space_sum(u, i, j):
@@ -98,11 +98,11 @@ def enumerate_submodules(module):
         if k is None:
             # join the smaller space to the larger one, so a containment
             # costs no row reduction
-            if len(spaces[u][i][0]) < len(spaces[u][j][0]):
+            if len(spaces[u][i]) < len(spaces[u][j]):
                 i, j = j, i
-            rows, piv = spaces[u][i]
-            joined = rref_join(rows, piv, spaces[u][j][0], p)
-            k = i if joined[0] is rows else space_id(u, *joined)
+            rows = spaces[u][i]
+            joined = rref_join(rows, spaces[u][j], p)
+            k = i if joined is rows else space_id(u, joined)
             sums[u][pair] = k
         return k
 
@@ -120,7 +120,7 @@ def enumerate_submodules(module):
     for u, d in enumerate(module.dims):
         for vec in projective_points(d, p):
             g = generated_submodule(module, {u: [vec]})
-            g = tuple(map(space_id, vertices, g.bases, g.pivots))
+            g = tuple(map(space_id, vertices, g.bases))
             # found holds only {0} and the generators so far, and g != 0
             if g not in found:
                 add(g)
@@ -138,11 +138,7 @@ def enumerate_submodules(module):
         frontier = fresh
 
     subs = (
-        Submodule(
-            module,
-            tuple(spaces[u][i][0] for u, i in enumerate(sub)),
-            tuple(spaces[u][i][1] for u, i in enumerate(sub)),
-        )
+        Submodule(module, tuple(spaces[u][i] for u, i in enumerate(sub)))
         for sub in found
     )
     return tuple(sorted(subs, key=Submodule.sort_key))

@@ -134,38 +134,31 @@ def cone_from_doc(doc, n):
     return cone_from_hrep(n, eqs, ineqs)
 
 
-def span_fp(rows, p):
-    """RREF basis of the row span over F_p (zero rows dropped)."""
-    return rref_fp(rows, p)[0]
-
-
 def intersect_spaces(a_rows, b_rows, ncols, p):
     """Basis of rowspace(a) intersect rowspace(b) by the Zassenhaus trick."""
     block = [tuple(r) + tuple(r) for r in a_rows]
     block += [tuple(r) + (0,) * ncols for r in b_rows]
-    red, _ = rref_fp(block, p)
+    red = rref_fp(block, p)
     out = [row[ncols:] for row in red if not any(row[:ncols])]
-    return span_fp(out, p)
+    return rref_fp(out, p)
 
 
 def submodule_zero(module):
     empty = tuple(() for _ in range(module.algebra.n))
-    return Submodule(module, empty, empty)
+    return Submodule(module, empty)
 
 
 def submodule_intersection(a, b):
     if a.module != b.module:
         raise ModuleDefinitionError("submodules of different modules")
     p = a.module.algebra.p
-    reduced = [
-        rref_fp(intersect_spaces(x, y, d, p), p)
-        for x, y, d in zip(a.bases, b.bases, a.module.dims)
-    ]
     # intersections of arrow-stable families are arrow-stable
     return Submodule(
         a.module,
-        tuple(rows for rows, _ in reduced),
-        tuple(piv for _, piv in reduced),
+        tuple(
+            intersect_spaces(x, y, d, p)
+            for x, y, d in zip(a.bases, b.bases, a.module.dims)
+        ),
     )
 
 
@@ -375,12 +368,9 @@ def inverse_fp(mat, p):
     """Inverse of a square matrix over F_p by Gauss-Jordan, or None when it
     is singular."""
     d = len(mat)
-    block = [
-        tuple(row) + tuple(int(i == j) for j in range(d))
-        for i, row in enumerate(mat)
-    ]
-    rows, pivots = rref_fp(block, p)
-    if pivots[:d] != tuple(range(d)):
+    identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    rows = rref_fp([tuple(row) + e for row, e in zip(mat, identity)], p)
+    if tuple(row[:d] for row in rows) != identity:
         return None
     return tuple(row[d:] for row in rows)
 

@@ -123,6 +123,9 @@ def test_classify_bounds_theta_before_parsing(theta, capsys):
         ("x,y", "not a rational number: 'x'"),
         ("1,2,3", "--theta has 3 entries, the module has 2 vertices"),
         ("1e5,1", "--theta entry 1 uses exponent notation"),
+        # Fraction reads these on some Python versions only
+        ("1_0,1", "--theta entry 1 is not a rational number: '1_0'"),
+        ("1 / 2,1", "--theta entry 1 is not a rational number: '1 / 2'"),
     ],
 )
 def test_classify_checks_theta_before_the_build(theta, message, monkeypatch, capsys):

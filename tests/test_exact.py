@@ -20,12 +20,13 @@ from mtfan.fplinalg import (
     in_span,
     mat_mul,
     rref_fp,
+    rref_join,
 )
 from mtfan.fan import build_mtf_fan
 from mtfan.oracle import build_sample_set, verify_fan
 from mtfan.polyhedra import validate_generalized_fan
 from mtfan.presets import preset_module
-from referee import intersect_spaces, nullspace_over_q, rref_over_q, span_fp
+from referee import intersect_spaces, nullspace_over_q, rref_over_q
 
 F = Fraction
 
@@ -173,21 +174,53 @@ def test_the_build_and_both_referees_make_no_fraction(monkeypatch):
 
 
 def test_rref_fp_mod2():
-    rows, pivots = rref_fp([(1, 1, 0), (1, 0, 1)], 2)
-    assert pivots == (0, 1)
-    assert rows == ((1, 0, 1), (0, 1, 1))
+    assert rref_fp([(1, 1, 0), (1, 0, 1)], 2) == ((1, 0, 1), (0, 1, 1))
 
 
 def test_in_span_fp():
-    rows, pivots = rref_fp([(1, 1, 0), (0, 1, 1)], 2)
-    assert in_span(rows, pivots, (1, 0, 1), 2)
-    assert not in_span(rows, pivots, (0, 0, 1), 2)
+    rows = rref_fp([(1, 1, 0), (0, 1, 1)], 2)
+    assert in_span(rows, (1, 0, 1), 2)
+    assert not in_span(rows, (0, 0, 1), 2)
+
+
+@st.composite
+def fp_rows_and_vectors(draw):
+    """(p, R, vecs): R is the RREF of random rows over F_p (zero rows and
+    empty matrices included) and vecs a few more vectors of its width."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    ncols = draw(st.integers(0, 5))
+    vec = st.tuples(*[st.integers(0, p - 1)] * ncols)
+    rows = draw(st.lists(vec, max_size=5))
+    vecs = draw(st.lists(vec, max_size=3))
+    return p, rref_fp(rows, p), tuple(vecs)
+
+
+@seed(0xF9)
+@given(fp_rows_and_vectors())
+@settings(max_examples=300, deadline=None)
+def test_fp_kernels_read_each_pivot_off_its_leading_one(data):
+    p, rows, vecs = data
+    pivots = []
+    for row in rows:
+        assert all(0 <= x < p for x in row)
+        lead = next(c for c, x in enumerate(row) if x)
+        assert row[lead] == 1
+        pivots.append(lead)
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert all(not other[c] for j, other in enumerate(rows) if j != i)
+    for v in vecs:
+        assert in_span(rows, v, p) == (len(rref_fp(rows + (v,), p)) == len(rows))
+    joined = rref_join(rows, vecs, p)
+    assert joined == rref_fp(rows + vecs, p)
+    if all(in_span(rows, v, p) for v in vecs):
+        assert joined is rows
 
 
 def test_sum_and_intersection_against_enumeration():
     p = 2
-    a = span_fp([(1, 0, 0), (0, 1, 0)], p)
-    b = span_fp([(0, 1, 1), (1, 1, 1)], p)
+    a = rref_fp([(1, 0, 0), (0, 1, 0)], p)
+    b = rref_fp([(0, 1, 1), (1, 1, 1)], p)
 
     def members(space):
         rows = list(space)
@@ -202,7 +235,7 @@ def test_sum_and_intersection_against_enumeration():
 
     inter = intersect_spaces(a, b, 3, p)
     assert members(inter) == members(a) & members(b)
-    total = span_fp(a + b, p)
+    total = rref_fp(a + b, p)
     assert members(total) >= members(a) | members(b)
     assert len(members(total)) == p ** len(total)
 

@@ -96,6 +96,14 @@ def test_output_matches_golden(name, argv):
     assert _output(argv) == golden
 
 
+def test_integer_labels_read_as_their_strings():
+    """nakayama2-121 written with integer vertex and arrow labels, relation
+    paths included, is the preset: the same fan, byte for byte."""
+    path = str(GOLDENS / "nakayama2-121-int.input.json")
+    golden = _golden("nakayama2-121.fan").read_text(encoding="utf-8")
+    assert _output(["fan", "--input", path]) == golden
+
+
 if __name__ == "__main__":
     GOLDENS.mkdir(exist_ok=True)
     for name, argv in CASES:

@@ -223,18 +223,6 @@ def test_submodule_lattice_operations():
     assert submodule_intersection(soc, mid) == soc
 
 
-def test_submodule_is_built_with_its_pivots():
-    m = preset_module("nakayama2-121")
-    full = submodule_full(m)
-    with pytest.raises(TypeError):
-        Submodule(m, full.bases)
-    # pivots take no part in equality, so compare them directly
-    soc = generated_submodule(m, {0: [(0, 1)]})
-    mid = generated_submodule(m, {1: [(1,)]})
-    assert submodule_intersection(soc, mid).pivots == soc.pivots
-    assert submodule_intersection(full, mid).pivots == mid.pivots
-
-
 def test_cached_hashes_follow_equality():
     # equal but distinct instances hash equal
     m, twin = preset_module("nakayama2-121"), preset_module("nakayama2-121")
@@ -248,12 +236,14 @@ def test_cached_hashes_follow_equality():
     # whichever of the two is hashed first
     mid = generated_submodule(m, {1: [(1,)]})
     hash(mid)
-    other = Submodule(m, soc.bases, mid.pivots)
+    other = Submodule(m, soc.bases)
     assert other == soc and other != mid
     assert hash(other) == hash(soc) == hash((m, soc.bases))
     assert hash(dataclasses.replace(mid, bases=soc.bases)) == hash(soc)
     assert {mid, other, soc} == {mid, soc}
-    # pivots stay out of equality and hashing, and repr is the dataclass's
+    # a submodule is its module and bases, and repr is the dataclass's
+    fields = tuple(f.name for f in dataclasses.fields(Submodule))
+    assert fields == ("module", "bases")
     assert repr(other) == f"Submodule(module={m!r}, bases={soc.bases!r})"
 
 
