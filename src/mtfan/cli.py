@@ -5,6 +5,11 @@ input file and emit a JSON document (an SVG for the svg subcommand).
 `newton` needs only the Newton polytope; every other subcommand builds the
 stability fan.  Exit codes: 0 success, 1 verification found violations,
 2 bad input or usage.
+
+A process loads only the layers its subcommand runs, each imported in the
+branch that uses it: only `verify` loads the oracle and mtfan.stability,
+only `svg` the renderer, and `newton` no fan.  The defaults of
+--grid-bound, --seed and --size are read from those layers.
 """
 from __future__ import annotations
 
@@ -16,18 +21,7 @@ import sys
 
 from . import serialize
 from .errors import InputFormatError, ResourceLimitError
-from .fan import build_mtf_fan, class_of, fan_paths
-from .oracle import (
-    DEFAULT_GRID_BOUND,
-    DEFAULT_SEED,
-    build_sample_set,
-    verify_dim_formula,
-    verify_fan,
-)
-from .polyhedra import COMPLETENESS_GRID_BOUND, validate_generalized_fan
 from .presets import preset_module, preset_names
-from .sublattice import check_total_dim, newton_polytope
-from .svg import DEFAULT_SIZE, check_rank, render_svg
 
 # `verify` checks every point of the grid [-B, B]^n against the whole fan,
 # and every point of the fan validator's completeness grid; both are capped
@@ -73,6 +67,8 @@ def _load_module(config):
         doc["p"] = config.p_override
     # every subcommand enumerates submodules; a missing map is zero-filled
     # at its full size, so the bound applies before any matrix is built
+    from .sublattice import check_total_dim
+
     check_total_dim(serialize.declared_total_dim(doc), doc["p"])
     _, module = serialize.module_from_doc(doc)
     return module
@@ -95,8 +91,11 @@ def _parse_theta(text, n):
                 f"of {MAX_THETA_DIGITS}"
             )
         # Fraction's own grammar moves between Python versions (3.11 reads
-        # 1_0 as 10, 3.12 allows spaces around the slash), so check ours
-        if not re.fullmatch(r"[+-]?([0-9]+(/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)", p):
+        # 1_0 as 10, 3.12 allows spaces around the slash), so check ours;
+        # a zero denominator is not in it
+        if not re.fullmatch(
+            r"[+-]?([0-9]+(/0*[1-9][0-9]*)?|[0-9]+\.[0-9]*|\.[0-9]+)", p
+        ):
             raise InputFormatError(
                 f"--theta entry {k} is not a rational number: {p!r}; write "
                 "an integer, a fraction or a decimal, e.g. -2, 1/2 or 0.25"
@@ -139,8 +138,17 @@ def _emit_json(config, doc):
 
 
 def _check_sizes(config, n):
-    """Reject a --grid-bound or --size outside its documented range."""
+    """Fill in an unset --grid-bound, --seed or --size from the layer that
+    reads it, and reject a --grid-bound or --size outside its documented
+    range."""
     if config.command == "verify":
+        from .oracle import DEFAULT_GRID_BOUND, DEFAULT_SEED
+        from .polyhedra import COMPLETENESS_GRID_BOUND
+
+        if config.grid_bound is None:
+            config.grid_bound = DEFAULT_GRID_BOUND
+        if config.seed is None:
+            config.seed = DEFAULT_SEED
         bound = config.grid_bound
         if bound < 0:
             raise InputFormatError(f"--grid-bound must be >= 0, got {bound}")
@@ -156,11 +164,16 @@ def _check_sizes(config, n):
                 f"[-{COMPLETENESS_GRID_BOUND}, {COMPLETENESS_GRID_BOUND}]^{n} "
                 f"has {side}^{n} points, more than the cap of {MAX_GRID_POINTS}"
             )
-    if config.command == "svg" and not 0 < config.size <= MAX_SVG_SIZE:
-        raise InputFormatError(
-            f"--size must be between 1 and {MAX_SVG_SIZE} pixels, "
-            f"got {config.size}"
-        )
+    if config.command == "svg":
+        from .svg import DEFAULT_SIZE
+
+        if config.size is None:
+            config.size = DEFAULT_SIZE
+        if not 0 < config.size <= MAX_SVG_SIZE:
+            raise InputFormatError(
+                f"--size must be between 1 and {MAX_SVG_SIZE} pixels, "
+                f"got {config.size}"
+            )
 
 
 def run(config):
@@ -172,10 +185,16 @@ def run(config):
     if config.command == "classify":
         theta = _parse_theta(config.theta, module.algebra.n)
     if config.command == "svg":
+        from .svg import check_rank, render_svg
+
         check_rank(module.algebra.n)
     if config.command == "newton":
+        from .sublattice import newton_polytope
+
         _emit_json(config, serialize.polytope_doc(newton_polytope(module)))
         return 0
+    from .fan import build_mtf_fan, class_of, fan_paths
+
     mtf = build_mtf_fan(module)
 
     if config.command == "fan":
@@ -200,6 +219,9 @@ def run(config):
                 f"the fan has {len(mtf.cones)} cones, more than verify's cap "
                 f"of {MAX_VERIFY_CONES}"
             )
+        from .oracle import build_sample_set, verify_dim_formula, verify_fan
+        from .polyhedra import validate_generalized_fan
+
         samples = build_sample_set(
             mtf, bound=config.grid_bound, seed=config.seed
         )
@@ -284,7 +306,6 @@ def build_parser():
     verify.add_argument(
         "--grid-bound",
         type=int,
-        default=DEFAULT_GRID_BOUND,
         help=(
             "check every integer vector with entries in [-B, B]; B >= 0 and "
             f"(2B+1)^n at most {MAX_GRID_POINTS}"
@@ -293,7 +314,6 @@ def build_parser():
     verify.add_argument(
         "--seed",
         type=int,
-        default=DEFAULT_SEED,
         help="seed for extra random samples",
     )
 
@@ -302,7 +322,6 @@ def build_parser():
     svg.add_argument(
         "--size",
         type=int,
-        default=DEFAULT_SIZE,
         help=f"canvas size in pixels, 1 to {MAX_SVG_SIZE}",
     )
     return parser

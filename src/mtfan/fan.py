@@ -25,14 +25,12 @@ stability.py; the oracle compares them with this data at every sample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InvariantError, ModuleDefinitionError
 from .exact import as_theta, rank, subspace_canonical
 from .polyhedra import (
-    GeneralizedFan,
-    Polytope,
     convex_hull,
     key_dim,
     locate_index,
@@ -40,15 +38,14 @@ from .polyhedra import (
     ray_sum,
     vrep,
 )
-from .quiver import Module, Submodule, submodule_contains
+from .quiver import Submodule, submodule_contains
 from .sublattice import enumerate_submodules, submodule_dim_vectors
 
 _SAMPLE_SEED = 0x5EED
 _EXTRA_SAMPLES = 3
 
 
-@dataclass(frozen=True)
-class TFClassData:
+class TFClassData(NamedTuple):
     """Torsion-theoretic invariants of one cone, all read off its t-set."""
 
     t: Submodule  # least member of the t-set
@@ -56,16 +53,34 @@ class TFClassData:
     supp_dims: tuple[tuple[int, ...], ...]  # sorted multiset
 
 
-@dataclass(frozen=True)
 class MTFFan:
     """Newton polytope, its normal fan, and per-cone class data, all in face
     order: fan.cones[i] is the normal cone of newton.faces[i] and
-    classes[i] is its class data."""
+    classes[i] is its class data.  The wall is memoized per instance."""
 
-    module: Module
-    newton: Polytope
-    fan: GeneralizedFan
-    classes: tuple[TFClassData, ...]
+    def __init__(self, module, newton, fan, classes):
+        vars(self).update(module=module, newton=newton, fan=fan, classes=classes)
+
+    def _values(self):
+        return self.module, self.newton, self.fan, self.classes
+
+    def __eq__(self, other):
+        if type(other) is not MTFFan:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "MTFFan(module={!r}, newton={!r}, fan={!r}, classes={!r})".format(
+            *self._values()
+        )
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"MTFFan is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def cones(self):
@@ -314,8 +329,7 @@ def boundary_regions(mtf, idx):
     return plus, minus
 
 
-@dataclass(frozen=True)
-class FanPathCatalog:
+class FanPathCatalog(NamedTuple):
     """Directed paths through adjacent maximal cones, oriented so that the
     Newton vertex increases coordinatewise along every step.  Node k is
     Newton vertex k and maximal cone k."""

@@ -17,7 +17,7 @@ is compared with a fan cone by its face key (lineality, rays).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import as_theta, rank
 from .fan import face_restriction_check
@@ -68,8 +68,7 @@ def _boundary_witness(cone):
     return ray_sum(cone.n, max(facets, key=lambda key: key_eqs(cone.n, key)))
 
 
-@dataclass(frozen=True)
-class PointReport:
+class PointReport(NamedTuple):
     theta: tuple
     cone_index: int
     failures: tuple[str, ...]
@@ -80,8 +79,7 @@ class PointReport:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     checks: int
     failures: tuple[str, ...]
 

@@ -28,9 +28,8 @@ cone of faces[i], and no other table links the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InvariantError, ResourceLimitError
 from .exact import (
@@ -148,16 +147,38 @@ def _dd(ineqs, eqs, n):
 # cones
 
 
-@dataclass(frozen=True)
-class Cone:
-    """Polyhedral cone in canonical form; equal cones are equal values."""
+def _read_only(self, name, value=None):
+    """__setattr__ and __delattr__ of Cone and Polytope."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
 
-    n: int
-    dim: int
-    eqs: tuple[tuple[int, ...], ...]
-    ineqs: tuple[tuple[int, ...], ...]
-    lineality: tuple[tuple[int, ...], ...]
-    rays: tuple[tuple[int, ...], ...]
+
+class Cone:
+    """Polyhedral cone in canonical form; equal cones are equal values.
+    eqs, ineqs, lineality and rays are tuples of integer vectors."""
+
+    def __init__(self, n, dim, eqs, ineqs, lineality, rays):
+        vars(self).update(
+            n=n, dim=dim, eqs=eqs, ineqs=ineqs, lineality=lineality, rays=rays
+        )
+
+    def _values(self):
+        return self.n, self.dim, self.eqs, self.ineqs, self.lineality, self.rays
+
+    def __eq__(self, other):
+        if type(other) is not Cone:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return (
+            "Cone(n={!r}, dim={!r}, eqs={!r}, ineqs={!r}, lineality={!r}, "
+            "rays={!r})".format(*self._values())
+        )
+
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def key(self):
@@ -317,27 +338,45 @@ def cone_intersection(a, b):
 # polytopes
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """Face of a polytope: vertex ids and dimension."""
 
     vertex_ids: tuple[int, ...]
     dim: int
 
 
-@dataclass(frozen=True)
 class Polytope:
     """Convex hull of finitely many rational points with its face lattice,
     its facets as (vertex ids, primitive outer normal) and the canonical
     basis (exact.subspace_canonical) of the span of its affine equations,
-    orthogonal to every facet normal."""
+    orthogonal to every facet normal.  Vertices have exact.number
+    coordinates; _face_lookup (vertex-id set to face id) takes no part in
+    equality, hashing or the repr."""
 
-    n: int
-    vertices: tuple[tuple[int | Fraction, ...], ...]  # exact.number coordinates
-    faces: tuple[Face, ...]
-    facets: tuple[tuple[frozenset[int], tuple[int, ...]], ...]
-    lineality: tuple[tuple[int, ...], ...]
-    _face_lookup: dict = field(compare=False, repr=False, hash=False)
+    def __init__(self, n, vertices, faces, facets, lineality, _face_lookup):
+        vars(self).update(
+            n=n, vertices=vertices, faces=faces, facets=facets,
+            lineality=lineality, _face_lookup=_face_lookup,
+        )
+
+    def _values(self):
+        return self.n, self.vertices, self.faces, self.facets, self.lineality
+
+    def __eq__(self, other):
+        if type(other) is not Polytope:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return (
+            "Polytope(n={!r}, vertices={!r}, faces={!r}, facets={!r}, "
+            "lineality={!r})".format(*self._values())
+        )
+
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def dim(self):
@@ -458,8 +497,7 @@ def normal_cone(polytope, face):
     return cone
 
 
-@dataclass(frozen=True)
-class GeneralizedFan:
+class GeneralizedFan(NamedTuple):
     """A finite collection of canonical cones in a common ambient space."""
 
     n: int
@@ -506,8 +544,7 @@ def minkowski_sum(p, q):
 # fan validation
 
 
-@dataclass(frozen=True)
-class FanValidationReport:
+class FanValidationReport(NamedTuple):
     face_closure_violations: tuple[str, ...]
     intersection_violations: tuple[str, ...]
     completeness_violations: tuple[str, ...]

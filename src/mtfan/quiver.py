@@ -12,7 +12,7 @@ tests and sums reduce vectors against the stored echelon form.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AlgebraDefinitionError, ModuleDefinitionError
 from .fplinalg import (
@@ -45,15 +45,13 @@ def _is_prime(p):
     return True
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: int
     target: int
 
 
-@dataclass(frozen=True)
-class BoundQuiverAlgebra:
+class BoundQuiverAlgebra(NamedTuple):
     """Path algebra of a finite quiver over F_p modulo admissible relations.
 
     relations holds, per relation, the terms as (coefficient, arrow-index
@@ -147,13 +145,25 @@ def build_algebra(spec):
     return BoundQuiverAlgebra(p, vertices, arrows, tuple(relations))
 
 
-@dataclass(frozen=True)
-class Module:
-    """Finite-dimensional representation of a bound quiver algebra."""
+def _read_only(self, name, value=None):
+    """__setattr__ and __delattr__ of Module and Submodule."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
 
-    algebra: BoundQuiverAlgebra
-    dims: tuple[int, ...]
-    maps: tuple[tuple[tuple[int, ...], ...], ...]  # per arrow, target x source
+
+class Module:
+    """Finite-dimensional representation of a bound quiver algebra; maps
+    holds, per arrow, a target x source matrix."""
+
+    def __init__(self, algebra, dims, maps):
+        vars(self).update(algebra=algebra, dims=dims, maps=maps)
+
+    def _values(self):
+        return self.algebra, self.dims, self.maps
+
+    def __eq__(self, other):
+        if type(other) is not Module:
+            return NotImplemented
+        return self is other or self._values() == other._values()
 
     def __hash__(self):
         # computed once per instance from the fields equality compares: the
@@ -161,10 +171,13 @@ class Module:
         try:
             return self._hash
         except AttributeError:
-            object.__setattr__(
-                self, "_hash", hash((self.algebra, self.dims, self.maps))
-            )
-            return self._hash
+            vars(self)["_hash"] = h = hash(self._values())
+            return h
+
+    def __repr__(self):
+        return "Module(algebra={!r}, dims={!r}, maps={!r})".format(*self._values())
+
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def total_dim(self):
@@ -289,7 +302,6 @@ def direct_sum(m1, m2):
     return build_module(A, dims, mats)
 
 
-@dataclass(frozen=True)
 class Submodule:
     """Arrow-stable graded subspace of a module, bases in RREF per vertex.
 
@@ -297,15 +309,28 @@ class Submodule:
     Module's hash is.
     """
 
-    module: Module
-    bases: tuple[tuple[tuple[int, ...], ...], ...]
+    def __init__(self, module, bases):
+        vars(self).update(module=module, bases=bases)
+
+    def __eq__(self, other):
+        # the oracle compares thousands of submodules of one module per run
+        if type(other) is not Submodule:
+            return NotImplemented
+        return self is other or (
+            self.bases == other.bases and self.module == other.module
+        )
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.module, self.bases)))
-            return self._hash
+            vars(self)["_hash"] = h = hash((self.module, self.bases))
+            return h
+
+    def __repr__(self):
+        return f"Submodule(module={self.module!r}, bases={self.bases!r})"
+
+    __setattr__ = __delattr__ = _read_only
 
     @functools.cached_property
     def dims(self):

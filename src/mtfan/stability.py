@@ -31,7 +31,7 @@ on its own lattice, valued once; semistability builds no order table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantError, ModuleDefinitionError
 from .exact import as_theta
@@ -141,8 +141,7 @@ def _torsion_members(below, vals, strict):
     return {i for i, v in enumerate(vals) if all(vals[j] <= v for j in below[i])}
 
 
-@dataclass(frozen=True)
-class CanonicalSequenceData:
+class CanonicalSequenceData(NamedTuple):
     """Canonical two-step filtration 0 <= t <= tbar <= M at a functional,
     the t-set it cuts, and the values it was read from: vals[i] is theta
     on member i of enumerate_submodules(M).  w_semis indexes the nonzero

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import mtfan.cli
+import mtfan.fan
+import mtfan.oracle
 import mtfan.polyhedra
 from mtfan import serialize
 from mtfan.cli import MAX_SVG_SIZE, build_parser, main, run
@@ -62,7 +64,7 @@ def test_newton_does_not_build_the_fan(name, monkeypatch, capsys):
     def no_fan(module):
         raise AssertionError("newton must not build the fan")
 
-    monkeypatch.setattr(mtfan.cli, "build_mtf_fan", no_fan)
+    monkeypatch.setattr(mtfan.fan, "build_mtf_fan", no_fan)
     assert main(["newton", "--preset", name]) == 0
     expected = polytope_doc(newton_polytope(preset_module(name)))
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
@@ -126,13 +128,16 @@ def test_classify_bounds_theta_before_parsing(theta, capsys):
         # Fraction reads these on some Python versions only
         ("1_0,1", "--theta entry 1 is not a rational number: '1_0'"),
         ("1 / 2,1", "--theta entry 1 is not a rational number: '1 / 2'"),
+        # a zero denominator, which Fraction refuses with ZeroDivisionError
+        ("1/0,1", "--theta entry 1 is not a rational number: '1/0'"),
+        ("1,-3/000", "--theta entry 2 is not a rational number: '-3/000'"),
     ],
 )
 def test_classify_checks_theta_before_the_build(theta, message, monkeypatch, capsys):
     def no_fan(module):
         raise AssertionError("a malformed --theta must not build the fan")
 
-    monkeypatch.setattr(mtfan.cli, "build_mtf_fan", no_fan)
+    monkeypatch.setattr(mtfan.fan, "build_mtf_fan", no_fan)
     assert main(["classify", "--preset", "a2-P1", f"--theta={theta}"]) == 2
     assert message in capsys.readouterr().err
 
@@ -220,7 +225,7 @@ def test_svg_rejects_higher_rank(tmp_path, monkeypatch, capsys):
 
     # the CLI checks the rank before the build
     with monkeypatch.context() as patch:
-        patch.setattr(mtfan.cli, "build_mtf_fan", no_fan)
+        patch.setattr(mtfan.fan, "build_mtf_fan", no_fan)
         code = main(["svg", "--preset", "square-lambda"])
     assert code == 2
     assert capsys.readouterr().err == (
@@ -320,7 +325,7 @@ def test_an_unwritable_output_is_reported_before_any_work(
         raise AssertionError("the module was loaded or built")
 
     monkeypatch.setattr(mtfan.cli, "preset_module", no_work)
-    monkeypatch.setattr(mtfan.cli, "build_mtf_fan", no_work)
+    monkeypatch.setattr(mtfan.fan, "build_mtf_fan", no_work)
     out = tmp_path.joinpath(*where)
     args = ["verify", "--preset", "square-lambda", "--output", str(out)]
     assert main(args) == 2
@@ -467,7 +472,7 @@ def test_verify_bounds_the_validator_grid_before_the_build(
     def no_fan(module):
         raise AssertionError("the fan was built")
 
-    monkeypatch.setattr(mtfan.cli, "build_mtf_fan", no_fan)
+    monkeypatch.setattr(mtfan.fan, "build_mtf_fan", no_fan)
     path = tmp_path / "arrowless.json"
     path.write_text(json.dumps(_arrowless_module_doc(8)), encoding="utf-8")
     assert main(["verify", "--input", str(path), "--grid-bound", "0"]) == 2
@@ -488,13 +493,13 @@ def test_verify_caps_the_cones_before_the_samples(tmp_path, monkeypatch, capsys)
     def no_work(*args, **kwargs):
         raise AssertionError("verify went past the cone cap")
 
-    for name in (
-        "build_sample_set",
-        "verify_fan",
-        "verify_dim_formula",
-        "validate_generalized_fan",
+    for mod, name in (
+        (mtfan.oracle, "build_sample_set"),
+        (mtfan.oracle, "verify_fan"),
+        (mtfan.oracle, "verify_dim_formula"),
+        (mtfan.polyhedra, "validate_generalized_fan"),
     ):
-        monkeypatch.setattr(mtfan.cli, name, no_work)
+        monkeypatch.setattr(mod, name, no_work)
     path = _write_cube_doc(tmp_path, 6)
     assert main(["verify", "--input", str(path), "--grid-bound", "0"]) == 2
     assert capsys.readouterr().err == (
@@ -537,8 +542,13 @@ def test_size_caps_admit_the_defaults_and_the_benchmark_grids():
 
 
 def test_parser_and_library_defaults_agree():
+    """The parser leaves --grid-bound, --seed and --size unset, so that it
+    loads no layer; _check_sizes fills them in from the library's."""
     verify = parsed("verify", "--preset", "a2-P1")
     svg = parsed("svg", "--preset", "a2-P1")
+    assert (verify.grid_bound, verify.seed, svg.size) == (None, None, None)
+    mtfan.cli._check_sizes(verify, 2)
+    mtfan.cli._check_sizes(svg, 2)
     sample = inspect.signature(build_sample_set).parameters
     size = inspect.signature(render_svg).parameters["size"].default
     assert verify.grid_bound == sample["bound"].default

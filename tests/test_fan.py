@@ -1,6 +1,5 @@
 """Decorated fans: construction, walls, facet partitions, paths."""
 
-import dataclasses
 import gc
 import json
 import sys
@@ -15,6 +14,7 @@ import mtfan.polyhedra
 import mtfan.quiver
 from mtfan.errors import InvariantError, ModuleDefinitionError
 from mtfan.fan import (
+    MTFFan,
     boundary_regions,
     build_mtf_fan,
     class_of,
@@ -518,8 +518,8 @@ def test_corrupted_cone_table_raises_invariant_error():
     cones = list(mtf.cones)
     # the cone of the vertex 0 trades places with the cone of the whole polytope
     cones[0], cones[-1] = cones[-1], cones[0]
-    bad = dataclasses.replace(
-        mtf, fan=dataclasses.replace(mtf.fan, cones=tuple(cones))
+    bad = MTFFan(
+        mtf.module, mtf.newton, mtf.fan._replace(cones=tuple(cones)), mtf.classes
     )
     with pytest.raises(InvariantError, match="smallest face through 0 and"):
         wall_cone(bad)

@@ -1,6 +1,5 @@
 """Brute-force oracle agreement with the decorated fan."""
 
-import dataclasses
 import itertools
 import json
 import pathlib
@@ -68,7 +67,7 @@ def test_dim_formula_reports_wall_faces_with_a_wrong_support():
         i for i, c in enumerate(mtf.cones) if c.is_face_of(mtf.wall)
     )
     classes = tuple(
-        dataclasses.replace(d, supp_dims=()) if i in on_wall else d
+        d._replace(supp_dims=()) if i in on_wall else d
         for i, d in enumerate(mtf.classes)
     )
     report = verify_dim_formula(MTFFan(mtf.module, mtf.newton, mtf.fan, classes))
@@ -89,13 +88,13 @@ def _corrupted(name, field, index):
 
     def corrupt(d):
         if field == "t":
-            return dataclasses.replace(d, t=d.tbar)
-        return dataclasses.replace(d, supp_dims=((1,) * mtf.n,))
+            return d._replace(t=d.tbar)
+        return d._replace(supp_dims=((1,) * mtf.n,))
 
     classes = tuple(
         corrupt(d) if i == index else d for i, d in enumerate(mtf.classes)
     )
-    return dataclasses.replace(mtf, classes=classes)
+    return MTFFan(mtf.module, mtf.newton, mtf.fan, classes)
 
 
 def _support_failures(support, thetas):
@@ -183,7 +182,7 @@ def test_oracle_reports_a_definition_t_set_off_the_lattice(monkeypatch):
 
     def only_t(theta, module):
         cs = canonical_sequences(theta, module)
-        return dataclasses.replace(cs, t_set=frozenset({cs.t}))
+        return cs._replace(t_set=frozenset({cs.t}))
 
     monkeypatch.setattr(mtfan.oracle, "canonical_sequences", only_t)
     assert verify_point(mtf, (0, 0)).failures == (
@@ -200,7 +199,7 @@ def test_oracle_reports_a_t_that_is_not_the_face_minimum(monkeypatch):
 
     def t_is_tbar(theta, module):
         cs = canonical_sequences(theta, module)
-        return dataclasses.replace(cs, t=cs.tbar)
+        return cs._replace(t=cs.tbar)
 
     monkeypatch.setattr(mtfan.oracle, "canonical_sequences", t_is_tbar)
     assert verify_point(mtf, (0, 0)).failures == (
@@ -254,9 +253,7 @@ def test_oracle_reports_empty_t_sets(monkeypatch):
     samples, printed = _witnesses(mtf)
 
     def empty_t_set(theta, module):
-        return dataclasses.replace(
-            canonical_sequences(theta, module), t_set=frozenset()
-        )
+        return canonical_sequences(theta, module)._replace(t_set=frozenset())
 
     monkeypatch.setattr(mtfan.oracle, "canonical_sequences", empty_t_set)
     report = verify_fan(mtf, samples=samples)
@@ -285,10 +282,11 @@ def test_dim_formula_reports_a_wall_face_missing_from_the_fan():
     cones, classes = list(mtf.cones), list(mtf.classes)
     assert mtf.cones[38].dim == 0 and mtf.cones[38].is_face_of(mtf.wall)
     cones[38], classes[38] = cones[0], classes[0]
-    bad = dataclasses.replace(
-        mtf,
-        fan=dataclasses.replace(mtf.fan, cones=tuple(cones)),
-        classes=tuple(classes),
+    bad = MTFFan(
+        mtf.module,
+        mtf.newton,
+        mtf.fan._replace(cones=tuple(cones)),
+        tuple(classes),
     )
     report = verify_dim_formula(bad)
     assert (report.checks, report.failures) == (

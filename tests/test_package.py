@@ -2,11 +2,14 @@
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import mtfan
 
@@ -54,6 +57,57 @@ print("ok")
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def _loaded_after(code):
+    """The mtfan modules and `dataclasses`, if loaded, in a fresh
+    interpreter that has run code."""
+    script = code + """
+import sys
+print(*sorted(m for m in sys.modules if m.startswith("mtfan") or m == "dataclasses"))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["newton"],
+        ["fan"],
+        ["wall"],
+        ["classify", "--theta=1,2"],
+        ["paths"],
+        ["verify", "--grid-bound", "0"],
+        ["svg"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_subcommand_loads_only_the_layers_it_runs(argv):
+    """Only verify loads the oracle and the definition module, only svg
+    the renderer, newton no fan; no subcommand loads dataclasses."""
+    argv = [*argv, "--preset", "a2-P1", "--output", os.devnull]
+    loaded = _loaded_after(f"from mtfan.cli import main\nassert main({argv!r}) == 0")
+    command = argv[0]
+    assert "mtfan.sublattice" in loaded
+    assert ("mtfan.fan" in loaded) == (command != "newton")
+    assert ("mtfan.oracle" in loaded) == (command == "verify")
+    assert ("mtfan.stability" in loaded) == (command == "verify")
+    assert ("mtfan.svg" in loaded) == (command == "svg")
+    assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("module", ["mtfan", "mtfan.serialize", "mtfan.cli"])
+def test_importing_the_package_loads_no_geometry(module):
+    """The exports of `mtfan` load on first use, so neither the package
+    nor the modules that read a module document load the fan or the
+    polytopes."""
+    loaded = _loaded_after(f"import {module}")
+    assert module in loaded
+    assert not loaded & {"mtfan.fan", "mtfan.polyhedra", "dataclasses"}, loaded
 
 
 def test_the_only_memos_are_three_bounded_lru_caches():
