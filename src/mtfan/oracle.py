@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .exact import as_theta, rank
+from .exact import as_theta, rank, subspace_canonical
 from .fan import face_restriction_check
 from .polyhedra import integer_grid, key_dim, key_eqs, locate_index, ray_sum
 from .stability import (
@@ -62,10 +62,10 @@ def build_sample_set(mtf, bound=DEFAULT_GRID_BOUND, seed=DEFAULT_SEED):
 
 def _boundary_witness(cone):
     """Ray sum of the last proper face of a cone in (dim, eqs) order: the
-    facet whose canonical equations are greatest.  Distinct facets have
-    distinct spans, so the equations alone order them."""
-    facets = [cone.exposed_key(a) for a in cone.ineqs]
-    return ray_sum(cone.n, max(facets, key=lambda key: key_eqs(cone.n, key)))
+    facet with the greatest canonical equations, those of eqs + (a,) for the
+    facet exposed by a (distinct facets have distinct spans)."""
+    a = max(cone.ineqs, key=lambda a: subspace_canonical(cone.eqs + (a,)))
+    return ray_sum(cone.n, cone.exposed_key(a))
 
 
 class PointReport(NamedTuple):

@@ -28,7 +28,9 @@ cone of faces[i], and no other table links the two.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from collections import Counter
+from functools import cached_property, reduce
+from operator import and_, eq, ge, le, or_
 from typing import NamedTuple
 
 from .errors import InvariantError, ResourceLimitError
@@ -567,39 +569,10 @@ def integer_grid(n, bound):
     return tuple(pts)
 
 
-def _nonpositive_on(u, cone):
-    """Whether u <= 0 on the cone: on its rays, and u = 0 on its lineality."""
-    return all(dot(u, r) <= 0 for r in cone.rays) and all(
-        dot(u, v) == 0 for v in cone.lineality
-    )
-
-
-def _certified_meet(a, b):
-    """Face key of a & b read off the two canonical cones alone, or None
-    when no certificate applies.
-
-    Nested cones: if a lies in b, the meet is a (and the other way round).
-    Otherwise sum the facet normals of a that are <= 0 on b, minus the facet
-    normals of b that are <= 0 on a.  The sum u is >= 0 on a and <= 0 on b,
-    so a & b is the meet of the exposed faces F_a = a & u-perp and
-    F_b = b & u-perp, whose keys keep the lineality and the rays on which
-    u vanishes.  If one of them lies in the other cone, it is the meet.
-    """
-    if b.contains_cone(a):
-        return a.key
-    if a.contains_cone(b):
-        return b.key
-    sep = [u for u in a.ineqs if _nonpositive_on(u, b)]
-    sep += [tuple(-x for x in v) for v in b.ineqs if _nonpositive_on(v, a)]
-    if not sep:
-        return None
-    u = tuple(map(sum, zip(*sep)))
-    face_a, face_b = a.exposed_key(u), b.exposed_key(u)
-    if b.contains_key(face_a):
-        return face_a
-    if a.contains_key(face_b):
-        return face_b
-    return None
+def _mask(vals, test):
+    """The int with bit k set where test(vals[k], 0) holds."""
+    flags = bytes([test(v, 0) for v in reversed(vals)])
+    return int(b"0" + flags.translate(bytes.maketrans(b"\0\1", b"01")), 2)
 
 
 def validate_generalized_fan(fan):
@@ -611,52 +584,79 @@ def validate_generalized_fan(fan):
     covered, and every facet of every full-dimensional cone is shared with
     exactly one other full-dimensional cone.
 
-    Cones are compared by their canonical (lineality, rays), which determine
-    a canonical cone; faces are read off each cone's own rays (face_keys),
-    never off a polytope's face lattice.  The meet of two cones is decided
-    from the two cones alone, by nested cones, a summed separating facet
-    normal or nested exposed faces (_certified_meet); only a pair that none
-    of these settles takes a double description pass.
+    Only the cones are read.  A cone is the bit mask of its generators, its
+    rays and both signs of its lineality vectors, which determine it.  Each
+    distinct normal takes one dot product per generator, kept as the masks
+    where it is 0, >= 0 and <= 0; running sums give its masks on the grid.
+    A meet of cones a and b is certified by nesting, or by the sum u of the
+    facet normals of a that are <= 0 on b minus those of b that are <= 0 on
+    a: each term is >= 0 on a and <= 0 on b, so u vanishes where all terms
+    do, and a & b is a & u-perp or b & u-perp if it lies in the other cone.
+    Other pairs take a double description pass.
     """
-    cones = tuple(fan.cones)
-    n = fan.n
-    fan_keys = {c.key for c in cones}
-    face_keys = [c.face_keys for c in cones]
-    face_violations = []
-    for i, keys in enumerate(face_keys):
-        for dim in sorted(key_dim(k) for k in keys if k not in fan_keys):
-            face_violations.append(
-                f"cone {i}: face of dim {dim} is missing from the fan"
-            )
+    cones, n, bit = tuple(fan.cones), fan.n, {}
+
+    def mask(key):
+        lineality, rays = key
+        vecs = (*rays, *lineality, *(tuple(-x for x in v) for v in lineality))
+        return sum(bit.setdefault(g, 1 << len(bit)) for g in vecs)
+
+    def dim(m):
+        return rank([g for g in bit if bit[g] & m])
+
+    def contained(c, zero, nonneg):  # the mask of what c contains
+        return reduce(and_, [*map(zero.get, c.eqs), *map(nonneg.get, c.ineqs)], -1)
+
+    gens = [mask(c.key) for c in cones]
+    zero, nonneg, nonpos, grid_zero, grid_nonneg = {}, {}, {}, {}, {}
+    steps = range(-COMPLETENESS_GRID_BOUND, COMPLETENESS_GRID_BOUND + 1)
+    for u in dict.fromkeys(u for c in cones for u in (*c.eqs, *c.ineqs)):
+        vals = [dot(u, g) for g in bit]
+        zero[u], nonneg[u], nonpos[u] = (_mask(vals, t) for t in (eq, ge, le))
+        vals = [0]
+        for x in u:
+            vals = [v + x * t for v in vals for t in steps]
+        grid_zero[u], grid_nonneg[u] = _mask(vals, eq), _mask(vals, ge)
+    inside = [contained(c, zero, nonneg) for c in cones]
+    faces = [_meet_closure({m & zero[u] for u in c.ineqs}, m)
+             for c, m in zip(cones, gens)]
+
+    def certified_meet(i, j):
+        a, b = gens[i], gens[j]
+        if not a & ~inside[j]:
+            return a
+        if not b & ~inside[i]:
+            return b
+        z = reduce(and_, [zero[u] for u in cones[i].ineqs if not b & ~nonpos[u]]
+                   + [zero[v] for v in cones[j].ineqs if not a & ~nonpos[v]], -1)
+        # with no separator z is every bit, and the tests above repeat
+        exposed = ((a & z, j), (b & z, i))
+        return next((f for f, k in exposed if not f & ~inside[k]), None)
+
+    fan_masks = set(gens)
+    face_violations = [f"cone {i}: face of dim {d} is missing from the fan"
+                       for i, masks in enumerate(faces)
+                       for d in sorted(dim(m) for m in masks - fan_masks)]
     inter_violations = []
     for i, a in enumerate(cones):
-        for j in range(i + 1, len(cones)):
-            b = cones[j]
-            meet = _certified_meet(a, b)
-            if meet is None:
-                meet = vrep(n, a.eqs + b.eqs, a.ineqs + b.ineqs)
-            if meet not in face_keys[i] or meet not in face_keys[j]:
-                inter_violations.append(
-                    f"cones {i} and {j}: intersection of dim "
-                    f"{key_dim(meet)} is not a common face"
-                )
-    comp_violations = []
+        for j, b in enumerate(cones[i + 1:], i + 1):
+            meet = certified_meet(i, j)
+            if meet is None:  # a generator that is no cone's gets a new bit
+                meet = mask(vrep(n, a.eqs + b.eqs, a.ineqs + b.ineqs))
+            if meet not in faces[i] or meet not in faces[j]:
+                inter_violations.append(f"cones {i} and {j}: intersection "
+                                        f"of dim {dim(meet)} is not a common face")
     maximal = [i for i, c in enumerate(cones) if c.dim == n]
-    if not maximal:
-        comp_violations.append("no full-dimensional cone")
-    for pt in integer_grid(n, COMPLETENESS_GRID_BOUND):
-        if not any(c.contains(pt) for c in cones):
-            comp_violations.append(f"point {pt} is not covered")
-    for i in maximal:
-        c = cones[i]
-        for a in c.ineqs:
-            facet = c.exposed_key(a)
-            owners = [j for j in maximal if j != i and facet in face_keys[j]]
-            if len(owners) != 1:
-                comp_violations.append(
-                    f"cone {i}: facet shared with {len(owners)} "
-                    "other maximal cones instead of 1"
-                )
+    comp_violations = [] if maximal else ["no full-dimensional cone"]
+    covered = reduce(or_, (contained(c, grid_zero, grid_nonneg) for c in cones), 0)
+    points = integer_grid(n, COMPLETENESS_GRID_BOUND)
+    comp_violations += [f"point {pt} is not covered"
+                        for p, pt in enumerate(points) if not covered >> p & 1]
+    owners = Counter(m for i in maximal for m in faces[i])
+    comp_violations += [
+        f"cone {i}: facet shared with {k} other maximal cones instead of 1"
+        for i in maximal for u in cones[i].ineqs
+        if (k := owners[gens[i] & zero[u]] - 1) != 1]
     return FanValidationReport(
         tuple(face_violations), tuple(inter_violations), tuple(comp_violations)
     )

@@ -24,7 +24,11 @@ chain walk that rescans the t-set at every step, are the referees for the
 build's top Newton points and its one-pass walk.  A change of basis at
 every vertex builds isomorphic modules with different matrix entries, and
 the hypothesis strategies at the end draw such pairs from the presets,
-their direct sums and small Kronecker modules.
+their direct sums and small Kronecker modules.  The fan validator that
+certifies the meet of each pair of cones by dot products of one cone's
+facet normals with the other's rays (validate_by_pairs, certified_meet)
+is the referee for validate_generalized_fan, which takes one sign per
+distinct normal and distinct generator of the fan.
 """
 
 import sys
@@ -36,7 +40,15 @@ from hypothesis import strategies as st
 from mtfan.errors import ModuleDefinitionError
 from mtfan.exact import as_theta, dot, number, primitive, rank
 from mtfan.fplinalg import mat_mul, projective_points, rref_fp
-from mtfan.polyhedra import _dd, cone_from_hrep, vrep
+from mtfan.polyhedra import (
+    COMPLETENESS_GRID_BOUND,
+    FanValidationReport,
+    _dd,
+    cone_from_hrep,
+    integer_grid,
+    key_dim,
+    vrep,
+)
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import (
     Submodule,
@@ -232,6 +244,101 @@ def count_calls(monkeypatch, *functions):
                     if value is real:
                         monkeypatch.setattr(mod, attr, wrapper)
     return calls
+
+
+def nonpositive_on(u, cone):
+    """Whether u <= 0 on the cone: on its rays, and u = 0 on its lineality."""
+    return all(dot(u, r) <= 0 for r in cone.rays) and all(
+        dot(u, v) == 0 for v in cone.lineality
+    )
+
+
+def certified_meet(a, b):
+    """Face key of a & b read off the two canonical cones alone, or None
+    when no certificate applies.
+
+    Nested cones: if a lies in b, the meet is a (and the other way round).
+    Otherwise sum the facet normals of a that are <= 0 on b, minus the facet
+    normals of b that are <= 0 on a.  The sum u is >= 0 on a and <= 0 on b,
+    so a & b is the meet of the exposed faces F_a = a & u-perp and
+    F_b = b & u-perp, whose keys keep the lineality and the rays on which
+    u vanishes.  If one of them lies in the other cone, it is the meet.
+    """
+    if b.contains_cone(a):
+        return a.key
+    if a.contains_cone(b):
+        return b.key
+    sep = [u for u in a.ineqs if nonpositive_on(u, b)]
+    sep += [tuple(-x for x in v) for v in b.ineqs if nonpositive_on(v, a)]
+    if not sep:
+        return None
+    u = tuple(map(sum, zip(*sep)))
+    face_a, face_b = a.exposed_key(u), b.exposed_key(u)
+    if b.contains_key(face_a):
+        return face_a
+    if a.contains_key(face_b):
+        return face_b
+    return None
+
+
+def validate_by_pairs(fan):
+    """Check the generalized-fan axioms for a set of cones.
+
+    Face closure: every face of every cone belongs to the set.  Pairwise:
+    the intersection of two cones is a face of both.  Completeness: the
+    points of the integer grid [-B, B]^n, B = COMPLETENESS_GRID_BOUND, are
+    covered, and every facet of every full-dimensional cone is shared with
+    exactly one other full-dimensional cone.
+
+    Cones are compared by their canonical (lineality, rays), which determine
+    a canonical cone; faces are read off each cone's own rays (face_keys),
+    never off a polytope's face lattice.  The meet of two cones is decided
+    from the two cones alone, by nested cones, a summed separating facet
+    normal or nested exposed faces (certified_meet); only a pair that none
+    of these settles takes a double description pass.
+    """
+    cones = tuple(fan.cones)
+    n = fan.n
+    fan_keys = {c.key for c in cones}
+    face_keys = [c.face_keys for c in cones]
+    face_violations = []
+    for i, keys in enumerate(face_keys):
+        for dim in sorted(key_dim(k) for k in keys if k not in fan_keys):
+            face_violations.append(
+                f"cone {i}: face of dim {dim} is missing from the fan"
+            )
+    inter_violations = []
+    for i, a in enumerate(cones):
+        for j in range(i + 1, len(cones)):
+            b = cones[j]
+            meet = certified_meet(a, b)
+            if meet is None:
+                meet = vrep(n, a.eqs + b.eqs, a.ineqs + b.ineqs)
+            if meet not in face_keys[i] or meet not in face_keys[j]:
+                inter_violations.append(
+                    f"cones {i} and {j}: intersection of dim "
+                    f"{key_dim(meet)} is not a common face"
+                )
+    comp_violations = []
+    maximal = [i for i, c in enumerate(cones) if c.dim == n]
+    if not maximal:
+        comp_violations.append("no full-dimensional cone")
+    for pt in integer_grid(n, COMPLETENESS_GRID_BOUND):
+        if not any(c.contains(pt) for c in cones):
+            comp_violations.append(f"point {pt} is not covered")
+    for i in maximal:
+        c = cones[i]
+        for a in c.ineqs:
+            facet = c.exposed_key(a)
+            owners = [j for j in maximal if j != i and facet in face_keys[j]]
+            if len(owners) != 1:
+                comp_violations.append(
+                    f"cone {i}: facet shared with {len(owners)} "
+                    "other maximal cones instead of 1"
+                )
+    return FanValidationReport(
+        tuple(face_violations), tuple(inter_violations), tuple(comp_violations)
+    )
 
 
 def torsion_members(subs, vals, strict):

@@ -33,7 +33,10 @@ THETAS = {
 # modules of linear A_3 (1 -> 2 -> 3) over F_2: dimension vector (3, 4, 3),
 # 1,229 submodules, 45 cones.  cube5 is the arrowless module with a line at
 # each of 5 vertices: its Newton polytope is the 5-cube, whose 243 cones give
-# the fan validator its largest pair count (29,403 pairs of cones).
+# the fan validator its largest pair count (29,403 pairs of cones), on only
+# 10 distinct rays and 10 distinct facet normals.  sq-S1-S2-S3-S4 is
+# square-lambda + S1 + S2 + S3 + S4: 147 cones on 13 distinct rays and 53
+# distinct facet normals.
 INPUT_COMMANDS = {
     "kronecker-R4": {
         "newton": ["newton"],
@@ -54,6 +57,9 @@ INPUT_COMMANDS = {
     },
     "cube5": {
         "verify": ["verify", "--grid-bound", "0"],
+    },
+    "sq-S1-S2-S3-S4": {
+        "verify": ["verify", "--grid-bound", "1"],
     },
 }
 

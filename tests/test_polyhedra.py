@@ -6,17 +6,20 @@ full-dimensional cones, and a generator/H-representation round-trip that
 must reproduce the canonical cone bit for bit.
 """
 
+import json
+import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import mtfan.exact
 from mtfan import polyhedra
 from mtfan.errors import InvariantError, ResourceLimitError
-from mtfan.exact import dot, nullspace, primitive, rank
+from mtfan.exact import dot, nullspace, primitive, rank, subspace_canonical
 from mtfan.fan import build_mtf_fan
 from mtfan.oracle import _boundary_witness
 from mtfan.polyhedra import (
@@ -26,6 +29,7 @@ from mtfan.polyhedra import (
     cone_intersection,
     convex_hull,
     integer_grid,
+    key_eqs,
     locate_index,
     minkowski_sum,
     normal_cone,
@@ -34,10 +38,21 @@ from mtfan.polyhedra import (
 )
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import direct_sum, simple_module
+from mtfan.serialize import module_from_doc
 from mtfan.sublattice import newton_polytope
-from referee import cone_from_generators, full_cone, hull_vertices_by_rank
+from referee import (
+    certified_meet,
+    cone_from_generators,
+    count_calls,
+    full_cone,
+    hull_vertices_by_rank,
+    preset_direct_sum,
+    random_kronecker_module,
+    validate_by_pairs,
+)
 
 F = Fraction
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +548,9 @@ def test_validate_reports_missing_faces_in_ascending_dimension():
 
 
 # ---------------------------------------------------------------------------
-# certified meets: one double description pass per pair is the referee
+# certified meets and the validator: a double description pass per pair
+# checks referee.certified_meet, and referee.validate_by_pairs, one certified
+# meet per pair of cones, checks validate_generalized_fan
 
 
 def meet_by_dd(a, b):
@@ -542,7 +559,7 @@ def meet_by_dd(a, b):
 
 def assert_certified_meet_agrees(a, b):
     """A certified meet is the double description meet; None is allowed."""
-    assert polyhedra._certified_meet(a, b) in (None, meet_by_dd(a, b))
+    assert certified_meet(a, b) in (None, meet_by_dd(a, b))
 
 
 @st.composite
@@ -572,31 +589,31 @@ def test_certified_meet_matches_double_description_on_fans(name):
         for b in cones[i + 1:]:
             meet = meet_by_dd(a, b)
             for x, y in ((a, b), (b, a)):
-                assert polyhedra._certified_meet(x, y) in (None, meet)
+                assert certified_meet(x, y) in (None, meet)
 
 
 def test_certified_meet_branches():
     quadrant = cone_from_hrep(2, [], [(1, 0), (0, 1)])
     ray = cone_from_generators(2, rays=[(1, 0)])
     # nested cones, either way round
-    assert polyhedra._certified_meet(ray, quadrant) == ((), ((1, 0),))
-    assert polyhedra._certified_meet(quadrant, ray) == ((), ((1, 0),))
+    assert certified_meet(ray, quadrant) == ((), ((1, 0),))
+    assert certified_meet(quadrant, ray) == ((), ((1, 0),))
     # a separator exposing the same face of both: two quadrants on an edge
     left = cone_from_hrep(2, [], [(-1, 0), (0, 1)])
-    assert polyhedra._certified_meet(quadrant, left) == ((), ((0, 1),))
+    assert certified_meet(quadrant, left) == ((), ((0, 1),))
     # the exposed face of the first cone lies in the second, and the other
     # way round: the quadrant against the half-plane y <= 0
     lower = cone_from_hrep(2, [], [(0, -1)])
-    assert polyhedra._certified_meet(quadrant, lower) == ((), ((1, 0),))
-    assert polyhedra._certified_meet(lower, quadrant) == ((), ((1, 0),))
+    assert certified_meet(quadrant, lower) == ((), ((1, 0),))
+    assert certified_meet(lower, quadrant) == ((), ((1, 0),))
     # no separator: two overlapping chambers
     upper = cone_from_hrep(2, [], [(-1, 1), (1, 1)])
-    assert polyhedra._certified_meet(quadrant, upper) is None
+    assert certified_meet(quadrant, upper) is None
     # a separator whose exposed faces overlap without nesting
     octant = cone_from_generators(3, rays=[(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     below = cone_from_generators(3, rays=[(1, 1, 0), (-1, 1, 0), (0, 0, -1)])
-    assert polyhedra._certified_meet(octant, below) is None
-    assert polyhedra._certified_meet(below, octant) is None
+    assert certified_meet(octant, below) is None
+    assert certified_meet(below, octant) is None
     for a, b in ((ray, quadrant), (quadrant, left), (quadrant, lower)):
         assert_certified_meet_agrees(a, b)
 
@@ -609,6 +626,80 @@ def test_validate_detects_a_meet_that_is_a_face_of_one_cone_only():
     assert report.intersection_violations == (
         "cones 0 and 1: intersection of dim 1 is not a common face",
     )
+
+
+@st.composite
+def fans_and_broken_variants(draw):
+    """The normal fan of a drawn module, or a broken variant of it: one cone
+    dropped, a cone added that covers two maximal cones, or only the maximal
+    cones kept."""
+    module = draw(st.one_of(preset_direct_sum(), random_kronecker_module()))
+    fan = build_mtf_fan(module).fan
+    cones, n = fan.cones, fan.n
+    maximal = [c for c in cones if c.dim == n]
+    variant = draw(st.sampled_from(["whole", "dropped", "covering", "maximal"]))
+    if variant == "dropped":
+        k = draw(st.integers(0, len(cones) - 1))
+        cones = cones[:k] + cones[k + 1:]
+    elif variant == "covering":
+        pair = draw(st.permutations(maximal))[:2]
+        rays = [r for c in pair for r in c.rays]
+        lineality = [v for c in pair for v in c.lineality]
+        cones += (cone_from_generators(n, rays, lineality),)
+    elif variant == "maximal":
+        cones = tuple(maximal)
+    return GeneralizedFan(n, cones)
+
+
+@given(fans_and_broken_variants())
+@seed(0xFA7)
+@settings(max_examples=60, deadline=None)
+def test_validator_matches_the_pairwise_referee(fan):
+    assert validate_generalized_fan(fan) == validate_by_pairs(fan)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_validator_matches_the_pairwise_referee_on_broken_presets(name):
+    """Each preset's fan without its first cone of each dimension, with a
+    cone covering its first maximal cone and each other, and with its
+    maximal cones alone."""
+    fan = build_mtf_fan(preset_module(name)).fan
+    cones, n = fan.cones, fan.n
+    maximal = tuple(c for c in cones if c.dim == n)
+    variants = [maximal]
+    for d in sorted({c.dim for c in cones}):
+        k = next(i for i, c in enumerate(cones) if c.dim == d)
+        variants.append(cones[:k] + cones[k + 1:])
+    for other in maximal[1:]:
+        pair = (maximal[0], other)
+        rays = [r for c in pair for r in c.rays]
+        lineality = [v for c in pair for v in c.lineality]
+        variants.append(cones + (cone_from_generators(n, rays, lineality),))
+    for v in variants:
+        broken = GeneralizedFan(n, v)
+        assert validate_generalized_fan(broken) == validate_by_pairs(broken)
+
+
+@pytest.mark.parametrize("name", ["cube5", "sq-S1-S2-S3-S4"])
+def test_validator_matches_the_pairwise_referee_on_goldens(name):
+    """The two golden fans at the ends of the range: 243 cones on 10
+    distinct rays and 10 distinct normals, and 147 cones on 13 rays and 53
+    normals, whole and with their maximal cones alone."""
+    doc = json.loads((GOLDENS / f"{name}.input.json").read_text())
+    fan = build_mtf_fan(module_from_doc(doc)[1]).fan
+    maximal = GeneralizedFan(fan.n, tuple(c for c in fan.cones if c.dim == fan.n))
+    for f in (fan, maximal):
+        assert validate_generalized_fan(f) == validate_by_pairs(f)
+
+
+def test_validator_takes_one_dot_per_normal_and_generator(monkeypatch):
+    """The 5-cube's 243 cones have 10 distinct rays and 10 distinct facet
+    normals; a dot product per cone pair made 1,217,475 calls."""
+    doc = json.loads((GOLDENS / "cube5.input.json").read_text())
+    fan = build_mtf_fan(module_from_doc(doc)[1]).fan
+    calls = count_calls(monkeypatch, mtfan.exact.dot)
+    assert validate_generalized_fan(fan).ok
+    assert calls["dot"] <= 2000
 
 
 def test_validator_makes_few_dd_passes(monkeypatch):
@@ -639,6 +730,9 @@ def test_ray_set_referee_matches_the_definition_routes(name):
         if c.ineqs:
             last = max(facet_cones(c), key=lambda f: (f.eqs, f.ineqs))
             assert _boundary_witness(c) == last.relint_point()
+        # the facet exposed by a spans the cone's span cut by a-perp
+        for a in c.ineqs:
+            assert key_eqs(c.n, c.exposed_key(a)) == subspace_canonical(c.eqs + (a,))
     for face in cones:
         gens = face.rays + face.lineality
         for cone in cones:
