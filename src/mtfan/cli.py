@@ -29,8 +29,10 @@ MAX_GRID_POINTS = 100_000
 # `verify` checks pairs of cones, in the oracle and in the fan validator, so
 # its cost grows with the square of the cone count C.  On CPython 3.11 on a
 # 2-core Xeon, `verify --grid-bound 0` on the arrowless module with a line at
-# each of 5 vertices (C = 243) takes 0.4-0.7 s, on 6 vertices (C = 729) 2.3 s
-# with this cap lifted; the goldens have C <= 243, the benchmark C <= 61
+# each of 5 vertices (C = 243) takes about 0.4 s as a whole process; on 6
+# vertices (C = 729), with this cap lifted, the build takes 0.35-0.6 s, the
+# oracle 0.6-0.9 s and the fan validator 0.9-1.05 s; the goldens have
+# C <= 243, the benchmark C <= 61
 MAX_VERIFY_CONES = 256
 MAX_SVG_SIZE = 4096
 # a --theta entry is written out in full, with at most this many digits, so

@@ -39,6 +39,7 @@ from .polyhedra import (
     vrep,
 )
 from .quiver import Submodule, submodule_contains
+from .record import Record
 from .sublattice import enumerate_submodules, submodule_dim_vectors
 
 _SAMPLE_SEED = 0x5EED
@@ -53,34 +54,15 @@ class TFClassData(NamedTuple):
     supp_dims: tuple[tuple[int, ...], ...]  # sorted multiset
 
 
-class MTFFan:
+class MTFFan(Record):
     """Newton polytope, its normal fan, and per-cone class data, all in face
     order: fan.cones[i] is the normal cone of newton.faces[i] and
     classes[i] is its class data.  The wall is memoized per instance."""
 
+    _fields = ("module", "newton", "fan", "classes")
+
     def __init__(self, module, newton, fan, classes):
         vars(self).update(module=module, newton=newton, fan=fan, classes=classes)
-
-    def _values(self):
-        return self.module, self.newton, self.fan, self.classes
-
-    def __eq__(self, other):
-        if type(other) is not MTFFan:
-            return NotImplemented
-        return self is other or self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return "MTFFan(module={!r}, newton={!r}, fan={!r}, classes={!r})".format(
-            *self._values()
-        )
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"MTFFan is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
 
     @property
     def cones(self):

@@ -43,6 +43,7 @@ from .exact import (
     rref,
     subspace_canonical,
 )
+from .record import Record
 
 # validate_generalized_fan checks that every point of [-B, B]^n is covered
 COMPLETENESS_GRID_BOUND = 2
@@ -149,38 +150,16 @@ def _dd(ineqs, eqs, n):
 # cones
 
 
-def _read_only(self, name, value=None):
-    """__setattr__ and __delattr__ of Cone and Polytope."""
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-
-class Cone:
+class Cone(Record):
     """Polyhedral cone in canonical form; equal cones are equal values.
     eqs, ineqs, lineality and rays are tuples of integer vectors."""
+
+    _fields = ("n", "dim", "eqs", "ineqs", "lineality", "rays")
 
     def __init__(self, n, dim, eqs, ineqs, lineality, rays):
         vars(self).update(
             n=n, dim=dim, eqs=eqs, ineqs=ineqs, lineality=lineality, rays=rays
         )
-
-    def _values(self):
-        return self.n, self.dim, self.eqs, self.ineqs, self.lineality, self.rays
-
-    def __eq__(self, other):
-        if type(other) is not Cone:
-            return NotImplemented
-        return self is other or self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return (
-            "Cone(n={!r}, dim={!r}, eqs={!r}, ineqs={!r}, lineality={!r}, "
-            "rays={!r})".format(*self._values())
-        )
-
-    __setattr__ = __delattr__ = _read_only
 
     @property
     def key(self):
@@ -347,38 +326,19 @@ class Face(NamedTuple):
     dim: int
 
 
-class Polytope:
+class Polytope(Record):
     """Convex hull of finitely many rational points with its face lattice,
     its facets as (vertex ids, primitive outer normal) and the canonical
     basis (exact.subspace_canonical) of the span of its affine equations,
     orthogonal to every facet normal.  Vertices have exact.number
-    coordinates; _face_lookup (vertex-id set to face id) takes no part in
-    equality, hashing or the repr."""
+    coordinates."""
 
-    def __init__(self, n, vertices, faces, facets, lineality, _face_lookup):
+    _fields = ("n", "vertices", "faces", "facets", "lineality")
+
+    def __init__(self, n, vertices, faces, facets, lineality):
         vars(self).update(
-            n=n, vertices=vertices, faces=faces, facets=facets,
-            lineality=lineality, _face_lookup=_face_lookup,
+            n=n, vertices=vertices, faces=faces, facets=facets, lineality=lineality
         )
-
-    def _values(self):
-        return self.n, self.vertices, self.faces, self.facets, self.lineality
-
-    def __eq__(self, other):
-        if type(other) is not Polytope:
-            return NotImplemented
-        return self is other or self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return (
-            "Polytope(n={!r}, vertices={!r}, faces={!r}, facets={!r}, "
-            "lineality={!r})".format(*self._values())
-        )
-
-    __setattr__ = __delattr__ = _read_only
 
     @property
     def dim(self):
@@ -386,6 +346,10 @@ class Polytope:
 
     def face_id(self, vertex_ids):
         return self._face_lookup[frozenset(vertex_ids)]
+
+    @cached_property
+    def _face_lookup(self):
+        return {frozenset(f.vertex_ids): i for i, f in enumerate(self.faces)}
 
     def face_children(self, fid):
         """Ids of the faces covered by faces[fid] (one dimension down)."""
@@ -470,12 +434,11 @@ def convex_hull(points, n):
         affine_dim = rank([(1,) + vertices[i] for i in vs]) - 1
         faces.append(Face(tuple(sorted(vs)), affine_dim))
     faces.sort(key=lambda f: (f.dim, f.vertex_ids))
-    lookup = {frozenset(f.vertex_ids): i for i, f in enumerate(faces)}
     for f in faces:
         if f.dim == 1 and not len(f.vertex_ids) == 2:
             raise InvariantError(f"edge with {len(f.vertex_ids)} vertices")
     lineality = subspace_canonical([e[1:] for e in dual_lin])
-    return Polytope(n, vertices, tuple(faces), tuple(facets), lineality, lookup)
+    return Polytope(n, vertices, tuple(faces), tuple(facets), lineality)
 
 
 def _max_face_id(polytope, theta):

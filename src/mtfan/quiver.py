@@ -23,6 +23,7 @@ from .fplinalg import (
     rref_fp,
     rref_join,
 )
+from .record import Record
 
 # subquotient modules memoized per (module, lower, upper); only the oracle
 # builds them (w, f and the stable factors of w): a default `verify` asks for
@@ -145,39 +146,14 @@ def build_algebra(spec):
     return BoundQuiverAlgebra(p, vertices, arrows, tuple(relations))
 
 
-def _read_only(self, name, value=None):
-    """__setattr__ and __delattr__ of Module and Submodule."""
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-
-class Module:
+class Module(Record):
     """Finite-dimensional representation of a bound quiver algebra; maps
     holds, per arrow, a target x source matrix."""
 
+    _fields = ("algebra", "dims", "maps")
+
     def __init__(self, algebra, dims, maps):
         vars(self).update(algebra=algebra, dims=dims, maps=maps)
-
-    def _values(self):
-        return self.algebra, self.dims, self.maps
-
-    def __eq__(self, other):
-        if type(other) is not Module:
-            return NotImplemented
-        return self is other or self._values() == other._values()
-
-    def __hash__(self):
-        # computed once per instance from the fields equality compares: the
-        # memos look modules up by value many thousands of times
-        try:
-            return self._hash
-        except AttributeError:
-            vars(self)["_hash"] = h = hash(self._values())
-            return h
-
-    def __repr__(self):
-        return "Module(algebra={!r}, dims={!r}, maps={!r})".format(*self._values())
-
-    __setattr__ = __delattr__ = _read_only
 
     @property
     def total_dim(self):
@@ -302,35 +278,14 @@ def direct_sum(m1, m2):
     return build_module(A, dims, mats)
 
 
-class Submodule:
+class Submodule(Record):
     """Arrow-stable graded subspace of a module, bases in RREF per vertex.
+    The dimension vector is computed once per instance, as the hash is."""
 
-    The hash and the dimension vector are computed once per instance, as
-    Module's hash is.
-    """
+    _fields = ("module", "bases")
 
     def __init__(self, module, bases):
         vars(self).update(module=module, bases=bases)
-
-    def __eq__(self, other):
-        # the oracle compares thousands of submodules of one module per run
-        if type(other) is not Submodule:
-            return NotImplemented
-        return self is other or (
-            self.bases == other.bases and self.module == other.module
-        )
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            vars(self)["_hash"] = h = hash((self.module, self.bases))
-            return h
-
-    def __repr__(self):
-        return f"Submodule(module={self.module!r}, bases={self.bases!r})"
-
-    __setattr__ = __delattr__ = _read_only
 
     @functools.cached_property
     def dims(self):

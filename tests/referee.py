@@ -24,7 +24,8 @@ chain walk that rescans the t-set at every step, are the referees for the
 build's top Newton points and its one-pass walk.  A change of basis at
 every vertex builds isomorphic modules with different matrix entries, and
 the hypothesis strategies at the end draw such pairs from the presets,
-their direct sums and small Kronecker modules.  The fan validator that
+their direct sums and small Kronecker modules, and wide fans from
+square-lambda plus some of its simple modules.  The fan validator that
 certifies the meet of each pair of cones by dot products of one cone's
 facet normals with the other's rays (validate_by_pairs, certified_meet)
 is the referee for validate_generalized_fan, which takes one sign per
@@ -548,6 +549,16 @@ def preset_direct_sum(draw):
         part = draw(st.sampled_from(same_algebra))
         if module.total_dim + part.total_dim <= 8:
             module = direct_sum(module, part)
+    return module
+
+
+@st.composite
+def square_lambda_and_simples(draw):
+    """square-lambda plus a nonempty set of its simple modules S1-S4: the
+    wide fans, 61 to 147 cones, that preset_direct_sum seldom draws."""
+    module = preset_module("square-lambda")
+    for i in sorted(draw(st.sets(st.integers(1, 4), min_size=1))):
+        module = direct_sum(module, simple_module(module.algebra, i))
     return module
 
 

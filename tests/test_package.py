@@ -60,11 +60,12 @@ print("ok")
 
 
 def _loaded_after(code):
-    """The mtfan modules and `dataclasses`, if loaded, in a fresh
-    interpreter that has run code."""
+    """The mtfan modules, and `dataclasses` and `inspect` if loaded, in a
+    fresh interpreter that has run code."""
     script = code + """
 import sys
-print(*sorted(m for m in sys.modules if m.startswith("mtfan") or m == "dataclasses"))
+print(*sorted(m for m in sys.modules
+              if m.startswith("mtfan") or m in ("dataclasses", "inspect")))
 """
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True
@@ -88,7 +89,8 @@ print(*sorted(m for m in sys.modules if m.startswith("mtfan") or m == "dataclass
 )
 def test_each_subcommand_loads_only_the_layers_it_runs(argv):
     """Only verify loads the oracle and the definition module, only svg
-    the renderer, newton no fan; no subcommand loads dataclasses."""
+    the renderer, newton no fan; no subcommand loads dataclasses or
+    inspect."""
     argv = [*argv, "--preset", "a2-P1", "--output", os.devnull]
     loaded = _loaded_after(f"from mtfan.cli import main\nassert main({argv!r}) == 0")
     command = argv[0]
@@ -97,7 +99,7 @@ def test_each_subcommand_loads_only_the_layers_it_runs(argv):
     assert ("mtfan.oracle" in loaded) == (command == "verify")
     assert ("mtfan.stability" in loaded) == (command == "verify")
     assert ("mtfan.svg" in loaded) == (command == "svg")
-    assert "dataclasses" not in loaded
+    assert not loaded & {"dataclasses", "inspect"}, loaded
 
 
 @pytest.mark.parametrize("module", ["mtfan", "mtfan.serialize", "mtfan.cli"])
@@ -107,7 +109,9 @@ def test_importing_the_package_loads_no_geometry(module):
     polytopes."""
     loaded = _loaded_after(f"import {module}")
     assert module in loaded
-    assert not loaded & {"mtfan.fan", "mtfan.polyhedra", "dataclasses"}, loaded
+    assert not loaded & {
+        "mtfan.fan", "mtfan.polyhedra", "dataclasses", "inspect"
+    }, loaded
 
 
 def test_the_only_memos_are_three_bounded_lru_caches():

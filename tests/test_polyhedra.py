@@ -48,6 +48,7 @@ from referee import (
     hull_vertices_by_rank,
     preset_direct_sum,
     random_kronecker_module,
+    square_lambda_and_simples,
     validate_by_pairs,
 )
 
@@ -633,7 +634,9 @@ def fans_and_broken_variants(draw):
     """The normal fan of a drawn module, or a broken variant of it: one cone
     dropped, a cone added that covers two maximal cones, or only the maximal
     cones kept."""
-    module = draw(st.one_of(preset_direct_sum(), random_kronecker_module()))
+    module = draw(st.one_of(
+        preset_direct_sum(), random_kronecker_module(), square_lambda_and_simples()
+    ))
     fan = build_mtf_fan(module).fan
     cones, n = fan.cones, fan.n
     maximal = [c for c in cones if c.dim == n]
