@@ -28,7 +28,7 @@ import random
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import InvariantError, ModuleDefinitionError
+from .errors import InvariantError, ModuleDefinitionError, ResourceLimitError
 from .exact import as_theta, rank, subspace_canonical
 from .polyhedra import (
     convex_hull,
@@ -42,6 +42,10 @@ from .quiver import Submodule, submodule_contains
 from .record import Record
 from .sublattice import enumerate_submodules, submodule_dim_vectors
 
+# fan_paths lists at most this many increasing paths; the 6-cube's fan (the
+# arrowless module with a line at each of 6 vertices) has 5,296, an 878 kB
+# `paths` document
+MAX_PATHS = 10_000
 _SAMPLE_SEED = 0x5EED
 _EXTRA_SAMPLES = 3
 
@@ -332,6 +336,10 @@ def fan_paths(mtf):
     cross a shared facet, which happens exactly along Newton edges, and are
     oriented by the coordinatewise vertex order.  Faces are sorted by
     (dim, vertex ids), so node, vertex id and cone index coincide.
+
+    Raises:
+        ResourceLimitError: more than MAX_PATHS increasing paths, counted
+            over the edges before any path is listed.
     """
     vertices = mtf.newton.vertices
     edges = [(lo, hi) for _, lo, hi in _oriented_edges(mtf.newton)]
@@ -340,6 +348,17 @@ def fan_paths(mtf):
     for a, b in edges:
         succ[a].append(b)
         pred[b].append(a)
+    # paths from a node: the node alone, and one more step to a successor,
+    # which has a larger coordinate sum
+    count = [1] * len(vertices)
+    for a in sorted(range(len(vertices)), key=lambda v: -sum(vertices[v])):
+        count[a] += sum(count[b] for b in succ[a])
+    total = sum(count)
+    if total > MAX_PATHS:
+        raise ResourceLimitError(
+            f"the fan has {total} increasing paths, more than the cap of "
+            f"{MAX_PATHS}"
+        )
     paths = []
 
     def extend(path):

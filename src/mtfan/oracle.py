@@ -25,7 +25,6 @@ from .polyhedra import integer_grid, key_dim, key_eqs, locate_index, ray_sum
 from .stability import (
     CanonicalSequenceData,
     canonical_sequences,
-    evaluate,
     filtration_key,
     theta_str,
 )
@@ -120,9 +119,10 @@ def verify_point(mtf, theta):
     ) != tuple(map(max, zip(*vecs))):
         fails.append("t/tbar are not the min/max of the located face")
 
-    # the module is semistable: theta(M) = 0 and theta <= 0 on its lattice
+    # the module is semistable: theta(M) = 0 and theta <= 0 on its lattice,
+    # whose last member is M
     if not module.is_zero():
-        on_wall = evaluate(theta, module) == 0 and maxval <= 0
+        on_wall = cs.vals[-1] == 0 and maxval <= 0
         if on_wall != mtf.wall.contains(theta):
             fails.append("wall membership disagrees with the wall cone")
     return PointReport(theta, idx, tuple(fails), cs)

@@ -22,27 +22,31 @@ The submodules of L/K are the members between K and L of the module's own
 lattice, so the scans (the torsion classes, the t-set, the semistable
 subobjects, a chain of stable factors) read one order table per module:
 for each member of enumerate_submodules(module), the indices of the
-members strictly inside it.  A submodule is a graded subspace, so the
-table compares the members one vertex at a time, each pair of distinct
-spaces at a vertex once.
-Only w, f and the stable factors are presented as modules, each checked
-on its own lattice, valued once; semistability builds no order table.
+members strictly inside it, its height and the members it covers.  A
+submodule is a graded subspace, so the table compares the members one
+vertex at a time, each pair of distinct spaces at a vertex once.  The
+scans walk the covers: one walk up the whole lattice gives both torsion
+classes, and one up the members above t gives the t-set.
+Each lattice is valued once, one dot product a row.  Only w, f and the
+stable factors are presented as modules, each checked on its own lattice;
+semistability builds no order table.
 """
 from __future__ import annotations
 
 import functools
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InvariantError, ModuleDefinitionError
 from .exact import as_theta
 from .fplinalg import in_span
-from .quiver import Module, Submodule, quotient_module, subquotient
+from .quiver import Module, Submodule, subquotient
 from .sublattice import LATTICE_CACHE_SIZE, enumerate_submodules
 
 # order tables memoized per module, as many as the lattices they index: the
 # module and its slices w.  A default `verify` builds at most 13 on a preset
 # (square-lambda), 4 on the Kronecker module R_4 and 23 on sq+sq+S4; the
-# `oracle` workload (seed 1) reads its 5 tables 2,210 times
+# `oracle` workload (seed 1) reads its 5 tables 2,190 times
 ORDER_CACHE_SIZE = LATTICE_CACHE_SIZE
 
 
@@ -65,8 +69,11 @@ def evaluate(theta, x):
 
 
 def _sub_values(module, theta):
+    """enumerate_submodules(module) and theta on each member: one dot
+    product a row, with none of evaluate's checks (theta is an as_theta
+    vector of the module's length)."""
     subs = enumerate_submodules(module)
-    return subs, tuple(evaluate(theta, s) for s in subs)
+    return subs, tuple([sum(map(mul, theta, s.dims)) for s in subs])
 
 
 def is_semistable(theta, module):
@@ -82,23 +89,37 @@ def is_stable(theta, module):
     theta = as_theta(theta, module.algebra.n)
     if evaluate(theta, module) != 0:
         return False
-    subs, vals = _sub_values(module, theta)
-    return all(
-        v < 0
-        for s, v in zip(subs, vals)
-        if s.total_dim not in (0, module.total_dim)
-    )
+    # the lattice runs from the zero submodule to the module itself
+    return all(v < 0 for v in _sub_values(module, theta)[1][1:-1])
+
+
+class _Order(NamedTuple):
+    """The order of a module's lattice, enumerate_submodules(module).
+
+    below[i] holds the indices of the members strictly inside member i, as
+    a frozenset; height[i] is the length of every maximal chain from the
+    zero member (index 0) up to member i, and levels[h] pairs each member j
+    of height h with the members it covers."""
+
+    below: tuple
+    height: tuple
+    levels: tuple
 
 
 @functools.lru_cache(maxsize=ORDER_CACHE_SIZE)
 def _order(module):
-    """below[i]: the indices of the members strictly inside member i of
-    enumerate_submodules(module), as a frozenset.
+    """The order table of enumerate_submodules(module).
 
     L' <= L exactly when L'_u <= L_u at every vertex u, so at each vertex
     the members' distinct spaces are interned with a bit mask of the members
     having each, and in_span decides each pair of spaces once.  A row is the
     AND over the vertices of the masks of the spaces inside the member's.
+
+    The lattice is modular, so all maximal chains between two members have
+    the same length: member c is covered by member i exactly when c is
+    strictly inside i and one step lower.  A member strictly inside another
+    has a smaller total dimension, so in that order each member's height is
+    one more than the highest level its row meets.
     """
     subs = enumerate_submodules(module)
     p = module.algebra.p
@@ -115,30 +136,76 @@ def _order(module):
                     inside |= mask
             for i in idx:
                 below[i] &= inside
-    # bin(row)[:1:-1] lists the bits of row from the lowest up
-    return tuple(
-        frozenset(j for j, bit in enumerate(bin(row)[:1:-1]) if bit == "1") - {i}
-        for i, row in enumerate(below)
-    )
+    height = [0] * len(subs)
+    at_height = []  # at_height[h]: the members of height h, as a bit mask
+    for i in sorted(range(len(subs)), key=lambda i: subs[i].total_dim):
+        h = len(at_height)
+        while h and not below[i] & at_height[h - 1]:
+            h -= 1
+        if h == len(at_height):
+            at_height.append(0)
+        at_height[h] |= 1 << i
+        height[i] = h
+    # every member strictly inside L lies inside a member that L covers, so
+    # a row is the union of the covers and their rows, level by level
+    rows = [frozenset()] * len(subs)
+    levels = []
+    for h, mask in enumerate(at_height):
+        level = []
+        for j in _bits(mask):
+            covers = tuple(_bits(below[j] & at_height[h - 1])) if h else ()
+            rows[j] = frozenset(covers).union(*map(rows.__getitem__, covers))
+            level.append((j, covers))
+        levels.append(tuple(level))
+    return _Order(tuple(rows), tuple(height), tuple(levels))
 
 
-def _largest_member(members, below):
+def _bits(mask):
+    """The positions of the set bits of mask, from the lowest up."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _largest_member(members, order):
     """The member (an index) whose table row holds every other member.
 
     Some member contains all the others exactly when the sum of the members
-    is a member, and then it is that sum.
+    is a member, and then it is that sum, the one highest member.
     """
-    for i in members:
-        if len(below[i]) >= len(members) - 1 and members - below[i] == {i}:
-            return i
-    raise InvariantError("the sum of the members is not a member")
+    i = max(members, key=order.height.__getitem__)
+    if members - order.below[i] != {i}:
+        raise InvariantError("the sum of the members is not a member")
+    return i
 
 
-def _torsion_members(below, vals, strict):
-    """Indices i with theta(L') < theta(L_i) (or <=) for all L' < L_i."""
-    if strict:
-        return {i for i, v in enumerate(vals) if all(vals[j] < v for j in below[i])}
-    return {i for i, v in enumerate(vals) if all(vals[j] <= v for j in below[i])}
+def _torsion_classes(order, vals):
+    """The indices i with theta(L') < theta(L_i), and those with
+    theta(L') <= theta(L_i), for all L' < L_i: the strict and the weak
+    torsion members, in one walk up the covers.
+
+    Every member strictly inside L_i lies inside a member that L_i covers,
+    so the largest value below L_i is the largest of top[c] over its covers
+    c, where top[c] is the largest value on the members inside L_c, L_c
+    included.
+    """
+    top = list(vals)
+    strict, weak = {0}, {0}
+    for level in order.levels[1:]:
+        for i, covers in level:
+            v = vals[i]
+            m = max([top[c] for c in covers])
+            if m < v:
+                strict.add(i)
+                weak.add(i)
+            elif m == v:
+                weak.add(i)
+            else:
+                top[i] = m
+    return strict, weak
 
 
 class CanonicalSequenceData(NamedTuple):
@@ -168,16 +235,18 @@ def canonical_sequences(theta, module):
     """
     theta = as_theta(theta, module.algebra.n)
     subs, vals = _sub_values(module, theta)
-    below = _order(module)
-    i = _largest_member(_torsion_members(below, vals, strict=True), below)
-    k = _largest_member(_torsion_members(below, vals, strict=False), below)
-    if i != k and i not in below[k]:
+    order = _order(module)
+    strict, weak = _torsion_classes(order, vals)
+    i = _largest_member(strict, order)
+    k = _largest_member(weak, order)
+    if i != k and i not in order.below[k]:
         raise InvariantError(f"t is not inside tbar at theta {theta_str(theta)}")
     t, tbar = subs[i], subs[k]
     w = subquotient(module, t, tbar)
-    f = quotient_module(module, tbar)
+    # the last member of a lattice is the module itself
+    f = subquotient(module, tbar, subs[-1])
     _, wvals = _sub_values(w, theta)
-    if evaluate(theta, w) != 0 or max(wvals) > 0:
+    if wvals[-1] != 0 or max(wvals) > 0:
         raise InvariantError(
             f"w = tbar/t is not semistable at theta {theta_str(theta)}"
         )
@@ -187,15 +256,14 @@ def canonical_sequences(theta, module):
     ):
         raise InvariantError("dimensions of t, w and f do not add up to M")
     # f lies in the free class: strictly negative on nonzero submodules
-    fsubs, fvals = _sub_values(f, theta)
-    if not all(v < 0 for s, v in zip(fsubs, fvals) if s.total_dim):
+    if not all(v < 0 for v in _sub_values(f, theta)[1][1:]):
         raise InvariantError(f"f = M/tbar is not free at theta {theta_str(theta)}")
-    members = _semistable_above(below, vals, i)
+    members = _semistable_above(order, vals, i)
     if not (i in members and k in members):
         raise InvariantError(
             f"t or tbar is missing from the t-set at {theta_str(theta)}"
         )
-    if members - below[k] != {k}:
+    if members - order.below[k] != {k}:
         raise InvariantError(f"a t-set member is not inside tbar at {theta_str(theta)}")
     w_semis, factors = _stable_chain(theta, w, wvals)
     return CanonicalSequenceData(
@@ -204,18 +272,32 @@ def canonical_sequences(theta, module):
     )
 
 
-def _semistable_above(below, vals, i):
+def _semistable_above(order, vals, i):
     """Indices j of the members L_j containing L_i with L_j/L_i semistable:
     theta(L_j) = theta(L_i), and theta is at most theta(L_i) on every member
-    between them (the submodules of L_j/L_i)."""
+    between them (the submodules of L_j/L_i).
+
+    The walk climbs the covers from L_i, one level at a time.  A member
+    above L_i is kept when theta is at most theta(L_i) on it and every
+    member it covers above L_i is kept, and dropped otherwise; a level that
+    keeps none ends the walk, since a kept member covers a kept one.
+    """
     v = vals[i]
-    return {
-        j
-        for j in range(len(vals))
-        if (j == i or i in below[j])
-        and vals[j] == v
-        and all(vals[x] <= v for x in below[j] if x == i or i in below[x])
-    }
+    kept, dropped = {i}, set()
+    for level in order.levels[order.height[i] + 1:]:
+        grown = False
+        for j, covers in level:
+            if kept.isdisjoint(covers):
+                if not dropped.isdisjoint(covers):
+                    dropped.add(j)
+            elif vals[j] <= v and dropped.isdisjoint(covers):
+                kept.add(j)
+                grown = True
+            else:
+                dropped.add(j)
+        if not grown:
+            break
+    return {j for j in kept if vals[j] == v}
 
 
 def supp_factors(theta, module):
@@ -234,11 +316,11 @@ def _stable_chain(theta, module, vals):
     maximal chain 0 = L_0 < ... < L_r = M through them (the zero-valued
     submodules), walked by total dimension so each L_{m+1}/L_m is stable."""
     subs = enumerate_submodules(module)
-    below = _order(module)
-    semis = frozenset(_semistable_above(below, vals, 0) - {0})
+    order = _order(module)
+    semis = frozenset(_semistable_above(order, vals, 0) - {0})
     chain = [0]  # the zero submodule
     for j in sorted(semis, key=lambda j: (subs[j].total_dim, j)):
-        if chain[-1] in below[j]:
+        if chain[-1] in order.below[j]:
             chain.append(j)
     factors = []
     for lo, hi in zip(chain, chain[1:]):

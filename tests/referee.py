@@ -13,7 +13,11 @@ every pair of submodules is the referee for the oracle's order table, which
 compares them one vertex at a time, and the calls a table makes are counted
 through every alias.  The torsion scans that test
 containment of every pair of submodules at each functional, and take the
-largest member as a sum, are the referee for the scans of that table.
+largest member as a sum, are the referee for the scans of that table; the
+scans over every row of the table (torsion_members_by_table,
+semistable_above_by_table) are the referee for the oracle's walks up the
+covers.  A loop whose characteristic polynomial is irreducible is a simple
+module of dimension 2, on which heights and total dimensions differ.
 Testing each zero-valued submodule for semistability on its own lattice,
 and splitting off one stable factor at a time and passing to the quotient,
 are the referees for the semistable subobjects and stable factors that the
@@ -24,7 +28,7 @@ chain walk that rescans the t-set at every step, are the referees for the
 build's top Newton points and its one-pass walk.  A change of basis at
 every vertex builds isomorphic modules with different matrix entries, and
 the hypothesis strategies at the end draw such pairs from the presets,
-their direct sums and small Kronecker modules, and wide fans from
+their direct sums, small Kronecker modules and loops, and wide fans from
 square-lambda plus some of its simple modules.  The fan validator that
 certifies the meet of each pair of cones by dot products of one cone's
 facet normals with the other's rays (validate_by_pairs, certified_meet)
@@ -360,6 +364,27 @@ def torsion_members(subs, vals, strict):
     return members
 
 
+def torsion_members_by_table(below, vals, strict):
+    """Indices i with theta(L') < theta(L_i) (or <=) for all L' < L_i."""
+    if strict:
+        return {i for i, v in enumerate(vals) if all(vals[j] < v for j in below[i])}
+    return {i for i, v in enumerate(vals) if all(vals[j] <= v for j in below[i])}
+
+
+def semistable_above_by_table(below, vals, i):
+    """Indices j of the members L_j containing L_i with L_j/L_i semistable:
+    theta(L_j) = theta(L_i), and theta is at most theta(L_i) on every member
+    between them (the submodules of L_j/L_i)."""
+    v = vals[i]
+    return {
+        j
+        for j in range(len(vals))
+        if (j == i or i in below[j])
+        and vals[j] == v
+        and all(vals[x] <= v for x in below[j] if x == i or i in below[x])
+    }
+
+
 def largest_member(members):
     """The sum of the members, which must be one of them."""
     total = None
@@ -500,6 +525,21 @@ def change_of_basis(module, change):
     return build_module(module.algebra, module.dims, maps)
 
 
+def loop_module(p, matrix):
+    """One vertex with a loop acting on F_p^2 by the matrix."""
+    A = build_algebra(
+        {"p": p, "vertices": ["1"], "arrows": [{"name": "a", "from": "1", "to": "1"}]}
+    )
+    return build_module(A, (2,), {"a": matrix})
+
+
+# x^2 + x + 1 at p = 2 and x^2 + 1 at p = 3: simple modules of dimension 2
+IRREDUCIBLE_LOOPS = (
+    loop_module(2, [[0, 1], [1, 1]]),
+    loop_module(3, [[0, 2], [1, 0]]),
+)
+
+
 def kronecker_module(p, dims, a, b):
     """The Kronecker quiver 1 => 2 with maps a and b (dims[1] x dims[0])."""
     A = build_algebra(
@@ -574,8 +614,31 @@ def random_kronecker_module(draw):
 
 
 @st.composite
-def module_and_change_of_basis(draw):
-    module = draw(st.one_of(preset_direct_sum(), random_kronecker_module()))
+def random_loop_module(draw):
+    """A loop on F_p^2: with an irreducible characteristic polynomial the
+    module is a simple of dimension 2."""
+    p = draw(st.sampled_from([2, 3]))
+    entry = st.integers(0, p - 1)
+    return loop_module(p, [[draw(entry), draw(entry)], [draw(entry), draw(entry)]])
+
+
+def any_module():
+    """A preset, a direct sum of presets, a Kronecker module or a loop."""
+    return st.one_of(
+        st.sampled_from(preset_names()).map(preset_module),
+        preset_direct_sum(),
+        random_kronecker_module(),
+        random_loop_module(),
+    )
+
+
+@st.composite
+def module_and_change_of_basis(draw, modules=None):
+    """A module (by default a direct sum of presets or a Kronecker module)
+    and the same module after a random change of basis at every vertex."""
+    if modules is None:
+        modules = st.one_of(preset_direct_sum(), random_kronecker_module())
+    module = draw(modules)
     p = module.algebra.p
     change = [draw(invertible_matrix(d, p)) for d in module.dims]
     return module, change_of_basis(module, change)

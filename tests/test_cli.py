@@ -519,6 +519,29 @@ def test_the_cone_cap_is_inclusive(monkeypatch, capsys):
     assert "the fan has 39 cones" in capsys.readouterr().err
 
 
+def test_the_path_cap_is_inclusive(monkeypatch, capsys):
+    """square-lambda has 43 increasing paths, counted over the Newton edges
+    before any is listed: a cap of 43 admits them, 42 exits 2 with the
+    count."""
+    args = ["paths", "--preset", "square-lambda"]
+    monkeypatch.setattr(mtfan.fan, "MAX_PATHS", 43)
+    assert main(args) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(mtfan.fan, "MAX_PATHS", 42)
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: the fan has 43 increasing paths, more than the cap of 42\n"
+    )
+
+
+def test_the_path_cap_admits_the_6_cube(tmp_path):
+    """The 6-cube's fan has 5,296 increasing paths, within the cap."""
+    path = _write_cube_doc(tmp_path, 6)
+    code, text = run_cli(["paths", "--input", str(path)], tmp_path)
+    assert code == 0
+    assert len(json.loads(text)["increasing_paths"]) == 5296
+
+
 def test_the_cone_cap_admits_every_golden_fan():
     """Every golden fan is within the cap: the presets, which include the
     benchmark's verify inputs, the Kronecker module R_4,

@@ -23,6 +23,13 @@ THETAS = {
     "nakayama2-121": "1/2,-1",
     "square-lambda": "1,-1,2,-3",
 }
+# presets pinned at a larger grid: nakayama2-121 at --grid-bound 16 (1,097
+# samples), the grid of the benchmark's `oracle` workload
+PRESET_COMMANDS = {
+    "nakayama2-121": {
+        "verify-16": ["verify", "--grid-bound", "16"],
+    },
+}
 # `<name>.input.json` documents and the commands pinned on each: modules
 # that are no preset.  kronecker-R4 is the indecomposable Kronecker module
 # 1 => 2 with a = I_4, b = J_4(0) over F_2 (227 submodules); sq-sq-sq is
@@ -75,6 +82,9 @@ def _cases():
         yield f"{preset}.verify-default", ["verify", "--preset", preset]
         if preset_module(preset).algebra.n == 2:
             yield f"{preset}.svg", ["svg", "--preset", preset]
+    for name, commands in PRESET_COMMANDS.items():
+        for command, args in commands.items():
+            yield f"{name}.{command}", [*args, "--preset", name]
     for name, commands in INPUT_COMMANDS.items():
         path = str(GOLDENS / f"{name}.input.json")
         for command, args in commands.items():

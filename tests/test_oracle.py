@@ -25,7 +25,7 @@ from mtfan.oracle import (
 )
 from mtfan.polyhedra import validate_generalized_fan
 from mtfan.presets import preset_module, preset_names
-from mtfan.quiver import build_module, quotient_module
+from mtfan.quiver import build_module, direct_sum, quotient_module
 from mtfan.serialize import module_from_doc
 from mtfan.stability import canonical_sequences, supp_factors, t_set, theta_str
 from mtfan.sublattice import enumerate_submodules
@@ -303,38 +303,50 @@ def test_verify_point_on_specific_functionals():
 
 
 def test_verify_point_values_the_lattice_once(monkeypatch):
-    """canonical_sequences values theta once on each lattice it reads: M's,
-    w's and w itself (which decide that w is semistable and give its
-    semistable subobjects and stable factors), f's, and each stable
-    factor's with the factor itself.  verify_point reads its support, its
-    t-set scan and its wall membership off that record and evaluates theta
-    once more, on M itself; the filtration key is stored.  Valuing w again
-    took 2 |L(w)| + 1 more calls per sample for the support and |L(w)|
-    more for the key."""
-    mtf = build_mtf_fan(preset_module("square-lambda"))
-    module = mtf.module
-    calls = count_calls(monkeypatch, mtfan.stability.evaluate)
+    """canonical_sequences values theta once on each lattice it reads, one
+    dot product a row: M's, then w's (which decide that w is semistable and
+    give its semistable subobjects and stable factors), f's and each stable
+    factor's.  theta(M) and theta(w) are read off the last members of their
+    lattices, so evaluate runs once per stable factor (its stability check),
+    and verify_point reads its support, its t-set check and its wall
+    membership off that record; the filtration key is stored."""
+    rows = []
+    real = mtfan.stability._sub_values
 
     def size(x):
         return len(enumerate_submodules(x))
 
-    for theta in build_sample_set(mtf, bound=1):
-        cs = canonical_sequences(theta, module)
-        factors = supp_factors(theta, cs.w)
-        expected = (
-            size(module)
-            + 1 + size(cs.w)
-            + size(quotient_module(module, cs.tbar))
-            + sum(1 + size(x) for x, _ in factors)
-        )
-        calls.clear()
-        cs = canonical_sequences(theta, module)
-        assert calls["evaluate"] == expected, theta_str(theta)
-        mtfan.oracle.filtration_key(cs)
-        assert calls["evaluate"] == expected, theta_str(theta)
-        calls.clear()
-        assert verify_point(mtf, theta).ok
-        assert calls["evaluate"] == expected + 1, theta_str(theta)
+    def counting(module, theta):
+        subs, vals = real(module, theta)
+        rows.append(len(vals))
+        return subs, vals
+
+    monkeypatch.setattr(mtfan.stability, "_sub_values", counting)
+    calls = count_calls(monkeypatch, mtfan.stability.evaluate)
+
+    for module in (
+        preset_module("square-lambda"),
+        direct_sum(preset_module("a2-P1"), preset_module("a2-P1")),
+    ):
+        mtf = build_mtf_fan(module)
+        for theta in build_sample_set(mtf, bound=1):
+            cs = canonical_sequences(theta, module)
+            factors = supp_factors(theta, cs.w)
+            expected = [
+                size(module),
+                size(cs.w),
+                size(quotient_module(module, cs.tbar)),
+                *(size(x) for x, _ in factors),
+            ]
+            rows.clear()
+            calls.clear()
+            cs = canonical_sequences(theta, module)
+            mtfan.oracle.filtration_key(cs)
+            assert (rows, calls["evaluate"]) == (expected, len(factors)), theta
+            rows.clear()
+            calls.clear()
+            assert verify_point(mtf, theta).ok
+            assert (rows, calls["evaluate"]) == (expected, len(factors)), theta
 
 
 @given(st.one_of(preset_direct_sum(), random_kronecker_module()))

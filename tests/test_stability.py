@@ -5,7 +5,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from mtfan.errors import InvariantError, ModuleDefinitionError
@@ -19,6 +19,8 @@ import mtfan.stability
 from mtfan.stability import (
     _largest_member,
     _order,
+    _semistable_above,
+    _torsion_classes,
     canonical_sequences,
     evaluate,
     is_semistable,
@@ -29,15 +31,19 @@ from mtfan.stability import (
 )
 from mtfan.sublattice import enumerate_submodules
 from referee import (
+    IRREDUCIBLE_LOOPS,
+    any_module,
     count_calls,
     definition_t_set,
     in_class_closure,
     is_m_tf_equivalent,
     module_and_change_of_basis,
     order_by_pairs,
+    semistable_above_by_table,
     semistable_subobjects_by_submodules,
     supp_factors_by_quotients,
     torsion_filtration,
+    torsion_members_by_table,
 )
 
 
@@ -302,7 +308,38 @@ def test_order_table_is_the_table_of_pairwise_containment(pair):
     submodule_contains on every pair of members, on a preset, a direct sum
     or a Kronecker module and on the same module after a change of basis."""
     for module in pair:
-        assert _order(module) == order_by_pairs(module)
+        assert _order(module).below == order_by_pairs(module)
+
+
+@given(
+    module_and_change_of_basis(any_module()),
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+)
+@example((IRREDUCIBLE_LOOPS[0],) * 2, [1, 0, 0, 0])
+@example((IRREDUCIBLE_LOOPS[1],) * 2, [-1, 0, 0, 0])
+@seed(0x0C0F)
+@settings(max_examples=40, deadline=None)
+def test_cover_walks_agree_with_the_table_scans(pair, grid_point):
+    """The strict and weak torsion members, from one walk up the covers,
+    and the members semistable above each member, from the covers of its
+    up-set, are those of scans over every row of the pairwise containment
+    table: at theta = 0 and at a small grid point, on a module and on the
+    same module after a change of basis.  The covers are read off heights,
+    not dimensions: a loop's simple of dimension 2 covers the zero member."""
+    n = pair[0].algebra.n
+    for module in pair:
+        subs = enumerate_submodules(module)
+        below = order_by_pairs(module)
+        for theta in ((0,) * n, tuple(grid_point[:n])):
+            vals = tuple(evaluate(theta, s) for s in subs)
+            assert _torsion_classes(_order(module), vals) == (
+                torsion_members_by_table(below, vals, strict=True),
+                torsion_members_by_table(below, vals, strict=False),
+            )
+            for i in range(len(subs)):
+                assert _semistable_above(
+                    _order(module), vals, i
+                ) == semistable_above_by_table(below, vals, i)
 
 
 def test_order_table_decides_each_pair_of_vertex_spaces_once(monkeypatch):
@@ -318,7 +355,7 @@ def test_order_table_decides_each_pair_of_vertex_spaces_once(monkeypatch):
     calls = count_calls(
         monkeypatch, mtfan.fplinalg.in_span, mtfan.quiver.submodule_contains
     )
-    assert len(_order(module)) == 2060
+    assert len(_order(module).below) == 2060
     mtfan.stability._order.cache_clear()
     assert calls["submodule_contains"] == 0
     assert 0 < calls["in_span"] <= 5000

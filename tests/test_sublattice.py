@@ -11,7 +11,7 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import mtfan.sublattice
@@ -24,6 +24,7 @@ from mtfan.quiver import (
     direct_sum,
     simple_module,
     submodule_contains,
+    submodule_full,
     submodule_sum,
 )
 from mtfan.sublattice import (
@@ -33,11 +34,16 @@ from mtfan.sublattice import (
     submodule_dim_vectors,
 )
 from referee import (
+    IRREDUCIBLE_LOOPS,
+    any_module,
     change_of_basis,
     closure_by_sums,
     inverse_fp,
     kronecker_module,
+    loop_module,
     module_and_change_of_basis,
+    submodule_intersection,
+    submodule_zero,
 )
 
 
@@ -121,13 +127,6 @@ def test_dimension_bound_raises():
         enumerate_submodules(big)
 
 
-def loop_module(p, matrix):
-    A = build_algebra(
-        {"p": p, "vertices": ["1"], "arrows": [{"name": "a", "from": "1", "to": "1"}]}
-    )
-    return build_module(A, (2,), {"a": matrix})
-
-
 @pytest.fixture
 def fresh_lattices():
     """Clear the lattice memo before and after a test that patches the
@@ -181,9 +180,6 @@ def random_a2_module(draw):
 @given(random_a2_module())
 @settings(max_examples=40, deadline=None)
 def test_lattice_closure_properties(module):
-    from mtfan.quiver import submodule_full, submodule_sum
-    from referee import submodule_intersection, submodule_zero
-
     subs = enumerate_submodules(module)
     members = set(subs)
     assert submodule_zero(module) in members
@@ -342,3 +338,18 @@ def test_change_of_basis_leaves_the_lattice_alone(pair):
     assert len(subs) == len(moved_subs)
     assert sorted(s.dims for s in subs) == sorted(s.dims for s in moved_subs)
     assert newton_polytope(module) == newton_polytope(moved)
+
+
+@given(module_and_change_of_basis(any_module()))
+@example((IRREDUCIBLE_LOOPS[0],) * 2)
+@example((IRREDUCIBLE_LOOPS[1],) * 2)
+@seed(0x0C0F)
+@settings(max_examples=40, deadline=None)
+def test_the_lattice_runs_from_the_zero_submodule_to_the_module(pair):
+    """The first member of a lattice is the zero submodule and the last is
+    the module itself, with submodule_full's bases, so the oracle reads
+    theta(M) and the quotient M/tbar off the lattice."""
+    for module in pair:
+        subs = enumerate_submodules(module)
+        assert subs[0] == submodule_zero(module)
+        assert subs[-1] == submodule_full(module)
