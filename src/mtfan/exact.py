@@ -6,9 +6,10 @@ with Fraction entries is scaled to ints by the lcm of its denominators on
 entry, elimination cross-multiplies, and every row, basis vector and
 canonical form they return holds ints.  A Fraction appears only where a
 caller passes one (number and as_theta keep a non-integral coordinate as
-a Fraction).  A rational subspace has one canonical form,
-subspace_canonical: its RREF rows scaled primitive.  Nothing here touches
-floating point, so every predicate downstream stays exact.
+a Fraction).  A rational subspace is its rref rows, the RREF rows scaled
+primitive, which are unique; a row's pivot is its first nonzero entry,
+which is positive.  Nothing here touches floating point, so every
+predicate downstream stays exact.
 """
 from __future__ import annotations
 
@@ -59,15 +60,14 @@ def _primitive_row(row):
 def rref(rows):
     """Reduced row echelon form, fraction-free.
 
-    Returns (rows, pivot_columns) with zero rows dropped: each row is the
-    RREF row over Q scaled to a primitive integer vector with a positive
-    pivot, so the result is the unique canonical integer basis of the row
-    space.  Gauss-Jordan elimination by cross-multiplication, each updated
-    row made primitive at once, keeps every entry an int.
+    Returns the rows with zero rows dropped: each row is the RREF row over Q
+    scaled to a primitive integer vector with a positive pivot, its first
+    nonzero entry, so equal row spaces give identical outputs.  Gauss-Jordan
+    elimination by cross-multiplication, each updated row made primitive at
+    once, keeps every entry an int.
     """
     work = [_integer_row(r) for r in rows]
     ncols = len(work[0]) if work else 0
-    pivots = []
     r = 0
     for c in range(ncols):
         pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
@@ -85,22 +85,22 @@ def rref(rows):
                 work[i] = _primitive_row(
                     [pv * a - f * b for a, b in zip(work[i], row)]
                 )
-        pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    return tuple(tuple(row) for row in work[:r])
 
 
 def rank(rows):
-    return len(rref(rows)[0])
+    return len(rref(rows))
 
 
 def nullspace(rows, n):
     """Basis of {x in Q^n : r.x = 0 for every row r}: one primitive integer
     vector per free column f, positive at f and zero at the other free
     columns."""
-    red, pivots = rref(rows)
+    red = rref(rows)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in red]
     pivset = set(pivots)
     scale = lcm(*(row[p] for row, p in zip(red, pivots)))
     basis = []
@@ -119,13 +119,6 @@ def primitive(vec):
     """Scale a rational vector to the primitive integer vector with the same
     direction (the zero vector stays zero)."""
     return tuple(_primitive_row(_integer_row(vec)))
-
-
-def subspace_canonical(rows):
-    """Canonical integer basis of a rational subspace: its RREF rows, which
-    rref already scales primitive.  Equal subspaces give identical
-    outputs."""
-    return rref(rows)[0]
 
 
 def hnf(rows):

@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InvariantError, ModuleDefinitionError, ResourceLimitError
-from .exact import as_theta, rank, subspace_canonical
+from .exact import as_theta, rank, rref
 from .polyhedra import (
     convex_hull,
     key_dim,
@@ -224,7 +224,7 @@ def smallest_cone(mtf):
         if d == 0
     ]
     _require(
-        cone.key == (subspace_canonical(units), ()),
+        cone.key == (rref(units), ()),
         "the cone at 0 is not the span of the vanishing coordinates",
     )
     meet = vrep(

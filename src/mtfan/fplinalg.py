@@ -32,8 +32,8 @@ def rref_fp(rows, p):
 def reduce_vec(rrows, vec, p):
     """Residue of vec after elimination against an RREF basis.
 
-    A row's pivot is its leading 1, as in every stored basis: each is an
-    rref_fp result or submodule_full's identity rows."""
+    A row's pivot is its leading 1, as in every stored basis, each an
+    rref_fp result."""
     v = [x % p for x in vec]
     for row in rrows:
         c = row.index(1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .exact import as_theta, rank, subspace_canonical
+from .exact import as_theta, rank, rref
 from .fan import face_restriction_check
 from .polyhedra import integer_grid, key_dim, key_eqs, locate_index, ray_sum
 from .stability import (
@@ -63,7 +63,7 @@ def _boundary_witness(cone):
     """Ray sum of the last proper face of a cone in (dim, eqs) order: the
     facet with the greatest canonical equations, those of eqs + (a,) for the
     facet exposed by a (distinct facets have distinct spans)."""
-    a = max(cone.ineqs, key=lambda a: subspace_canonical(cone.eqs + (a,)))
+    a = max(cone.ineqs, key=lambda a: rref(cone.eqs + (a,)))
     return ray_sum(cone.n, cone.exposed_key(a))
 
 
@@ -134,10 +134,10 @@ def verify_fan(mtf, samples):
 
     Same located cone must mean equivalent (both routes), different cones
     not equivalent; closure membership must match the face relation of the
-    located cones.  Pair checks run on up to REPS_PER_CONE representatives
-    per cone so the budget stays quadratic in the fan, not in the samples;
-    they compare each representative's t-set and filtration key, both
-    computed once.
+    located cones, in both directions.  Pair checks run on up to
+    REPS_PER_CONE representatives per cone so the budget stays quadratic in
+    the fan, not in the samples; they compare each representative's t-set
+    and filtration key, both computed once.
     """
     failures = []
     checks = 0
@@ -167,6 +167,7 @@ def verify_fan(mtf, samples):
             if j < i:
                 continue
             face_rel = mtf.cones[i].is_face_of(mtf.cones[j])
+            face_back = mtf.cones[j].is_face_of(mtf.cones[i])
             for a, a_set, a_key in ts:
                 for b, b_set, b_key in us:
                     if a == b:
@@ -191,6 +192,13 @@ def verify_fan(mtf, samples):
                         failures.append(
                             f"closure({theta_str(a)}, {theta_str(b)}) = "
                             f"{closure} but face relation is {face_rel}"
+                        )
+                    # and b in the closure of a's class, across two cones
+                    closure = a_set <= b_set
+                    if i < j and closure != face_back:
+                        failures.append(
+                            f"closure({theta_str(b)}, {theta_str(a)}) = "
+                            f"{closure} but face relation is {face_back}"
                         )
     return OracleReport(checks, tuple(failures))
 

@@ -7,7 +7,7 @@ plus the primitive extreme rays of the cone intersected with the orthogonal
 complement of its lineality), so structural equality of Cone values
 coincides with geometric equality.  Equations and lineality, and a
 polytope's lineality, are stored in the one canonical form of a rational
-subspace, exact.subspace_canonical.
+subspace, its exact.rref rows.
 
 Conversion between the two representations runs the double description
 method: facets of a cone are the extreme rays of its dual, so one insertion
@@ -41,7 +41,6 @@ from .exact import (
     primitive,
     rank,
     rref,
-    subspace_canonical,
 )
 from .record import Record
 
@@ -67,12 +66,15 @@ def _dd_pointed(normals, d):
     """
     # the pivot columns of the normals as columns: the first d independent
     # normals, chosen greedily from the front
-    _, init = rref([tuple(a[j] for a in normals) for j in range(d)])
+    init = [
+        next(c for c, x in enumerate(row) if x)
+        for row in rref([tuple(a[j] for a in normals) for j in range(d)])
+    ]
     if len(init) < d:
         raise ValueError("cone is not pointed: normals do not span")
     # the columns of the inverse of the chosen rows are the initial rays;
     # rref row i is that inverse's row i times its pivot red[i][i]
-    red, _ = rref(
+    red = rref(
         [tuple(normals[i]) + tuple(int(k == j) for j in range(d))
          for k, i in enumerate(init)]
     )
@@ -264,7 +266,7 @@ def vrep(n, eqs, ineqs):
     """Face key (lineality, rays) of the canonical cone
     {x : eq.x = 0, a.x >= 0}: one double description pass."""
     lin_raw, rays = _dd(ineqs, eqs, n)
-    return subspace_canonical(lin_raw), rays
+    return rref(lin_raw), rays
 
 
 def key_dim(key):
@@ -277,7 +279,7 @@ def key_eqs(n, key):
     """Canonical equations (the eqs of the canonical cone) of the linear
     span of a face key."""
     lineality, rays = key
-    return subspace_canonical(nullspace(list(lineality) + list(rays), n))
+    return rref(nullspace(list(lineality) + list(rays), n))
 
 
 def ray_sum(n, key):
@@ -298,7 +300,7 @@ def cone_from_key(n, key):
     description pass, for its equations and facets."""
     lineality, rays = key
     dual_lin, facets = _dd(rays, [tuple(v) for v in lineality], n)
-    eqs_c = subspace_canonical(dual_lin)
+    eqs_c = rref(dual_lin)
     dim = n - len(eqs_c)
     cone = Cone(n, dim, eqs_c, tuple(sorted(facets)), lineality, rays)
     for g in list(rays) + list(lineality):
@@ -329,9 +331,8 @@ class Face(NamedTuple):
 class Polytope(Record):
     """Convex hull of finitely many rational points with its face lattice,
     its facets as (vertex ids, primitive outer normal) and the canonical
-    basis (exact.subspace_canonical) of the span of its affine equations,
-    orthogonal to every facet normal.  Vertices have exact.number
-    coordinates."""
+    basis (exact.rref) of the span of its affine equations, orthogonal to
+    every facet normal.  Vertices have exact.number coordinates."""
 
     _fields = ("n", "vertices", "faces", "facets", "lineality")
 
@@ -437,7 +438,7 @@ def convex_hull(points, n):
     for f in faces:
         if f.dim == 1 and not len(f.vertex_ids) == 2:
             raise InvariantError(f"edge with {len(f.vertex_ids)} vertices")
-    lineality = subspace_canonical([e[1:] for e in dual_lin])
+    lineality = rref([e[1:] for e in dual_lin])
     return Polytope(n, vertices, tuple(faces), tuple(facets), lineality)
 
 

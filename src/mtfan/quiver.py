@@ -326,14 +326,6 @@ def generated_submodule(module, seeds):
     return Submodule(module, tuple(spans))
 
 
-def submodule_full(module):
-    bases = tuple(
-        tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        for d in module.dims
-    )
-    return Submodule(module, bases)
-
-
 def submodule_contains(outer, inner):
     """inner <= outer as submodules of the same module.
 
@@ -394,13 +386,9 @@ def subquotient(module, lower, upper):
 
     def coords(u, vec):
         res = reduce_vec(lower.bases[u], vec, p)
-        cs = [res[row.index(1)] for row in quot_bases[u]]
-        chk = list(res)
-        for coef, row in zip(cs, quot_bases[u]):
-            chk = [(a - coef * b) % p for a, b in zip(chk, row)]
-        if any(chk):
+        if not in_span(quot_bases[u], res, p):
             raise ModuleDefinitionError("vector escapes the subquotient basis")
-        return cs
+        return [res[row.index(1)] for row in quot_bases[u]]
 
     dims = tuple(len(b) for b in quot_bases)
     mats = []
@@ -414,8 +402,3 @@ def subquotient(module, lower, upper):
         )
         mats.append(rows)
     return build_module(A, dims, mats)
-
-
-def quotient_module(module, sub):
-    """Quotient of a module by a submodule."""
-    return subquotient(module, sub, submodule_full(module))

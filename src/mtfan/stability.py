@@ -21,8 +21,8 @@ that compares functionals computes each one's data once.
 The submodules of L/K are the members between K and L of the module's own
 lattice, so the scans (the torsion classes, the t-set, the semistable
 subobjects, a chain of stable factors) read one order table per module:
-for each member of enumerate_submodules(module), the indices of the
-members strictly inside it, its height and the members it covers.  A
+for each member of enumerate_submodules(module), a bit mask of the members
+strictly inside it, its height and the members it covers.  A
 submodule is a graded subspace, so the table compares the members one
 vertex at a time, each pair of distinct spaces at a vertex once.  The
 scans walk the covers: one walk up the whole lattice gives both torsion
@@ -96,8 +96,8 @@ def is_stable(theta, module):
 class _Order(NamedTuple):
     """The order of a module's lattice, enumerate_submodules(module).
 
-    below[i] holds the indices of the members strictly inside member i, as
-    a frozenset; height[i] is the length of every maximal chain from the
+    below[i] is a bit mask of the members strictly inside member i, bit j
+    for member j; height[i] is the length of every maximal chain from the
     zero member (index 0) up to member i, and levels[h] pairs each member j
     of height h with the members it covers."""
 
@@ -113,7 +113,8 @@ def _order(module):
     L' <= L exactly when L'_u <= L_u at every vertex u, so at each vertex
     the members' distinct spaces are interned with a bit mask of the members
     having each, and in_span decides each pair of spaces once.  A row is the
-    AND over the vertices of the masks of the spaces inside the member's.
+    AND over the vertices of the masks of the spaces inside the member's,
+    with the member's own bit cleared.
 
     The lattice is modular, so all maximal chains between two members have
     the same length: member c is covered by member i exactly when c is
@@ -139,6 +140,7 @@ def _order(module):
     height = [0] * len(subs)
     at_height = []  # at_height[h]: the members of height h, as a bit mask
     for i in sorted(range(len(subs)), key=lambda i: subs[i].total_dim):
+        below[i] ^= 1 << i
         h = len(at_height)
         while h and not below[i] & at_height[h - 1]:
             h -= 1
@@ -146,18 +148,13 @@ def _order(module):
             at_height.append(0)
         at_height[h] |= 1 << i
         height[i] = h
-    # every member strictly inside L lies inside a member that L covers, so
-    # a row is the union of the covers and their rows, level by level
-    rows = [frozenset()] * len(subs)
-    levels = []
-    for h, mask in enumerate(at_height):
-        level = []
-        for j in _bits(mask):
-            covers = tuple(_bits(below[j] & at_height[h - 1])) if h else ()
-            rows[j] = frozenset(covers).union(*map(rows.__getitem__, covers))
-            level.append((j, covers))
-        levels.append(tuple(level))
-    return _Order(tuple(rows), tuple(height), tuple(levels))
+    # member j covers the members one level down inside it; the zero member,
+    # alone at height 0, has none
+    levels = tuple(
+        tuple((j, tuple(_bits(below[j] & at_height[h - 1]))) for j in _bits(mask))
+        for h, mask in enumerate(at_height)
+    )
+    return _Order(tuple(below), tuple(height), levels)
 
 
 def _bits(mask):
@@ -177,7 +174,8 @@ def _largest_member(members, order):
     is a member, and then it is that sum, the one highest member.
     """
     i = max(members, key=order.height.__getitem__)
-    if members - order.below[i] != {i}:
+    inside = order.below[i] | 1 << i
+    if not all(inside >> j & 1 for j in members):
         raise InvariantError("the sum of the members is not a member")
     return i
 
@@ -239,7 +237,8 @@ def canonical_sequences(theta, module):
     strict, weak = _torsion_classes(order, vals)
     i = _largest_member(strict, order)
     k = _largest_member(weak, order)
-    if i != k and i not in order.below[k]:
+    inside = order.below[k] | 1 << k
+    if not inside >> i & 1:
         raise InvariantError(f"t is not inside tbar at theta {theta_str(theta)}")
     t, tbar = subs[i], subs[k]
     w = subquotient(module, t, tbar)
@@ -263,7 +262,7 @@ def canonical_sequences(theta, module):
         raise InvariantError(
             f"t or tbar is missing from the t-set at {theta_str(theta)}"
         )
-    if members - order.below[k] != {k}:
+    if not all(inside >> j & 1 for j in members):
         raise InvariantError(f"a t-set member is not inside tbar at {theta_str(theta)}")
     w_semis, factors = _stable_chain(theta, w, wvals)
     return CanonicalSequenceData(
@@ -320,7 +319,7 @@ def _stable_chain(theta, module, vals):
     semis = frozenset(_semistable_above(order, vals, 0) - {0})
     chain = [0]  # the zero submodule
     for j in sorted(semis, key=lambda j: (subs[j].total_dim, j)):
-        if chain[-1] in order.below[j]:
+        if order.below[j] >> chain[-1] & 1:
             chain.append(j)
     factors = []
     for lo, hi in zip(chain, chain[1:]):

@@ -61,7 +61,6 @@ from mtfan.quiver import (
     build_module,
     direct_sum,
     generated_submodule,
-    quotient_module,
     simple_module,
     submodule_contains,
     submodule_sum,
@@ -163,6 +162,19 @@ def intersect_spaces(a_rows, b_rows, ncols, p):
 def submodule_zero(module):
     empty = tuple(() for _ in range(module.algebra.n))
     return Submodule(module, empty)
+
+
+def submodule_full(module):
+    bases = tuple(
+        tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        for d in module.dims
+    )
+    return Submodule(module, bases)
+
+
+def quotient_module(module, sub):
+    """Quotient of a module by a submodule."""
+    return subquotient(module, sub, submodule_full(module))
 
 
 def submodule_intersection(a, b):

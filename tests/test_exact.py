@@ -13,7 +13,6 @@ from mtfan.exact import (
     primitive,
     rank,
     rref,
-    subspace_canonical,
 )
 from mtfan.fplinalg import (
     all_vectors,
@@ -35,23 +34,27 @@ def _all_ints(rows):
     return all(type(x) is int for row in rows for x in row)
 
 
+def _pivots(rows):
+    """The column of each row's first nonzero entry."""
+    return tuple(next(c for c, x in enumerate(row) if x) for row in rows)
+
+
 def test_rref_known_matrix():
-    rows, pivots = rref([(1, 2, 3), (2, 4, 7), (0, 0, 1)])
-    assert pivots == (0, 2)
+    rows = rref([(1, 2, 3), (2, 4, 7), (0, 0, 1)])
+    assert _pivots(rows) == (0, 2)
     assert rows == ((F(1), F(2), F(0)), (F(0), F(0), F(1)))
     # a non-unit pivot: each RREF row over Q, scaled primitive with a
     # positive pivot; (1, 0, -1/6) and (0, 1, 1/3) over Q
-    assert rref([(2, 1, 0), (0, 3, 1)]) == (((6, 0, -1), (0, 3, 1)), (0, 1))
+    assert rref([(2, 1, 0), (0, 3, 1)]) == ((6, 0, -1), (0, 3, 1))
+    assert rref([(0, -2, 4), (0, 0, 0)]) == ((0, 1, -2),)
     for matrix in ([(2, 1, 0), (0, 3, 1)], [(F(1, 2), F(-2, 3), 1)]):
-        assert _all_ints(rref(matrix)[0])
+        assert _all_ints(rref(matrix))
         assert _all_ints(nullspace(matrix, 3))
-        assert _all_ints(subspace_canonical(matrix))
 
 
 def test_rref_is_idempotent():
-    rows, _ = rref([(2, 4), (1, 3)])
-    again, _ = rref(rows)
-    assert again == rows
+    rows = rref([(2, 4), (1, 3)])
+    assert rref(rows) == rows
 
 
 def test_rank_and_nullspace():
@@ -76,9 +79,9 @@ def test_primitive_clears_denominators_and_sign():
     assert primitive((F(2), F(4))) == (1, 2)
 
 
-def test_subspace_canonical_is_invariant_under_respanning():
-    a = subspace_canonical([(1, 1, 0), (0, 1, 1)])
-    b = subspace_canonical([(2, 3, 1), (1, 2, 1), (3, 5, 2)])
+def test_rref_is_invariant_under_respanning():
+    a = rref([(1, 1, 0), (0, 1, 1)])
+    b = rref([(2, 3, 1), (1, 2, 1), (3, 5, 2)])
     assert a == b
 
 
@@ -109,9 +112,8 @@ def test_rank_nullity(data):
 @given(small_matrix())
 @settings(max_examples=60, deadline=None)
 def test_rref_preserves_row_space(data):
-    rows, ncols = data
-    red, _ = rref(rows)
-    assert subspace_canonical(rows) == subspace_canonical(red)
+    rows, _ = data
+    assert rref(rref(rows)) == rref(rows)
 
 
 @st.composite
@@ -137,15 +139,19 @@ def rational_matrix(draw):
 @given(rational_matrix())
 @settings(max_examples=200, deadline=None)
 def test_integer_kernels_agree_with_elimination_over_q(data):
-    """rref is the RREF over Q with each row scaled primitive, and the
-    nullspace spans the same subspace as the one over Q."""
+    """rref is the RREF over Q with each row scaled primitive: each row's
+    first nonzero entry is positive and sits at the pivot column over Q.
+    The nullspace is the one over Q, each vector scaled primitive."""
     rows, ncols = data
     red_q, pivots_q = rref_over_q(rows)
-    assert rref(rows) == (tuple(primitive(r) for r in red_q), pivots_q)
-    assert subspace_canonical(nullspace(rows, ncols)) == subspace_canonical(
-        nullspace_over_q(rows, ncols)
+    red = rref(rows)
+    assert red == tuple(primitive(r) for r in red_q)
+    assert _pivots(red) == pivots_q
+    assert all(row[c] > 0 for row, c in zip(red, pivots_q))
+    assert nullspace(rows, ncols) == tuple(
+        primitive(v) for v in nullspace_over_q(rows, ncols)
     )
-    assert _all_ints(rref(rows)[0]) and _all_ints(nullspace(rows, ncols))
+    assert _all_ints(red) and _all_ints(nullspace(rows, ncols))
 
 
 def test_the_build_and_both_referees_make_no_fraction(monkeypatch):

@@ -25,11 +25,16 @@ from mtfan.oracle import (
 )
 from mtfan.polyhedra import validate_generalized_fan
 from mtfan.presets import preset_module, preset_names
-from mtfan.quiver import build_module, direct_sum, quotient_module
+from mtfan.quiver import build_module, direct_sum
 from mtfan.serialize import module_from_doc
 from mtfan.stability import canonical_sequences, supp_factors, t_set, theta_str
 from mtfan.sublattice import enumerate_submodules
-from referee import count_calls, preset_direct_sum, random_kronecker_module
+from referee import (
+    count_calls,
+    preset_direct_sum,
+    quotient_module,
+    random_kronecker_module,
+)
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -247,10 +252,18 @@ def test_oracle_reports_empty_t_sets(monkeypatch):
     """An empty definition t-set misses the first submodule of the cone's
     t-set at every sample, makes every pair equivalent although the
     filtration keys and the located cones differ, and puts every sample in
-    the closure of every other, though no two of these cones are faces of
-    one another in that order."""
+    the closure of every other.  Cones come in order of falling dimension,
+    so no cone is a face of a later one; of the 21 pairs, the 9 whose later
+    cone is not a face of the earlier one fail the closure check in that
+    direction too."""
     mtf = build_mtf_fan(preset_module("a2-P1"))
     samples, printed = _witnesses(mtf)
+    cones = mtf.cones
+    back = [
+        cones[j].is_face_of(cones[i])
+        for i, j in itertools.combinations(range(len(cones)), 2)
+    ]
+    assert back.count(False) == 9
 
     def empty_t_set(theta, module):
         return canonical_sequences(theta, module)._replace(t_set=frozenset())
@@ -258,20 +271,37 @@ def test_oracle_reports_empty_t_sets(monkeypatch):
     monkeypatch.setattr(mtfan.oracle, "canonical_sequences", empty_t_set)
     report = verify_fan(mtf, samples=samples)
     missed = ("0, 0", "0, 1", "1, 1", "0, 0", "0, 0", "0, 1", "0, 0")
-    pairs = itertools.combinations(printed, 2)
-    assert report.checks == 7 + 21
-    assert report.failures == tuple(
+    expected = [
         f"theta {theta}: t-set mismatch at submodule of class ({dims})"
         for theta, dims in zip(printed, missed)
-    ) + tuple(
-        message
-        for a, b in pairs
-        for message in (
+    ]
+    for (a, b), face in zip(itertools.combinations(printed, 2), back):
+        expected += [
             f"equivalence routes disagree at {a} vs {b}",
             f"equivalence({a}, {b}) = True, located cones differ",
             f"closure({a}, {b}) = True but face relation is False",
-        )
+        ]
+        if not face:
+            expected.append(f"closure({b}, {a}) = True but face relation is False")
+    assert report.checks == 7 + 21
+    assert report.failures == tuple(expected)
+
+
+def test_oracle_checks_the_face_relations_that_hold(monkeypatch):
+    """Every proper face relation of square-lambda (236 between its 39
+    cones) is checked against the closure of a class: with is_face_of
+    recognising only a cone itself, the oracle reports that a sample of a
+    face lies in the closure of the larger cone's class, the direction in
+    which faces follow the cones they bound."""
+    mtf = build_mtf_fan(preset_module("square-lambda"))
+    samples = build_sample_set(mtf, bound=1, seed=0)
+    monkeypatch.setattr(
+        mtfan.polyhedra.Cone, "is_face_of", lambda self, other: self == other
     )
+    report = verify_fan(mtf, samples=samples)
+    closure = [m for m in report.failures if m.startswith("closure(")]
+    assert closure and len(closure) == len(report.failures)
+    assert all(m.endswith(" = True but face relation is False") for m in closure)
 
 
 def test_dim_formula_reports_a_wall_face_missing_from_the_fan():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import mtfan.exact
 from mtfan import polyhedra
 from mtfan.errors import InvariantError, ResourceLimitError
-from mtfan.exact import dot, nullspace, primitive, rank, subspace_canonical
+from mtfan.exact import dot, nullspace, primitive, rank, rref
 from mtfan.fan import build_mtf_fan
 from mtfan.oracle import _boundary_witness
 from mtfan.polyhedra import (
@@ -735,7 +735,7 @@ def test_ray_set_referee_matches_the_definition_routes(name):
             assert _boundary_witness(c) == last.relint_point()
         # the facet exposed by a spans the cone's span cut by a-perp
         for a in c.ineqs:
-            assert key_eqs(c.n, c.exposed_key(a)) == subspace_canonical(c.eqs + (a,))
+            assert key_eqs(c.n, c.exposed_key(a)) == rref(c.eqs + (a,))
     for face in cones:
         gens = face.rays + face.lineality
         for cone in cones:

@@ -15,15 +15,18 @@ from mtfan.quiver import (
     direct_sum,
     generated_submodule,
     path_composite,
-    quotient_module,
     simple_module,
     submodule_contains,
-    submodule_full,
     submodule_sum,
     subquotient,
 )
 from mtfan.presets import preset_module
-from referee import submodule_intersection, submodule_zero
+from referee import (
+    quotient_module,
+    submodule_full,
+    submodule_intersection,
+    submodule_zero,
+)
 
 
 def a2_spec():

@@ -24,7 +24,6 @@ from mtfan.quiver import (
     direct_sum,
     simple_module,
     submodule_contains,
-    submodule_full,
     submodule_sum,
 )
 from mtfan.sublattice import (
@@ -42,6 +41,7 @@ from referee import (
     kronecker_module,
     loop_module,
     module_and_change_of_basis,
+    submodule_full,
     submodule_intersection,
     submodule_zero,
 )
