@@ -13,23 +13,21 @@ rays), which determines a canonical cone.
 
 Functionals are equivalent relative to M exactly when they lie in the
 relative interior of the same cone.  Each cone's class data is a function
-of its t-set, the submodules at the Newton points where an interior witness
-theta is largest: t and tbar are its least and greatest members, w, f and
-fbar are differences of dimension vectors, and the stable support of
-w = tbar/t is the list of steps of a maximal chain in the t-set, walked in
-one pass.  The top points are re-read at random interior points, and the
+of its t-set, the submodules whose classes lie on the cone's Newton face:
+t and tbar are its least and greatest members, w, f and fbar are
+differences of dimension vectors, and the stable support of w = tbar/t is
+the list of steps of a maximal chain in the t-set, walked in one pass.  The
 data is checked against the Newton face.  The wall reads the stored data.
 The definition routes (F_p containment, slices checked as modules) live in
 stability.py; the oracle compares them with this data at every sample.
 """
 from __future__ import annotations
 
-import random
 from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InvariantError, ModuleDefinitionError, ResourceLimitError
-from .exact import as_theta, rank, rref
+from .exact import as_theta, dot, rank, rref
 from .polyhedra import (
     convex_hull,
     key_dim,
@@ -40,14 +38,12 @@ from .polyhedra import (
 )
 from .quiver import Submodule, submodule_contains
 from .record import Record
-from .sublattice import enumerate_submodules, submodule_dim_vectors
+from .sublattice import enumerate_submodules
 
 # fan_paths lists at most this many increasing paths; the 6-cube's fan (the
 # arrowless module with a line at each of 6 vertices) has 5,296, an 878 kB
 # `paths` document
 MAX_PATHS = 10_000
-_SAMPLE_SEED = 0x5EED
-_EXTRA_SAMPLES = 3
 
 
 class TFClassData(NamedTuple):
@@ -86,7 +82,7 @@ class MTFFan(Record):
         The fan's cone of the smallest face containing the Newton vertices 0
         and [M], checked against the meet of their two maximal cones by face
         key.  Semistability is read off the class data, which the build took
-        at each cone's witness.  Memoized on the fan and freed with it.
+        off each cone's Newton face.  Memoized on the fan and freed with it.
         """
         module = self.module
         if module.is_zero():
@@ -123,14 +119,6 @@ class MTFFan(Record):
         return wall
 
 
-def _top(points, theta):
-    """The points (distinct submodule dimension vectors) on which theta is
-    largest."""
-    vals = [sum(a * b for a, b in zip(theta, x)) for x in points]
-    top = max(vals)
-    return frozenset(x for x, v in zip(points, vals) if v == top)
-
-
 def _class_data(members):
     """(t, tbar, supp_dims) of a t-set.
 
@@ -162,31 +150,38 @@ def _require(ok, what):
 def build_mtf_fan(module):
     """Fan of equivalence classes of stability vectors relative to a module.
 
-    The Newton points on which theta is largest are read at each cone's
-    deterministic interior witness and again at a few random interior
-    points; any disagreement would mean the cone decomposition is wrong,
-    so it raises InvariantError.  The t-set is the set of submodules at
-    those points, and its class data is computed once per cone.
+    Cone i's t-set is the set of submodules whose classes lie on Newton
+    face i.  A point lies on a face exactly when it is tight on every facet
+    through the face (none, for the polytope itself), so each Newton point
+    gets one bit mask of the facets it is tight on.  Each cone's witness
+    must be largest exactly on its face; a failed check raises
+    InvariantError.
     """
-    subs = enumerate_submodules(module)
-    points = submodule_dim_vectors(module)
+    groups = {}  # dimension vector -> the submodules of that class
+    for s in enumerate_submodules(module):
+        groups.setdefault(s.dims, []).append(s)
     n = module.algebra.n
-    P = convex_hull(points, n)
+    P = convex_hull(groups, n)
     fan = normal_fan(P)
+    tops = [dot(a, P.vertices[min(ids)]) for ids, a in P.facets]
+    tight = {
+        x: sum(1 << j for j, (_, a) in enumerate(P.facets) if dot(a, x) == tops[j])
+        for x in groups
+    }
     classes = []
-    rng = random.Random(_SAMPLE_SEED)
-    for idx, cone in enumerate(fan.cones):
-        top = _top(points, cone.relint_point())
-        for _ in range(_EXTRA_SAMPLES):
-            _require(
-                _top(points, cone.random_relint_point(rng)) == top,
-                f"cone {idx}: class data differs inside the cone",
-            )
-        t, tbar, supp_dims = _class_data([s for s in subs if s.dims in top])
-        face = P.faces[idx]
+    for idx, (cone, face) in enumerate(zip(fan.cones, P.faces)):
+        _require(
+            locate_index(P, fan, cone.relint_point()) == idx,
+            f"cone {idx}: its witness is largest off Newton face {idx}",
+        )
+        vs = set(face.vertex_ids)
+        through = sum(1 << j for j, (ids, _) in enumerate(P.facets) if vs <= ids)
+        t, tbar, supp_dims = _class_data(
+            [s for x, m in tight.items() if m & through == through for s in groups[x]]
+        )
         # the min and max of the Newton face are the classes of t and tbar:
-        # both lie on the face, where theta is largest, so equal to the
-        # componentwise min and max of its vertices they are vertices
+        # both lie on the face, so equal to the componentwise min and max of
+        # its vertices they are vertices
         face_vecs = [P.vertices[v] for v in face.vertex_ids]
         _require(
             t.dims == tuple(map(min, zip(*face_vecs)))
@@ -275,7 +270,7 @@ def facet_partition(mtf, idx):
         f"cone {idx}: {len(edges)} Newton edges for {len(cone.ineqs)} facets",
     )
     for eid, drops in edges:
-        # the facet's class data was read off at its witness
+        # the facet's class data was read off its Newton edge
         facet = mtf.classes[eid]
         t_stays_torsion = facet.t.dims == data.t.dims
         f_stays_free = facet.tbar.dims == data.tbar.dims

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
+from .errors import InvariantError
 from .exact import as_theta, rank, rref
 from .fan import face_restriction_check
 from .polyhedra import integer_grid, key_dim, key_eqs, locate_index, ray_sum
@@ -71,7 +72,7 @@ class PointReport(NamedTuple):
     theta: tuple
     cone_index: int
     failures: tuple[str, ...]
-    canonical: CanonicalSequenceData
+    canonical: CanonicalSequenceData | None  # None if the route broke
 
     @property
     def ok(self):
@@ -89,14 +90,18 @@ class OracleReport(NamedTuple):
 
 def verify_point(mtf, theta):
     """Compare the located cone's class data with a from-scratch computation
-    at theta, and check the polytope-side characterizations."""
+    at theta, and check the polytope-side characterizations.  An invariant
+    that the from-scratch computation breaks is the sample's one failure."""
     module = mtf.module
     theta = as_theta(theta, mtf.n)
     idx = locate_index(mtf.newton, mtf.fan, theta)
     data = mtf.classes[idx]
     fails = []
 
-    cs = canonical_sequences(theta, module)
+    try:
+        cs = canonical_sequences(theta, module)
+    except InvariantError as exc:
+        return PointReport(theta, idx, (f"definition route broke: {exc}",), None)
     if cs.t != data.t or cs.tbar != data.tbar:
         fails.append("canonical filtration differs from the cone's")
     if cs.supp != data.supp_dims:
@@ -150,9 +155,9 @@ def verify_fan(mtf, samples):
             f"theta {theta_str(rep.theta)}: {m}" for m in rep.failures
         )
         # the first REPS_PER_CONE samples of a cone enter the pair checks
-        # with their t-set and filtration key
+        # with their t-set and filtration key; a broken one enters none
         kept = by_cone.setdefault(rep.cone_index, [])
-        if len(kept) < REPS_PER_CONE:
+        if rep.canonical is not None and len(kept) < REPS_PER_CONE:
             cs = rep.canonical
             kept.append((rep.theta, cs.t_set, filtration_key(cs)))
 

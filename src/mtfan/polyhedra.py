@@ -201,20 +201,6 @@ class Cone(Record):
             raise InvariantError(f"ray sum {pt} is not in the relative interior")
         return pt
 
-    def random_relint_point(self, rng):
-        """Random integer point in the relative interior."""
-        pt = [0] * self.n
-        for r in self.rays:
-            c = rng.randint(1, 9)
-            pt = [a + c * x for a, x in zip(pt, r)]
-        for l in self.lineality:
-            c = rng.randint(-9, 9)
-            pt = [a + c * x for a, x in zip(pt, l)]
-        pt = tuple(pt)
-        if not self.contains_relint(pt):
-            raise InvariantError("random ray combination left the relative interior")
-        return pt
-
     @cached_property
     def face_keys(self):
         """Face keys (lineality, rays) of every face, the cone itself included.

@@ -23,17 +23,18 @@ and splitting off one stable factor at a time and passing to the quotient,
 are the referees for the semistable subobjects and stable factors that the
 oracle reads off the order table.  Equal t-sets, and nested ones, are the
 definitions of M-TF equivalence and of the closure of a class.
-The scan of every submodule for the largest value of a functional, and the
-chain walk that rescans the t-set at every step, are the referees for the
-build's top Newton points and its one-pass walk.  A change of basis at
-every vertex builds isomorphic modules with different matrix entries, and
-the hypothesis strategies at the end draw such pairs from the presets,
-their direct sums, small Kronecker modules and loops, and wide fans from
-square-lambda plus some of its simple modules.  The fan validator that
-certifies the meet of each pair of cones by dot products of one cone's
-facet normals with the other's rays (validate_by_pairs, certified_meet)
-is the referee for validate_generalized_fan, which takes one sign per
-distinct normal and distinct generator of the fan.
+The Newton points where a functional is largest, the scan of every
+submodule for the largest value of a functional, and the chain walk that
+rescans the t-set at every step, are the referees for the build's t-sets,
+read off the Newton faces by facet masks, and its one-pass walk.  A
+change of basis at every vertex builds isomorphic modules with different
+matrix entries, and the hypothesis strategies at the end draw such pairs
+from the presets, their direct sums, small Kronecker modules and loops,
+and wide fans from square-lambda plus some of its simple modules.  The fan
+validator that certifies the meet of each pair of cones by dot products of
+one cone's facet normals with the other's rays (validate_by_pairs,
+certified_meet) is the referee for validate_generalized_fan, which takes
+one sign per distinct normal and distinct generator of the fan.
 """
 
 import sys
@@ -476,6 +477,14 @@ def supp_factors_by_quotients(theta, module):
         factors.append((factor, factor.dims))
         current = quotient_module(current, chosen)
     return tuple(factors)
+
+
+def top_points(points, theta):
+    """The points (distinct submodule dimension vectors) on which theta is
+    largest."""
+    vals = [sum(a * b for a, b in zip(theta, x)) for x in points]
+    top = max(vals)
+    return frozenset(x for x, v in zip(points, vals) if v == top)
 
 
 def t_set_by_scan(subs, theta):

@@ -15,7 +15,7 @@ import mtfan.oracle
 import mtfan.polyhedra
 from mtfan import serialize
 from mtfan.cli import MAX_SVG_SIZE, build_parser, main, run
-from mtfan.errors import ResourceLimitError
+from mtfan.errors import InvariantError, ResourceLimitError
 from mtfan.fan import build_mtf_fan, wall_cone
 from mtfan.oracle import build_sample_set
 from mtfan.presets import preset_module, preset_names
@@ -165,6 +165,34 @@ def test_verify_document(tmp_path):
     assert doc["dim_formula"]["ok"] is True
     assert doc["fan_validation"]["ok"] is True
     assert doc["grid_bound"] == 2 and doc["seed"] == 5
+
+
+def test_verify_records_an_invariant_the_oracle_breaks(tmp_path, monkeypatch):
+    """An InvariantError in the oracle's definition route is one sample's
+    failure, naming its functional, not an abort: the run still writes its
+    document and exits 1."""
+    import mtfan.stability
+
+    real = mtfan.stability._largest_member
+    calls = []
+
+    def breaks_on_the_7th_call(*args):
+        calls.append(args)
+        if len(calls) == 7:
+            raise InvariantError("planted break")
+        return real(*args)
+
+    monkeypatch.setattr(mtfan.stability, "_largest_member", breaks_on_the_7th_call)
+    code, text = run_cli(
+        ["verify", "--preset", "square-lambda", "--grid-bound", "1"], tmp_path
+    )
+    assert code == 1
+    doc = json.loads(text)
+    assert doc["ok"] is False
+    assert doc["oracle"]["violations"] == [
+        "theta (-1, -1, 0, -1): definition route broke: planted break"
+    ]
+    assert doc["dim_formula"]["ok"] and doc["fan_validation"]["ok"]
 
 
 def test_input_file_and_p_override(tmp_path):
@@ -545,10 +573,10 @@ def test_the_path_cap_admits_the_6_cube(tmp_path):
 def test_the_cone_cap_admits_every_golden_fan():
     """Every golden fan is within the cap: the presets, which include the
     benchmark's verify inputs, the Kronecker module R_4,
-    square-lambda + square-lambda + square-lambda and S2 + S3 over
-    square-lambda."""
+    square-lambda + square-lambda + square-lambda, S2 + S3 over
+    square-lambda and the six interval modules of linear A_3."""
     goldens = sorted(GOLDENS.glob("*.fan.json"))
-    assert len(goldens) == len(preset_names()) + 3
+    assert len(goldens) == len(preset_names()) + 4
     for path in goldens:
         cones = json.loads(path.read_text(encoding="utf-8"))["cones"]
         assert len(cones) <= mtfan.cli.MAX_VERIFY_CONES

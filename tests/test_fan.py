@@ -44,6 +44,7 @@ from referee import (
     preset_direct_sum,
     random_kronecker_module,
     t_set_by_scan,
+    top_points,
 )
 
 
@@ -308,16 +309,17 @@ def _sq_plus_s1():
 
 @pytest.mark.parametrize("name", [*preset_names(), "sq+S1"])
 def test_lattice_class_data_matches_the_definitions(name):
-    """The build reads class data off the lattice; the definition routes
-    (F_p containment, w checked semistable as a module) must give the same
-    data at every cone's witness, and the fan document's w, f and fbar,
-    derived from t and tbar, must be the classes of the definition's w, f
-    and M/t."""
+    """The build reads class data off the Newton faces; the definition
+    routes (F_p containment, w checked semistable as a module) must give the
+    same data at every cone's witness, where the Newton points on which
+    theta is largest are the face's and carry the definition's t-set, and
+    the fan document's w, f and fbar, derived from t and tbar, must be the
+    classes of the definition's w, f and M/t."""
     module = _sq_plus_s1() if name == "sq+S1" else preset_module(name)
     mtf = build_mtf_fan(module)
     subs = enumerate_submodules(module)
     points = submodule_dim_vectors(module)
-    for cone, data in zip(mtf.cones, mtf.classes):
+    for cone, data, face in zip(mtf.cones, mtf.classes, mtf.newton.faces):
         theta = cone.relint_point()
         cs = canonical_sequences(theta, module)
         assert (cs.t, cs.tbar) == (data.t, data.tbar)
@@ -327,7 +329,10 @@ def test_lattice_class_data_matches_the_definitions(name):
         assert doc["fbar"] == vec_strs(minus(module.dims, cs.t.dims))
         supp = tuple(sorted(d for _, d in supp_factors(theta, cs.w)))
         assert data.supp_dims == supp
-        top = mtfan.fan._top(points, theta)
+        top = top_points(points, theta)
+        assert top & set(mtf.newton.vertices) == {
+            mtf.newton.vertices[v] for v in face.vertex_ids
+        }
         assert {s for s in subs if s.dims in top} == t_set(theta, module)
 
 
@@ -386,25 +391,29 @@ def test_fan_queries_build_no_cone_by_double_description(name, monkeypatch):
     assert face_restriction_check(mtf, i, (plus + minus)[0])
 
 
-def test_build_raises_when_random_points_disagree(monkeypatch):
-    real = mtfan.fan._top
-    calls = []
+def test_build_raises_when_a_witness_leaves_its_face(monkeypatch):
+    """The class data comes from the face lattice alone, so only the
+    witness check ties cone i to face i: two cones of equal dimension that
+    trade places pass the face and dimension checks, and the witness of
+    the first is largest on the other's face, whose slot holds another
+    cone."""
+    real = mtfan.fan.normal_fan
 
-    def other_top_after_the_witness(points, theta):
-        calls.append(theta)
-        if len(calls) > 1:  # the random interior points of the first cone
-            # the opposite maximal cone has other top points
-            theta = tuple(-x for x in theta)
-        return real(points, theta)
+    def swapped(P):
+        fan = real(P)
+        cones = list(fan.cones)
+        i, j = [k for k, c in enumerate(cones) if c.dim == fan.n][:2]
+        cones[i], cones[j] = cones[j], cones[i]
+        return fan._replace(cones=tuple(cones))
 
-    monkeypatch.setattr(mtfan.fan, "_top", other_top_after_the_witness)
-    with pytest.raises(InvariantError, match="differs inside the cone"):
-        build_mtf_fan(preset_module("a2-P1"))
+    monkeypatch.setattr(mtfan.fan, "normal_fan", swapped)
+    with pytest.raises(InvariantError, match="not inside the cone of its"):
+        build_mtf_fan(preset_module("square-lambda"))
 
 
 def test_the_build_walks_each_chain_once(monkeypatch):
-    """The build compares top Newton points inside each cone and walks the
-    chain of each cone's t-set in one pass: on a2-P1 + a2-P1 + a2-P1 (66
+    """The build reads each cone's t-set off its Newton face and walks the
+    chain of the t-set in one pass: on a2-P1 + a2-P1 + a2-P1 (66
     submodules, 7 cones) that is 15 containment tests, where rescanning
     the t-set at every step of the chain took 270."""
     m = preset_module("a2-P1")
@@ -418,21 +427,20 @@ def test_the_build_walks_each_chain_once(monkeypatch):
 
 @pytest.mark.parametrize("name", [*preset_names(), "sq+S1"])
 def test_the_build_evaluates_theta_on_the_newton_points(name, monkeypatch):
-    """Each functional the build reads is evaluated on the distinct
-    submodule dimension vectors, not on every submodule: at the witness
-    and at the random points of every cone."""
+    """The t-sets come from the facet masks of the Newton points, so the
+    build reads each cone at one functional only: its witness, located on
+    the Newton vertices to check that the cone is its face's."""
     module = _sq_plus_s1() if name == "sq+S1" else preset_module(name)
-    real = mtfan.fan._top
-    sizes = []
+    real = mtfan.polyhedra.Cone.relint_point
+    calls = []
 
-    def recording(points, theta):
-        sizes.append(len(points))
-        return real(points, theta)
+    def recording(cone):
+        calls.append(cone)
+        return real(cone)
 
-    monkeypatch.setattr(mtfan.fan, "_top", recording)
+    monkeypatch.setattr(mtfan.polyhedra.Cone, "relint_point", recording)
     mtf = build_mtf_fan(module)
-    per_cone = 1 + mtfan.fan._EXTRA_SAMPLES
-    assert sizes == [len(submodule_dim_vectors(module))] * (per_cone * len(mtf.cones))
+    assert calls == list(mtf.cones)
 
 
 @given(st.one_of(preset_direct_sum(), random_kronecker_module()))
@@ -446,10 +454,13 @@ def test_class_data_matches_the_rescan_referees(module):
     mtf = build_mtf_fan(module)
     subs = enumerate_submodules(module)
     points = submodule_dim_vectors(module)
-    for cone, data in zip(mtf.cones, mtf.classes):
+    for cone, data, face in zip(mtf.cones, mtf.classes, mtf.newton.faces):
         theta = cone.relint_point()
         members = t_set_by_scan(subs, theta)
-        top = mtfan.fan._top(points, theta)
+        top = top_points(points, theta)
+        assert top & set(mtf.newton.vertices) == {
+            mtf.newton.vertices[v] for v in face.vertex_ids
+        }
         assert tuple(s for s in subs if s.dims in top) == members
         expected = class_data_by_rescans(members)
         assert mtfan.fan._class_data(members) == expected
@@ -501,7 +512,8 @@ def test_a_t_set_without_a_greatest_member_raises():
 @pytest.mark.parametrize("name", [*preset_names(), "sq+S1"])
 def test_the_wall_reads_the_stored_classes(name, monkeypatch):
     """The wall's semistability checks read the class data the build took
-    at each cone's witness: they neither enumerate nor scan the lattice."""
+    off each Newton face: they neither enumerate the lattice nor compute
+    class data again."""
     module = _sq_plus_s1() if name == "sq+S1" else preset_module(name)
     mtf = build_mtf_fan(module)
 
@@ -509,7 +521,7 @@ def test_the_wall_reads_the_stored_classes(name, monkeypatch):
         raise AssertionError("the lattice was read again")
 
     monkeypatch.setattr(mtfan.fan, "enumerate_submodules", refuse)
-    monkeypatch.setattr(mtfan.fan, "_top", refuse)
+    monkeypatch.setattr(mtfan.fan, "_class_data", refuse)
     assert any(wall_cone(mtf) is c for c in mtf.cones)
 
 

@@ -6,6 +6,7 @@ Regenerate the files (only when an output change is intended) with
     PYTHONPATH=src python tests/test_goldens.py
 """
 import contextlib
+import hashlib
 import io
 import pathlib
 import sys
@@ -43,7 +44,8 @@ PRESET_COMMANDS = {
 # the fan validator its largest pair count (29,403 pairs of cones), on only
 # 10 distinct rays and 10 distinct facet normals.  sq-S1-S2-S3-S4 is
 # square-lambda + S1 + S2 + S3 + S4: 147 cones on 13 distinct rays and 53
-# distinct facet normals.
+# distinct facet normals.  Their `fan` documents (474 kB and 235 kB) are
+# pinned by SHA-256 digest instead of a committed file.
 INPUT_COMMANDS = {
     "kronecker-R4": {
         "newton": ["newton"],
@@ -60,6 +62,7 @@ INPUT_COMMANDS = {
         "verify": ["verify", "--grid-bound", "1"],
     },
     "a3-all": {
+        "fan": ["fan"],
         "verify": ["verify", "--grid-bound", "1"],
     },
     "cube5": {
@@ -110,6 +113,21 @@ def _output(argv):
 def test_output_matches_golden(name, argv):
     golden = _golden(name).read_text(encoding="utf-8")
     assert _output(argv) == golden
+
+
+FAN_DIGESTS = {
+    "cube5": "7b016cf326908904cb7bcd8d6fec26959cfbc926959291ff8faad97a64819e0e",
+    "sq-S1-S2-S3-S4": "c1d7592cf2b1cc2b88d6a51ce022cb4737a33d042491e1066d107323a3c4425b",
+}
+
+
+@pytest.mark.parametrize("name", FAN_DIGESTS)
+def test_wide_fan_documents_match_their_digests(name):
+    """The class data of the widest fans, 243 and 147 cones, byte for
+    byte: the SHA-256 of the `fan` document."""
+    path = str(GOLDENS / f"{name}.input.json")
+    text = _output(["fan", "--input", path])
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == FAN_DIGESTS[name]
 
 
 def test_integer_labels_read_as_their_strings():

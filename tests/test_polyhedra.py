@@ -753,8 +753,6 @@ def test_corrupted_cones_raise_invariant_error():
     bad = Cone(2, 2, (), ((0, 1), (1, 0)), (), ((-1, 0), (0, 1)))
     with pytest.raises(InvariantError, match="relative interior"):
         bad.relint_point()
-    with pytest.raises(InvariantError, match="relative interior"):
-        bad.random_relint_point(random.Random(0))
 
     P = convex_hull([(0, 0), (0, 1), (1, 0)], 2)
     fan = normal_fan(P)
