@@ -37,6 +37,11 @@ def as_theta(theta, n):
     return t
 
 
+def theta_str(theta):
+    """theta for messages: each coordinate as str, e.g. (1/2, -1)."""
+    return "(" + ", ".join(map(str, theta)) + ")"
+
+
 def dot(u, v):
     return sum(map(mul, u, v))
 

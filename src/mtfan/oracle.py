@@ -3,11 +3,12 @@ computations.
 
 Every sample functional is classified twice: by locating it in the fan and
 by recomputing filtration, support and t-set from scratch.  One
-canonical_sequences call per sample gives all three, the semistable
-subobjects of w that make its filtration key, and the functional's values
-on the module's lattice, which the t-set scan and the wall check read.
+stability._classify call per sample gives all three on lattice indices,
+the semistable subobjects of w that make its filtration key, and the
+functional's values on the module's lattice, which the t-set check and the
+wall check read.  A pass reads each cone's data as lattice indices once.
 Pairs of samples check the equivalence and closure predicates against the
-cone combinatorics by comparing stored t-sets and filtration keys.
+cone combinatorics by comparing stored t-set bit masks and filtration keys.
 
 A sample set is a plain tuple of as_theta vectors; the grid points, ray-sum
 witnesses and seeded points are all integral, so their coordinates are ints.
@@ -20,16 +21,17 @@ import random
 from typing import NamedTuple
 
 from .errors import InvariantError
-from .exact import as_theta, rank, rref
+from .exact import as_theta, rank, rref, theta_str
 from .fan import face_restriction_check
 from .polyhedra import integer_grid, key_dim, key_eqs, locate_index, ray_sum
 from .stability import (
     CanonicalSequenceData,
-    canonical_sequences,
+    _classify,
+    _lattice,
+    _record,
     filtration_key,
-    theta_str,
 )
-from .sublattice import enumerate_submodules
+from .sublattice import enumerate_submodules  # noqa: F401  (re-exported)
 
 DEFAULT_GRID_BOUND = 3
 DEFAULT_SEED = 2024
@@ -70,9 +72,9 @@ def _boundary_witness(cone):
 
 class PointReport(NamedTuple):
     theta: tuple
-    cone_index: int
+    cone_index: int | None  # None if the fan route broke
     failures: tuple[str, ...]
-    canonical: CanonicalSequenceData | None  # None if the route broke
+    canonical: CanonicalSequenceData | None  # None if a route broke
 
     @property
     def ok(self):
@@ -88,82 +90,99 @@ class OracleReport(NamedTuple):
         return not self.failures
 
 
-def verify_point(mtf, theta):
-    """Compare the located cone's class data with a from-scratch computation
-    at theta, and check the polytope-side characterizations.  An invariant
-    that the from-scratch computation breaks is the sample's one failure."""
-    module = mtf.module
-    theta = as_theta(theta, mtf.n)
-    idx = locate_index(mtf.newton, mtf.fan, theta)
-    data = mtf.classes[idx]
-    fails = []
+def _pass(mtf):
+    """What a pass reads at every sample: M's _lattice, a slice table for
+    _classify, and each cone's t and tbar as lattice indices (None off the
+    lattice), support, and the min and max of its Newton face."""
+    lattice = _lattice(mtf.module)
+    index = {s: j for j, s in enumerate(lattice[1])}.get
+    cones = []
+    for face, data in zip(mtf.newton.faces, mtf.classes):
+        vecs = list(zip(*(mtf.newton.vertices[v] for v in face.vertex_ids)))
+        bounds = tuple(map(min, vecs)), tuple(map(max, vecs))
+        cones.append((index(data.t), index(data.tbar), data.supp_dims, *bounds))
+    return lattice, {}, cones
 
+
+def _check(mtf, ctx, theta):
+    """(located cone index, failures, _classify's answer) of an as_theta
+    functional in a pass ctx.  A broken invariant of the fan route or the
+    definition route is the sample's one failure, with no answer."""
+    lattice, slices, cones = ctx
     try:
-        cs = canonical_sequences(theta, module)
+        idx = locate_index(mtf.newton, mtf.fan, theta)
+        on_wall = None if mtf.module.is_zero() else mtf.wall.contains(theta)
     except InvariantError as exc:
-        return PointReport(theta, idx, (f"definition route broke: {exc}",), None)
-    if cs.t != data.t or cs.tbar != data.tbar:
+        return None, (f"fan route broke: {exc}",), None
+    try:
+        c = _classify(theta, lattice, slices)
+    except InvariantError as exc:
+        return idx, (f"definition route broke: {exc}",), None
+    t, tbar, supp, lo, hi = cones[idx]
+    dims = lattice[2]
+    fails = []
+    if c.t != t or c.tbar != tbar:
         fails.append("canonical filtration differs from the cone's")
-    if cs.supp != data.supp_dims:
-        fails.append(f"support {cs.supp} != cone support {data.supp_dims}")
+    if c.supp != supp:
+        fails.append(f"support {c.supp} != cone support {supp}")
     # the definition t-set is exactly the set of submodules landing on the
     # max face, the lattice t-set at theta; the located cone holds theta in
     # its relative interior, so this is the cone's t-set
-    ts = cs.t_set
-    maxval = max(cs.vals)
-    for L, v in zip(enumerate_submodules(module), cs.vals):
-        if (v == maxval) != (L in ts):
-            fails.append(f"t-set mismatch at submodule of class {L.dims}")
-            break
-
-    # min and max of the located Newton face
-    face = mtf.newton.faces[idx]
-    vecs = [mtf.newton.vertices[v] for v in face.vertex_ids]
-    if tuple(cs.t.dims) != tuple(map(min, zip(*vecs))) or tuple(
-        cs.tbar.dims
-    ) != tuple(map(max, zip(*vecs))):
+    top = max(c.vals)
+    miss = c.t_set ^ sum(1 << j for j, v in enumerate(c.vals) if v == top)
+    if miss:  # at the first member it misses
+        j = (miss & -miss).bit_length() - 1
+        fails.append(f"t-set mismatch at submodule of class {dims[j]}")
+    if dims[c.t] != lo or dims[c.tbar] != hi:
         fails.append("t/tbar are not the min/max of the located face")
-
     # the module is semistable: theta(M) = 0 and theta <= 0 on its lattice,
     # whose last member is M
-    if not module.is_zero():
-        on_wall = cs.vals[-1] == 0 and maxval <= 0
-        if on_wall != mtf.wall.contains(theta):
-            fails.append("wall membership disagrees with the wall cone")
-    return PointReport(theta, idx, tuple(fails), cs)
+    if on_wall is not None and on_wall != (c.vals[-1] == 0 and top <= 0):
+        fails.append("wall membership disagrees with the wall cone")
+    return idx, tuple(fails), c
+
+
+def verify_point(mtf, theta):
+    """Compare the located cone's class data with a from-scratch computation
+    at theta, and check the polytope-side characterizations: verify_fan's
+    check of one sample, on a pass of its own."""
+    theta = as_theta(theta, mtf.n)
+    ctx = _pass(mtf)
+    idx, fails, c = _check(mtf, ctx, theta)
+    return PointReport(theta, idx, fails, c and _record(ctx[0], c))
 
 
 def verify_fan(mtf, samples):
-    """Run verify_point over a sample set, as build_sample_set(mtf) draws
-    one, and check pairwise predicates.
+    """Check every functional of a sample set, as build_sample_set(mtf)
+    draws one, in one pass, and check pairwise predicates.
 
     Same located cone must mean equivalent (both routes), different cones
     not equivalent; closure membership must match the face relation of the
     located cones, in both directions.  Pair checks run on up to
     REPS_PER_CONE representatives per cone so the budget stays quadratic in
-    the fan, not in the samples; they compare each representative's t-set
-    and filtration key, both computed once.
+    the fan, not in the samples; they compare each representative's t-set,
+    a bit mask over M's lattice, and filtration key, both computed once.
     """
     failures = []
     checks = 0
+    ctx = _pass(mtf)
 
     by_cone = {}
     for theta in samples:
-        rep = verify_point(mtf, theta)
+        theta = as_theta(theta, mtf.n)
+        idx, fails, c = _check(mtf, ctx, theta)
         checks += 1
-        failures.extend(
-            f"theta {theta_str(rep.theta)}: {m}" for m in rep.failures
-        )
-        # the first REPS_PER_CONE samples of a cone enter the pair checks
-        # with their t-set and filtration key; a broken one enters none
-        kept = by_cone.setdefault(rep.cone_index, [])
-        if rep.canonical is not None and len(kept) < REPS_PER_CONE:
-            cs = rep.canonical
-            kept.append((rep.theta, cs.t_set, filtration_key(cs)))
+        failures.extend(f"theta {theta_str(theta)}: {m}" for m in fails)
+        if idx is None:
+            continue
+        # the first REPS_PER_CONE samples of a cone enter the pair checks,
+        # printed, with their t-set and filtration key; a broken one enters none
+        kept = by_cone.setdefault(idx, [])
+        if c is not None and len(kept) < REPS_PER_CONE:
+            kept.append((theta_str(theta), c.t_set, filtration_key(c)))
 
-    observed = set(by_cone)
-    if observed != set(range(len(mtf.cones))):
-        missing = sorted(set(range(len(mtf.cones))) - observed)
+    missing = sorted(set(range(len(mtf.cones))) - set(by_cone))
+    if missing:
         failures.append(f"cones never sampled: {missing}")
 
     reps = sorted(by_cone.items())
@@ -181,29 +200,25 @@ def verify_fan(mtf, samples):
                     same = i == j
                     eq = a_set == b_set
                     if eq != (a_key == b_key):
-                        failures.append(
-                            "equivalence routes disagree at "
-                            f"{theta_str(a)} vs {theta_str(b)}"
-                        )
+                        failures.append(f"equivalence routes disagree at {a} vs {b}")
                     if eq != same:
                         failures.append(
-                            f"equivalence({theta_str(a)}, {theta_str(b)}) = "
-                            f"{eq}, located cones "
+                            f"equivalence({a}, {b}) = {eq}, located cones "
                             f"{'agree' if same else 'differ'}"
                         )
-                    # a lies in the closure of b's class
-                    closure = b_set <= a_set
+                    # a lies in the closure of b's class: b's t-set inside a's
+                    closure = not b_set & ~a_set
                     if closure != face_rel:
                         failures.append(
-                            f"closure({theta_str(a)}, {theta_str(b)}) = "
-                            f"{closure} but face relation is {face_rel}"
+                            f"closure({a}, {b}) = {closure} "
+                            f"but face relation is {face_rel}"
                         )
                     # and b in the closure of a's class, across two cones
-                    closure = a_set <= b_set
+                    closure = not a_set & ~b_set
                     if i < j and closure != face_back:
                         failures.append(
-                            f"closure({theta_str(b)}, {theta_str(a)}) = "
-                            f"{closure} but face relation is {face_back}"
+                            f"closure({b}, {a}) = {closure} "
+                            f"but face relation is {face_back}"
                         )
     return OracleReport(checks, tuple(failures))
 

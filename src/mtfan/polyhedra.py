@@ -41,6 +41,7 @@ from .exact import (
     primitive,
     rank,
     rref,
+    theta_str,
 )
 from .record import Record
 
@@ -476,7 +477,9 @@ def locate_index(polytope, fan, theta):
     interior contains theta: the index of the face where theta is largest."""
     fid = _max_face_id(polytope, theta)
     if not fan.cones[fid].contains_relint(theta):
-        raise InvariantError(f"{theta} is not inside the cone of its maximal face")
+        raise InvariantError(
+            f"{theta_str(theta)} is not inside the cone of its maximal face"
+        )
     return fid
 
 

@@ -27,7 +27,7 @@ from .record import Record
 
 # subquotient modules memoized per (module, lower, upper); only the oracle
 # builds them (w, f and the stable factors of w): a default `verify` asks for
-# 5,658 on square-lambda (52 distinct) and 6,842 on sq+sq+S4 (173 distinct)
+# 87 on square-lambda (52 distinct) and 242 on sq+sq+S4 (175 distinct)
 SUBQUOTIENT_CACHE_SIZE = 1024
 
 # primality is checked by trial division up to sqrt(p), about 46,000 steps

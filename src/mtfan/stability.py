@@ -15,8 +15,7 @@ Each module has a largest torsion submodule t and a largest weak-torsion
 submodule tbar; the canonical slices are w = tbar/t (semistable) and the
 quotient f = M/tbar.  The t-set (the submodules L above t with L/t
 semistable), w's semistable subobjects and stable factors come with them:
-all are data of one functional, computed afresh at each call, so a caller
-that compares functionals computes each one's data once.
+one kernel, _classify, computes them at a functional on lattice indices.
 
 The submodules of L/K are the members between K and L of the module's own
 lattice, so the scans (the torsion classes, the t-set, the semistable
@@ -28,17 +27,19 @@ vertex at a time, each pair of distinct spaces at a vertex once.  The
 scans walk the covers: one walk up the whole lattice gives both torsion
 classes, and one up the members above t gives the t-set.
 Each lattice is valued once, one dot product a row.  Only w, f and the
-stable factors are presented as modules, each checked on its own lattice;
-semistability builds no order table.
+stable factors are presented as modules, each checked on its own lattice,
+once per slice table that the caller keeps; semistability builds no
+order table.
 """
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from operator import mul
 from typing import NamedTuple
 
 from .errors import InvariantError, ModuleDefinitionError
-from .exact import as_theta
+from .exact import as_theta, theta_str
 from .fplinalg import in_span
 from .quiver import Module, Submodule, subquotient
 from .sublattice import LATTICE_CACHE_SIZE, enumerate_submodules
@@ -46,13 +47,8 @@ from .sublattice import LATTICE_CACHE_SIZE, enumerate_submodules
 # order tables memoized per module, as many as the lattices they index: the
 # module and its slices w.  A default `verify` builds at most 13 on a preset
 # (square-lambda), 4 on the Kronecker module R_4 and 23 on sq+sq+S4; the
-# `oracle` workload (seed 1) reads its 5 tables 2,190 times
+# `oracle` workload asks for its 5 tables 10 times, once per slice
 ORDER_CACHE_SIZE = LATTICE_CACHE_SIZE
-
-
-def theta_str(theta):
-    """theta for messages: each coordinate as str, e.g. (1/2, -1)."""
-    return "(" + ", ".join(map(str, theta)) + ")"
 
 
 def evaluate(theta, x):
@@ -68,18 +64,20 @@ def evaluate(theta, x):
     return sum(a * b for a, b in zip(theta, x))
 
 
+def _values(theta, dims):
+    """theta, an as_theta vector, on each dimension vector: one dot product
+    a row, with none of evaluate's checks."""
+    return tuple([sum(map(mul, theta, d)) for d in dims])
+
+
 def _sub_values(module, theta):
-    """enumerate_submodules(module) and theta on each member: one dot
-    product a row, with none of evaluate's checks (theta is an as_theta
-    vector of the module's length)."""
-    subs = enumerate_submodules(module)
-    return subs, tuple([sum(map(mul, theta, s.dims)) for s in subs])
+    return _values(theta, [s.dims for s in enumerate_submodules(module)])
 
 
 def is_semistable(theta, module):
     """theta(X) = 0 and theta(L) <= 0 for every submodule L of X."""
     theta = as_theta(theta, module.algebra.n)
-    return evaluate(theta, module) == 0 and max(_sub_values(module, theta)[1]) <= 0
+    return evaluate(theta, module) == 0 and max(_sub_values(module, theta)) <= 0
 
 
 def is_stable(theta, module):
@@ -87,10 +85,12 @@ def is_stable(theta, module):
     if module.is_zero():
         raise ModuleDefinitionError("stability is undefined for the zero module")
     theta = as_theta(theta, module.algebra.n)
-    if evaluate(theta, module) != 0:
-        return False
-    # the lattice runs from the zero submodule to the module itself
-    return all(v < 0 for v in _sub_values(module, theta)[1][1:-1])
+    return _stable(_sub_values(module, theta))
+
+
+def _stable(vals):
+    # theta on a lattice, from the zero submodule up to the module itself
+    return vals[-1] == 0 and all(v < 0 for v in vals[1:-1])
 
 
 class _Order(NamedTuple):
@@ -222,53 +222,81 @@ class CanonicalSequenceData(NamedTuple):
     supp: tuple
 
 
+# _classify's answer: CanonicalSequenceData on indices of M's lattice, no w
+_Classes = namedtuple("_Classes", "t tbar vals t_set w_semis supp")
+
+
+def _lattice(module):
+    """The module, its lattice, the members' classes and its order table."""
+    subs = enumerate_submodules(module)
+    return module, subs, tuple(s.dims for s in subs), _order(module)
+
+
+def _slice(module, subs, i, k):
+    """What members i <= k give at every functional: _lattice(w) for
+    w = L_k/L_i, the classes of the lattice of f = M/L_k (M is the last
+    member), whether L_i, w and f add up to M, and a factor table."""
+    t, tbar = subs[i], subs[k]
+    w, f = subquotient(module, t, tbar), subquotient(module, tbar, subs[-1])
+    adds = all(a + b + c == d for a, b, c, d in zip(t.dims, w.dims, f.dims, module.dims))
+    return _lattice(w), tuple(s.dims for s in enumerate_submodules(f)), adds, {}
+
+
 def canonical_sequences(theta, module):
     """Largest torsion and weak-torsion submodules with their slices.
 
     Returns CanonicalSequenceData with t <= tbar and w = tbar/t
     theta-semistable, after checking that f = M/tbar is theta-free and that
     the dimension vectors of t, w, f sum to the module's.  Its t_set is the
-    t-set of theta, which lies between t and tbar.  theta's values on w's
-    lattice, taken once, decide w semistable and give w_semis and supp.
+    t-set of theta, which lies between t and tbar.  One _classify call.
     """
     theta = as_theta(theta, module.algebra.n)
-    subs, vals = _sub_values(module, theta)
-    order = _order(module)
+    lattice = _lattice(module)
+    return _record(lattice, _classify(theta, lattice, {}))
+
+
+def _record(lattice, c):
+    """The CanonicalSequenceData of _classify's answer c on lattice."""
+    module, subs = lattice[:2]
+    t, tbar = subs[c.t], subs[c.tbar]
+    t_set = frozenset(subs[j] for j in _bits(c.t_set))
+    w = subquotient(module, t, tbar)
+    return CanonicalSequenceData(t, tbar, w, t_set, c.vals, c.w_semis, c.supp)
+
+
+def _classify(theta, lattice, slices):
+    """canonical_sequences of an as_theta functional on lattice =
+    _lattice(M), as _Classes.  slices maps each pair (t, tbar) met so far
+    to its _slice; a caller that keeps it presents each slice once."""
+    module, subs, dims, order = lattice
+    vals = _values(theta, dims)
     strict, weak = _torsion_classes(order, vals)
     i = _largest_member(strict, order)
     k = _largest_member(weak, order)
     inside = order.below[k] | 1 << k
     if not inside >> i & 1:
         raise InvariantError(f"t is not inside tbar at theta {theta_str(theta)}")
-    t, tbar = subs[i], subs[k]
-    w = subquotient(module, t, tbar)
-    # the last member of a lattice is the module itself
-    f = subquotient(module, tbar, subs[-1])
-    _, wvals = _sub_values(w, theta)
+    s = slices.get((i, k)) or slices.setdefault((i, k), _slice(module, subs, i, k))
+    wlattice, fdims, adds, factors = s
+    wvals = _values(theta, wlattice[2])
     if wvals[-1] != 0 or max(wvals) > 0:
         raise InvariantError(
             f"w = tbar/t is not semistable at theta {theta_str(theta)}"
         )
-    if not all(
-        a + b + c == d
-        for a, b, c, d in zip(t.dims, w.dims, f.dims, module.dims)
-    ):
+    if not adds:
         raise InvariantError("dimensions of t, w and f do not add up to M")
     # f lies in the free class: strictly negative on nonzero submodules
-    if not all(v < 0 for v in _sub_values(f, theta)[1][1:]):
+    if not all(v < 0 for v in _values(theta, fdims)[1:]):
         raise InvariantError(f"f = M/tbar is not free at theta {theta_str(theta)}")
-    members = _semistable_above(order, vals, i)
-    if not (i in members and k in members):
+    t_set = sum(1 << j for j in _semistable_above(order, vals, i))
+    if not t_set >> i & t_set >> k & 1:
         raise InvariantError(
             f"t or tbar is missing from the t-set at {theta_str(theta)}"
         )
-    if not all(inside >> j & 1 for j in members):
+    if t_set & ~inside:
         raise InvariantError(f"a t-set member is not inside tbar at {theta_str(theta)}")
-    w_semis, factors = _stable_chain(theta, w, wvals)
-    return CanonicalSequenceData(
-        t, tbar, w, frozenset(subs[j] for j in members), vals, w_semis,
-        tuple(sorted(d for _, d in factors)),
-    )
+    w_semis, supp = _stable_factors(theta, wlattice, wvals, factors)
+    return _Classes(i, k, vals, t_set, w_semis, tuple(sorted([x.dims for x in supp])))
 
 
 def _semistable_above(order, vals, i):
@@ -306,31 +334,35 @@ def supp_factors(theta, module):
     theta = as_theta(theta, module.algebra.n)
     if not is_semistable(theta, module):
         raise ModuleDefinitionError("supp factors need a semistable module")
-    return _stable_chain(theta, module, _sub_values(module, theta)[1])[1]
+    lattice = _lattice(module)
+    _, factors = _stable_factors(theta, lattice, _values(theta, lattice[2]), {})
+    return tuple((x, x.dims) for x in factors)
 
 
-def _stable_chain(theta, module, vals):
+def _stable_factors(theta, lattice, vals, factors):
     """The nonzero semistable subobjects (indices) of a semistable module,
-    where vals are theta on its lattice, and the stable factors of one
-    maximal chain 0 = L_0 < ... < L_r = M through them (the zero-valued
-    submodules), walked by total dimension so each L_{m+1}/L_m is stable."""
-    subs = enumerate_submodules(module)
-    order = _order(module)
+    where vals are theta on lattice = _lattice(module), and the factors of
+    one maximal chain 0 = L_0 < ... < L_r = M through them (the zero-valued
+    submodules), walked by total dimension so each L_{m+1}/L_m is stable:
+    checked on its own lattice, which the table factors keeps by step."""
+    module, subs, _, order = lattice
     semis = frozenset(_semistable_above(order, vals, 0) - {0})
     chain = [0]  # the zero submodule
     for j in sorted(semis, key=lambda j: (subs[j].total_dim, j)):
         if order.below[j] >> chain[-1] & 1:
             chain.append(j)
-    factors = []
-    for lo, hi in zip(chain, chain[1:]):
-        factor = subquotient(module, subs[lo], subs[hi])
-        if not is_stable(theta, factor):
+    out = []
+    for step in zip(chain, chain[1:]):
+        if step not in factors:
+            x = subquotient(module, subs[step[0]], subs[step[1]])
+            factors[step] = x, tuple(m.dims for m in enumerate_submodules(x))
+        x, dims = factors[step]
+        if not _stable(_values(theta, dims)):
             raise InvariantError(
-                "a minimal semistable factor is not stable at "
-                f"{theta_str(theta)}"
+                f"a minimal semistable factor is not stable at {theta_str(theta)}"
             )
-        factors.append((factor, factor.dims))
-    return semis, tuple(factors)
+        out.append(x)
+    return semis, out
 
 
 def t_set(theta, module):

@@ -22,7 +22,10 @@ Testing each zero-valued submodule for semistability on its own lattice,
 and splitting off one stable factor at a time and passing to the quotient,
 are the referees for the semistable subobjects and stable factors that the
 oracle reads off the order table.  Equal t-sets, and nested ones, are the
-definitions of M-TF equivalence and of the closure of a class.
+definitions of M-TF equivalence and of the closure of a class.  The
+oracle's pass on records (verify_fan_by_records: canonical_sequences per
+sample, t-sets as frozensets of Submodules, keys of Submodules) is the
+referee for verify_fan, which compares lattice indices and bit masks.
 The Newton points where a functional is largest, the scan of every
 submodule for the largest value of a functional, and the chain walk that
 rescans the t-set at every step, are the referees for the build's t-sets,
@@ -43,8 +46,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from mtfan.errors import ModuleDefinitionError
-from mtfan.exact import as_theta, dot, number, primitive, rank
+from mtfan.errors import InvariantError, ModuleDefinitionError
+from mtfan.exact import as_theta, dot, number, primitive, rank, theta_str
+from mtfan.oracle import REPS_PER_CONE, OracleReport, PointReport
 from mtfan.fplinalg import mat_mul, projective_points, rref_fp
 from mtfan.polyhedra import (
     COMPLETENESS_GRID_BOUND,
@@ -53,6 +57,7 @@ from mtfan.polyhedra import (
     cone_from_hrep,
     integer_grid,
     key_dim,
+    locate_index,
     vrep,
 )
 from mtfan.presets import preset_module, preset_names
@@ -68,7 +73,14 @@ from mtfan.quiver import (
     subquotient,
 )
 from mtfan.serialize import parse_frac
-from mtfan.stability import evaluate, is_semistable, is_stable, t_set
+from mtfan.stability import (
+    canonical_sequences,
+    evaluate,
+    filtration_key,
+    is_semistable,
+    is_stable,
+    t_set,
+)
 from mtfan.sublattice import enumerate_submodules
 
 
@@ -438,6 +450,97 @@ def is_m_tf_equivalent(theta, eta, module):
 def in_class_closure(theta, eta, module):
     """Whether theta lies in the closure of eta's equivalence class."""
     return t_set(eta, module) <= t_set(theta, module)
+
+
+def verify_point_by_records(mtf, theta):
+    """verify_point on records: canonical_sequences at theta compared with
+    the located cone's class data by Submodule, and the t-set check a scan
+    of the lattice against a frozenset of Submodules."""
+    module = mtf.module
+    theta = as_theta(theta, mtf.n)
+    idx = locate_index(mtf.newton, mtf.fan, theta)
+    data = mtf.classes[idx]
+    fails = []
+    try:
+        cs = canonical_sequences(theta, module)
+    except InvariantError as exc:
+        return PointReport(theta, idx, (f"definition route broke: {exc}",), None)
+    if cs.t != data.t or cs.tbar != data.tbar:
+        fails.append("canonical filtration differs from the cone's")
+    if cs.supp != data.supp_dims:
+        fails.append(f"support {cs.supp} != cone support {data.supp_dims}")
+    maxval = max(cs.vals)
+    for L, v in zip(enumerate_submodules(module), cs.vals):
+        if (v == maxval) != (L in cs.t_set):
+            fails.append(f"t-set mismatch at submodule of class {L.dims}")
+            break
+    face = mtf.newton.faces[idx]
+    vecs = [mtf.newton.vertices[v] for v in face.vertex_ids]
+    if tuple(cs.t.dims) != tuple(map(min, zip(*vecs))) or tuple(
+        cs.tbar.dims
+    ) != tuple(map(max, zip(*vecs))):
+        fails.append("t/tbar are not the min/max of the located face")
+    if not module.is_zero():
+        on_wall = cs.vals[-1] == 0 and maxval <= 0
+        if on_wall != mtf.wall.contains(theta):
+            fails.append("wall membership disagrees with the wall cone")
+    return PointReport(theta, idx, tuple(fails), cs)
+
+
+def verify_fan_by_records(mtf, samples):
+    """verify_fan on records: one verify_point_by_records call per sample,
+    and pair checks on frozensets of Submodules and on filtration keys of
+    Submodules and semistable subobjects."""
+    failures = []
+    checks = 0
+    by_cone = {}
+    for theta in samples:
+        rep = verify_point_by_records(mtf, theta)
+        checks += 1
+        failures.extend(f"theta {theta_str(rep.theta)}: {m}" for m in rep.failures)
+        kept = by_cone.setdefault(rep.cone_index, [])
+        if rep.canonical is not None and len(kept) < REPS_PER_CONE:
+            cs = rep.canonical
+            kept.append((rep.theta, cs.t_set, filtration_key(cs)))
+    missing = sorted(set(range(len(mtf.cones))) - set(by_cone))
+    if missing:
+        failures.append(f"cones never sampled: {missing}")
+    reps = sorted(by_cone.items())
+    for i, ts in reps:
+        for j, us in reps:
+            if j < i:
+                continue
+            face_rel = mtf.cones[i].is_face_of(mtf.cones[j])
+            face_back = mtf.cones[j].is_face_of(mtf.cones[i])
+            for a, a_set, a_key in ts:
+                for b, b_set, b_key in us:
+                    if a == b:
+                        continue
+                    checks += 1
+                    a_str, b_str = theta_str(a), theta_str(b)
+                    eq = a_set == b_set
+                    if eq != (a_key == b_key):
+                        failures.append(
+                            f"equivalence routes disagree at {a_str} vs {b_str}"
+                        )
+                    if eq != (i == j):
+                        failures.append(
+                            f"equivalence({a_str}, {b_str}) = {eq}, located "
+                            f"cones {'agree' if i == j else 'differ'}"
+                        )
+                    closure = b_set <= a_set
+                    if closure != face_rel:
+                        failures.append(
+                            f"closure({a_str}, {b_str}) = {closure} but face "
+                            f"relation is {face_rel}"
+                        )
+                    closure = a_set <= b_set
+                    if i < j and closure != face_back:
+                        failures.append(
+                            f"closure({b_str}, {a_str}) = {closure} but face "
+                            f"relation is {face_back}"
+                        )
+    return OracleReport(checks, tuple(failures))
 
 
 def semistable_subobjects_by_submodules(theta, module):

@@ -195,6 +195,33 @@ def test_verify_records_an_invariant_the_oracle_breaks(tmp_path, monkeypatch):
     assert doc["dim_formula"]["ok"] and doc["fan_validation"]["ok"]
 
 
+def test_verify_records_an_invariant_the_fan_route_breaks(tmp_path, monkeypatch):
+    """An InvariantError in locating a sample in the fan is that sample's
+    one failure, and the run still writes its document and exits 1.  The
+    sample, the third in cone 0, enters no pair check: the fourth takes its
+    place, so the run makes the 246 checks of a clean one."""
+    real = mtfan.oracle.locate_index
+    calls = []
+
+    def breaks_on_the_3rd_call(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise InvariantError("planted break")
+        return real(*args)
+
+    monkeypatch.setattr(mtfan.oracle, "locate_index", breaks_on_the_3rd_call)
+    code, text = run_cli(["verify", "--preset", "a2-P1"], tmp_path)
+    assert code == 1
+    doc = json.loads(text)
+    assert doc["ok"] is False
+    assert doc["oracle"] == {
+        "checks": 246,
+        "violations": ["theta (-3, -1): fan route broke: planted break"],
+        "ok": False,
+    }
+    assert doc["dim_formula"]["ok"] and doc["fan_validation"]["ok"]
+
+
 def test_input_file_and_p_override(tmp_path):
     path = tmp_path / "mod.json"
     path.write_text(json.dumps(A2_SPEC), encoding="utf-8")

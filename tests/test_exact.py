@@ -7,12 +7,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from mtfan.exact import (
+    as_theta,
     dot,
     hnf,
     nullspace,
     primitive,
     rank,
     rref,
+    theta_str,
 )
 from mtfan.fplinalg import (
     all_vectors,
@@ -37,6 +39,11 @@ def _all_ints(rows):
 def _pivots(rows):
     """The column of each row's first nonzero entry."""
     return tuple(next(c for c, x in enumerate(row) if x) for row in rows)
+
+
+def test_theta_str_prints_each_coordinate():
+    theta = as_theta((Fraction(1, 2), -1, Fraction(4, 2)), 3)
+    assert theta_str(theta) == "(1/2, -1, 2)"
 
 
 def test_rref_known_matrix():

@@ -34,7 +34,10 @@ from referee import (
     preset_direct_sum,
     quotient_module,
     random_kronecker_module,
+    verify_fan_by_records,
 )
+
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -184,12 +187,13 @@ def test_oracle_reports_a_definition_t_set_off_the_lattice(monkeypatch):
     cut down to {t} is reported at the first submodule it misses."""
     mtf = build_mtf_fan(preset_module("a2-P1"))
     assert len(t_set((0, 0), mtf.module)) == 3
+    real = mtfan.oracle._classify
 
-    def only_t(theta, module):
-        cs = canonical_sequences(theta, module)
-        return cs._replace(t_set=frozenset({cs.t}))
+    def only_t(theta, lattice, slices):
+        c = real(theta, lattice, slices)
+        return c._replace(t_set=1 << c.t)
 
-    monkeypatch.setattr(mtfan.oracle, "canonical_sequences", only_t)
+    monkeypatch.setattr(mtfan.oracle, "_classify", only_t)
     assert verify_point(mtf, (0, 0)).failures == (
         "t-set mismatch at submodule of class (0, 1)",
     )
@@ -201,12 +205,31 @@ def test_oracle_reports_a_t_that_is_not_the_face_minimum(monkeypatch):
     route that answers tbar for t misses the cone's t and the minimum of
     the Newton face.  In a maximal cone t = tbar, so nothing changes."""
     mtf = build_mtf_fan(preset_module("a2-P1"))
+    real = mtfan.oracle._classify
 
-    def t_is_tbar(theta, module):
-        cs = canonical_sequences(theta, module)
-        return cs._replace(t=cs.tbar)
+    def t_is_tbar(theta, lattice, slices):
+        c = real(theta, lattice, slices)
+        return c._replace(t=c.tbar)
 
-    monkeypatch.setattr(mtfan.oracle, "canonical_sequences", t_is_tbar)
+    monkeypatch.setattr(mtfan.oracle, "_classify", t_is_tbar)
+    assert verify_point(mtf, (0, 0)).failures == (
+        "canonical filtration differs from the cone's",
+        "t/tbar are not the min/max of the located face",
+    )
+    assert verify_point(mtf, (2, 1)).ok
+
+
+def test_oracle_reports_a_tbar_that_is_not_the_face_maximum(monkeypatch):
+    """The same fault from above: a definition route that answers t for
+    tbar at 0 misses the cone's tbar and the maximum of the Newton face."""
+    mtf = build_mtf_fan(preset_module("a2-P1"))
+    real = mtfan.oracle._classify
+
+    def tbar_is_t(theta, lattice, slices):
+        c = real(theta, lattice, slices)
+        return c._replace(tbar=c.t)
+
+    monkeypatch.setattr(mtfan.oracle, "_classify", tbar_is_t)
     assert verify_point(mtf, (0, 0)).failures == (
         "canonical filtration differs from the cone's",
         "t/tbar are not the min/max of the located face",
@@ -264,11 +287,12 @@ def test_oracle_reports_empty_t_sets(monkeypatch):
         for i, j in itertools.combinations(range(len(cones)), 2)
     ]
     assert back.count(False) == 9
+    real = mtfan.oracle._classify
 
-    def empty_t_set(theta, module):
-        return canonical_sequences(theta, module)._replace(t_set=frozenset())
+    def empty_t_set(theta, lattice, slices):
+        return real(theta, lattice, slices)._replace(t_set=0)
 
-    monkeypatch.setattr(mtfan.oracle, "canonical_sequences", empty_t_set)
+    monkeypatch.setattr(mtfan.oracle, "_classify", empty_t_set)
     report = verify_fan(mtf, samples=samples)
     missed = ("0, 0", "0, 1", "1, 1", "0, 0", "0, 0", "0, 1", "0, 0")
     expected = [
@@ -333,25 +357,25 @@ def test_verify_point_on_specific_functionals():
 
 
 def test_verify_point_values_the_lattice_once(monkeypatch):
-    """canonical_sequences values theta once on each lattice it reads, one
-    dot product a row: M's, then w's (which decide that w is semistable and
+    """The kernel values theta once on each lattice it reads, one dot
+    product a row: M's, then w's (which decide that w is semistable and
     give its semistable subobjects and stable factors), f's and each stable
-    factor's.  theta(M) and theta(w) are read off the last members of their
-    lattices, so evaluate runs once per stable factor (its stability check),
-    and verify_point reads its support, its t-set check and its wall
-    membership off that record; the filtration key is stored."""
+    factor's, whose last value is theta on the factor, so evaluate never
+    runs.  canonical_sequences and verify_point are one kernel call each,
+    and verify_fan values each sample's lattices once too; the filtration
+    key is read off the kernel's answer."""
     rows = []
-    real = mtfan.stability._sub_values
+    real = mtfan.stability._values
 
     def size(x):
         return len(enumerate_submodules(x))
 
-    def counting(module, theta):
-        subs, vals = real(module, theta)
+    def counting(theta, dims):
+        vals = real(theta, dims)
         rows.append(len(vals))
-        return subs, vals
+        return vals
 
-    monkeypatch.setattr(mtfan.stability, "_sub_values", counting)
+    monkeypatch.setattr(mtfan.stability, "_values", counting)
     calls = count_calls(monkeypatch, mtfan.stability.evaluate)
 
     for module in (
@@ -359,7 +383,9 @@ def test_verify_point_values_the_lattice_once(monkeypatch):
         direct_sum(preset_module("a2-P1"), preset_module("a2-P1")),
     ):
         mtf = build_mtf_fan(module)
-        for theta in build_sample_set(mtf, bound=1):
+        samples = build_sample_set(mtf, bound=1)
+        every = []
+        for theta in samples:
             cs = canonical_sequences(theta, module)
             factors = supp_factors(theta, cs.w)
             expected = [
@@ -368,15 +394,17 @@ def test_verify_point_values_the_lattice_once(monkeypatch):
                 size(quotient_module(module, cs.tbar)),
                 *(size(x) for x, _ in factors),
             ]
+            every += expected
             rows.clear()
             calls.clear()
-            cs = canonical_sequences(theta, module)
-            mtfan.oracle.filtration_key(cs)
-            assert (rows, calls["evaluate"]) == (expected, len(factors)), theta
+            mtfan.oracle.filtration_key(canonical_sequences(theta, module))
+            assert (rows, calls["evaluate"]) == (expected, 0), theta
             rows.clear()
-            calls.clear()
             assert verify_point(mtf, theta).ok
-            assert (rows, calls["evaluate"]) == (expected, len(factors)), theta
+            assert (rows, calls["evaluate"]) == (expected, 0), theta
+        rows.clear()
+        assert verify_fan(mtf, samples).ok
+        assert (rows, calls["evaluate"]) == (every, 0)
 
 
 @given(st.one_of(preset_direct_sum(), random_kronecker_module()))
@@ -467,3 +495,73 @@ def test_oracle_presents_only_the_slices_and_the_stable_factors():
     lattices, _, subquotients = (memo.cache_info().misses for memo in memos)
     assert lattices <= 10
     assert subquotients <= 40
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDENS.glob("*.input.json")), ids=lambda p: p.name.split(".")[0]
+)
+def test_the_pass_matches_the_record_referee_on_the_golden_inputs(path):
+    """verify_fan compares lattice indices and bit masks; the record pass
+    compares Submodules and frozensets of them.  Both give the same report,
+    checks and failures in order, on every golden input at grid bound 1."""
+    mtf = build_mtf_fan(module_from_doc(json.loads(path.read_text()))[1])
+    samples = build_sample_set(mtf, bound=1)
+    report = verify_fan(mtf, samples)
+    assert report.ok, report.failures
+    assert report == verify_fan_by_records(mtf, samples)
+
+
+def test_the_pass_matches_the_record_referee_at_a_thousand_functionals():
+    mtf = build_mtf_fan(preset_module("nakayama2-121"))
+    samples = build_sample_set(mtf, bound=16)
+    report = verify_fan(mtf, samples)
+    assert report.ok and report.checks == 1421
+    assert report == verify_fan_by_records(mtf, samples)
+
+
+@given(random_kronecker_module())
+@seed(0x0F11)
+@settings(max_examples=10, deadline=None)
+def test_the_pass_matches_the_record_referee_on_random_modules(module):
+    mtf = build_mtf_fan(module)
+    samples = build_sample_set(mtf, bound=1)
+    assert verify_fan(mtf, samples) == verify_fan_by_records(mtf, samples)
+
+
+def test_the_pass_matches_the_record_referee_on_broken_fans():
+    """Failing reports agree too: a2-P1 with the class data of two maximal
+    cones traded, and with a wall that is another cone."""
+    mtf = build_mtf_fan(preset_module("a2-P1"))
+    classes = list(mtf.classes)
+    classes[0], classes[1] = classes[1], classes[0]
+    swapped = MTFFan(mtf.module, mtf.newton, mtf.fan, tuple(classes))
+    walled = build_mtf_fan(preset_module("a2-P1"))
+    vars(walled)["wall"] = walled.cones[0]
+    for bad in (swapped, walled):
+        samples = build_sample_set(bad, bound=2)
+        report = verify_fan(bad, samples)
+        assert report.failures
+        assert report == verify_fan_by_records(bad, samples)
+
+
+def test_the_pass_presents_each_slice_once():
+    """verify_fan presents each (t, tbar) slice, the lattices of w and f and
+    w's stable factors once per pass, so on nakayama2-121 it makes as many
+    subquotient, order-table and lattice requests at grid bound 4 (89
+    samples) as at 16 (1,097): 25, 10 and 31.  A pass that asked the memos
+    at every sample made 2,261, 2,194 and 5,557 at 16."""
+    mtf = build_mtf_fan(preset_module("nakayama2-121"))
+    memos = (
+        mtfan.quiver.subquotient,
+        mtfan.stability._order,
+        mtfan.sublattice.enumerate_submodules,
+    )
+
+    def requests(bound):
+        samples = build_sample_set(mtf, bound=bound)
+        for memo in memos:
+            memo.cache_clear()
+        assert verify_fan(mtf, samples).ok
+        return [memo.cache_info().hits + memo.cache_info().misses for memo in memos]
+
+    assert requests(4) == requests(16) == [25, 10, 31]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import mtfan.exact
 from mtfan import polyhedra
 from mtfan.errors import InvariantError, ResourceLimitError
-from mtfan.exact import dot, nullspace, primitive, rank, rref
+from mtfan.exact import as_theta, dot, nullspace, primitive, rank, rref
 from mtfan.fan import build_mtf_fan
 from mtfan.oracle import _boundary_witness
 from mtfan.polyhedra import (
@@ -302,6 +302,22 @@ def test_normal_fan_and_locate_on_square():
     # order-reversing bijection: cone dim + face dim == n
     for i, cone in enumerate(fan.cones):
         assert cone.dim + P.faces[i].dim == 2
+
+
+def test_locate_index_prints_a_rational_functional():
+    """locate_index names theta as every message does, coordinate by
+    coordinate: with the first two maximal cones of a2-P1 traded,
+    (-1/2, -1/3) is largest on face 0, whose slot holds cone 1."""
+    mtf = build_mtf_fan(preset_module("a2-P1"))
+    cones = list(mtf.cones)
+    cones[0], cones[1] = cones[1], cones[0]
+    theta = as_theta((Fraction(-1, 2), Fraction(-1, 3)), 2)
+    assert locate_index(mtf.newton, mtf.fan, theta) == 0
+    with pytest.raises(InvariantError) as info:
+        locate_index(mtf.newton, mtf.fan._replace(cones=tuple(cones)), theta)
+    assert str(info.value) == (
+        "(-1/2, -1/3) is not inside the cone of its maximal face"
+    )
 
 
 def test_face_children_is_the_cover_relation():

@@ -228,11 +228,14 @@ def test_largest_member_of_a_corrupted_table_raises_invariant_error():
 
 
 def test_an_unstable_factor_raises_invariant_error(monkeypatch):
-    """Each factor of the chain is checked stable on its own lattice."""
-    monkeypatch.setattr(mtfan.stability, "is_stable", lambda theta, module: False)
-    with pytest.raises(InvariantError) as info:
-        supp_factors((0, 0), preset_module("a2-P1"))
-    assert str(info.value) == "a minimal semistable factor is not stable at (0, 0)"
+    """Each factor of the chain is checked stable on its own lattice, by
+    supp_factors and by the kernel behind canonical_sequences: at 0 on
+    a2-P1, w is the whole module, with two simple factors."""
+    monkeypatch.setattr(mtfan.stability, "_stable", lambda vals: False)
+    for route in (supp_factors, canonical_sequences):
+        with pytest.raises(InvariantError) as info:
+            route((0, 0), preset_module("a2-P1"))
+        assert str(info.value) == "a minimal semistable factor is not stable at (0, 0)"
 
 
 @pytest.mark.parametrize(
