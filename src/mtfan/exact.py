@@ -29,8 +29,8 @@ def number(x):
 
 def as_theta(theta, n):
     """theta as a tuple of n exact coordinates: an int where the coordinate
-    is an integer, a Fraction otherwise.  Equal ints and Fractions hash
-    alike, so memo keys do not depend on which form a caller passed."""
+    is an integer, a Fraction otherwise, so integral functionals are
+    valued in integer arithmetic whichever form a caller passed."""
     t = tuple(number(x) for x in theta)
     if len(t) != n:
         raise ValueError(f"stability vector of length {len(t)}, expected {n}")

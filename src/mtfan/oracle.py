@@ -91,31 +91,32 @@ class OracleReport(NamedTuple):
 
 
 def _pass(mtf):
-    """What a pass reads at every sample: M's _lattice, a slice table for
-    _classify, and each cone's t and tbar as lattice indices (None off the
-    lattice), support, and the min and max of its Newton face."""
-    lattice = _lattice(mtf.module)
+    """What a pass reads at every sample: M's _lattice, the pass's table
+    for _classify, and each cone's t and tbar as lattice indices (None off
+    the lattice), support, and the min and max of its Newton face."""
+    table = {}
+    lattice = _lattice(mtf.module, table)
     index = {s: j for j, s in enumerate(lattice[1])}.get
     cones = []
     for face, data in zip(mtf.newton.faces, mtf.classes):
         vecs = list(zip(*(mtf.newton.vertices[v] for v in face.vertex_ids)))
         bounds = tuple(map(min, vecs)), tuple(map(max, vecs))
         cones.append((index(data.t), index(data.tbar), data.supp_dims, *bounds))
-    return lattice, {}, cones
+    return lattice, table, cones
 
 
 def _check(mtf, ctx, theta):
     """(located cone index, failures, _classify's answer) of an as_theta
     functional in a pass ctx.  A broken invariant of the fan route or the
     definition route is the sample's one failure, with no answer."""
-    lattice, slices, cones = ctx
+    lattice, table, cones = ctx
     try:
         idx = locate_index(mtf.newton, mtf.fan, theta)
         on_wall = None if mtf.module.is_zero() else mtf.wall.contains(theta)
     except InvariantError as exc:
         return None, (f"fan route broke: {exc}",), None
     try:
-        c = _classify(theta, lattice, slices)
+        c = _classify(theta, lattice, table)
     except InvariantError as exc:
         return idx, (f"definition route broke: {exc}",), None
     t, tbar, supp, lo, hi = cones[idx]
@@ -149,7 +150,7 @@ def verify_point(mtf, theta):
     theta = as_theta(theta, mtf.n)
     ctx = _pass(mtf)
     idx, fails, c = _check(mtf, ctx, theta)
-    return PointReport(theta, idx, fails, c and _record(ctx[0], c))
+    return PointReport(theta, idx, fails, c and _record(ctx[0], c, ctx[1]))
 
 
 def verify_fan(mtf, samples):
@@ -228,7 +229,8 @@ def verify_dim_formula(mtf):
 
     For every cone, dim(cone) + rank(support classes) = n.  Every face of
     the wall belongs to the fan and is cut out of the wall by the span of
-    its own support classes.
+    its own support classes.  A wall that breaks an invariant is one
+    failure, and its faces go unchecked.
     """
     failures = []
     checks = 0
@@ -240,8 +242,13 @@ def verify_dim_formula(mtf):
                 f"cone {i}: dim {cone.dim} + rank(supp) "
                 f"{rank(data.supp_dims)} != {n}"
             )
-    if not mtf.module.is_zero():
-        wall = mtf.wall
+    try:
+        wall = None if mtf.module.is_zero() else mtf.wall
+    except InvariantError as exc:
+        wall = None
+        checks += 1
+        failures.append(f"wall broke: {exc}")
+    if wall is not None:
         cone_index = {c.key: i for i, c in enumerate(mtf.cones)}
         # (dim, eqs) order; the equations determine the face
         for key in sorted(wall.face_keys, key=lambda k: (key_dim(k), key_eqs(n, k))):

@@ -7,7 +7,8 @@ composite is the product M(a_l) @ ... @ M(a_1).
 
 Submodules are arrow-stable families of subspaces, one per vertex, stored as
 RREF bases so equal submodules compare equal structurally, and containment
-tests and sums reduce vectors against the stored echelon form.
+tests and sums reduce vectors against the stored echelon form; no function
+here is memoized.
 """
 from __future__ import annotations
 
@@ -25,14 +26,17 @@ from .fplinalg import (
 )
 from .record import Record
 
-# subquotient modules memoized per (module, lower, upper); only the oracle
-# builds them (w, f and the stable factors of w): a default `verify` asks for
-# 87 on square-lambda (52 distinct) and 242 on sq+sq+S4 (175 distinct)
-SUBQUOTIENT_CACHE_SIZE = 1024
-
 # primality is checked by trial division up to sqrt(p), about 46,000 steps
 # below this bound
 MAX_PRIME = 2**31
+
+
+def _integer(value, what, error):
+    """value, which must be an int and not a bool, as serialize requires of
+    a document; anything else raises error rather than being truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _is_prime(p):
@@ -82,7 +86,7 @@ def build_algebra(spec):
         AlgebraDefinitionError: non-prime p or p >= 2^31, duplicate
             labels, dangling arrow endpoints, non-composable or
             mixed-endpoint relation paths, paths of length < 2, or
-            coefficients that vanish mod p.
+            coefficients that are not ints or vanish mod p.
     """
     p = spec["p"]
     if not isinstance(p, int) or not (p < MAX_PRIME and _is_prime(p)):
@@ -115,7 +119,9 @@ def build_algebra(spec):
         terms = []
         endpoints = None
         for term in rel:
-            coeff = int(term["coeff"]) % p
+            coeff = term["coeff"]
+            _integer(coeff, "relation coefficient", AlgebraDefinitionError)
+            coeff %= p
             if coeff == 0:
                 raise AlgebraDefinitionError("relation coefficient vanishes mod p")
             path = tuple(str(name) for name in term["path"])
@@ -189,19 +195,22 @@ def build_module(algebra, dims, maps):
             reduced mod p.  Missing/None entries mean the zero matrix.
 
     Raises:
-        ModuleDefinitionError: negative dimensions, shape mismatches, or a
-            relation whose composite is nonzero on this data.
+        ModuleDefinitionError: dimensions or entries that are not ints,
+            negative dimensions, shape mismatches, or a relation whose
+            composite is nonzero on this data.
     """
     p = algebra.p
     if isinstance(dims, dict):
         unknown = set(dims) - set(algebra.vertices)
         if unknown:
             raise ModuleDefinitionError(f"dims for unknown vertices {sorted(unknown)}")
-        dim_tuple = tuple(int(dims.get(v, 0)) for v in algebra.vertices)
+        dim_tuple = tuple(dims.get(v, 0) for v in algebra.vertices)
     else:
-        dim_tuple = tuple(int(d) for d in dims)
+        dim_tuple = tuple(dims)
         if len(dim_tuple) != algebra.n:
             raise ModuleDefinitionError("dims length does not match vertex count")
+    for d in dim_tuple:
+        _integer(d, "dimension", ModuleDefinitionError)
     if any(d < 0 for d in dim_tuple):
         raise ModuleDefinitionError("dimensions must be nonnegative")
 
@@ -221,7 +230,10 @@ def build_module(algebra, dims, maps):
         sdim = dim_tuple[arrow.source]
         if rows is None:
             rows = tuple(tuple(0 for _ in range(sdim)) for _ in range(tdim))
-        rows = tuple(tuple(int(x) % p for x in r) for r in rows)
+        rows = tuple(
+            tuple(_integer(x, "matrix entry", ModuleDefinitionError) % p for x in r)
+            for r in rows
+        )
         if len(rows) != tdim or any(len(r) != sdim for r in rows):
             raise ModuleDefinitionError(
                 f"matrix for arrow {arrow.name!r} must have shape {tdim}x{sdim}"
@@ -357,12 +369,9 @@ def submodule_sum(a, b):
     return Submodule(a.module, bases)
 
 
-@functools.lru_cache(maxsize=SUBQUOTIENT_CACHE_SIZE)
 def subquotient(module, lower, upper):
-    """Present upper/lower as a standalone module.
-
-    Memoized by value: equal (module, lower, upper) give the same Module,
-    which is immutable, so callers may share it.
+    """Present upper/lower as a standalone module, built afresh on each
+    call; only the oracle's definition routes present one.
 
     Args:
         module: the ambient module.

@@ -27,13 +27,13 @@ vertex at a time, each pair of distinct spaces at a vertex once.  The
 scans walk the covers: one walk up the whole lattice gives both torsion
 classes, and one up the members above t gives the t-set.
 Each lattice is valued once, one dot product a row.  Only w, f and the
-stable factors are presented as modules, each checked on its own lattice,
-once per slice table that the caller keeps; semistability builds no
-order table.
+stable factors are presented as modules, each checked on its own lattice;
+semistability builds no order table.  Nothing is memoized but the lattice:
+each order table and subquotient is built once per table, a dict keyed by
+value that the caller keeps and drops.
 """
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from operator import mul
 from typing import NamedTuple
@@ -42,13 +42,7 @@ from .errors import InvariantError, ModuleDefinitionError
 from .exact import as_theta, theta_str
 from .fplinalg import in_span
 from .quiver import Module, Submodule, subquotient
-from .sublattice import LATTICE_CACHE_SIZE, enumerate_submodules
-
-# order tables memoized per module, as many as the lattices they index: the
-# module and its slices w.  A default `verify` builds at most 13 on a preset
-# (square-lambda), 4 on the Kronecker module R_4 and 23 on sq+sq+S4; the
-# `oracle` workload asks for its 5 tables 10 times, once per slice
-ORDER_CACHE_SIZE = LATTICE_CACHE_SIZE
+from .sublattice import enumerate_submodules
 
 
 def evaluate(theta, x):
@@ -106,7 +100,6 @@ class _Order(NamedTuple):
     levels: tuple
 
 
-@functools.lru_cache(maxsize=ORDER_CACHE_SIZE)
 def _order(module):
     """The order table of enumerate_submodules(module).
 
@@ -226,20 +219,32 @@ class CanonicalSequenceData(NamedTuple):
 _Classes = namedtuple("_Classes", "t tbar vals t_set w_semis supp")
 
 
-def _lattice(module):
+def _lattice(module, table):
     """The module, its lattice, the members' classes and its order table."""
-    subs = enumerate_submodules(module)
-    return module, subs, tuple(s.dims for s in subs), _order(module)
+    if module not in table:
+        subs = enumerate_submodules(module)
+        table[module] = module, subs, tuple(s.dims for s in subs), _order(module)
+    return table[module]
 
 
-def _slice(module, subs, i, k):
+def _present(module, lower, upper, table):
+    """subquotient(module, lower, upper) and its lattice's classes."""
+    key = module, lower, upper
+    if key not in table:
+        x = subquotient(module, lower, upper)
+        table[key] = x, tuple(s.dims for s in enumerate_submodules(x))
+    return table[key]
+
+
+def _slice(module, subs, i, k, table):
     """What members i <= k give at every functional: _lattice(w) for
     w = L_k/L_i, the classes of the lattice of f = M/L_k (M is the last
-    member), whether L_i, w and f add up to M, and a factor table."""
+    member), and whether L_i, w and f add up to M."""
     t, tbar = subs[i], subs[k]
-    w, f = subquotient(module, t, tbar), subquotient(module, tbar, subs[-1])
+    w = _present(module, t, tbar, table)[0]
+    f, fdims = _present(module, tbar, subs[-1], table)
     adds = all(a + b + c == d for a, b, c, d in zip(t.dims, w.dims, f.dims, module.dims))
-    return _lattice(w), tuple(s.dims for s in enumerate_submodules(f)), adds, {}
+    return _lattice(w, table), fdims, adds
 
 
 def canonical_sequences(theta, module):
@@ -251,23 +256,24 @@ def canonical_sequences(theta, module):
     t-set of theta, which lies between t and tbar.  One _classify call.
     """
     theta = as_theta(theta, module.algebra.n)
-    lattice = _lattice(module)
-    return _record(lattice, _classify(theta, lattice, {}))
+    table = {}
+    lattice = _lattice(module, table)
+    return _record(lattice, _classify(theta, lattice, table), table)
 
 
-def _record(lattice, c):
-    """The CanonicalSequenceData of _classify's answer c on lattice."""
+def _record(lattice, c, table):
+    """The CanonicalSequenceData of _classify's answer c on lattice, table."""
     module, subs = lattice[:2]
     t, tbar = subs[c.t], subs[c.tbar]
     t_set = frozenset(subs[j] for j in _bits(c.t_set))
-    w = subquotient(module, t, tbar)
+    w = _present(module, t, tbar, table)[0]
     return CanonicalSequenceData(t, tbar, w, t_set, c.vals, c.w_semis, c.supp)
 
 
-def _classify(theta, lattice, slices):
+def _classify(theta, lattice, table):
     """canonical_sequences of an as_theta functional on lattice =
-    _lattice(M), as _Classes.  slices maps each pair (t, tbar) met so far
-    to its _slice; a caller that keeps it presents each slice once."""
+    _lattice(M, table), as _Classes.  The table keeps each slice under its
+    pair (t, tbar); a caller that keeps it presents each slice once."""
     module, subs, dims, order = lattice
     vals = _values(theta, dims)
     strict, weak = _torsion_classes(order, vals)
@@ -276,8 +282,8 @@ def _classify(theta, lattice, slices):
     inside = order.below[k] | 1 << k
     if not inside >> i & 1:
         raise InvariantError(f"t is not inside tbar at theta {theta_str(theta)}")
-    s = slices.get((i, k)) or slices.setdefault((i, k), _slice(module, subs, i, k))
-    wlattice, fdims, adds, factors = s
+    s = table.get((i, k)) or table.setdefault((i, k), _slice(module, subs, i, k, table))
+    wlattice, fdims, adds = s
     wvals = _values(theta, wlattice[2])
     if wvals[-1] != 0 or max(wvals) > 0:
         raise InvariantError(
@@ -295,7 +301,7 @@ def _classify(theta, lattice, slices):
         )
     if t_set & ~inside:
         raise InvariantError(f"a t-set member is not inside tbar at {theta_str(theta)}")
-    w_semis, supp = _stable_factors(theta, wlattice, wvals, factors)
+    w_semis, supp = _stable_factors(theta, wlattice, wvals, table)
     return _Classes(i, k, vals, t_set, w_semis, tuple(sorted([x.dims for x in supp])))
 
 
@@ -334,17 +340,18 @@ def supp_factors(theta, module):
     theta = as_theta(theta, module.algebra.n)
     if not is_semistable(theta, module):
         raise ModuleDefinitionError("supp factors need a semistable module")
-    lattice = _lattice(module)
-    _, factors = _stable_factors(theta, lattice, _values(theta, lattice[2]), {})
+    table = {}
+    lattice = _lattice(module, table)
+    _, factors = _stable_factors(theta, lattice, _values(theta, lattice[2]), table)
     return tuple((x, x.dims) for x in factors)
 
 
-def _stable_factors(theta, lattice, vals, factors):
+def _stable_factors(theta, lattice, vals, table):
     """The nonzero semistable subobjects (indices) of a semistable module,
-    where vals are theta on lattice = _lattice(module), and the factors of
-    one maximal chain 0 = L_0 < ... < L_r = M through them (the zero-valued
-    submodules), walked by total dimension so each L_{m+1}/L_m is stable:
-    checked on its own lattice, which the table factors keeps by step."""
+    where vals are theta on lattice = _lattice(module, table), and the
+    factors of one maximal chain 0 = L_0 < ... < L_r = M through them (the
+    zero-valued submodules), walked by total dimension so each L_{m+1}/L_m
+    is stable: checked on its own lattice."""
     module, subs, _, order = lattice
     semis = frozenset(_semistable_above(order, vals, 0) - {0})
     chain = [0]  # the zero submodule
@@ -352,11 +359,8 @@ def _stable_factors(theta, lattice, vals, factors):
         if order.below[j] >> chain[-1] & 1:
             chain.append(j)
     out = []
-    for step in zip(chain, chain[1:]):
-        if step not in factors:
-            x = subquotient(module, subs[step[0]], subs[step[1]])
-            factors[step] = x, tuple(m.dims for m in enumerate_submodules(x))
-        x, dims = factors[step]
+    for a, b in zip(chain, chain[1:]):
+        x, dims = _present(module, subs[a], subs[b], table)
         if not _stable(_values(theta, dims)):
             raise InvariantError(
                 f"a minimal semistable factor is not stable at {theta_str(theta)}"

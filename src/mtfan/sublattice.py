@@ -34,7 +34,7 @@ DIM_BOUND = 14
 MAX_SUBMODULES = 20000
 # lattices memoized per module; a default `verify` reads at most 13 on a
 # preset, 7 on the Kronecker module R_4 and 33 on sq+sq+S4, and the
-# `oracle` workload asks 32 times for 6
+# `oracle` workload asks 24 times for 6
 LATTICE_CACHE_SIZE = 256
 
 

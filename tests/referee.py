@@ -679,6 +679,47 @@ def kronecker_module(p, dims, a, b):
     return build_module(A, dims, {"a": a, "b": b})
 
 
+def kronecker_r(k, p=2):
+    """R_k: the Kronecker module 1 => 2 with dims (k, k), a = I_k and
+    b = J_k(0), the nilpotent Jordan block (ones just above the diagonal)."""
+    a = [[int(i == j) for j in range(k)] for i in range(k)]
+    b = [[int(j == i + 1) for j in range(k)] for i in range(k)]
+    return kronecker_module(p, (k, k), a, b)
+
+
+def cube_module(n, p=2):
+    """The n-cube: a line at each vertex 0, ..., n-1 of the arrowless
+    algebra, so the submodules are the 2^n sets of vertices and the Newton
+    polytope is the n-cube."""
+    A = build_algebra({"p": p, "vertices": [str(v) for v in range(n)], "arrows": []})
+    return build_module(A, (1,) * n, [])
+
+
+def a_n_all(n, p=2):
+    """A_n-all: the linear quiver 1 -> 2 -> ... -> n, with arrows named a, b,
+    ... in order, and the sum of its n(n+1)/2 interval modules [i, j]: by
+    last vertex j, and for one j from the shortest interval up."""
+    A = build_algebra(
+        {
+            "p": p,
+            "vertices": [str(v + 1) for v in range(n)],
+            "arrows": [
+                {"name": chr(ord("a") + u), "from": str(u + 1), "to": str(u + 2)}
+                for u in range(n - 1)
+            ],
+        }
+    )
+    total = None
+    for j in range(n):
+        for i in range(j, -1, -1):
+            dims = [int(i <= v <= j) for v in range(n)]
+            interval = build_module(
+                A, dims, [[[1]] if i <= u < j else None for u in range(n - 1)]
+            )
+            total = interval if total is None else direct_sum(total, interval)
+    return total
+
+
 @st.composite
 def invertible_matrix(draw, d, p):
     """P L U: a permutation, a unit lower triangular and an upper triangular

@@ -16,7 +16,7 @@ import mtfan.polyhedra
 from mtfan import serialize
 from mtfan.cli import MAX_SVG_SIZE, build_parser, main, run
 from mtfan.errors import InvariantError, ResourceLimitError
-from mtfan.fan import build_mtf_fan, wall_cone
+from mtfan.fan import MTFFan, build_mtf_fan, wall_cone
 from mtfan.oracle import build_sample_set
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import build_algebra, build_module
@@ -220,6 +220,34 @@ def test_verify_records_an_invariant_the_fan_route_breaks(tmp_path, monkeypatch)
         "ok": False,
     }
     assert doc["dim_formula"]["ok"] and doc["fan_validation"]["ok"]
+
+
+def test_verify_records_a_wall_that_breaks(tmp_path, monkeypatch):
+    """A wall that raises InvariantError breaks the fan route at every
+    sample and is one dim-formula violation; the run still writes its
+    document and exits 1."""
+
+    def broken(self):
+        raise InvariantError("planted break")
+
+    monkeypatch.setattr(MTFFan, "wall", property(broken))
+    code, text = run_cli(
+        ["verify", "--preset", "a2-P1", "--grid-bound", "1"], tmp_path
+    )
+    assert code == 1
+    doc = json.loads(text)
+    assert doc["ok"] is False
+    violations = doc["oracle"]["violations"]
+    assert len(violations) == doc["samples"] + 1
+    assert all(v.endswith(": fan route broke: planted break") for v in violations[:-1])
+    assert violations[-1] == "cones never sampled: [0, 1, 2, 3, 4, 5, 6]"
+    # one check per cone, and the wall's one
+    assert doc["dim_formula"] == {
+        "checks": 8,
+        "violations": ["wall broke: planted break"],
+        "ok": False,
+    }
+    assert doc["fan_validation"]["ok"]
 
 
 def test_input_file_and_p_override(tmp_path):

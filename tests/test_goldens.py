@@ -8,13 +8,18 @@ Regenerate the files (only when an output change is intended) with
 import contextlib
 import hashlib
 import io
+import json
 import pathlib
 import sys
 
 import pytest
 
 from mtfan.cli import main
+from mtfan.fan import build_mtf_fan
 from mtfan.presets import preset_module, preset_names
+from mtfan.serialize import module_from_doc
+from mtfan.sublattice import enumerate_submodules
+from referee import a_n_all, cube_module, kronecker_r
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 COMMANDS = ("newton", "fan", "wall", "paths")
@@ -136,6 +141,23 @@ def test_integer_labels_read_as_their_strings():
     path = str(GOLDENS / "nakayama2-121-int.input.json")
     golden = _golden("nakayama2-121.fan").read_text(encoding="utf-8")
     assert _output(["fan", "--input", path]) == golden
+
+
+def test_the_family_constructors_build_the_golden_inputs():
+    """R_4, the 5-cube and A_3-all at p = 2, as their constructors build
+    them, are the modules of their input documents, with the dimension
+    vector, submodule count S and cone count C of each."""
+    for name, module, dims, s, c in (
+        ("kronecker-R4", kronecker_r(4), (4, 4), 227, 7),
+        ("cube5", cube_module(5), (1, 1, 1, 1, 1), 32, 243),
+        ("a3-all", a_n_all(3), (3, 4, 3), 1229, 45),
+    ):
+        doc = json.loads((GOLDENS / f"{name}.input.json").read_text())
+        assert module == module_from_doc(doc)[1], name
+        assert module.algebra.p == 2
+        assert module.dims == dims
+        assert len(enumerate_submodules(module)) == s
+        assert len(build_mtf_fan(module).cones) == c
 
 
 if __name__ == "__main__":

@@ -450,19 +450,14 @@ def test_sample_set_is_deterministic_and_covers_all_cones():
 
 def test_oracle_containment_tests_do_not_grow_with_the_functionals(monkeypatch):
     """The order table decides each pair of distinct vertex spaces once per
-    module, and each memoized subquotient checks once that its lower
-    submodule lies in its upper one, so verify_fan on nakayama2-121 at
-    --grid-bound 16 (1,097 functionals) makes 29 in_span and 13
+    module, and each subquotient, built once per pass, checks once that its
+    lower submodule lies in its upper one, so verify_fan on nakayama2-121
+    at --grid-bound 16 (1,097 functionals) makes 44 in_span and 13
     submodule_contains calls, counted through every alias; scans that test
     every pair of submodules at each functional made 26,033 containment
     tests."""
     mtf = build_mtf_fan(preset_module("nakayama2-121"))
     samples = build_sample_set(mtf, bound=16)
-    for memo in (
-        mtfan.stability._order,
-        mtfan.quiver.subquotient,
-    ):
-        memo.cache_clear()
     calls = count_calls(
         monkeypatch, mtfan.fplinalg.in_span, mtfan.quiver.submodule_contains
     )
@@ -473,7 +468,7 @@ def test_oracle_containment_tests_do_not_grow_with_the_functionals(monkeypatch):
     assert calls["submodule_contains"] <= 25
 
 
-def test_oracle_presents_only_the_slices_and_the_stable_factors():
+def test_oracle_presents_only_the_slices_and_the_stable_factors(monkeypatch):
     """The t-set, the semistable subobjects of w and the stable factors are
     read off the module's own lattice and order table, so `verify
     --grid-bound 1` on the Kronecker module R_4 enumerates 7 lattices and
@@ -481,20 +476,14 @@ def test_oracle_presents_only_the_slices_and_the_stable_factors():
     quotient as a module of its own took 192 lattices and 755
     subquotients."""
     path = pathlib.Path(__file__).parent / "goldens" / "kronecker-R4.input.json"
-    memos = (
-        mtfan.sublattice.enumerate_submodules,
-        mtfan.stability._order,
-        mtfan.quiver.subquotient,
-    )
-    for memo in memos:
-        memo.cache_clear()
+    mtfan.sublattice.enumerate_submodules.cache_clear()
+    calls = count_calls(monkeypatch, mtfan.quiver.subquotient)
     mtf = build_mtf_fan(module_from_doc(json.loads(path.read_text()))[1])
     report = verify_fan(mtf, build_sample_set(mtf, bound=1))
     assert report.ok, report.failures
     assert verify_dim_formula(mtf).ok
-    lattices, _, subquotients = (memo.cache_info().misses for memo in memos)
-    assert lattices <= 10
-    assert subquotients <= 40
+    assert mtfan.sublattice.enumerate_submodules.cache_info().misses <= 10
+    assert calls["subquotient"] <= 40
 
 
 @pytest.mark.parametrize(
@@ -544,24 +533,30 @@ def test_the_pass_matches_the_record_referee_on_broken_fans():
         assert report == verify_fan_by_records(bad, samples)
 
 
-def test_the_pass_presents_each_slice_once():
+def test_the_pass_presents_each_slice_once(monkeypatch):
     """verify_fan presents each (t, tbar) slice, the lattices of w and f and
-    w's stable factors once per pass, so on nakayama2-121 it makes as many
-    subquotient, order-table and lattice requests at grid bound 4 (89
-    samples) as at 16 (1,097): 25, 10 and 31.  A pass that asked the memos
-    at every sample made 2,261, 2,194 and 5,557 at 16."""
-    mtf = build_mtf_fan(preset_module("nakayama2-121"))
-    memos = (
+    w's stable factors once per pass, and builds each subquotient and order
+    table once, in a table keyed by value that it drops on return.  So on
+    nakayama2-121 it builds as many subquotients and order tables, and asks
+    the lattice memo as often, at grid bound 4 (89 samples) as at 16
+    (1,097): 13, 5 and 23 times, and on square-lambda at grid bound 1 (96
+    samples) 52, 13 and 78 times.  Memos on subquotient and the order table
+    took 25 and 10 requests for the builds on nakayama2-121, and a pass that
+    asked the memos at every sample made 2,261, 2,194 and 5,557 requests at
+    16."""
+    calls = count_calls(
+        monkeypatch,
         mtfan.quiver.subquotient,
         mtfan.stability._order,
         mtfan.sublattice.enumerate_submodules,
     )
 
-    def requests(bound):
+    def builds(mtf, bound):
         samples = build_sample_set(mtf, bound=bound)
-        for memo in memos:
-            memo.cache_clear()
+        calls.clear()
         assert verify_fan(mtf, samples).ok
-        return [memo.cache_info().hits + memo.cache_info().misses for memo in memos]
+        return [calls[name] for name in ("subquotient", "_order", "enumerate_submodules")]
 
-    assert requests(4) == requests(16) == [25, 10, 31]
+    mtf = build_mtf_fan(preset_module("nakayama2-121"))
+    assert builds(mtf, 4) == builds(mtf, 16) == [13, 5, 23]
+    assert builds(build_mtf_fan(preset_module("square-lambda")), 1) == [52, 13, 78]

@@ -114,10 +114,10 @@ def test_importing_the_package_loads_no_geometry(module):
     }, loaded
 
 
-def test_the_only_memos_are_three_bounded_lru_caches():
+def test_the_only_memo_is_the_bounded_lattice_cache():
     """Every `functools.lru_cache` in the package, on a module function or
-    a method: the lattice, the oracle's order table and its subquotients,
-    each with a finite maxsize."""
+    a method: the lattice, with a finite maxsize.  The oracle's order
+    tables and subquotients live in a table of each pass."""
     for info in pkgutil.iter_modules(mtfan.__path__):
         importlib.import_module(f"mtfan.{info.name}")
     modules = [mod for name, mod in sys.modules.items() if name.startswith("mtfan.")]
@@ -133,9 +133,6 @@ def test_the_only_memos_are_three_bounded_lru_caches():
         for fn in namespace.values()
         if hasattr(fn, "cache_parameters")
     }
-    assert set(memos) == {
-        "mtfan.sublattice.enumerate_submodules",
-        "mtfan.stability._order",
-        "mtfan.quiver.subquotient",
+    assert memos == {
+        "mtfan.sublattice.enumerate_submodules": mtfan.sublattice.LATTICE_CACHE_SIZE
     }
-    assert all(maxsize is not None for maxsize in memos.values()), memos

@@ -7,7 +7,6 @@ import pytest
 import mtfan.quiver
 from mtfan.errors import AlgebraDefinitionError, ModuleDefinitionError
 from mtfan.quiver import (
-    SUBQUOTIENT_CACHE_SIZE,
     Submodule,
     _is_prime,
     build_algebra,
@@ -164,6 +163,29 @@ def test_build_module_rejects_bad_shape():
         build_module(A, (1, -1), {"a": [[1]]})
 
 
+@pytest.mark.parametrize("dim", [1.9, True, "1"])
+def test_build_module_rejects_a_dimension_that_is_not_an_int(dim):
+    A = build_algebra(a2_spec())
+    with pytest.raises(ModuleDefinitionError, match="dimension must be an integer"):
+        build_module(A, (dim, 1), {"a": [[1]]})
+    with pytest.raises(ModuleDefinitionError, match="dimension must be an integer"):
+        build_module(A, {"1": dim, "2": 1}, {"a": [[1]]})
+
+
+@pytest.mark.parametrize("entry", [1.5, 1.0, True])
+def test_build_module_rejects_a_matrix_entry_that_is_not_an_int(entry):
+    A = build_algebra(a2_spec())
+    with pytest.raises(ModuleDefinitionError, match="matrix entry must be an integer"):
+        build_module(A, (1, 1), {"a": [[entry]]})
+
+
+@pytest.mark.parametrize("coeff", [1.9, True])
+def test_build_algebra_rejects_a_coefficient_that_is_not_an_int(coeff):
+    spec = {**nakayama_spec(), "relations": [[{"coeff": coeff, "path": ["a", "b"]}]]}
+    with pytest.raises(AlgebraDefinitionError, match="coefficient must be an integer"):
+        build_algebra(spec)
+
+
 def test_build_module_enforces_relations():
     A = build_algebra(nakayama_spec())
     # aba acts as a nonzero map on this choice, so it is rejected
@@ -262,35 +284,24 @@ def test_subquotient_and_quotient():
     assert again.dims == (1, 1)
 
 
-def test_equal_subquotients_are_built_once():
-    """The memo is keyed by value: equal submodules built separately give
-    the very same module."""
+def test_equal_subquotients_are_equal_modules():
+    """Nothing is memoized: equal submodules built separately give equal
+    modules, each presented afresh."""
     m = preset_module("nakayama2-121")
     soc = generated_submodule(m, {0: [(0, 1)]})
     mid = generated_submodule(m, {1: [(1,)]})
     soc2 = generated_submodule(m, {0: [(0, 1)]})
     mid2 = generated_submodule(m, {1: [(1,)]})
     assert (soc2, mid2) == (soc, mid) and soc2 is not soc and mid2 is not mid
-    assert subquotient(m, soc2, mid2) is subquotient(m, soc, mid)
+    again, w = subquotient(m, soc2, mid2), subquotient(m, soc, mid)
+    assert again == w and again is not w
 
 
 def test_subquotient_requires_containment():
     m = preset_module("nakayama2-121")
     soc = generated_submodule(m, {0: [(0, 1)]})
     top = generated_submodule(m, {0: [(1, 0)]})
-    # failures are not memoized: the check raises on every call
+    # the check raises on every call
     for _ in range(2):
         with pytest.raises(ModuleDefinitionError):
             subquotient(m, top, soc)
-
-
-def test_subquotient_memo_stays_within_its_bound():
-    """More distinct one-arrow modules than the memo holds: the map a
-    ranges over F_p with p larger than the bound."""
-    count = SUBQUOTIENT_CACHE_SIZE + 8
-    p = next(q for q in range(count, 2 * count) if _is_prime(q))
-    A = build_algebra({**a2_spec(), "p": p})
-    for c in range(count):
-        m = build_module(A, (1, 1), [[[c]]])
-        quotient_module(m, submodule_zero(m))
-    assert 0 < subquotient.cache_info().currsize <= SUBQUOTIENT_CACHE_SIZE

@@ -337,15 +337,16 @@ def test_cover_walks_agree_with_the_table_scans(pair, grid_point):
     for module in pair:
         subs = enumerate_submodules(module)
         below = order_by_pairs(module)
+        order = _order(module)
         for theta in ((0,) * n, tuple(grid_point[:n])):
             vals = tuple(evaluate(theta, s) for s in subs)
-            assert _torsion_classes(_order(module), vals) == (
+            assert _torsion_classes(order, vals) == (
                 torsion_members_by_table(below, vals, strict=True),
                 torsion_members_by_table(below, vals, strict=False),
             )
             for i in range(len(subs)):
                 assert _semistable_above(
-                    _order(module), vals, i
+                    order, vals, i
                 ) == semistable_above_by_table(below, vals, i)
 
 
@@ -358,29 +359,27 @@ def test_order_table_decides_each_pair_of_vertex_spaces_once(monkeypatch):
     path = pathlib.Path(__file__).parent / "goldens" / "sq-sq-sq.input.json"
     module = module_from_doc(json.loads(path.read_text()))[1]
     enumerate_submodules(module)
-    mtfan.stability._order.cache_clear()
     calls = count_calls(
         monkeypatch, mtfan.fplinalg.in_span, mtfan.quiver.submodule_contains
     )
     assert len(_order(module).below) == 2060
-    mtfan.stability._order.cache_clear()
     assert calls["submodule_contains"] == 0
     assert 0 < calls["in_span"] <= 5000
 
 
-def test_value_only_questions_build_no_order_table():
+def test_value_only_questions_build_no_order_table(monkeypatch):
     """Semistability reads values alone, so is_semistable and is_stable
     build no table.  The filtration route builds one for the module and one
     for its middle slice w = tbar/t, whose semistable subobjects it reads
-    off w's own table: at (1, 0, 0, -1) w is the whole module, so that is
-    one table, and at (-1, 0, 0, 0) w is a proper slice with a table of its
-    own."""
+    off w's own table, and keeps them for one functional: at (1, 0, 0, -1)
+    w is the whole module, so that is one table a functional, and at
+    (-1, 0, 0, 0) w is a proper slice with a table of its own."""
     m = preset_module("square-lambda")
-    mtfan.stability._order.cache_clear()
+    calls = count_calls(monkeypatch, mtfan.stability._order)
     assert is_semistable((1, -1, 0, 0), m)
     assert is_stable((1, 0, 0, -1), m)
-    assert mtfan.stability._order.cache_info().currsize == 0
+    assert calls["_order"] == 0
     assert m_tf_equivalent_by_filtration((1, 0, 0, -1), (2, 0, 0, -2), m)
-    assert mtfan.stability._order.cache_info().currsize == 1
+    assert calls["_order"] == 2
     assert m_tf_equivalent_by_filtration((-1, 0, 0, 0), (-2, 0, 0, 0), m)
-    assert mtfan.stability._order.cache_info().currsize == 2
+    assert calls["_order"] == 6
