@@ -55,14 +55,17 @@ class TFClassData(NamedTuple):
 
 
 class MTFFan(Record):
-    """Newton polytope, its normal fan, and per-cone class data, all in face
-    order: fan.cones[i] is the normal cone of newton.faces[i] and
-    classes[i] is its class data.  The wall is memoized per instance."""
+    """The module's lattice in Submodule.sort_key order, Newton polytope,
+    normal fan and per-cone class data, in face order: fan.cones[i] is the
+    normal cone of newton.faces[i] and classes[i] its class data, whose t and
+    tbar are lattice members.  The wall is memoized per instance."""
 
-    _fields = ("module", "newton", "fan", "classes")
+    _fields = ("module", "lattice", "newton", "fan", "classes")
 
-    def __init__(self, module, newton, fan, classes):
-        vars(self).update(module=module, newton=newton, fan=fan, classes=classes)
+    def __init__(self, module, lattice, newton, fan, classes):
+        vars(self).update(
+            module=module, lattice=lattice, newton=newton, fan=fan, classes=classes
+        )
 
     @property
     def cones(self):
@@ -157,8 +160,9 @@ def build_mtf_fan(module):
     must be largest exactly on its face; a failed check raises
     InvariantError.
     """
+    lattice = enumerate_submodules(module)
     groups = {}  # dimension vector -> the submodules of that class
-    for s in enumerate_submodules(module):
+    for s in lattice:
         groups.setdefault(s.dims, []).append(s)
     n = module.algebra.n
     P = convex_hull(groups, n)
@@ -194,7 +198,7 @@ def build_mtf_fan(module):
             f"cone {idx}: dim {cone.dim} breaks dim + face dim = dim + rank(supp) = n",
         )
         classes.append(TFClassData(t, tbar, supp_dims))
-    return MTFFan(module, P, fan, tuple(classes))
+    return MTFFan(module, lattice, P, fan, tuple(classes))
 
 
 def class_of(mtf, theta):

@@ -31,7 +31,7 @@ from .stability import (
     _record,
     filtration_key,
 )
-from .sublattice import enumerate_submodules  # noqa: F401  (re-exported)
+from .sublattice import enumerate_submodules  # noqa: F401  (the tracer's alias)
 
 DEFAULT_GRID_BOUND = 3
 DEFAULT_SEED = 2024
@@ -91,11 +91,11 @@ class OracleReport(NamedTuple):
 
 
 def _pass(mtf):
-    """What a pass reads at every sample: M's _lattice, the pass's table
-    for _classify, and each cone's t and tbar as lattice indices (None off
-    the lattice), support, and the min and max of its Newton face."""
+    """What a pass reads at every sample: M's _lattice on the fan's lattice,
+    the pass's table for _classify, and each cone's t and tbar as indices
+    (None off the lattice), support, and the min and max of its Newton face."""
     table = {}
-    lattice = _lattice(mtf.module, table)
+    lattice = _lattice(mtf.module, table, mtf.lattice)
     index = {s: j for j, s in enumerate(lattice[1])}.get
     cones = []
     for face, data in zip(mtf.newton.faces, mtf.classes):

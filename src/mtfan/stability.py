@@ -20,7 +20,7 @@ one kernel, _classify, computes them at a functional on lattice indices.
 The submodules of L/K are the members between K and L of the module's own
 lattice, so the scans (the torsion classes, the t-set, the semistable
 subobjects, a chain of stable factors) read one order table per module:
-for each member of enumerate_submodules(module), a bit mask of the members
+for each member of the module's lattice, a bit mask of the members
 strictly inside it, its height and the members it covers.  A
 submodule is a graded subspace, so the table compares the members one
 vertex at a time, each pair of distinct spaces at a vertex once.  The
@@ -28,9 +28,9 @@ scans walk the covers: one walk up the whole lattice gives both torsion
 classes, and one up the members above t gives the t-set.
 Each lattice is valued once, one dot product a row.  Only w, f and the
 stable factors are presented as modules, each checked on its own lattice;
-semistability builds no order table.  Nothing is memoized but the lattice:
-each order table and subquotient is built once per table, a dict keyed by
-value that the caller keeps and drops.
+semistability builds no order table.  Nothing is memoized: each lattice
+(MTFFan.lattice, when the caller has it), order table and subquotient is
+built once per table, a dict keyed by value that the caller keeps and drops.
 """
 from __future__ import annotations
 
@@ -88,7 +88,7 @@ def _stable(vals):
 
 
 class _Order(NamedTuple):
-    """The order of a module's lattice, enumerate_submodules(module).
+    """The order of a module's lattice.
 
     below[i] is a bit mask of the members strictly inside member i, bit j
     for member j; height[i] is the length of every maximal chain from the
@@ -100,8 +100,8 @@ class _Order(NamedTuple):
     levels: tuple
 
 
-def _order(module):
-    """The order table of enumerate_submodules(module).
+def _order(module, subs):
+    """The order table of subs, the module's lattice.
 
     L' <= L exactly when L'_u <= L_u at every vertex u, so at each vertex
     the members' distinct spaces are interned with a bit mask of the members
@@ -115,7 +115,6 @@ def _order(module):
     has a smaller total dimension, so in that order each member's height is
     one more than the highest level its row meets.
     """
-    subs = enumerate_submodules(module)
     p = module.algebra.p
     below = [(1 << len(subs)) - 1] * len(subs)
     for u in range(module.algebra.n):
@@ -219,12 +218,20 @@ class CanonicalSequenceData(NamedTuple):
 _Classes = namedtuple("_Classes", "t tbar vals t_set w_semis supp")
 
 
-def _lattice(module, table):
-    """The module, its lattice, the members' classes and its order table."""
+def _members(module, table, subs=None):
+    """The module's lattice (subs if given) and the members' classes."""
     if module not in table:
-        subs = enumerate_submodules(module)
-        table[module] = module, subs, tuple(s.dims for s in subs), _order(module)
+        subs = subs or enumerate_submodules(module)
+        table[module] = subs, tuple(s.dims for s in subs)
     return table[module]
+
+
+def _lattice(module, table, subs=None):
+    """The module, its lattice, the members' classes and its order table."""
+    if (module, _Order) not in table:
+        subs, dims = _members(module, table, subs)
+        table[module, _Order] = module, subs, dims, _order(module, subs)
+    return table[module, _Order]
 
 
 def _present(module, lower, upper, table):
@@ -232,7 +239,7 @@ def _present(module, lower, upper, table):
     key = module, lower, upper
     if key not in table:
         x = subquotient(module, lower, upper)
-        table[key] = x, tuple(s.dims for s in enumerate_submodules(x))
+        table[key] = x, _members(x, table)[1]
     return table[key]
 
 
@@ -338,11 +345,12 @@ def supp_factors(theta, module):
     of (factor module, dimension vector); the dimension-vector multiset
     does not depend on the chain."""
     theta = as_theta(theta, module.algebra.n)
-    if not is_semistable(theta, module):
-        raise ModuleDefinitionError("supp factors need a semistable module")
     table = {}
     lattice = _lattice(module, table)
-    _, factors = _stable_factors(theta, lattice, _values(theta, lattice[2]), table)
+    vals = _values(theta, lattice[2])
+    if vals[-1] != 0 or max(vals) > 0:
+        raise ModuleDefinitionError("supp factors need a semistable module")
+    _, factors = _stable_factors(theta, lattice, vals, table)
     return tuple((x, x.dims) for x in factors)
 
 

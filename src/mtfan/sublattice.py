@@ -23,8 +23,6 @@ sum, and builds its Submodule objects once, at the end.
 """
 from __future__ import annotations
 
-import functools
-
 from .errors import ResourceLimitError
 from .fplinalg import projective_points, rref_join
 from .polyhedra import convex_hull
@@ -32,10 +30,6 @@ from .quiver import Submodule, generated_submodule
 
 DIM_BOUND = 14
 MAX_SUBMODULES = 20000
-# lattices memoized per module; a default `verify` reads at most 13 on a
-# preset, 7 on the Kronecker module R_4 and 33 on sq+sq+S4, and the
-# `oracle` workload asks 24 times for 6
-LATTICE_CACHE_SIZE = 256
 
 
 def check_total_dim(total, p):
@@ -49,10 +43,9 @@ def check_total_dim(total, p):
         )
 
 
-@functools.lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def enumerate_submodules(module):
     """Every submodule of the module as a tuple, sorted by flattened basis
-    data (Submodule.sort_key).
+    data (Submodule.sort_key), afresh on every call (MTFFan keeps one).
 
     Raises:
         ResourceLimitError: total dimension above DIM_BOUND, a line sweep of

@@ -23,9 +23,10 @@ and splitting off one stable factor at a time and passing to the quotient,
 are the referees for the semistable subobjects and stable factors that the
 oracle reads off the order table.  Equal t-sets, and nested ones, are the
 definitions of M-TF equivalence and of the closure of a class.  The
-oracle's pass on records (verify_fan_by_records: canonical_sequences per
-sample, t-sets as frozensets of Submodules, keys of Submodules) is the
-referee for verify_fan, which compares lattice indices and bit masks.
+oracle's pass on records (verify_fan_by_records: the canonical sequences
+of each sample on one table per pass, t-sets as frozensets of Submodules,
+keys of Submodules) is the referee for verify_fan, which compares lattice
+indices and bit masks.
 The Newton points where a functional is largest, the scan of every
 submodule for the largest value of a functional, and the chain walk that
 rescans the t-set at every step, are the referees for the build's t-sets,
@@ -74,7 +75,9 @@ from mtfan.quiver import (
 )
 from mtfan.serialize import parse_frac
 from mtfan.stability import (
-    canonical_sequences,
+    _classify,
+    _lattice,
+    _record,
     evaluate,
     filtration_key,
     is_semistable,
@@ -452,17 +455,20 @@ def in_class_closure(theta, eta, module):
     return t_set(eta, module) <= t_set(theta, module)
 
 
-def verify_point_by_records(mtf, theta):
-    """verify_point on records: canonical_sequences at theta compared with
-    the located cone's class data by Submodule, and the t-set check a scan
-    of the lattice against a frozenset of Submodules."""
+def verify_point_by_records(mtf, theta, table=None):
+    """verify_point on records: canonical_sequences at theta, on a table
+    that a pass keeps, compared with the located cone's class data by
+    Submodule, and the t-set check a scan of the fan's lattice against a
+    frozenset of Submodules."""
     module = mtf.module
     theta = as_theta(theta, mtf.n)
     idx = locate_index(mtf.newton, mtf.fan, theta)
     data = mtf.classes[idx]
     fails = []
+    table = {} if table is None else table
+    lattice = _lattice(module, table, mtf.lattice)
     try:
-        cs = canonical_sequences(theta, module)
+        cs = _record(lattice, _classify(theta, lattice, table), table)
     except InvariantError as exc:
         return PointReport(theta, idx, (f"definition route broke: {exc}",), None)
     if cs.t != data.t or cs.tbar != data.tbar:
@@ -470,7 +476,7 @@ def verify_point_by_records(mtf, theta):
     if cs.supp != data.supp_dims:
         fails.append(f"support {cs.supp} != cone support {data.supp_dims}")
     maxval = max(cs.vals)
-    for L, v in zip(enumerate_submodules(module), cs.vals):
+    for L, v in zip(mtf.lattice, cs.vals):
         if (v == maxval) != (L in cs.t_set):
             fails.append(f"t-set mismatch at submodule of class {L.dims}")
             break
@@ -489,13 +495,14 @@ def verify_point_by_records(mtf, theta):
 
 def verify_fan_by_records(mtf, samples):
     """verify_fan on records: one verify_point_by_records call per sample,
-    and pair checks on frozensets of Submodules and on filtration keys of
-    Submodules and semistable subobjects."""
+    all on one table, and pair checks on frozensets of Submodules and on
+    filtration keys of Submodules and semistable subobjects."""
     failures = []
     checks = 0
     by_cone = {}
+    table = {}
     for theta in samples:
-        rep = verify_point_by_records(mtf, theta)
+        rep = verify_point_by_records(mtf, theta, table)
         checks += 1
         failures.extend(f"theta {theta_str(rep.theta)}: {m}" for m in rep.failures)
         kept = by_cone.setdefault(rep.cone_index, [])
@@ -687,6 +694,32 @@ def kronecker_r(k, p=2):
     return kronecker_module(p, (k, k), a, b)
 
 
+def kronecker_p(k, p=2):
+    """P_k: the preprojective Kronecker module with dims (k, k + 1),
+    a = [I; 0] and b = [0; I]."""
+    a = [[int(i == j) for j in range(k)] for i in range(k + 1)]
+    b = [[int(i == j + 1) for j in range(k)] for i in range(k + 1)]
+    return kronecker_module(p, (k, k + 1), a, b)
+
+
+def kronecker_i(k, p=2):
+    """I_k: the preinjective Kronecker module with dims (k + 1, k),
+    a = [I | 0] and b = [0 | I]."""
+    a = [[int(i == j) for j in range(k + 1)] for i in range(k)]
+    b = [[int(j == i + 1) for j in range(k + 1)] for i in range(k)]
+    return kronecker_module(p, (k + 1, k), a, b)
+
+
+def kronecker_pi(k, p=2):
+    """P_0 + ... + P_k + I_0 + ... + I_k, summed in that order."""
+    parts = [kronecker_p(j, p) for j in range(k + 1)]
+    parts += [kronecker_i(j, p) for j in range(k + 1)]
+    total = parts[0]
+    for part in parts[1:]:
+        total = direct_sum(total, part)
+    return total
+
+
 def cube_module(n, p=2):
     """The n-cube: a line at each vertex 0, ..., n-1 of the arrowless
     algebra, so the submodules are the 2^n sets of vertices and the Newton
@@ -768,9 +801,12 @@ def square_lambda_and_simples(draw):
 
 
 @st.composite
-def random_kronecker_module(draw):
-    p = draw(st.sampled_from([2, 3]))
-    d1, d2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+def random_kronecker_module(draw, p=None, max_dim=3):
+    """Random maps a and b of the Kronecker quiver over F_p, p = 2 or 3
+    unless given, with dims at most max_dim at each vertex."""
+    if p is None:
+        p = draw(st.sampled_from([2, 3]))
+    d1, d2 = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
     a, b = (
         [[draw(st.integers(0, p - 1)) for _ in range(d1)] for _ in range(d2)]
         for _ in range(2)

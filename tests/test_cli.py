@@ -629,9 +629,10 @@ def test_the_cone_cap_admits_every_golden_fan():
     """Every golden fan is within the cap: the presets, which include the
     benchmark's verify inputs, the Kronecker module R_4,
     square-lambda + square-lambda + square-lambda, S2 + S3 over
-    square-lambda and the six interval modules of linear A_3."""
+    square-lambda, the six interval modules of linear A_3 and
+    P_0 + P_1 + I_0 + I_1 + R_1 over the Kronecker quiver."""
     goldens = sorted(GOLDENS.glob("*.fan.json"))
-    assert len(goldens) == len(preset_names()) + 4
+    assert len(goldens) == len(preset_names()) + 5
     for path in goldens:
         cones = json.loads(path.read_text(encoding="utf-8"))["cones"]
         assert len(cones) <= mtfan.cli.MAX_VERIFY_CONES

@@ -28,18 +28,26 @@ from mtfan.polyhedra import (
     cone_from_hrep,
     convex_hull,
     minkowski_sum,
+    normal_fan,
     validate_generalized_fan,
 )
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import build_module, direct_sum, simple_module
 from mtfan.serialize import class_doc, fan_doc, vec_strs
 from mtfan.stability import canonical_sequences, supp_factors, t_set
-from mtfan.sublattice import enumerate_submodules, submodule_dim_vectors
+from mtfan.sublattice import (
+    enumerate_submodules,
+    newton_polytope,
+    submodule_dim_vectors,
+)
 from referee import (
     class_data_by_rescans,
     count_calls,
     cone_from_generators,
     full_cone,
+    kronecker_i,
+    kronecker_p,
+    kronecker_pi,
     module_and_change_of_basis,
     preset_direct_sum,
     random_kronecker_module,
@@ -302,6 +310,62 @@ def test_direct_sum_with_nakayama():
         assert any(c.contains_cone(cone) for c in fs.cones)
 
 
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda p: st.tuples(*[random_kronecker_module(p, max_dim=2)] * 2)
+    )
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_direct_sum_newton_is_minkowski_on_random_kronecker_modules(pair):
+    """N(a + b) = N(a) + N(b) for random Kronecker modules a and b over one
+    F_p, dims at most 2 at each vertex, and every maximal cone of the sum's
+    fan, the normal fan of its Newton polytope, lies in a maximal cone of
+    each summand's fan."""
+    a, b = pair
+    polytopes = [newton_polytope(m) for m in (direct_sum(a, b), a, b)]
+    assert polytopes[0] == minkowski_sum(*polytopes[1:])
+    fans = [normal_fan(P) for P in polytopes]
+    for i in fans[0].maximal_indices():
+        for f in fans[1:]:
+            assert any(
+                f.cones[j].contains_cone(fans[0].cones[i])
+                for j in f.maximal_indices()
+            )
+
+
+def _rays(mtf):
+    return {r for c in mtf.cones for r in c.rays}
+
+
+@pytest.mark.parametrize(
+    "module,dims,ray",
+    [
+        (kronecker_p(1), (1, 2), (2, -1)),
+        (kronecker_p(2), (2, 3), (3, -2)),
+        (kronecker_i(1), (2, 1), (1, -2)),
+        (kronecker_i(2), (3, 2), (2, -3)),
+    ],
+)
+def test_preprojective_and_preinjective_kronecker_fans(module, dims, ray):
+    """P_k and I_k over F_2: each fan has 3 chambers and 7 cones, and one
+    ray off the coordinate axes, (k + 1, -k) for P_k and (k, -(k + 1)) for
+    I_k."""
+    mtf = build_mtf_fan(module)
+    assert mtf.module.dims == dims
+    assert (len(mtf.maximal_indices()), len(mtf.cones)) == (3, 7)
+    assert ray in _rays(mtf)
+
+
+def test_kronecker_preprojectives_and_preinjectives_miss_the_imaginary_ray():
+    """P_0 + P_1 + I_0 + I_1 over F_2 has 496 submodules, 6 chambers, 13
+    cones and 6 rays, none of them (1, -1).  Adding the regular module R_1
+    gives the golden input kronecker-PI-R, whose fan reaches (1, -1)."""
+    mtf = build_mtf_fan(kronecker_pi(1))
+    assert len(mtf.lattice) == 496
+    assert (len(mtf.maximal_indices()), len(mtf.cones)) == (6, 13)
+    assert len(_rays(mtf)) == 6 and (1, -1) not in _rays(mtf)
+
+
 def _sq_plus_s1():
     m = preset_module("square-lambda")
     return direct_sum(m, simple_module(m.algebra, 1))
@@ -531,7 +595,11 @@ def test_corrupted_cone_table_raises_invariant_error():
     # the cone of the vertex 0 trades places with the cone of the whole polytope
     cones[0], cones[-1] = cones[-1], cones[0]
     bad = MTFFan(
-        mtf.module, mtf.newton, mtf.fan._replace(cones=tuple(cones)), mtf.classes
+        mtf.module,
+        mtf.lattice,
+        mtf.newton,
+        mtf.fan._replace(cones=tuple(cones)),
+        mtf.classes,
     )
     with pytest.raises(InvariantError, match="smallest face through 0 and"):
         wall_cone(bad)

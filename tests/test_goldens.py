@@ -18,8 +18,8 @@ from mtfan.cli import main
 from mtfan.fan import build_mtf_fan
 from mtfan.presets import preset_module, preset_names
 from mtfan.serialize import module_from_doc
-from mtfan.sublattice import enumerate_submodules
-from referee import a_n_all, cube_module, kronecker_r
+from mtfan.quiver import direct_sum
+from referee import a_n_all, cube_module, kronecker_pi, kronecker_r
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 COMMANDS = ("newton", "fan", "wall", "paths")
@@ -50,7 +50,11 @@ PRESET_COMMANDS = {
 # 10 distinct rays and 10 distinct facet normals.  sq-S1-S2-S3-S4 is
 # square-lambda + S1 + S2 + S3 + S4: 147 cones on 13 distinct rays and 53
 # distinct facet normals.  Their `fan` documents (474 kB and 235 kB) are
-# pinned by SHA-256 digest instead of a committed file.
+# pinned by SHA-256 digest instead of a committed file.  kronecker-PI-R is
+# P_0 + P_1 + I_0 + I_1 + R_1 over the Kronecker quiver and F_2, the
+# preprojectives, preinjectives and a regular module: dimension vector
+# (5, 5), 4,112 submodules, 7 chambers and 15 cones, with the ray (1, -1)
+# that no summand without R_1 reaches.
 INPUT_COMMANDS = {
     "kronecker-R4": {
         "newton": ["newton"],
@@ -75,6 +79,9 @@ INPUT_COMMANDS = {
     },
     "sq-S1-S2-S3-S4": {
         "verify": ["verify", "--grid-bound", "1"],
+    },
+    "kronecker-PI-R": {
+        "fan": ["fan"],
     },
 }
 
@@ -144,20 +151,26 @@ def test_integer_labels_read_as_their_strings():
 
 
 def test_the_family_constructors_build_the_golden_inputs():
-    """R_4, the 5-cube and A_3-all at p = 2, as their constructors build
-    them, are the modules of their input documents, with the dimension
-    vector, submodule count S and cone count C of each."""
+    """R_4, the 5-cube, A_3-all and P_0 + P_1 + I_0 + I_1 + R_1 at p = 2,
+    as their constructors build them, are the modules of their input
+    documents, with the dimension vector, submodule count S and cone count C
+    of each."""
+    pi_r = direct_sum(kronecker_pi(1), kronecker_r(1))
     for name, module, dims, s, c in (
         ("kronecker-R4", kronecker_r(4), (4, 4), 227, 7),
         ("cube5", cube_module(5), (1, 1, 1, 1, 1), 32, 243),
         ("a3-all", a_n_all(3), (3, 4, 3), 1229, 45),
+        ("kronecker-PI-R", pi_r, (5, 5), 4112, 15),
     ):
         doc = json.loads((GOLDENS / f"{name}.input.json").read_text())
         assert module == module_from_doc(doc)[1], name
         assert module.algebra.p == 2
         assert module.dims == dims
-        assert len(enumerate_submodules(module)) == s
-        assert len(build_mtf_fan(module).cones) == c
+        mtf = build_mtf_fan(module)
+        assert (len(mtf.lattice), len(mtf.cones)) == (s, c)
+    # the completion of the g-fan: R_1 adds a chamber and the ray (1, -1)
+    assert mtf.module == pi_r and len(mtf.maximal_indices()) == 7
+    assert (1, -1) in {r for cone in mtf.cones for r in cone.rays}
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Brute-force oracle agreement with the decorated fan."""
 
+import gc
 import itertools
 import json
 import pathlib
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -78,7 +80,9 @@ def test_dim_formula_reports_wall_faces_with_a_wrong_support():
         d._replace(supp_dims=()) if i in on_wall else d
         for i, d in enumerate(mtf.classes)
     )
-    report = verify_dim_formula(MTFFan(mtf.module, mtf.newton, mtf.fan, classes))
+    report = verify_dim_formula(
+        MTFFan(mtf.module, mtf.lattice, mtf.newton, mtf.fan, classes)
+    )
     dims = {10: 3, 21: 2, 23: 2, 25: 2, 26: 2, 33: 1, 34: 1, 35: 1, 36: 1, 38: 0}
     assert report.checks == 49
     assert report.failures == tuple(
@@ -102,7 +106,7 @@ def _corrupted(name, field, index):
     classes = tuple(
         corrupt(d) if i == index else d for i, d in enumerate(mtf.classes)
     )
-    return MTFFan(mtf.module, mtf.newton, mtf.fan, classes)
+    return MTFFan(mtf.module, mtf.lattice, mtf.newton, mtf.fan, classes)
 
 
 def _support_failures(support, thetas):
@@ -338,6 +342,7 @@ def test_dim_formula_reports_a_wall_face_missing_from_the_fan():
     cones[38], classes[38] = cones[0], classes[0]
     bad = MTFFan(
         mtf.module,
+        mtf.lattice,
         mtf.newton,
         mtf.fan._replace(cones=tuple(cones)),
         tuple(classes),
@@ -471,18 +476,19 @@ def test_oracle_containment_tests_do_not_grow_with_the_functionals(monkeypatch):
 def test_oracle_presents_only_the_slices_and_the_stable_factors(monkeypatch):
     """The t-set, the semistable subobjects of w and the stable factors are
     read off the module's own lattice and order table, so `verify
-    --grid-bound 1` on the Kronecker module R_4 enumerates 7 lattices and
-    presents 26 subquotients; presenting every candidate submodule and
-    quotient as a module of its own took 192 lattices and 755
-    subquotients."""
+    --grid-bound 1` on the Kronecker module R_4 enumerates 7 lattices, the
+    build's included, and presents 26 subquotients; presenting every
+    candidate submodule and quotient as a module of its own took 192
+    lattices and 755 subquotients."""
     path = pathlib.Path(__file__).parent / "goldens" / "kronecker-R4.input.json"
-    mtfan.sublattice.enumerate_submodules.cache_clear()
-    calls = count_calls(monkeypatch, mtfan.quiver.subquotient)
+    calls = count_calls(
+        monkeypatch, mtfan.quiver.subquotient, mtfan.sublattice.enumerate_submodules
+    )
     mtf = build_mtf_fan(module_from_doc(json.loads(path.read_text()))[1])
     report = verify_fan(mtf, build_sample_set(mtf, bound=1))
     assert report.ok, report.failures
     assert verify_dim_formula(mtf).ok
-    assert mtfan.sublattice.enumerate_submodules.cache_info().misses <= 10
+    assert calls["enumerate_submodules"] <= 10
     assert calls["subquotient"] <= 40
 
 
@@ -523,7 +529,7 @@ def test_the_pass_matches_the_record_referee_on_broken_fans():
     mtf = build_mtf_fan(preset_module("a2-P1"))
     classes = list(mtf.classes)
     classes[0], classes[1] = classes[1], classes[0]
-    swapped = MTFFan(mtf.module, mtf.newton, mtf.fan, tuple(classes))
+    swapped = MTFFan(mtf.module, mtf.lattice, mtf.newton, mtf.fan, tuple(classes))
     walled = build_mtf_fan(preset_module("a2-P1"))
     vars(walled)["wall"] = walled.cones[0]
     for bad in (swapped, walled):
@@ -535,15 +541,15 @@ def test_the_pass_matches_the_record_referee_on_broken_fans():
 
 def test_the_pass_presents_each_slice_once(monkeypatch):
     """verify_fan presents each (t, tbar) slice, the lattices of w and f and
-    w's stable factors once per pass, and builds each subquotient and order
-    table once, in a table keyed by value that it drops on return.  So on
-    nakayama2-121 it builds as many subquotients and order tables, and asks
-    the lattice memo as often, at grid bound 4 (89 samples) as at 16
-    (1,097): 13, 5 and 23 times, and on square-lambda at grid bound 1 (96
-    samples) 52, 13 and 78 times.  Memos on subquotient and the order table
-    took 25 and 10 requests for the builds on nakayama2-121, and a pass that
-    asked the memos at every sample made 2,261, 2,194 and 5,557 requests at
-    16."""
+    w's stable factors once per pass, and builds each subquotient, lattice
+    and order table once, in a table keyed by value that it drops on
+    return; M's lattice is the one the fan was built from.  So on
+    nakayama2-121 it builds as many subquotients, order tables and lattices
+    at grid bound 4 (89 samples) as at 16 (1,097): 13, 5 and 5, and on
+    square-lambda at grid bound 1 (96 samples) 52, 13 and 12.  Memos on
+    subquotient and the order table took 25 and 10 requests for the builds
+    on nakayama2-121, and a pass that asked the memos at every sample made
+    2,261, 2,194 and 5,557 requests at 16."""
     calls = count_calls(
         monkeypatch,
         mtfan.quiver.subquotient,
@@ -558,5 +564,16 @@ def test_the_pass_presents_each_slice_once(monkeypatch):
         return [calls[name] for name in ("subquotient", "_order", "enumerate_submodules")]
 
     mtf = build_mtf_fan(preset_module("nakayama2-121"))
-    assert builds(mtf, 4) == builds(mtf, 16) == [13, 5, 23]
-    assert builds(build_mtf_fan(preset_module("square-lambda")), 1) == [52, 13, 78]
+    assert builds(mtf, 4) == builds(mtf, 16) == [13, 5, 5]
+    assert builds(build_mtf_fan(preset_module("square-lambda")), 1) == [52, 13, 12]
+
+
+def test_a_verified_fan_frees_its_lattice_with_its_last_reference():
+    """The fan holds its lattice and a pass holds its table only while it
+    runs, so once the fan goes, so do the submodules its class data names."""
+    mtf = build_mtf_fan(preset_module("square-lambda"))
+    assert verify_fan(mtf, build_sample_set(mtf, bound=1)).ok
+    ref = weakref.ref(mtf.classes[0].t)
+    del mtf
+    gc.collect()
+    assert ref() is None

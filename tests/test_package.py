@@ -114,10 +114,11 @@ def test_importing_the_package_loads_no_geometry(module):
     }, loaded
 
 
-def test_the_only_memo_is_the_bounded_lattice_cache():
-    """Every `functools.lru_cache` in the package, on a module function or
-    a method: the lattice, with a finite maxsize.  The oracle's order
-    tables and subquotients live in a table of each pass."""
+def test_the_package_keeps_no_memo():
+    """No `functools.lru_cache` or `functools.cache` in the package, on a
+    module function or a method.  The fan keeps the lattice it was built
+    from, and the oracle's lattices, order tables and subquotients live in
+    a table of each pass."""
     for info in pkgutil.iter_modules(mtfan.__path__):
         importlib.import_module(f"mtfan.{info.name}")
     modules = [mod for name, mod in sys.modules.items() if name.startswith("mtfan.")]
@@ -127,12 +128,10 @@ def test_the_only_memo_is_the_bounded_lattice_cache():
         for obj in vars(mod).values()
         if isinstance(obj, type) and obj.__module__ == mod.__name__
     ]
-    memos = {
-        f"{fn.__module__}.{fn.__qualname__}": fn.cache_parameters()["maxsize"]
+    memos = [
+        f"{fn.__module__}.{fn.__qualname__}"
         for namespace in namespaces
         for fn in namespace.values()
         if hasattr(fn, "cache_parameters")
-    }
-    assert memos == {
-        "mtfan.sublattice.enumerate_submodules": mtfan.sublattice.LATTICE_CACHE_SIZE
-    }
+    ]
+    assert memos == []

@@ -27,7 +27,6 @@ from mtfan.quiver import (
     submodule_sum,
 )
 from mtfan.sublattice import (
-    LATTICE_CACHE_SIZE,
     enumerate_submodules,
     newton_polytope,
     submodule_dim_vectors,
@@ -127,16 +126,7 @@ def test_dimension_bound_raises():
         enumerate_submodules(big)
 
 
-@pytest.fixture
-def fresh_lattices():
-    """Clear the lattice memo before and after a test that patches the
-    enumeration bounds, so no lattice is read across a change of bound."""
-    enumerate_submodules.cache_clear()
-    yield
-    enumerate_submodules.cache_clear()
-
-
-def test_line_sweep_bound_raises(monkeypatch, fresh_lattices):
+def test_line_sweep_bound_raises(monkeypatch):
     """A loop with an irreducible characteristic polynomial: the module has
     two submodules, but the sweep visits all p + 1 lines of F_p^2."""
     monkeypatch.setattr(mtfan.sublattice, "DIM_BOUND", 2)
@@ -150,7 +140,7 @@ def test_line_sweep_bound_raises(monkeypatch, fresh_lattices):
     assert len(enumerate_submodules(irreducible)) == 2
 
 
-def test_count_bound_raises(monkeypatch, fresh_lattices):
+def test_count_bound_raises(monkeypatch):
     A = build_algebra({"p": 3, "vertices": ["1"], "arrows": []})
     m = build_module(A, (2,), {})
     # 6 subspaces of F_3^2, so a cap of 5 trips
@@ -244,7 +234,7 @@ def _a2_p1_cubed():
     return direct_sum(direct_sum(m, m), m)
 
 
-def test_count_bound_is_exact_at_the_lattice_size(monkeypatch, fresh_lattices):
+def test_count_bound_is_exact_at_the_lattice_size(monkeypatch):
     module = _a2_p1_cubed()
     monkeypatch.setattr(mtfan.sublattice, "MAX_SUBMODULES", 65)
     with pytest.raises(ResourceLimitError):
@@ -269,16 +259,6 @@ def test_sums_against_the_stored_form(name):
                 assert total is a
             else:
                 assert total != a and submodule_contains(total, a)
-
-
-def test_lattice_memo_stays_within_its_bound():
-    """The memo is keyed by the module: 264 distinct one-vertex modules,
-    each a line with two submodules, overflow it."""
-    for k in range(LATTICE_CACHE_SIZE + 8):
-        A = build_algebra({"p": 2, "vertices": [f"v{k}"], "arrows": []})
-        assert len(enumerate_submodules(build_module(A, (1,), {}))) == 2
-    info = enumerate_submodules.cache_info()
-    assert 0 < info.currsize <= LATTICE_CACHE_SIZE
 
 
 def regular_kronecker(k, p):
