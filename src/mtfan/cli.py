@@ -4,7 +4,9 @@ Subcommands operate on a module given either by preset name or by a JSON
 input file and emit a JSON document (an SVG for the svg subcommand).
 `newton` needs only the Newton polytope; every other subcommand builds the
 stability fan.  Exit codes: 0 success, 1 verification found violations,
-2 bad input or usage.
+2 bad input or usage.  A self-check that fails in the fan build aborts every
+subcommand but `verify`, which writes a document whose build layer holds
+the message and whose other layers are skipped (null).
 
 A process loads only the layers its subcommand runs, each imported in the
 branch that uses it: only `verify` loads the oracle and mtfan.stability,
@@ -20,7 +22,7 @@ import re
 import sys
 
 from . import serialize
-from .errors import InputFormatError, ResourceLimitError
+from .errors import InputFormatError, InvariantError, ResourceLimitError
 from .presets import preset_module, preset_names
 
 # `verify` checks every point of the grid [-B, B]^n against the whole fan,
@@ -197,7 +199,25 @@ def run(config):
         return 0
     from .fan import build_mtf_fan, class_of, fan_paths
 
-    mtf = build_mtf_fan(module)
+    try:
+        mtf = build_mtf_fan(module)
+    except InvariantError as exc:
+        if config.command != "verify":
+            raise
+        # a broken build leaves no fan for the other layers to check
+        _emit_json(
+            config,
+            {
+                "grid_bound": config.grid_bound,
+                "seed": config.seed,
+                "build": {"violations": [str(exc)], "ok": False},
+                "oracle": None,
+                "dim_formula": None,
+                "fan_validation": None,
+                "ok": False,
+            },
+        )
+        return 1
 
     if config.command == "fan":
         _emit_json(config, serialize.fan_doc(mtf))

@@ -1,9 +1,11 @@
 """Dense linear algebra over a prime field F_p.
 
 Matrices are tuples of row tuples with entries in [0, p); a matrix with no
-rows is (), so column counts are always passed where they cannot be inferred.
+rows is (), and no kernel here takes a column count.
 """
 from __future__ import annotations
+
+from itertools import product
 
 
 def rref_fp(rows, p):
@@ -63,31 +65,9 @@ def mat_vec(rows, vec, p):
     return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in rows)
 
 
-def mat_mul(a_rows, b_rows, b_ncols, p):
-    """Matrix product a @ b.
-
-    b has b_ncols columns; when the inner dimension is zero the product is
-    the zero matrix with len(a_rows) rows.
-    """
-    out = []
-    for row in a_rows:
-        if len(row) != len(b_rows):
-            raise ValueError("matrix shape mismatch in mat_mul")
-        acc = [0] * b_ncols
-        for coef, brow in zip(row, b_rows):
-            if coef:
-                for j, x in enumerate(brow):
-                    acc[j] = (acc[j] + coef * x) % p
-        out.append(tuple(acc))
-    return tuple(out)
-
-
 def all_vectors(dim, p):
     """All vectors of F_p^dim in lexicographic order."""
-    if dim == 0:
-        return ((),)
-    smaller = all_vectors(dim - 1, p)
-    return tuple((x,) + v for x in range(p) for v in smaller)
+    return tuple(product(range(p), repeat=dim))
 
 
 def projective_points(dim, p):

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cached_property, reduce
+from itertools import product
 from operator import and_, eq, ge, le, or_
 from typing import NamedTuple
 
@@ -516,10 +517,7 @@ class FanValidationReport(NamedTuple):
 def integer_grid(n, bound):
     """Every integer vector with entries in [-bound, bound], in lexicographic
     order."""
-    pts = [()]
-    for _ in range(n):
-        pts = [t + (v,) for t in pts for v in range(-bound, bound + 1)]
-    return tuple(pts)
+    return tuple(product(range(-bound, bound + 1), repeat=n))
 
 
 def _mask(vals, test):

@@ -18,7 +18,6 @@ from typing import NamedTuple
 from .errors import AlgebraDefinitionError, ModuleDefinitionError
 from .fplinalg import (
     in_span,
-    mat_mul,
     mat_vec,
     reduce_vec,
     rref_fp,
@@ -169,20 +168,6 @@ class Module(Record):
         return self.total_dim == 0
 
 
-def path_composite(module, arrow_path):
-    """Composite matrix of an arrow-index path, acting on column vectors."""
-    A = module.algebra
-    src = A.arrows[arrow_path[0]].source
-    cur = tuple(
-        tuple(int(i == j) for j in range(module.dims[src]))
-        for i in range(module.dims[src])
-    )
-    cur_cols = module.dims[src]
-    for ai in arrow_path:
-        cur = mat_mul(module.maps[ai], cur, cur_cols, A.p)
-    return cur
-
-
 def build_module(algebra, dims, maps):
     """Build and validate a module.
 
@@ -240,25 +225,27 @@ def build_module(algebra, dims, maps):
             )
         mats.append(rows)
 
-    module = Module(algebra, dim_tuple, tuple(mats))
-
+    # a relation holds when, at each basis vector of its source, the images
+    # along its terms' paths sum to zero with the terms' coefficients
     for rel in algebra.relations:
         src = algebra.arrows[rel[0][1][0]].source
         tgt = algebra.arrows[rel[0][1][-1]].target
-        acc = [[0] * dim_tuple[src] for _ in range(dim_tuple[tgt])]
-        for coeff, path in rel:
-            comp = path_composite(module, path)
-            for i, row in enumerate(comp):
-                for j, x in enumerate(row):
-                    acc[i][j] = (acc[i][j] + coeff * x) % p
-        if any(any(row) for row in acc):
-            names = [
-                "*".join(algebra.arrows[i].name for i in path) for _, path in rel
-            ]
-            raise ModuleDefinitionError(
-                f"relation {' + '.join(names)} is not satisfied by the maps"
-            )
-    return module
+        for j in range(dim_tuple[src]):
+            acc = [0] * dim_tuple[tgt]
+            for coeff, path in rel:
+                vec = tuple(int(i == j) for i in range(dim_tuple[src]))
+                for ai in path:
+                    vec = mat_vec(mats[ai], vec, p)
+                acc = [(a + coeff * x) % p for a, x in zip(acc, vec)]
+            if any(acc):
+                names = [
+                    "*".join(algebra.arrows[i].name for i in path)
+                    for _, path in rel
+                ]
+                raise ModuleDefinitionError(
+                    f"relation {' + '.join(names)} is not satisfied by the maps"
+                )
+    return Module(algebra, dim_tuple, tuple(mats))
 
 
 def simple_module(algebra, i):

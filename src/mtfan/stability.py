@@ -64,22 +64,11 @@ def _values(theta, dims):
     return tuple([sum(map(mul, theta, d)) for d in dims])
 
 
-def _sub_values(module, theta):
-    return _values(theta, [s.dims for s in enumerate_submodules(module)])
-
-
 def is_semistable(theta, module):
     """theta(X) = 0 and theta(L) <= 0 for every submodule L of X."""
     theta = as_theta(theta, module.algebra.n)
-    return evaluate(theta, module) == 0 and max(_sub_values(module, theta)) <= 0
-
-
-def is_stable(theta, module):
-    """Semistable with theta(L) < 0 for every proper nonzero submodule."""
-    if module.is_zero():
-        raise ModuleDefinitionError("stability is undefined for the zero module")
-    theta = as_theta(theta, module.algebra.n)
-    return _stable(_sub_values(module, theta))
+    vals = _values(theta, [s.dims for s in enumerate_submodules(module)])
+    return evaluate(theta, module) == 0 and max(vals) <= 0
 
 
 def _stable(vals):

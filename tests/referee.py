@@ -21,24 +21,27 @@ module of dimension 2, on which heights and total dimensions differ.
 Testing each zero-valued submodule for semistability on its own lattice,
 and splitting off one stable factor at a time and passing to the quotient,
 are the referees for the semistable subobjects and stable factors that the
-oracle reads off the order table.  Equal t-sets, and nested ones, are the
-definitions of M-TF equivalence and of the closure of a class.  The
-oracle's pass on records (verify_fan_by_records: the canonical sequences
-of each sample on one table per pass, t-sets as frozensets of Submodules,
-keys of Submodules) is the referee for verify_fan, which compares lattice
-indices and bit masks.
+oracle reads off the order table, and theta on every member of a factor's
+lattice (is_stable) checks that each factor is stable.  Equal t-sets, and
+nested ones, are the definitions of M-TF equivalence and of the closure of
+a class.  The oracle's pass on records (verify_fan_by_records: the
+canonical sequences of each sample on one table per pass, t-sets as
+frozensets of Submodules, keys of Submodules) is the referee for
+verify_fan, which compares lattice indices and bit masks.
 The Newton points where a functional is largest, the scan of every
 submodule for the largest value of a functional, and the chain walk that
 rescans the t-set at every step, are the referees for the build's t-sets,
 read off the Newton faces by facet masks, and its one-pass walk.  A
-change of basis at every vertex builds isomorphic modules with different
-matrix entries, and the hypothesis strategies at the end draw such pairs
-from the presets, their direct sums, small Kronecker modules and loops,
-and wide fans from square-lambda plus some of its simple modules.  The fan
-validator that certifies the meet of each pair of cones by dot products of
-one cone's facet normals with the other's rays (validate_by_pairs,
-certified_meet) is the referee for validate_generalized_fan, which takes
-one sign per distinct normal and distinct generator of the fan.
+change of basis at every vertex, with its own F_p products, builds
+isomorphic modules with different matrix entries, and the hypothesis
+strategies at the end draw such pairs from the presets, their direct sums,
+small Kronecker modules and loops, and wide fans from square-lambda plus
+some of its simple modules.  A normal fan with two maximal cones traded
+breaks the build on purpose.  The fan validator that certifies the meet
+of each pair of cones by dot products of one cone's facet normals with the
+other's rays (validate_by_pairs, certified_meet) is the referee for
+validate_generalized_fan, which takes one sign per distinct normal and
+distinct generator of the fan.
 """
 
 import sys
@@ -50,7 +53,7 @@ from hypothesis import strategies as st
 from mtfan.errors import InvariantError, ModuleDefinitionError
 from mtfan.exact import as_theta, dot, number, primitive, rank, theta_str
 from mtfan.oracle import REPS_PER_CONE, OracleReport, PointReport
-from mtfan.fplinalg import mat_mul, projective_points, rref_fp
+from mtfan.fplinalg import projective_points, rref_fp
 from mtfan.polyhedra import (
     COMPLETENESS_GRID_BOUND,
     FanValidationReport,
@@ -81,7 +84,6 @@ from mtfan.stability import (
     evaluate,
     filtration_key,
     is_semistable,
-    is_stable,
     t_set,
 )
 from mtfan.sublattice import enumerate_submodules
@@ -565,6 +567,16 @@ def semistable_subobjects_by_submodules(theta, module):
     )
 
 
+def is_stable(theta, module):
+    """Semistable with theta(L) < 0 for every proper nonzero submodule L:
+    theta on every member of the module's lattice."""
+    if module.is_zero():
+        raise ModuleDefinitionError("stability is undefined for the zero module")
+    theta = as_theta(theta, module.algebra.n)
+    vals = [evaluate(theta, s) for s in enumerate_submodules(module)]
+    return vals[-1] == 0 and all(v < 0 for v in vals[1:-1])
+
+
 def supp_factors_by_quotients(theta, module):
     """Stable factors of a theta-semistable module as (module, dims) pairs:
     split off a minimal nonzero semistable submodule (the least by
@@ -628,6 +640,21 @@ def class_data_by_rescans(members):
     return t, tbar, tuple(sorted(steps))
 
 
+def swap_two_maximal_cones(normal_fan):
+    """normal_fan with its first two maximal cones traded: a broken build
+    whose cones pass the face and dimension checks, and whose first
+    witness is largest on the other cone's face."""
+
+    def swapped(P):
+        fan = normal_fan(P)
+        cones = list(fan.cones)
+        i, j = [k for k, c in enumerate(cones) if c.dim == fan.n][:2]
+        cones[i], cones[j] = cones[j], cones[i]
+        return fan._replace(cones=tuple(cones))
+
+    return swapped
+
+
 def inverse_fp(mat, p):
     """Inverse of a square matrix over F_p by Gauss-Jordan, or None when it
     is singular."""
@@ -639,16 +666,24 @@ def inverse_fp(mat, p):
     return tuple(row[d:] for row in rows)
 
 
+def product_fp(a, b, p):
+    """a @ b over F_p, b's columns read off its rows, so b = () counts as
+    0 x 0.  Test inputs do their own products, so they do not rest on the
+    kernels under test."""
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*b))
+        for row in a
+    )
+
+
 def change_of_basis(module, change):
     """The isomorphic module whose arrow a: u -> v carries g_v A_a g_u^-1,
     for an invertible matrix g_u at each vertex u (change[u])."""
     p = module.algebra.p
-    inverses = [inverse_fp(g, p) for g in change]
     maps = [
-        mat_mul(
-            mat_mul(change[arrow.target], mat, module.dims[arrow.source], p),
-            inverses[arrow.source],
-            module.dims[arrow.source],
+        product_fp(
+            product_fp(change[arrow.target], mat, p),
+            inverse_fp(change[arrow.source], p),
             p,
         )
         for arrow, mat in zip(module.algebra.arrows, module.maps)
@@ -728,17 +763,24 @@ def cube_module(n, p=2):
     return build_module(A, (1,) * n, [])
 
 
-def a_n_all(n, p=2):
-    """A_n-all: the linear quiver 1 -> 2 -> ... -> n, with arrows named a, b,
-    ... in order, and the sum of its n(n+1)/2 interval modules [i, j]: by
-    last vertex j, and for one j from the shortest interval up."""
+def a_n_all(n, p=2, orientation=None):
+    """A_n-all: the quiver on 1, 2, ..., n with arrows named a, b, ... in
+    order, and the sum of its n(n+1)/2 interval modules [i, j]: by last
+    vertex j, and for one j from the shortest interval up.  orientation
+    holds one character per arrow, ">" for u -> u + 1 and "<" for
+    u + 1 -> u; it is linear (1 -> 2 -> ... -> n) by default."""
+    orientation = orientation or ">" * (n - 1)
     A = build_algebra(
         {
             "p": p,
             "vertices": [str(v + 1) for v in range(n)],
             "arrows": [
-                {"name": chr(ord("a") + u), "from": str(u + 1), "to": str(u + 2)}
-                for u in range(n - 1)
+                {
+                    "name": chr(ord("a") + u),
+                    "from": str(u + 1 + (way == "<")),
+                    "to": str(u + 1 + (way == ">")),
+                }
+                for u, way in enumerate(orientation)
             ],
         }
     )

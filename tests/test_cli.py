@@ -23,7 +23,7 @@ from mtfan.quiver import build_algebra, build_module
 from mtfan.serialize import polytope_doc
 from mtfan.sublattice import enumerate_submodules, newton_polytope
 from mtfan.svg import render_svg
-from referee import cone_from_doc
+from referee import cone_from_doc, swap_two_maximal_cones
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
@@ -248,6 +248,45 @@ def test_verify_records_a_wall_that_breaks(tmp_path, monkeypatch):
         "ok": False,
     }
     assert doc["fan_validation"]["ok"]
+
+
+def test_verify_writes_a_document_when_the_build_breaks(tmp_path, monkeypatch):
+    """A self-check that fails in the build is the build layer's one
+    violation: verify writes its document with the oracle, dim-formula and
+    validator layers skipped, and exits 1.  Every other subcommand still
+    raises the InvariantError, a bug rather than bad input."""
+    monkeypatch.setattr(
+        mtfan.fan, "normal_fan", swap_two_maximal_cones(mtfan.fan.normal_fan)
+    )
+
+    def skipped(*args, **kwargs):
+        raise AssertionError("a layer ran after the build broke")
+
+    for name in ("build_sample_set", "verify_fan", "verify_dim_formula"):
+        monkeypatch.setattr(mtfan.oracle, name, skipped)
+    monkeypatch.setattr(mtfan.polyhedra, "validate_generalized_fan", skipped)
+    code, text = run_cli(
+        ["verify", "--preset", "square-lambda", "--grid-bound", "1"], tmp_path
+    )
+    assert code == 1
+    doc = json.loads(text)
+    assert list(doc) == [
+        "grid_bound",
+        "seed",
+        "build",
+        "oracle",
+        "dim_formula",
+        "fan_validation",
+        "ok",
+    ]
+    [message] = doc["build"]["violations"]
+    assert "not inside the cone of its" in message
+    assert doc["build"]["ok"] is False and doc["ok"] is False
+    assert doc["oracle"] is doc["dim_formula"] is doc["fan_validation"] is None
+    assert doc["grid_bound"] == 1 and doc["seed"] == mtfan.oracle.DEFAULT_SEED
+    for command in ("fan", "wall", "paths"):
+        with pytest.raises(InvariantError, match="not inside the cone of its"):
+            main([command, "--preset", "square-lambda"])
 
 
 def test_input_file_and_p_override(tmp_path):

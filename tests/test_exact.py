@@ -19,7 +19,6 @@ from mtfan.exact import (
 from mtfan.fplinalg import (
     all_vectors,
     in_span,
-    mat_mul,
     rref_fp,
     rref_join,
 )
@@ -251,15 +250,6 @@ def test_sum_and_intersection_against_enumeration():
     total = rref_fp(a + b, p)
     assert members(total) >= members(a) | members(b)
     assert len(members(total)) == p ** len(total)
-
-
-def test_mat_mul_handles_zero_shapes():
-    assert mat_mul((), ((1,),), 1, 2) == ()
-    assert mat_mul(((),), (), 3, 2) == ((0, 0, 0),)
-    assert mat_mul(((1, 2), (3, 4)), ((1, 0), (0, 1)), 2, 5) == (
-        (1, 2),
-        (3, 4),
-    )
 
 
 def test_all_vectors():

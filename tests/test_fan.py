@@ -41,6 +41,7 @@ from mtfan.sublattice import (
     submodule_dim_vectors,
 )
 from referee import (
+    a_n_all,
     class_data_by_rescans,
     count_calls,
     cone_from_generators,
@@ -51,6 +52,7 @@ from referee import (
     module_and_change_of_basis,
     preset_direct_sum,
     random_kronecker_module,
+    swap_two_maximal_cones,
     t_set_by_scan,
     top_points,
 )
@@ -265,6 +267,48 @@ def test_fan_paths_on_nakayama():
     }
 
 
+@pytest.mark.parametrize(
+    "n,orientation,submodules,cones_by_dim,path_steps",
+    [
+        (2, ">", 16, (1, 5, 5), {2: 1, 3: 1}),
+        (2, "<", 16, (1, 5, 5), {2: 1, 3: 1}),
+        (3, ">>", 1229, (1, 9, 21, 14), {3: 1, 4: 4, 5: 2, 6: 2}),
+        (3, "><", 1768, (1, 9, 21, 14), {3: 2, 4: 2, 5: 2, 6: 4}),
+        (3, "<>", 1768, (1, 9, 21, 14), {3: 2, 4: 2, 5: 2, 6: 4}),
+    ],
+)
+def test_the_g_fan_of_a_n(n, orientation, submodules, cones_by_dim, path_steps):
+    """On A_n-all, the sum of every indecomposable, the chambers are the
+    g-vector cones: Catalan(n + 1) of them, with one Newton edge per wall.
+    The maximal paths are the maximal green sequences, counted by their
+    steps, and each Newton edge is labelled by one brick: its supp_dims
+    repeats one dimension vector.  The labels are exactly the positive
+    roots (the intervals), pairwise distinct along every maximal path."""
+    mtf = build_mtf_fan(a_n_all(n, orientation=orientation))
+    assert len(mtf.lattice) == submodules
+    dims = [c.dim for c in mtf.cones]
+    assert tuple(dims.count(d) for d in range(n + 1)) == cones_by_dim
+    edges = mtf.newton.edges()
+    assert len(edges) == cones_by_dim[n - 1]
+    label = {}
+    for eid in edges:
+        supp = mtf.classes[eid].supp_dims
+        assert len(set(supp)) == 1
+        label[frozenset(mtf.newton.faces[eid].vertex_ids)] = supp[0]
+    roots = {
+        tuple(int(i <= v <= j) for v in range(n))
+        for j in range(n)
+        for i in range(j + 1)
+    }
+    assert set(label.values()) == roots
+    paths = fan_paths(mtf).maximal_paths
+    steps = [len(path) - 1 for path in paths]
+    assert {k: steps.count(k) for k in set(steps)} == path_steps
+    for path in paths:
+        bricks = [label[frozenset(step)] for step in zip(path, path[1:])]
+        assert len(set(bricks)) == len(bricks)
+
+
 def test_fan_paths_zero_module():
     z = zero_fan()
     cat = fan_paths(z)
@@ -461,16 +505,9 @@ def test_build_raises_when_a_witness_leaves_its_face(monkeypatch):
     trade places pass the face and dimension checks, and the witness of
     the first is largest on the other's face, whose slot holds another
     cone."""
-    real = mtfan.fan.normal_fan
-
-    def swapped(P):
-        fan = real(P)
-        cones = list(fan.cones)
-        i, j = [k for k, c in enumerate(cones) if c.dim == fan.n][:2]
-        cones[i], cones[j] = cones[j], cones[i]
-        return fan._replace(cones=tuple(cones))
-
-    monkeypatch.setattr(mtfan.fan, "normal_fan", swapped)
+    monkeypatch.setattr(
+        mtfan.fan, "normal_fan", swap_two_maximal_cones(mtfan.fan.normal_fan)
+    )
     with pytest.raises(InvariantError, match="not inside the cone of its"):
         build_mtf_fan(preset_module("square-lambda"))
 

