@@ -18,14 +18,16 @@ semistable), w's semistable subobjects and stable factors come with them:
 one kernel, _classify, computes them at a functional on lattice indices.
 
 The submodules of L/K are the members between K and L of the module's own
-lattice, so the scans (the torsion classes, the t-set, the semistable
-subobjects, a chain of stable factors) read one order table per module:
-for each member of the module's lattice, a bit mask of the members
-strictly inside it, its height and the members it covers.  A
-submodule is a graded subspace, so the table compares the members one
-vertex at a time, each pair of distinct spaces at a vertex once.  The
-scans walk the covers: one walk up the whole lattice gives both torsion
-classes, and one up the members above t gives the t-set.
+lattice, so the scans (the torsion classes, the t-set, a chain of stable
+factors) read one order table per module: for each member of the module's
+lattice, a bit mask of the members strictly inside it.  A submodule is a
+graded subspace, so the table compares the members one vertex at a time,
+each pair of distinct spaces at a vertex once.  Each scan is its
+definition read off the rows: a member is weak torsion when its row misses
+the members valued above it, and a member above t is in the t-set when it
+is valued theta(t) and its row misses the members above t valued higher.
+On a semistable w the semistable subobjects are its nonzero members valued
+0, so they need no scan.
 Each lattice is valued once, one dot product a row.  Only w, f and the
 stable factors are presented as modules, each checked on its own lattice;
 semistability builds no order table.  Nothing is memoized: each lattice
@@ -76,33 +78,15 @@ def _stable(vals):
     return vals[-1] == 0 and all(v < 0 for v in vals[1:-1])
 
 
-class _Order(NamedTuple):
-    """The order of a module's lattice.
-
-    below[i] is a bit mask of the members strictly inside member i, bit j
-    for member j; height[i] is the length of every maximal chain from the
-    zero member (index 0) up to member i, and levels[h] pairs each member j
-    of height h with the members it covers."""
-
-    below: tuple
-    height: tuple
-    levels: tuple
-
-
 def _order(module, subs):
-    """The order table of subs, the module's lattice.
+    """The order table of subs, the module's lattice: below[i] is a bit mask
+    of the members strictly inside member i, bit j for member j.
 
     L' <= L exactly when L'_u <= L_u at every vertex u, so at each vertex
     the members' distinct spaces are interned with a bit mask of the members
     having each, and in_span decides each pair of spaces once.  A row is the
     AND over the vertices of the masks of the spaces inside the member's,
     with the member's own bit cleared.
-
-    The lattice is modular, so all maximal chains between two members have
-    the same length: member c is covered by member i exactly when c is
-    strictly inside i and one step lower.  A member strictly inside another
-    has a smaller total dimension, so in that order each member's height is
-    one more than the highest level its row meets.
     """
     p = module.algebra.p
     below = [(1 << len(subs)) - 1] * len(subs)
@@ -118,72 +102,42 @@ def _order(module, subs):
                     inside |= mask
             for i in idx:
                 below[i] &= inside
-    height = [0] * len(subs)
-    at_height = []  # at_height[h]: the members of height h, as a bit mask
-    for i in sorted(range(len(subs)), key=lambda i: subs[i].total_dim):
-        below[i] ^= 1 << i
-        h = len(at_height)
-        while h and not below[i] & at_height[h - 1]:
-            h -= 1
-        if h == len(at_height):
-            at_height.append(0)
-        at_height[h] |= 1 << i
-        height[i] = h
-    # member j covers the members one level down inside it; the zero member,
-    # alone at height 0, has none
-    levels = tuple(
-        tuple((j, tuple(_bits(below[j] & at_height[h - 1]))) for j in _bits(mask))
-        for h, mask in enumerate(at_height)
-    )
-    return _Order(tuple(below), tuple(height), levels)
+    return tuple(row ^ 1 << i for i, row in enumerate(below))
 
 
-def _bits(mask):
-    """The positions of the set bits of mask, from the lowest up."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _largest_member(members, order):
+def _largest_member(members, below):
     """The member (an index) whose table row holds every other member.
 
     Some member contains all the others exactly when the sum of the members
-    is a member, and then it is that sum, the one highest member.
+    is a member, and then it is that sum, the one with the longest row.
     """
-    i = max(members, key=order.height.__getitem__)
-    inside = order.below[i] | 1 << i
+    i = max(members, key=lambda j: below[j].bit_count())
+    inside = below[i] | 1 << i
     if not all(inside >> j & 1 for j in members):
         raise InvariantError("the sum of the members is not a member")
     return i
 
 
-def _torsion_classes(order, vals):
+def _torsion_classes(below, vals):
     """The indices i with theta(L') < theta(L_i), and those with
     theta(L') <= theta(L_i), for all L' < L_i: the strict and the weak
-    torsion members, in one walk up the covers.
+    torsion members.
 
-    Every member strictly inside L_i lies inside a member that L_i covers,
-    so the largest value below L_i is the largest of top[c] over its covers
-    c, where top[c] is the largest value on the members inside L_c, L_c
-    included.
+    Member i is weak torsion when its row misses every member valued above
+    theta(L_i), and strict torsion when it also misses every member valued
+    theta(L_i): two masks per distinct value, from the top value down.
     """
-    top = list(vals)
-    strict, weak = {0}, {0}
-    for level in order.levels[1:]:
-        for i, covers in level:
-            v = vals[i]
-            m = max([top[c] for c in covers])
-            if m < v:
-                strict.add(i)
-                weak.add(i)
-            elif m == v:
-                weak.add(i)
-            else:
-                top[i] = m
+    at = {}
+    for i, v in enumerate(vals):
+        at[v] = at.get(v, 0) | 1 << i
+    above, upto = {}, {}  # the members valued above v, and at least v
+    members = 0
+    for v in sorted(at, reverse=True):
+        above[v] = members
+        members |= at[v]
+        upto[v] = members
+    weak = {i for i, v in enumerate(vals) if not below[i] & above[v]}
+    strict = {i for i in weak if not below[i] & upto[vals[i]]}
     return strict, weak
 
 
@@ -217,10 +171,10 @@ def _members(module, table, subs=None):
 
 def _lattice(module, table, subs=None):
     """The module, its lattice, the members' classes and its order table."""
-    if (module, _Order) not in table:
+    if (module, _order) not in table:
         subs, dims = _members(module, table, subs)
-        table[module, _Order] = module, subs, dims, _order(module, subs)
-    return table[module, _Order]
+        table[module, _order] = module, subs, dims, _order(module, subs)
+    return table[module, _order]
 
 
 def _present(module, lower, upper, table):
@@ -261,7 +215,7 @@ def _record(lattice, c, table):
     """The CanonicalSequenceData of _classify's answer c on lattice, table."""
     module, subs = lattice[:2]
     t, tbar = subs[c.t], subs[c.tbar]
-    t_set = frozenset(subs[j] for j in _bits(c.t_set))
+    t_set = frozenset(s for j, s in enumerate(subs) if c.t_set >> j & 1)
     w = _present(module, t, tbar, table)[0]
     return CanonicalSequenceData(t, tbar, w, t_set, c.vals, c.w_semis, c.supp)
 
@@ -270,12 +224,12 @@ def _classify(theta, lattice, table):
     """canonical_sequences of an as_theta functional on lattice =
     _lattice(M, table), as _Classes.  The table keeps each slice under its
     pair (t, tbar); a caller that keeps it presents each slice once."""
-    module, subs, dims, order = lattice
+    module, subs, dims, below = lattice
     vals = _values(theta, dims)
-    strict, weak = _torsion_classes(order, vals)
-    i = _largest_member(strict, order)
-    k = _largest_member(weak, order)
-    inside = order.below[k] | 1 << k
+    strict, weak = _torsion_classes(below, vals)
+    i = _largest_member(strict, below)
+    k = _largest_member(weak, below)
+    inside = below[k] | 1 << k
     if not inside >> i & 1:
         raise InvariantError(f"t is not inside tbar at theta {theta_str(theta)}")
     s = table.get((i, k)) or table.setdefault((i, k), _slice(module, subs, i, k, table))
@@ -290,7 +244,7 @@ def _classify(theta, lattice, table):
     # f lies in the free class: strictly negative on nonzero submodules
     if not all(v < 0 for v in _values(theta, fdims)[1:]):
         raise InvariantError(f"f = M/tbar is not free at theta {theta_str(theta)}")
-    t_set = sum(1 << j for j in _semistable_above(order, vals, i))
+    t_set = sum(1 << j for j in _semistable_above(below, vals, i))
     if not t_set >> i & t_set >> k & 1:
         raise InvariantError(
             f"t or tbar is missing from the t-set at {theta_str(theta)}"
@@ -301,32 +255,18 @@ def _classify(theta, lattice, table):
     return _Classes(i, k, vals, t_set, w_semis, tuple(sorted([x.dims for x in supp])))
 
 
-def _semistable_above(order, vals, i):
+def _semistable_above(below, vals, i):
     """Indices j of the members L_j containing L_i with L_j/L_i semistable:
     theta(L_j) = theta(L_i), and theta is at most theta(L_i) on every member
     between them (the submodules of L_j/L_i).
 
-    The walk climbs the covers from L_i, one level at a time.  A member
-    above L_i is kept when theta is at most theta(L_i) on it and every
-    member it covers above L_i is kept, and dropped otherwise; a level that
-    keeps none ends the walk, since a kept member covers a kept one.
+    Of the members whose row holds i, j is kept when it is valued theta(L_i)
+    and its row misses those valued above theta(L_i).
     """
     v = vals[i]
-    kept, dropped = {i}, set()
-    for level in order.levels[order.height[i] + 1:]:
-        grown = False
-        for j, covers in level:
-            if kept.isdisjoint(covers):
-                if not dropped.isdisjoint(covers):
-                    dropped.add(j)
-            elif vals[j] <= v and dropped.isdisjoint(covers):
-                kept.add(j)
-                grown = True
-            else:
-                dropped.add(j)
-        if not grown:
-            break
-    return {j for j in kept if vals[j] == v}
+    up = [j for j, row in enumerate(below) if row >> i & 1]
+    high = sum(1 << j for j in up if vals[j] > v)
+    return {i} | {j for j in up if vals[j] == v and not below[j] & high}
 
 
 def supp_factors(theta, module):
@@ -347,13 +287,15 @@ def _stable_factors(theta, lattice, vals, table):
     """The nonzero semistable subobjects (indices) of a semistable module,
     where vals are theta on lattice = _lattice(module, table), and the
     factors of one maximal chain 0 = L_0 < ... < L_r = M through them (the
-    zero-valued submodules), walked by total dimension so each L_{m+1}/L_m
+    zero-valued submodules), taken by total dimension so each L_{m+1}/L_m
     is stable: checked on its own lattice."""
-    module, subs, _, order = lattice
-    semis = frozenset(_semistable_above(order, vals, 0) - {0})
+    module, subs, _, below = lattice
+    # on a semistable module theta is at most 0 everywhere, so every
+    # zero-valued member is semistable
+    semis = frozenset(j for j, v in enumerate(vals) if j and v == 0)
     chain = [0]  # the zero submodule
     for j in sorted(semis, key=lambda j: (subs[j].total_dim, j)):
-        if order.below[j] >> chain[-1] & 1:
+        if below[j] >> chain[-1] & 1:
             chain.append(j)
     out = []
     for a, b in zip(chain, chain[1:]):

@@ -15,9 +15,10 @@ through every alias.  The torsion scans that test
 containment of every pair of submodules at each functional, and take the
 largest member as a sum, are the referee for the scans of that table; the
 scans over every row of the table (torsion_members_by_table,
-semistable_above_by_table) are the referee for the oracle's walks up the
-covers.  A loop whose characteristic polynomial is irreducible is a simple
-module of dimension 2, on which heights and total dimensions differ.
+semistable_above_by_table) are the referee for the oracle's scans of the
+table's bit-mask rows.  A loop whose characteristic polynomial is
+irreducible is a simple module of dimension 2, so on a sum of such loops a
+member's total dimension is twice the length of its chains up from zero.
 Testing each zero-valued submodule for semistability on its own lattice,
 and splitting off one stable factor at a time and passing to the quotient,
 are the referees for the semistable subobjects and stable factors that the

@@ -289,6 +289,24 @@ def test_verify_writes_a_document_when_the_build_breaks(tmp_path, monkeypatch):
             main([command, "--preset", "square-lambda"])
 
 
+def test_verify_writes_a_document_when_the_validator_breaks(tmp_path, monkeypatch):
+    """A validator whose sign masks drop their first bit finds the fan
+    broken, and only the fan_validation layer says so: verify still writes
+    its document, with the oracle and dim-formula layers ok, and exits 1."""
+    real = mtfan.polyhedra._mask
+    monkeypatch.setattr(
+        mtfan.polyhedra, "_mask", lambda vals, test: real(vals, test) & ~1
+    )
+    code, text = run_cli(
+        ["verify", "--preset", "square-lambda", "--grid-bound", "0"], tmp_path
+    )
+    assert code == 1
+    doc = json.loads(text)
+    assert doc["ok"] is False
+    assert doc["fan_validation"]["ok"] is False
+    assert doc["oracle"]["ok"] is True and doc["dim_formula"]["ok"] is True
+
+
 def test_input_file_and_p_override(tmp_path):
     path = tmp_path / "mod.json"
     path.write_text(json.dumps(A2_SPEC), encoding="utf-8")

@@ -55,7 +55,9 @@ PRESET_COMMANDS = {
 # P_0 + P_1 + I_0 + I_1 + R_1 over the Kronecker quiver and F_2, the
 # preprojectives, preinjectives and a regular module: dimension vector
 # (5, 5), 4,112 submodules, 7 chambers and 15 cones, with the ray (1, -1)
-# that no summand without R_1 reaches.
+# that no summand without R_1 reaches.  Its `verify --grid-bound 1` golden
+# (kronecker-PI-R.verify.json) takes about 3 s, so CI byte-compares it
+# instead of this suite; the CI step says how to regenerate it.
 INPUT_COMMANDS = {
     "kronecker-R4": {
         "newton": ["newton"],
