@@ -2,11 +2,15 @@
 computations.
 
 Every sample functional is classified twice: by locating it in the fan and
-by recomputing filtration, support and t-set from scratch.  One
-stability._classify call per sample gives all three on lattice indices,
-the semistable subobjects of w that make its filtration key, and the
-functional's values on the module's lattice, which the t-set check and the
-wall check read.  A pass reads each cone's data as lattice indices once.
+by the definitions of filtration, support and t-set.  One
+stability._classify call gives all three on lattice indices and the
+semistable subobjects of w that make its filtration key.  The definitions
+are inequalities among the values of the functional on the module's
+submodules and their subquotients, so that answer depends only on the
+functional's order type on the module's lattice: a pass runs _classify once
+per order type.  Each sample is still located, valued on the module's
+lattice (which the t-set check and the wall check read) and compared with
+its cone.  A pass reads each cone's data as lattice indices once.
 Pairs of samples check the equivalence and closure predicates against the
 cone combinatorics by comparing stored t-set bit masks and filtration keys.
 
@@ -29,6 +33,7 @@ from .stability import (
     _classify,
     _lattice,
     _record,
+    _values,
     filtration_key,
 )
 from .sublattice import enumerate_submodules  # noqa: F401  (the tracer's alias)
@@ -92,8 +97,11 @@ class OracleReport(NamedTuple):
 
 def _pass(mtf):
     """What a pass reads at every sample: M's _lattice on the fan's lattice,
-    the pass's table for _classify, and each cone's t and tbar as indices
-    (None off the lattice), support, and the min and max of its Newton face."""
+    the pass's table for _classify, each cone's t and tbar as indices (None
+    off the lattice), support, and the min and max of its Newton face, one
+    member per distinct class of M's lattice, and an empty dict from order
+    types to _classify's answers.  The dict holds at most one entry per
+    sample, each keyed by at most one rank per distinct class."""
     table = {}
     lattice = _lattice(mtf.module, table, mtf.lattice)
     index = {s: j for j, s in enumerate(lattice[1])}.get
@@ -102,25 +110,42 @@ def _pass(mtf):
         vecs = list(zip(*(mtf.newton.vertices[v] for v in face.vertex_ids)))
         bounds = tuple(map(min, vecs)), tuple(map(max, vecs))
         cones.append((index(data.t), index(data.tbar), data.supp_dims, *bounds))
-    return lattice, table, cones
+    reps = tuple({d: j for j, d in enumerate(lattice[2])}.values())
+    return lattice, table, cones, reps, {}
 
 
 def _check(mtf, ctx, theta):
     """(located cone index, failures, _classify's answer) of an as_theta
     functional in a pass ctx.  A broken invariant of the fan route or the
-    definition route is the sample's one failure, with no answer."""
-    lattice, table, cones = ctx
+    definition route is the sample's one failure, with no answer.
+
+    The definition route compares values of theta on M's members and on
+    slices of intervals of M's lattice, theta(L/L_i) = theta(L) -
+    theta(L_i), so its answer depends only on the order type of theta on
+    M's lattice: the dense ranks of its values on one member per class,
+    the zero member's among them.  It runs once per order type in a pass,
+    and an answer is kept only when it did not break.  The fan route and
+    every comparison with the fan run at every sample, on its own values.
+    """
+    lattice, table, cones, reps, answers = ctx
     try:
         idx = locate_index(mtf.newton, mtf.fan, theta)
         on_wall = None if mtf.module.is_zero() else mtf.wall.contains(theta)
     except InvariantError as exc:
         return None, (f"fan route broke: {exc}",), None
-    try:
-        c = _classify(theta, lattice, table)
-    except InvariantError as exc:
-        return idx, (f"definition route broke: {exc}",), None
-    t, tbar, supp, lo, hi = cones[idx]
     dims = lattice[2]
+    vals = _values(theta, dims)
+    at = [vals[j] for j in reps]
+    rank = {v: r for r, v in enumerate(sorted(set(at)))}
+    key = tuple(map(rank.get, at))
+    if key not in answers:
+        try:
+            c = _classify(theta, lattice, table, vals)
+        except InvariantError as exc:
+            return idx, (f"definition route broke: {exc}",), None
+        answers[key] = c._replace(vals=None)
+    c = answers[key]._replace(vals=vals)
+    t, tbar, supp, lo, hi = cones[idx]
     fails = []
     if c.t != t or c.tbar != tbar:
         fails.append("canonical filtration differs from the cone's")

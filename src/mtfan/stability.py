@@ -220,12 +220,13 @@ def _record(lattice, c, table):
     return CanonicalSequenceData(t, tbar, w, t_set, c.vals, c.w_semis, c.supp)
 
 
-def _classify(theta, lattice, table):
+def _classify(theta, lattice, table, vals=None):
     """canonical_sequences of an as_theta functional on lattice =
-    _lattice(M, table), as _Classes.  The table keeps each slice under its
-    pair (t, tbar); a caller that keeps it presents each slice once."""
+    _lattice(M, table), as _Classes; vals, when given, are theta on M's
+    lattice.  The table keeps each slice under its pair (t, tbar); a caller
+    that keeps it presents each slice once."""
     module, subs, dims, below = lattice
-    vals = _values(theta, dims)
+    vals = _values(theta, dims) if vals is None else vals
     strict, weak = _torsion_classes(below, vals)
     i = _largest_member(strict, below)
     k = _largest_member(weak, below)

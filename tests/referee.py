@@ -28,7 +28,8 @@ nested ones, are the definitions of M-TF equivalence and of the closure of
 a class.  The oracle's pass on records (verify_fan_by_records: the
 canonical sequences of each sample on one table per pass, t-sets as
 frozensets of Submodules, keys of Submodules) is the referee for
-verify_fan, which compares lattice indices and bit masks.
+verify_fan, which compares lattice indices and bit masks and classifies
+each order type once; the record pass classifies every sample afresh.
 The Newton points where a functional is largest, the scan of every
 submodule for the largest value of a functional, and the chain walk that
 rescans the t-set at every step, are the referees for the build's t-sets,
@@ -36,9 +37,12 @@ read off the Newton faces by facet masks, and its one-pass walk.  A
 change of basis at every vertex, with its own F_p products, builds
 isomorphic modules with different matrix entries, and the hypothesis
 strategies at the end draw such pairs from the presets, their direct sums,
-small Kronecker modules and loops, and wide fans from square-lambda plus
-some of its simple modules.  A normal fan with two maximal cones traded
-breaks the build on purpose.  The fan validator that certifies the meet
+small Kronecker modules and loops, random maps on linear A_3, and wide fans
+from square-lambda plus some of its simple modules (square_lambda_sum).
+Keller's mutation of the framed quiver, on skew-symmetric integer matrices,
+counts the maximal green sequences of a quiver with nothing of mtfan: the
+referee for the maximal paths of the A_n g-fans.  A normal fan with two
+maximal cones traded breaks the build on purpose.  The fan validator that certifies the meet
 of each pair of cones by dot products of one cone's facet normals with the
 other's rays (validate_by_pairs, certified_meet) is the referee for
 validate_generalized_fan, which takes one sign per distinct normal and
@@ -496,16 +500,19 @@ def verify_point_by_records(mtf, theta, table=None):
     return PointReport(theta, idx, tuple(fails), cs)
 
 
-def verify_fan_by_records(mtf, samples):
+def verify_fan_by_records(mtf, samples, points=None):
     """verify_fan on records: one verify_point_by_records call per sample,
     all on one table, and pair checks on frozensets of Submodules and on
-    filtration keys of Submodules and semistable subobjects."""
+    filtration keys of Submodules and semistable subobjects.  Each sample's
+    PointReport is appended to points when it is a list."""
     failures = []
     checks = 0
     by_cone = {}
     table = {}
     for theta in samples:
         rep = verify_point_by_records(mtf, theta, table)
+        if points is not None:
+            points.append(rep)
         checks += 1
         failures.extend(f"theta {theta_str(rep.theta)}: {m}" for m in rep.failures)
         kept = by_cone.setdefault(rep.cone_index, [])
@@ -764,14 +771,13 @@ def cube_module(n, p=2):
     return build_module(A, (1,) * n, [])
 
 
-def a_n_all(n, p=2, orientation=None):
-    """A_n-all: the quiver on 1, 2, ..., n with arrows named a, b, ... in
-    order, and the sum of its n(n+1)/2 interval modules [i, j]: by last
-    vertex j, and for one j from the shortest interval up.  orientation
-    holds one character per arrow, ">" for u -> u + 1 and "<" for
-    u + 1 -> u; it is linear (1 -> 2 -> ... -> n) by default."""
+def a_n_algebra(n, p=2, orientation=None):
+    """The quiver on 1, 2, ..., n with arrows named a, b, ... in order, and
+    no relations.  orientation holds one character per arrow, ">" for
+    u -> u + 1 and "<" for u + 1 -> u; it is linear (1 -> 2 -> ... -> n)
+    by default."""
     orientation = orientation or ">" * (n - 1)
-    A = build_algebra(
+    return build_algebra(
         {
             "p": p,
             "vertices": [str(v + 1) for v in range(n)],
@@ -785,6 +791,13 @@ def a_n_all(n, p=2, orientation=None):
             ],
         }
     )
+
+
+def a_n_all(n, p=2, orientation=None):
+    """A_n-all: the sum of the n(n+1)/2 interval modules [i, j] over
+    a_n_algebra(n, p, orientation): by last vertex j, and for one j from
+    the shortest interval up."""
+    A = a_n_algebra(n, p, orientation)
     total = None
     for j in range(n):
         for i in range(j, -1, -1):
@@ -794,6 +807,59 @@ def a_n_all(n, p=2, orientation=None):
             )
             total = interval if total is None else direct_sum(total, interval)
     return total
+
+
+def square_lambda_sum(copies=1, simples=()):
+    """copies of square-lambda plus the simple modules S_i over its algebra
+    for i in simples, summed in that order."""
+    sq = preset_module("square-lambda")
+    parts = [sq] * copies + [simple_module(sq.algebra, i) for i in simples]
+    total = parts[0]
+    for part in parts[1:]:
+        total = direct_sum(total, part)
+    return total
+
+
+def _mutate(b, k):
+    """Fomin-Zelevinsky mutation of the skew-symmetric matrix b at k: the
+    arrows at k turn round, and each path i -> k -> j adds an arrow i -> j,
+    cancelling against arrows j -> i."""
+    size = range(len(b))
+    return [
+        [
+            -b[i][j]
+            if k in (i, j)
+            else b[i][j] + (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2
+            for j in size
+        ]
+        for i in size
+    ]
+
+
+def maximal_green_sequences(n, arrows):
+    """The maximal green sequences of the quiver on 0, ..., n - 1 with the
+    given arrows (u, v), u -> v, counted by length (Keller, arXiv:1102.4148).
+
+    Frame the quiver: a frozen vertex n + i and an arrow i -> n + i for each
+    i.  A mutable vertex is green while no arrow runs into it from a frozen
+    vertex, and red otherwise.  A maximal green sequence mutates at green
+    vertices only, until every mutable vertex is red.  b[i][j] counts the
+    arrows i -> j minus the arrows j -> i."""
+    b = [[0] * (2 * n) for _ in range(2 * n)]
+    for u, v in list(arrows) + [(i, n + i) for i in range(n)]:
+        b[u][v] += 1
+        b[v][u] -= 1
+    lengths = Counter()
+
+    def walk(b, length):
+        green = [k for k in range(n) if min(b[k][n:]) >= 0]
+        if not green:
+            lengths[length] += 1
+        for k in green:
+            walk(_mutate(b, k), length + 1)
+
+    walk(b, 0)
+    return dict(lengths)
 
 
 @st.composite
@@ -833,14 +899,12 @@ def preset_direct_sum(draw):
     return module
 
 
-@st.composite
-def square_lambda_and_simples(draw):
+def square_lambda_and_simples():
     """square-lambda plus a nonempty set of its simple modules S1-S4: the
     wide fans, 61 to 147 cones, that preset_direct_sum seldom draws."""
-    module = preset_module("square-lambda")
-    for i in sorted(draw(st.sets(st.integers(1, 4), min_size=1))):
-        module = direct_sum(module, simple_module(module.algebra, i))
-    return module
+    return st.sets(st.integers(1, 4), min_size=1).map(
+        lambda simples: square_lambda_sum(1, sorted(simples))
+    )
 
 
 @st.composite
@@ -855,6 +919,22 @@ def random_kronecker_module(draw, p=None, max_dim=3):
         for _ in range(2)
     )
     return kronecker_module(p, (d1, d2), a, b)
+
+
+@st.composite
+def random_linear_a3_module(draw, p=None, max_dim=2):
+    """Random maps a: 1 -> 2 and b: 2 -> 3 of linear A_3 over F_p, p = 2 or
+    3 unless given, with dims at most max_dim at each vertex.  A_3 has no
+    relations, so every pair of maps is a module."""
+    if p is None:
+        p = draw(st.sampled_from([2, 3]))
+    dims = [draw(st.integers(0, max_dim)) for _ in range(3)]
+    entry = st.integers(0, p - 1)
+    maps = [
+        [[draw(entry) for _ in range(dims[u])] for _ in range(dims[u + 1])]
+        for u in range(2)
+    ]
+    return build_module(a_n_algebra(3, p), dims, maps)
 
 
 @st.composite

@@ -49,6 +49,7 @@ from referee import (
     kronecker_i,
     kronecker_p,
     kronecker_pi,
+    maximal_green_sequences,
     module_and_change_of_basis,
     preset_direct_sum,
     random_kronecker_module,
@@ -267,16 +268,18 @@ def test_fan_paths_on_nakayama():
     }
 
 
-@pytest.mark.parametrize(
-    "n,orientation,submodules,cones_by_dim,path_steps",
-    [
-        (2, ">", 16, (1, 5, 5), {2: 1, 3: 1}),
-        (2, "<", 16, (1, 5, 5), {2: 1, 3: 1}),
-        (3, ">>", 1229, (1, 9, 21, 14), {3: 1, 4: 4, 5: 2, 6: 2}),
-        (3, "><", 1768, (1, 9, 21, 14), {3: 2, 4: 2, 5: 2, 6: 4}),
-        (3, "<>", 1768, (1, 9, 21, 14), {3: 2, 4: 2, 5: 2, 6: 4}),
-    ],
-)
+# A_n-all by orientation: submodules, cones by dimension and maximal paths
+# by their steps
+G_FANS = [
+    (2, ">", 16, (1, 5, 5), {2: 1, 3: 1}),
+    (2, "<", 16, (1, 5, 5), {2: 1, 3: 1}),
+    (3, ">>", 1229, (1, 9, 21, 14), {3: 1, 4: 4, 5: 2, 6: 2}),
+    (3, "><", 1768, (1, 9, 21, 14), {3: 2, 4: 2, 5: 2, 6: 4}),
+    (3, "<>", 1768, (1, 9, 21, 14), {3: 2, 4: 2, 5: 2, 6: 4}),
+]
+
+
+@pytest.mark.parametrize("n,orientation,submodules,cones_by_dim,path_steps", G_FANS)
 def test_the_g_fan_of_a_n(n, orientation, submodules, cones_by_dim, path_steps):
     """On A_n-all, the sum of every indecomposable, the chambers are the
     g-vector cones: Catalan(n + 1) of them, with one Newton edge per wall.
@@ -307,6 +310,19 @@ def test_the_g_fan_of_a_n(n, orientation, submodules, cones_by_dim, path_steps):
     for path in paths:
         bricks = [label[frozenset(step)] for step in zip(path, path[1:])]
         assert len(set(bricks)) == len(bricks)
+
+
+@pytest.mark.parametrize("n,orientation,submodules,cones_by_dim,path_steps", G_FANS)
+def test_framed_quiver_mutation_counts_the_maximal_paths(
+    n, orientation, submodules, cones_by_dim, path_steps
+):
+    """The maximal green sequences of A_n, by Keller's mutation of the
+    framed quiver, which shares nothing with mtfan, are as many and as long
+    as the maximal paths that test_the_g_fan_of_a_n pins."""
+    arrows = [
+        (u, u + 1) if way == ">" else (u + 1, u) for u, way in enumerate(orientation)
+    ]
+    assert maximal_green_sequences(n, arrows) == path_steps
 
 
 def test_fan_paths_zero_module():

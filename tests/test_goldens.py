@@ -19,7 +19,14 @@ from mtfan.fan import build_mtf_fan
 from mtfan.presets import preset_module, preset_names
 from mtfan.serialize import module_from_doc
 from mtfan.quiver import direct_sum
-from referee import a_n_all, cube_module, kronecker_pi, kronecker_r
+from referee import (
+    a_n_all,
+    change_of_basis,
+    cube_module,
+    kronecker_pi,
+    kronecker_r,
+    square_lambda_sum,
+)
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 COMMANDS = ("newton", "fan", "wall", "paths")
@@ -58,6 +65,9 @@ PRESET_COMMANDS = {
 # that no summand without R_1 reaches.  Its `verify --grid-bound 1` golden
 # (kronecker-PI-R.verify.json) takes about 3 s, so CI byte-compares it
 # instead of this suite; the CI step says how to regenerate it.
+# nakayama2-121-basis is nakayama2-121 after the change of basis
+# NAKAYAMA_BASIS: the benchmark's `oracle` command on an input document,
+# pinned to the preset's golden (SAME_GOLDEN).
 INPUT_COMMANDS = {
     "kronecker-R4": {
         "newton": ["newton"],
@@ -87,7 +97,14 @@ INPUT_COMMANDS = {
     "kronecker-PI-R": {
         "fan": ["fan"],
     },
+    "nakayama2-121-basis": {
+        "verify-16": ["verify", "--grid-bound", "16"],
+    },
 }
+# cases whose output is another case's golden, byte for byte
+SAME_GOLDEN = {"nakayama2-121-basis.verify-16": "nakayama2-121.verify-16"}
+# g_1 at vertex 1 and g_2 at vertex 2: arrow a carries g_2 A_a g_1^-1
+NAKAYAMA_BASIS = ([[1, 1], [0, 1]], [[1]])
 
 
 def _cases():
@@ -114,6 +131,7 @@ CASES = list(_cases())
 
 
 def _golden(name):
+    name = SAME_GOLDEN.get(name, name)
     return GOLDENS / (name if name.endswith(".svg") else f"{name}.json")
 
 
@@ -156,22 +174,30 @@ def test_integer_labels_read_as_their_strings():
 
 def test_the_family_constructors_build_the_golden_inputs():
     """R_4, the 5-cube, A_3-all and P_0 + P_1 + I_0 + I_1 + R_1 at p = 2,
-    as their constructors build them, are the modules of their input
-    documents, with the dimension vector, submodule count S and cone count C
-    of each."""
+    the sums of square-lambda and its simples at p = 3, and nakayama2-121
+    after a change of basis, as their constructors build them, are the
+    modules of their input documents, with the dimension vector, submodule
+    count S and cone count C of each."""
     pi_r = direct_sum(kronecker_pi(1), kronecker_r(1))
+    nakayama = change_of_basis(preset_module("nakayama2-121"), NAKAYAMA_BASIS)
     for name, module, dims, s, c in (
         ("kronecker-R4", kronecker_r(4), (4, 4), 227, 7),
         ("cube5", cube_module(5), (1, 1, 1, 1, 1), 32, 243),
         ("a3-all", a_n_all(3), (3, 4, 3), 1229, 45),
+        ("sq-S2-S3", square_lambda_sum(0, (2, 3)), (0, 1, 1, 0), 4, 9),
+        ("sq-S1-S2-S3-S4", square_lambda_sum(1, (1, 2, 3, 4)), (2, 2, 2, 2), 208, 147),
+        ("sq-sq-sq", square_lambda_sum(3), (3, 3, 3, 3), 2060, 39),
+        ("nakayama2-121-basis", nakayama, (2, 1), 4, 9),
         ("kronecker-PI-R", pi_r, (5, 5), 4112, 15),
     ):
         doc = json.loads((GOLDENS / f"{name}.input.json").read_text())
         assert module == module_from_doc(doc)[1], name
-        assert module.algebra.p == 2
+        assert module.algebra.p == (3 if name.startswith("sq-") else 2)
         assert module.dims == dims
         mtf = build_mtf_fan(module)
         assert (len(mtf.lattice), len(mtf.cones)) == (s, c)
+    # the change of basis moves the matrix entries, not the output
+    assert nakayama.maps != preset_module("nakayama2-121").maps
     # the completion of the g-fan: R_1 adds a chamber and the ray (1, -1)
     assert mtf.module == pi_r and len(mtf.maximal_indices()) == 7
     assert (1, -1) in {r for cone in mtf.cones for r in cone.rays}

@@ -29,13 +29,24 @@ from mtfan.polyhedra import validate_generalized_fan
 from mtfan.presets import preset_module, preset_names
 from mtfan.quiver import build_module, direct_sum
 from mtfan.serialize import module_from_doc
-from mtfan.stability import canonical_sequences, supp_factors, t_set, theta_str
+from mtfan.stability import (
+    _classify,
+    _lattice,
+    _record,
+    canonical_sequences,
+    supp_factors,
+    t_set,
+    theta_str,
+)
 from mtfan.sublattice import enumerate_submodules
+import referee
 from referee import (
     count_calls,
     preset_direct_sum,
     quotient_module,
     random_kronecker_module,
+    random_linear_a3_module,
+    square_lambda_and_simples,
     verify_fan_by_records,
 )
 
@@ -193,8 +204,8 @@ def test_oracle_reports_a_definition_t_set_off_the_lattice(monkeypatch):
     assert len(t_set((0, 0), mtf.module)) == 3
     real = mtfan.oracle._classify
 
-    def only_t(theta, lattice, slices):
-        c = real(theta, lattice, slices)
+    def only_t(*args):
+        c = real(*args)
         return c._replace(t_set=1 << c.t)
 
     monkeypatch.setattr(mtfan.oracle, "_classify", only_t)
@@ -211,8 +222,8 @@ def test_oracle_reports_a_t_that_is_not_the_face_minimum(monkeypatch):
     mtf = build_mtf_fan(preset_module("a2-P1"))
     real = mtfan.oracle._classify
 
-    def t_is_tbar(theta, lattice, slices):
-        c = real(theta, lattice, slices)
+    def t_is_tbar(*args):
+        c = real(*args)
         return c._replace(t=c.tbar)
 
     monkeypatch.setattr(mtfan.oracle, "_classify", t_is_tbar)
@@ -229,8 +240,8 @@ def test_oracle_reports_a_tbar_that_is_not_the_face_maximum(monkeypatch):
     mtf = build_mtf_fan(preset_module("a2-P1"))
     real = mtfan.oracle._classify
 
-    def tbar_is_t(theta, lattice, slices):
-        c = real(theta, lattice, slices)
+    def tbar_is_t(*args):
+        c = real(*args)
         return c._replace(tbar=c.t)
 
     monkeypatch.setattr(mtfan.oracle, "_classify", tbar_is_t)
@@ -293,8 +304,8 @@ def test_oracle_reports_empty_t_sets(monkeypatch):
     assert back.count(False) == 9
     real = mtfan.oracle._classify
 
-    def empty_t_set(theta, lattice, slices):
-        return real(theta, lattice, slices)._replace(t_set=0)
+    def empty_t_set(*args):
+        return real(*args)._replace(t_set=0)
 
     monkeypatch.setattr(mtfan.oracle, "_classify", empty_t_set)
     report = verify_fan(mtf, samples=samples)
@@ -366,9 +377,11 @@ def test_verify_point_values_the_lattice_once(monkeypatch):
     product a row: M's, then w's (which decide that w is semistable and
     give its semistable subobjects and stable factors), f's and each stable
     factor's, whose last value is theta on the factor, so evaluate never
-    runs.  canonical_sequences and verify_point are one kernel call each,
-    and verify_fan values each sample's lattices once too; the filtration
-    key is read off the kernel's answer."""
+    runs.  canonical_sequences and verify_point are one kernel call each.
+    verify_fan values M's lattice once at each sample and runs the kernel at
+    the first sample of each order type of theta on M's lattice, so it
+    values w's, f's and each factor's lattice once per order type; the
+    filtration key is read off the kernel's answer."""
     rows = []
     real = mtfan.stability._values
 
@@ -381,6 +394,7 @@ def test_verify_point_values_the_lattice_once(monkeypatch):
         return vals
 
     monkeypatch.setattr(mtfan.stability, "_values", counting)
+    monkeypatch.setattr(mtfan.oracle, "_values", counting)
     calls = count_calls(monkeypatch, mtfan.stability.evaluate)
 
     for module in (
@@ -390,6 +404,7 @@ def test_verify_point_values_the_lattice_once(monkeypatch):
         mtf = build_mtf_fan(module)
         samples = build_sample_set(mtf, bound=1)
         every = []
+        orders = set()
         for theta in samples:
             cs = canonical_sequences(theta, module)
             factors = supp_factors(theta, cs.w)
@@ -399,7 +414,9 @@ def test_verify_point_values_the_lattice_once(monkeypatch):
                 size(quotient_module(module, cs.tbar)),
                 *(size(x) for x, _ in factors),
             ]
-            every += expected
+            order = _order_type(theta, mtf.lattice)
+            every += expected[:1] if order in orders else expected
+            orders.add(order)
             rows.clear()
             calls.clear()
             mtfan.oracle.filtration_key(canonical_sequences(theta, module))
@@ -410,6 +427,7 @@ def test_verify_point_values_the_lattice_once(monkeypatch):
         rows.clear()
         assert verify_fan(mtf, samples).ok
         assert (rows, calls["evaluate"]) == (every, 0)
+        assert len(orders) < len(samples)
 
 
 @given(st.one_of(preset_direct_sum(), random_kronecker_module()))
@@ -492,14 +510,88 @@ def test_oracle_presents_only_the_slices_and_the_stable_factors(monkeypatch):
     assert calls["subquotient"] <= 40
 
 
+def _order_type(theta, lattice):
+    """The dense ranks of theta's values on every member of a lattice."""
+    vals = [sum(a * b for a, b in zip(theta, s.dims)) for s in lattice]
+    return tuple(sorted(set(vals)).index(v) for v in vals)
+
+
 @pytest.mark.parametrize(
     "path", sorted(GOLDENS.glob("*.input.json")), ids=lambda p: p.name.split(".")[0]
 )
-def test_the_pass_matches_the_record_referee_on_the_golden_inputs(path):
+def test_the_pass_matches_the_record_referee_on_the_golden_inputs(path, monkeypatch):
     """verify_fan compares lattice indices and bit masks; the record pass
     compares Submodules and frozensets of them.  Both give the same report,
-    checks and failures in order, on every golden input at grid bound 1."""
+    checks and failures in order, on every golden input at grid bound 1.
+    At every sample the pass's answer, shared by the samples of one order
+    type, is the record referee's, which classifies each sample afresh."""
     mtf = build_mtf_fan(module_from_doc(json.loads(path.read_text()))[1])
+    samples = build_sample_set(mtf, bound=1)
+    answers = []
+    real = mtfan.oracle._check
+
+    def recording(mtf, ctx, theta):
+        out = real(mtf, ctx, theta)
+        answers.append(out[2] and _record(ctx[0], out[2], ctx[1]))
+        return out
+
+    monkeypatch.setattr(mtfan.oracle, "_check", recording)
+    report = verify_fan(mtf, samples)
+    assert report.ok, report.failures
+    points = []
+    assert report == verify_fan_by_records(mtf, samples, points)
+    assert answers == [rep.canonical for rep in points]
+
+
+def test_the_pass_classifies_once_per_order_type(monkeypatch):
+    """On the benchmark's `oracle` command, nakayama2-121 at grid bound 16
+    and seed 0, the pass runs the definition route once for each of the 17
+    order types of its 1,094 samples on M's lattice, and the record referee
+    runs it at every sample."""
+    mtf = build_mtf_fan(preset_module("nakayama2-121"))
+    samples = build_sample_set(mtf, bound=16, seed=0)
+    orders = {_order_type(theta, mtf.lattice) for theta in samples}
+    assert (len(samples), len(orders)) == (1094, 17)
+    calls = count_calls(monkeypatch, mtfan.stability._classify)
+    assert verify_fan(mtf, samples).ok
+    assert calls["_classify"] == len(orders)
+    monkeypatch.setattr(referee, "_classify", mtfan.oracle._classify)
+    calls.clear()
+    assert verify_fan_by_records(mtf, samples).ok
+    assert calls["_classify"] == len(samples)
+
+
+@given(
+    st.one_of(
+        random_kronecker_module(),
+        random_linear_a3_module(),
+        preset_direct_sum(),
+        square_lambda_and_simples(),
+    )
+)
+@seed(0x07D3)
+@settings(max_examples=12, deadline=None)
+def test_each_order_type_shares_the_answer_of_a_fresh_classify(module):
+    """The pass runs the definition route at the first sample of each order
+    type and hands its answer to the later ones; at every sample that
+    answer is _classify's on a table of its own."""
+    mtf = build_mtf_fan(module)
+    ctx = mtfan.oracle._pass(mtf)
+    for theta in build_sample_set(mtf, bound=1):
+        answer = mtfan.oracle._check(mtf, ctx, theta)[2]
+        table = {}
+        lattice = _lattice(module, table, mtf.lattice)
+        assert answer == _classify(theta, lattice, table)
+
+
+@given(random_linear_a3_module())
+@seed(0x0A3A)
+@settings(max_examples=20, deadline=None)
+def test_the_pass_matches_the_record_referee_on_random_a3_modules(module):
+    """Random maps on linear A_3 over F_2 and F_3, at most 2 dimensions a
+    vertex: verify_fan at grid bound 1 is clean and matches the record
+    referee."""
+    mtf = build_mtf_fan(module)
     samples = build_sample_set(mtf, bound=1)
     report = verify_fan(mtf, samples)
     assert report.ok, report.failures
